@@ -2,11 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use daris_core::Scheduler;
-use daris_gpu::{GpuError, GpuSpec, SimTime};
-use daris_metrics::ExperimentSummary;
+use daris_gpu::{GpuError, GpuSpec};
 use daris_models::{DnnKind, ModelProfile};
-use daris_workload::{ArrivalStream, TaskSet};
+use daris_workload::TaskSet;
 
 use crate::harness::{BaselineScheduler, SlotLayout};
 use crate::policies::BatchingQueue;
@@ -58,7 +56,7 @@ impl BatchingServer {
         ModelProfile::calibrated(kind).best_batched_jps().1
     }
 
-    /// Builds the [`Scheduler`]-trait form of this baseline over `taskset`:
+    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`:
     /// one stream, per-model batches flushed full-or-stale.
     ///
     /// # Errors
@@ -74,20 +72,6 @@ impl BatchingServer {
             Box::new(BatchingQueue::new(self.batch_size.clone(), taskset)),
         )
     }
-
-    /// Serves `taskset` until `horizon` with strictly periodic arrivals.
-    ///
-    /// *Legacy shim* over [`scheduler`](Self::scheduler) +
-    /// [`Scheduler::run_with_source`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (which indicate an internal bug).
-    pub fn run(&self, taskset: &TaskSet, horizon: SimTime) -> Result<ExperimentSummary, GpuError> {
-        let mut scheduler = self.scheduler(taskset)?;
-        let mut arrivals = ArrivalStream::new(taskset, horizon);
-        Ok(scheduler.run_with_source(&mut arrivals, horizon).summary)
-    }
 }
 
 impl Default for BatchingServer {
@@ -99,6 +83,8 @@ impl Default for BatchingServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_periodic;
+    use daris_gpu::SimTime;
     use daris_workload::Priority;
 
     #[test]
@@ -118,8 +104,8 @@ mod tests {
     fn batching_beats_single_tenant_on_the_overloaded_set() {
         let taskset = TaskSet::table2(DnnKind::InceptionV3);
         let horizon = SimTime::from_millis(400);
-        let batching = BatchingServer::new().run(&taskset, horizon).unwrap();
-        let single = crate::SingleTenantServer::new().run(&taskset, horizon).unwrap();
+        let batching = run_periodic(BatchingServer::new().scheduler(&taskset), horizon);
+        let single = run_periodic(crate::SingleTenantServer::new().scheduler(&taskset), horizon);
         assert!(
             batching.throughput_jps > 1.5 * single.throughput_jps,
             "batching {} vs single {}",
@@ -131,7 +117,8 @@ mod tests {
     #[test]
     fn batching_has_no_priority_awareness() {
         let taskset = TaskSet::table2(DnnKind::ResNet18);
-        let summary = BatchingServer::new().run(&taskset, SimTime::from_millis(300)).unwrap();
+        let summary =
+            run_periodic(BatchingServer::new().scheduler(&taskset), SimTime::from_millis(300));
         // Overloaded: both priority classes miss deadlines because jobs wait
         // for their batch regardless of priority.
         assert!(summary.of(Priority::High).deadline_misses > 0);
@@ -145,7 +132,8 @@ mod tests {
         // flush it so jobs still complete.
         let light: TaskSet =
             TaskSet::table2(DnnKind::InceptionV3).tasks().iter().take(1).cloned().collect();
-        let summary = BatchingServer::new().run(&light, SimTime::from_millis(400)).unwrap();
+        let summary =
+            run_periodic(BatchingServer::new().scheduler(&light), SimTime::from_millis(400));
         assert!(summary.total.completed > 3, "{:?}", summary.total);
     }
 }

@@ -1,9 +1,7 @@
 //! Global EDF without stage preemption: deadline-aware, but whole-job.
 
-use daris_core::Scheduler;
-use daris_gpu::{GpuError, GpuSpec, SimTime};
-use daris_metrics::ExperimentSummary;
-use daris_workload::{ArrivalStream, TaskSet};
+use daris_gpu::{GpuError, GpuSpec};
+use daris_workload::TaskSet;
 
 use crate::harness::{BaselineScheduler, SlotLayout};
 use crate::policies::EdfQueue;
@@ -49,7 +47,7 @@ impl GlobalEdfServer {
         self.streams
     }
 
-    /// Builds the [`Scheduler`]-trait form of this baseline over `taskset`.
+    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`.
     ///
     /// # Errors
     ///
@@ -64,22 +62,13 @@ impl GlobalEdfServer {
             Box::new(EdfQueue::new()),
         )
     }
-
-    /// Serves `taskset` until `horizon` with strictly periodic arrivals.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (which indicate an internal bug).
-    pub fn run(&self, taskset: &TaskSet, horizon: SimTime) -> Result<ExperimentSummary, GpuError> {
-        let mut scheduler = self.scheduler(taskset)?;
-        let mut arrivals = ArrivalStream::new(taskset, horizon);
-        Ok(scheduler.run_with_source(&mut arrivals, horizon).summary)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_periodic;
+    use daris_gpu::SimTime;
     use daris_models::DnnKind;
 
     #[test]
@@ -88,8 +77,8 @@ mod tests {
         // instead of release order should not *increase* the miss rate.
         let taskset = TaskSet::table2(DnnKind::ResNet18);
         let horizon = SimTime::from_millis(300);
-        let edf = GlobalEdfServer::new(4).run(&taskset, horizon).unwrap();
-        let fifo = crate::FifoMultiStreamServer::new(4).run(&taskset, horizon).unwrap();
+        let edf = run_periodic(GlobalEdfServer::new(4).scheduler(&taskset), horizon);
+        let fifo = run_periodic(crate::FifoMultiStreamServer::new(4).scheduler(&taskset), horizon);
         assert!(
             edf.total.deadline_miss_rate <= fifo.total.deadline_miss_rate + 0.05,
             "EDF {} vs FIFO {}",
@@ -103,7 +92,8 @@ mod tests {
     fn underloaded_set_is_served_without_misses() {
         let light: TaskSet =
             TaskSet::table2(DnnKind::UNet).tasks().iter().take(3).cloned().collect();
-        let summary = GlobalEdfServer::new(2).run(&light, SimTime::from_millis(300)).unwrap();
+        let summary =
+            run_periodic(GlobalEdfServer::new(2).scheduler(&light), SimTime::from_millis(300));
         assert!(summary.total.completed > 10);
         assert_eq!(summary.total.deadline_misses, 0);
     }

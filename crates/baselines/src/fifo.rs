@@ -1,10 +1,8 @@
 //! An RTGPU-style multi-stream FIFO baseline: concurrency without priorities,
 //! staging or admission control.
 
-use daris_core::Scheduler;
-use daris_gpu::{GpuError, GpuSpec, SimTime};
-use daris_metrics::ExperimentSummary;
-use daris_workload::{ArrivalStream, TaskSet};
+use daris_gpu::{GpuError, GpuSpec};
+use daris_workload::TaskSet;
 
 use crate::harness::{BaselineScheduler, SlotLayout};
 use crate::policies::FifoQueue;
@@ -49,7 +47,7 @@ impl FifoMultiStreamServer {
         self.streams
     }
 
-    /// Builds the [`Scheduler`]-trait form of this baseline over `taskset`.
+    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`.
     ///
     /// # Errors
     ///
@@ -64,25 +62,13 @@ impl FifoMultiStreamServer {
             Box::new(FifoQueue::new()),
         )
     }
-
-    /// Serves `taskset` until `horizon` with strictly periodic arrivals.
-    ///
-    /// *Legacy shim* over [`scheduler`](Self::scheduler) +
-    /// [`Scheduler::run_with_source`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (which indicate an internal bug).
-    pub fn run(&self, taskset: &TaskSet, horizon: SimTime) -> Result<ExperimentSummary, GpuError> {
-        let mut scheduler = self.scheduler(taskset)?;
-        let mut arrivals = ArrivalStream::new(taskset, horizon);
-        Ok(scheduler.run_with_source(&mut arrivals, horizon).summary)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_periodic;
+    use daris_gpu::SimTime;
     use daris_models::DnnKind;
     use daris_workload::Priority;
 
@@ -90,8 +76,8 @@ mod tests {
     fn more_streams_increase_throughput_on_the_overloaded_set() {
         let taskset = TaskSet::table2(DnnKind::ResNet18);
         let horizon = SimTime::from_millis(250);
-        let one = FifoMultiStreamServer::new(1).run(&taskset, horizon).unwrap();
-        let six = FifoMultiStreamServer::new(6).run(&taskset, horizon).unwrap();
+        let one = run_periodic(FifoMultiStreamServer::new(1).scheduler(&taskset), horizon);
+        let six = run_periodic(FifoMultiStreamServer::new(6).scheduler(&taskset), horizon);
         assert!(
             six.throughput_jps > 1.2 * one.throughput_jps,
             "6 streams {} vs 1 stream {}",
@@ -103,8 +89,10 @@ mod tests {
     #[test]
     fn fifo_treats_priorities_equally() {
         let taskset = TaskSet::table2(DnnKind::ResNet18);
-        let summary =
-            FifoMultiStreamServer::new(4).run(&taskset, SimTime::from_millis(300)).unwrap();
+        let summary = run_periodic(
+            FifoMultiStreamServer::new(4).scheduler(&taskset),
+            SimTime::from_millis(300),
+        );
         // Under 150 % overload with no prioritization both classes miss
         // deadlines at comparable rates (the paper reports up to 11 % overall
         // misses for RTGPU; our overload level is far harsher).

@@ -2,11 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use daris_core::Scheduler;
-use daris_gpu::{GpuError, GpuSpec, SimTime};
-use daris_metrics::ExperimentSummary;
+use daris_gpu::{GpuError, GpuSpec};
 use daris_models::DnnKind;
-use daris_workload::{ArrivalStream, TaskSet};
+use daris_workload::TaskSet;
 
 use crate::harness::{BaselineScheduler, SlotLayout};
 use crate::policies::GsliceQueue;
@@ -64,7 +62,7 @@ impl GsliceServer {
         self.partitions
     }
 
-    /// Builds the [`Scheduler`]-trait form of this baseline over `taskset`:
+    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`:
     /// tasks pin to partitions round-robin by task id (GSlice pins tenants
     /// to slices); each partition batches its own pending jobs per model and
     /// runs them FIFO.
@@ -82,25 +80,13 @@ impl GsliceServer {
             Box::new(GsliceQueue::new(self.partitions as usize, self.batch_size.clone())),
         )
     }
-
-    /// Serves `taskset` until `horizon` with strictly periodic arrivals.
-    ///
-    /// *Legacy shim* over [`scheduler`](Self::scheduler) +
-    /// [`Scheduler::run_with_source`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (which indicate an internal bug).
-    pub fn run(&self, taskset: &TaskSet, horizon: SimTime) -> Result<ExperimentSummary, GpuError> {
-        let mut scheduler = self.scheduler(taskset)?;
-        let mut arrivals = ArrivalStream::new(taskset, horizon);
-        Ok(scheduler.run_with_source(&mut arrivals, horizon).summary)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_periodic;
+    use daris_gpu::SimTime;
     use daris_models::DnnKind;
 
     #[test]
@@ -109,8 +95,8 @@ mod tests {
         // far more. Here we check the GSlice side of that comparison.
         let taskset = TaskSet::resnet50_comparison();
         let horizon = SimTime::from_millis(400);
-        let batching = crate::BatchingServer::new().run(&taskset, horizon).unwrap();
-        let gslice = GsliceServer::new(2).run(&taskset, horizon).unwrap();
+        let batching = run_periodic(crate::BatchingServer::new().scheduler(&taskset), horizon);
+        let gslice = run_periodic(GsliceServer::new(2).scheduler(&taskset), horizon);
         let gain = gslice.throughput_jps / batching.throughput_jps;
         assert!(gain > 0.95, "GSlice should not collapse: gain {gain}");
         assert!(gain < 1.35, "GSlice should not dominate batching by much: gain {gain}");
@@ -121,7 +107,7 @@ mod tests {
         let server = GsliceServer::new(4);
         assert_eq!(server.partitions(), 4);
         let taskset = TaskSet::table2(DnnKind::UNet);
-        let summary = server.run(&taskset, SimTime::from_millis(200)).unwrap();
+        let summary = run_periodic(server.scheduler(&taskset), SimTime::from_millis(200));
         assert!(summary.total.completed > 10);
         assert_eq!(summary.total.rejected, 0);
     }
@@ -130,8 +116,8 @@ mod tests {
     fn single_partition_degenerates_to_batching_behaviour() {
         let taskset = TaskSet::table2(DnnKind::ResNet18);
         let horizon = SimTime::from_millis(250);
-        let one = GsliceServer::new(1).run(&taskset, horizon).unwrap();
-        let batching = crate::BatchingServer::new().run(&taskset, horizon).unwrap();
+        let one = run_periodic(GsliceServer::new(1).scheduler(&taskset), horizon);
+        let batching = run_periodic(crate::BatchingServer::new().scheduler(&taskset), horizon);
         let ratio = one.throughput_jps / batching.throughput_jps;
         assert!(ratio > 0.7 && ratio < 1.3, "ratio {ratio}");
     }

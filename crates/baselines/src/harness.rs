@@ -21,6 +21,17 @@ use daris_workload::{Job, JobId, Priority, TaskId, TaskSet, TaskSpec};
 
 use crate::policies::{DispatchBatch, DispatchQueue};
 
+/// Runs a freshly built baseline on strictly periodic releases until
+/// `horizon` and returns its summary (unit-test shorthand).
+#[cfg(test)]
+pub(crate) fn run_periodic(
+    scheduler: std::result::Result<BaselineScheduler, GpuError>,
+    horizon: SimTime,
+) -> daris_metrics::ExperimentSummary {
+    let spec = daris_core::RunSpec::periodic().until(horizon);
+    scheduler.expect("baseline builds").run(&spec).expect("periodic spec runs").summary
+}
+
 /// How the device is carved into dispatch slots.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SlotLayout {

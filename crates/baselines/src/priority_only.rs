@@ -1,9 +1,7 @@
 //! Priority-only scheduling: classes, but no batching, staging or admission.
 
-use daris_core::Scheduler;
-use daris_gpu::{GpuError, GpuSpec, SimTime};
-use daris_metrics::ExperimentSummary;
-use daris_workload::{ArrivalStream, TaskSet};
+use daris_gpu::{GpuError, GpuSpec};
+use daris_workload::TaskSet;
 
 use crate::harness::{BaselineScheduler, SlotLayout};
 use crate::policies::PriorityOnlyQueue;
@@ -52,7 +50,7 @@ impl PriorityOnlyServer {
         self.streams
     }
 
-    /// Builds the [`Scheduler`]-trait form of this baseline over `taskset`.
+    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`.
     ///
     /// # Errors
     ///
@@ -67,22 +65,13 @@ impl PriorityOnlyServer {
             Box::new(PriorityOnlyQueue::new()),
         )
     }
-
-    /// Serves `taskset` until `horizon` with strictly periodic arrivals.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (which indicate an internal bug).
-    pub fn run(&self, taskset: &TaskSet, horizon: SimTime) -> Result<ExperimentSummary, GpuError> {
-        let mut scheduler = self.scheduler(taskset)?;
-        let mut arrivals = ArrivalStream::new(taskset, horizon);
-        Ok(scheduler.run_with_source(&mut arrivals, horizon).summary)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_periodic;
+    use daris_gpu::SimTime;
     use daris_models::DnnKind;
     use daris_workload::Priority;
 
@@ -92,8 +81,8 @@ mod tests {
         // FIFO on the same overloaded set, at the expense of LP jobs.
         let taskset = TaskSet::table2(DnnKind::ResNet18);
         let horizon = SimTime::from_millis(300);
-        let prio = PriorityOnlyServer::new(4).run(&taskset, horizon).unwrap();
-        let fifo = crate::FifoMultiStreamServer::new(4).run(&taskset, horizon).unwrap();
+        let prio = run_periodic(PriorityOnlyServer::new(4).scheduler(&taskset), horizon);
+        let fifo = run_periodic(crate::FifoMultiStreamServer::new(4).scheduler(&taskset), horizon);
         assert!(
             prio.of(Priority::High).deadline_miss_rate
                 <= fifo.of(Priority::High).deadline_miss_rate,
@@ -108,7 +97,8 @@ mod tests {
     fn low_priority_still_runs_when_high_is_idle() {
         let light: TaskSet =
             TaskSet::table2(DnnKind::UNet).tasks().iter().take(3).cloned().collect();
-        let summary = PriorityOnlyServer::new(2).run(&light, SimTime::from_millis(300)).unwrap();
+        let summary =
+            run_periodic(PriorityOnlyServer::new(2).scheduler(&light), SimTime::from_millis(300));
         assert!(
             summary.of(Priority::Low).completed > 0 || summary.of(Priority::High).completed > 0
         );

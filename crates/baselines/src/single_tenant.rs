@@ -1,10 +1,8 @@
 //! The single-tenant (one DNN at a time) lower baseline.
 
-use daris_core::Scheduler;
-use daris_gpu::{Gpu, GpuError, GpuSpec, SimTime, WorkItem};
-use daris_metrics::ExperimentSummary;
+use daris_gpu::{Gpu, GpuError, GpuSpec, WorkItem};
 use daris_models::{DnnKind, ModelProfile};
-use daris_workload::{ArrivalStream, TaskSet};
+use daris_workload::TaskSet;
 
 use crate::harness::{BaselineScheduler, SlotLayout};
 use crate::policies::FifoQueue;
@@ -64,7 +62,7 @@ impl SingleTenantServer {
         f64::from(jobs) / gpu.now().as_secs_f64()
     }
 
-    /// Builds the [`Scheduler`]-trait form of this baseline over `taskset`:
+    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`:
     /// one stream, one whole job at a time, FIFO.
     ///
     /// # Errors
@@ -80,20 +78,6 @@ impl SingleTenantServer {
             Box::new(FifoQueue::new()),
         )
     }
-
-    /// Serves `taskset` until `horizon` with strictly periodic arrivals.
-    ///
-    /// *Legacy shim* over [`scheduler`](Self::scheduler) +
-    /// [`Scheduler::run_with_source`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (which indicate an internal bug).
-    pub fn run(&self, taskset: &TaskSet, horizon: SimTime) -> Result<ExperimentSummary, GpuError> {
-        let mut scheduler = self.scheduler(taskset)?;
-        let mut arrivals = ArrivalStream::new(taskset, horizon);
-        Ok(scheduler.run_with_source(&mut arrivals, horizon).summary)
-    }
 }
 
 impl Default for SingleTenantServer {
@@ -105,6 +89,8 @@ impl Default for SingleTenantServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_periodic;
+    use daris_gpu::SimTime;
     use daris_workload::Priority;
 
     #[test]
@@ -127,7 +113,7 @@ mod tests {
         // the motivation for multi-tenant scheduling in the paper's intro.
         let server = SingleTenantServer::new();
         let taskset = TaskSet::table2(DnnKind::ResNet18);
-        let summary = server.run(&taskset, SimTime::from_millis(300)).unwrap();
+        let summary = run_periodic(server.scheduler(&taskset), SimTime::from_millis(300));
         assert!(summary.throughput_jps < 700.0);
         assert!(summary.total.deadline_miss_rate > 0.3, "{}", summary.total.deadline_miss_rate);
         // FIFO has no priority awareness: HP tasks miss too.
@@ -139,7 +125,7 @@ mod tests {
         let light: TaskSet =
             TaskSet::table2(DnnKind::UNet).tasks().iter().take(3).cloned().collect();
         let server = SingleTenantServer::new();
-        let summary = server.run(&light, SimTime::from_millis(300)).unwrap();
+        let summary = run_periodic(server.scheduler(&light), SimTime::from_millis(300));
         assert!(summary.total.completed > 10);
         assert_eq!(summary.total.deadline_misses, 0);
     }

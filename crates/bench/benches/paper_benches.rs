@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use daris_bench::{run_daris_until, str_partitions};
-use daris_core::{AblationFlags, DarisConfig, GpuPartition};
+use daris_core::{AblationFlags, DarisConfig, GpuPartition, RunSpec, Scheduler};
 use daris_gpu::SimTime;
 use daris_models::{DnnKind, ModelProfile};
 use daris_workload::{RatioScenario, TaskSet};
@@ -148,9 +148,10 @@ fn bench_gslice_comparison(c: &mut Criterion) {
     });
     group.bench_function("gslice_resnet50", |b| {
         b.iter(|| {
-            daris_baselines::GsliceServer::new(2)
-                .run(&taskset, bench_horizon())
-                .expect("gslice baseline runs")
+            let mut gslice = daris_baselines::GsliceServer::new(2)
+                .scheduler(&taskset)
+                .expect("gslice baseline builds");
+            gslice.run(&RunSpec::periodic().until(bench_horizon())).expect("gslice baseline runs")
         })
     });
     group.finish();

@@ -34,6 +34,7 @@
 use std::process::ExitCode;
 
 use daris_cluster::{ClusterConfig, ClusterDispatcher, ClusterOutcome, ClusterSpec};
+use daris_core::RunSpec;
 use daris_metrics::report::{fmt_num, fmt_pct, Table};
 use daris_workload::{BurstyConfig, CorrelatedConfig, DiurnalConfig, GenSpec, TaskSet, Trace};
 
@@ -134,7 +135,9 @@ fn main() -> ExitCode {
 
     let mut diverged = false;
     let live = if replay.is_none() {
-        let live = dispatcher(&taskset, &fleet, 1).run_generated(&spec, horizon);
+        let live = dispatcher(&taskset, &fleet, 1)
+            .run(&RunSpec::generated(spec).until(horizon))
+            .expect("spec runs");
         eprintln!(
             "  live generator run:    {:>7.0} JPS, {} completed jobs",
             live.summary.throughput_jps, live.summary.total.completed
@@ -149,9 +152,10 @@ fn main() -> ExitCode {
         verify_threads.push(threads);
     }
     let mut replay_reference = None;
+    let replay_spec = RunSpec::replay(trace);
     for t in verify_threads {
         let outcome = dispatcher(&taskset, &fleet, t)
-            .run_replay(&trace)
+            .run(&replay_spec)
             .unwrap_or_else(|e| panic!("replay failed: {e}"));
         let hash = outcome_hash(&outcome);
         eprintln!(
@@ -194,14 +198,18 @@ fn main() -> ExitCode {
         "migrations",
         "served",
     ]);
-    let periodic = dispatcher(&taskset, &fleet, 1).run_until(horizon);
+    let periodic = dispatcher(&taskset, &fleet, 1)
+        .run(&RunSpec::periodic().until(horizon))
+        .expect("spec runs");
     table.add_row(comparison_row("periodic (Table II)", &taskset, &periodic));
     for shape in ["bursty", "diurnal", "correlated"] {
         // The verified shape's live run is already in hand — don't re-run
         // the most expensive simulation just to fill its table row.
         let outcome = match &live {
             Some(live) if shape == gen_label => live.clone(),
-            _ => dispatcher(&taskset, &fleet, 1).run_generated(&spec_for(shape, seed), horizon),
+            _ => dispatcher(&taskset, &fleet, 1)
+                .run(&RunSpec::generated(spec_for(shape, seed)).until(horizon))
+                .expect("spec runs"),
         };
         table.add_row(comparison_row(shape, &taskset, &outcome));
     }

@@ -20,6 +20,7 @@
 //! The simulated horizon comes from `DARIS_HORIZON_MS` (default 250 ms).
 
 use daris_cluster::{ClusterConfig, ClusterDispatcher, ClusterSpec, PlacementStrategy};
+use daris_core::RunSpec;
 use daris_gpu::SimTime;
 use daris_models::DnnKind;
 use daris_telemetry::{ChromeTraceSink, SinkHandle, CHROME_SCHEMA_VERSION};
@@ -56,7 +57,8 @@ fn main() {
     eprintln!("trace_viz: recording 8-device heterogeneous bursty run to {horizon} ...");
     let outcome = ClusterDispatcher::new(&taskset, fleet, config)
         .expect("valid 8-device configuration")
-        .run_generated(&spec, horizon);
+        .run(&RunSpec::generated(spec).until(horizon))
+        .expect("spec runs");
 
     let json = sink.to_json();
     eprintln!(

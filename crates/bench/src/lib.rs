@@ -21,12 +21,16 @@
 pub mod comparison;
 pub mod perf;
 
-use daris_baselines::{BatchingServer, FifoMultiStreamServer, GsliceServer, SingleTenantServer};
+use daris_baselines::{
+    BaselineScheduler, BatchingServer, FifoMultiStreamServer, GsliceServer, SingleTenantServer,
+};
 use daris_cluster::{
     ClusterConfig, ClusterDispatcher, ClusterOutcome, ClusterSpec, PlacementStrategy,
 };
-use daris_core::{AblationFlags, DarisConfig, DarisScheduler, ExperimentOutcome, GpuPartition};
-use daris_gpu::{GpuSpec, SimTime};
+use daris_core::{
+    AblationFlags, DarisConfig, DarisScheduler, ExperimentOutcome, GpuPartition, RunSpec, Scheduler,
+};
+use daris_gpu::{GpuError, GpuSpec, SimTime};
 use daris_metrics::report::{fmt_num, fmt_pct, Table};
 use daris_metrics::ExperimentSummary;
 use daris_models::{DnnKind, ModelProfile, Table1Reference};
@@ -118,7 +122,7 @@ pub fn run_daris_until(
 ) -> ExperimentOutcome {
     let mut scheduler =
         DarisScheduler::new(taskset, config).expect("valid experiment configuration");
-    scheduler.run_until(horizon)
+    scheduler.run(&RunSpec::periodic().until(horizon)).expect("a periodic spec with a horizon runs")
 }
 
 /// The MPS partitions swept in Figs. 4–6: `Np ∈ {2,4,6,8,10}` contexts × 1
@@ -526,7 +530,9 @@ fn run_cluster_threads(
     let config = ClusterConfig { strategy, threads, ..Default::default() };
     let mut dispatcher = ClusterDispatcher::new(taskset, fleet, config)
         .expect("valid cluster experiment configuration");
-    dispatcher.run_until(horizon)
+    dispatcher
+        .run(&RunSpec::periodic().until(horizon))
+        .expect("a periodic spec with a horizon runs")
 }
 
 fn cluster_row(label: &str, taskset: &TaskSet, outcome: &ClusterOutcome) -> Vec<String> {
@@ -642,7 +648,9 @@ pub fn cluster_scaling_wide(max_devices: usize, threads: usize, racks: usize) ->
             let start = std::time::Instant::now();
             let mut dispatcher = ClusterDispatcher::new(&taskset, fleet, config)
                 .expect("valid wide-sweep configuration");
-            let outcome = dispatcher.run_until(horizon);
+            let outcome = dispatcher
+                .run(&RunSpec::periodic().until(horizon))
+                .expect("a periodic spec with a horizon runs");
             let wall = start.elapsed();
             let s = &outcome.summary;
             let events = dispatcher.events_processed();
@@ -716,12 +724,14 @@ pub fn cluster_fleets() -> Vec<Table> {
 pub fn gslice_comparison() -> Table {
     let taskset = TaskSet::resnet50_comparison();
     let horizon = horizon();
-    let batching = BatchingServer::new()
-        .with_batch_size(DnnKind::ResNet50, 8)
-        .run(&taskset, horizon)
-        .expect("batching baseline runs");
-    let gslice = GsliceServer::new(2).run(&taskset, horizon).expect("gslice baseline runs");
-    let fifo = FifoMultiStreamServer::new(6).run(&taskset, horizon).expect("fifo baseline runs");
+    let run = |scheduler: Result<BaselineScheduler, GpuError>| {
+        let mut scheduler = scheduler.expect("baseline builds");
+        scheduler.run(&RunSpec::periodic().until(horizon)).expect("baseline runs").summary
+    };
+    let batching =
+        run(BatchingServer::new().with_batch_size(DnnKind::ResNet50, 8).scheduler(&taskset));
+    let gslice = run(GsliceServer::new(2).scheduler(&taskset));
+    let fifo = run(FifoMultiStreamServer::new(6).scheduler(&taskset));
     let daris = run_daris_until(&taskset, DarisConfig::new(GpuPartition::mps(6, 6.0)), horizon);
     let daris_no_os =
         run_daris_until(&taskset, DarisConfig::new(GpuPartition::mps(6, 1.0)), horizon);

@@ -27,7 +27,7 @@ use daris_cluster::{
     AutoscaleConfig, ClusterConfig, ClusterDispatcher, ClusterSpec, ElasticQuantum,
     PlacementStrategy,
 };
-use daris_core::{DarisConfig, DarisScheduler, GpuPartition};
+use daris_core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
 use daris_gpu::{GpuSpec, SimDuration, SimTime};
 use daris_models::DnnKind;
 use daris_telemetry::{MemorySink, SinkHandle, WallClockProfiler};
@@ -111,7 +111,9 @@ fn single_device_section(name: &str, taskset: &TaskSet, horizon: SimTime) -> Sec
         let mut scheduler =
             DarisScheduler::new(&taskset, DarisConfig::new(GpuPartition::mps(6, 6.0)))
                 .expect("valid perf section configuration");
-        let outcome = scheduler.run_until(horizon);
+        let outcome = scheduler
+            .run(&RunSpec::periodic().until(horizon))
+            .expect("a periodic spec with a horizon runs");
         (
             scheduler.events_processed(),
             outcome.summary.total.completed as u64,
@@ -158,7 +160,9 @@ fn run_cluster_section_racks(
         };
         let mut dispatcher = ClusterDispatcher::new(taskset, fleet, config)
             .expect("valid perf cluster configuration");
-        let outcome = dispatcher.run_until(horizon);
+        let outcome = dispatcher
+            .run(&RunSpec::periodic().until(horizon))
+            .expect("a periodic spec with a horizon runs");
         (
             dispatcher.events_processed(),
             outcome.summary.total.completed as u64,
@@ -189,7 +193,9 @@ fn trace_sections(horizon: SimTime, sections: &mut Vec<SectionResult>) {
     sections.push(time_section("cluster_hetero_8dev_bursty", || {
         let mut dispatcher = ClusterDispatcher::new(&taskset, fleet(), cluster_config())
             .expect("valid perf cluster configuration");
-        let outcome = dispatcher.run_generated(&spec, horizon);
+        let outcome = dispatcher
+            .run(&RunSpec::generated(spec).until(horizon))
+            .expect("a generated spec with a horizon runs");
         (
             dispatcher.events_processed(),
             outcome.summary.total.completed as u64,
@@ -197,11 +203,11 @@ fn trace_sections(horizon: SimTime, sections: &mut Vec<SectionResult>) {
         )
     }));
     // Trace generation is untimed: the section measures the replay path.
-    let trace = spec.generate(&taskset, horizon);
+    let replay = RunSpec::replay(spec.generate(&taskset, horizon));
     sections.push(time_section("cluster_hetero_8dev_bursty_replay", || {
         let mut dispatcher = ClusterDispatcher::new(&taskset, fleet(), cluster_config())
             .expect("valid perf cluster configuration");
-        let outcome = dispatcher.run_replay(&trace).expect("recorded trace replays");
+        let outcome = dispatcher.run(&replay).expect("recorded trace replays");
         (
             dispatcher.events_processed(),
             outcome.summary.total.completed as u64,
@@ -230,7 +236,9 @@ fn telemetry_section(horizon: SimTime, sections: &mut Vec<SectionResult>) -> Vec
         let mut dispatcher =
             ClusterDispatcher::new(&taskset, ClusterSpec::heterogeneous_mix(8), config)
                 .expect("valid perf cluster configuration");
-        let outcome = dispatcher.run_generated(&spec, horizon);
+        let outcome = dispatcher
+            .run(&RunSpec::generated(spec).until(horizon))
+            .expect("a generated spec with a horizon runs");
         (
             dispatcher.events_processed(),
             outcome.summary.total.completed as u64,
@@ -286,7 +294,9 @@ fn adaptive_sections(horizon: SimTime, sections: &mut Vec<SectionResult>) {
         sections.push(time_section(name, || {
             let mut dispatcher = ClusterDispatcher::new(&taskset, fleet(), config)
                 .expect("valid perf cluster configuration");
-            let outcome = dispatcher.run_generated(&spec, horizon);
+            let outcome = dispatcher
+                .run(&RunSpec::generated(spec).until(horizon))
+                .expect("a generated spec with a horizon runs");
             (
                 dispatcher.events_processed(),
                 outcome.summary.total.completed as u64,
@@ -308,8 +318,9 @@ fn single_bursty_section(
         let mut scheduler =
             DarisScheduler::new(&taskset, DarisConfig::new(GpuPartition::mps(6, 6.0)))
                 .expect("valid perf section configuration");
-        let mut stream = spec.stream(&taskset, horizon);
-        let outcome = scheduler.run_with_source(&mut stream, horizon);
+        let outcome = scheduler
+            .run(&RunSpec::generated(spec).until(horizon))
+            .expect("a generated spec with a horizon runs");
         (
             scheduler.events_processed(),
             outcome.summary.total.completed as u64,

@@ -13,24 +13,22 @@
 //! rack rebalance — speaks only the trait surface, so baselines inherit the
 //! full cluster machinery unchanged.
 //!
-//! Three workload shapes share the same round loop, each a different
-//! [`ArrivalSource`] per device: strictly periodic task sets
-//! ([`run_until`](ClusterDispatcher::run_until)), seeded bursty / diurnal /
-//! correlated generators ([`run_generated`](ClusterDispatcher::run_generated),
-//! keyed by global task index so local streams preserve the global trace
-//! phases), and recorded trace replays
-//! ([`run_replay`](ClusterDispatcher::run_replay), the global trace split
-//! along the placement). A live generated run and the replay of its recorded
+//! [`ClusterDispatcher::run`] takes any [`RunSpec`] — periodic, jittered,
+//! generated or replayed — and shards its workload along the placement
+//! ([`Workload::shard`](daris_core::Workload::shard)): one [`ArrivalSource`]
+//! per device over its placed tasks, keyed by global task index so the
+//! device-local sources together release exactly the global workload. Every shape then runs through the
+//! same round loop, and a live generated run and the replay of its recorded
 //! trace are byte-identical at any thread count.
 //!
 //! # Round protocol
 //!
 //! Simulated time is cut into rounds of [`ClusterConfig::sync_quantum`].
 //! Within a round `[t0, t1)` every device is **independent**: it runs its own
-//! event loop ([`DarisScheduler::run_span`]) over its own simulator events
-//! and the releases of its own placed tasks, each handled at its exact
-//! simulated time — the identical call sequence `run_until` issues on a
-//! single GPU, which is why a 1-device cluster reproduces the single-GPU
+//! event loop ([`Scheduler::run_span`]) over its own simulator events and
+//! the releases of its own placed tasks, each handled at its exact
+//! simulated time — the identical call sequence [`Scheduler::run`] issues on
+//! a single GPU, which is why a 1-device cluster reproduces the single-GPU
 //! path bit for bit (a property test pins this down). Devices only interact
 //! at round boundaries:
 //!
@@ -78,7 +76,8 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use daris_core::{
-    AblationFlags, DarisConfig, DarisScheduler, ExperimentOutcome, RunSpec, Scheduler, Workload,
+    AblationFlags, CoreError, DarisConfig, DarisScheduler, ExperimentOutcome, RunSpec, Scheduler,
+    Shard,
 };
 use daris_gpu::{GpuSpec, SimDuration, SimTime};
 use daris_metrics::MetricsCollector;
@@ -86,10 +85,7 @@ use daris_telemetry::{
     EventKind, MemorySink, RoundPhase, SinkHandle, TelemetryEvent, WallClockProfiler,
     CLUSTER_DEVICE, RACK_DEVICE_BASE,
 };
-use daris_workload::{
-    ArrivalSource, ArrivalStream, GenSpec, GeneratedStream, Job, JobId, LoadDetectorConfig,
-    ReleaseJitter, TaskId, TaskSet, Trace, TraceError, TraceEvent, TracePlayer,
-};
+use daris_workload::{ArrivalSource, Job, JobId, LoadDetectorConfig, TaskId, TaskSet};
 
 use crate::pool::{self, DeviceCell, FleetCells};
 use crate::rack::{LoadOrder, RackDispatcher};
@@ -485,214 +481,47 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     }
 
     /// Runs the workload described by a [`RunSpec`] on the fleet — the
-    /// cluster counterpart of [`Scheduler::run`], and the preferred entry
-    /// point; [`run_until`](Self::run_until),
-    /// [`run_jittered`](Self::run_jittered),
-    /// [`run_generated`](Self::run_generated) and
-    /// [`run_replay`](Self::run_replay) are its shape-specific forms. Call
-    /// once per dispatcher.
+    /// cluster counterpart of [`Scheduler::run`] and the dispatcher's only
+    /// run method. Call once per dispatcher.
+    ///
+    /// The workload is [sharded](daris_core::Workload::shard) along the
+    /// placement: one arrival source per device over its placed tasks, plus
+    /// one over the tasks placement rejected. Shards key their random
+    /// streams by global task index, so together they release exactly the
+    /// jobs one device would. Every release of the rejected shard before
+    /// the horizon is charged as a rejection up front.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::InvalidRunSpec`] for a spec without a
-    /// horizon, a replay whose horizon does not match its trace, or a
-    /// workload shape the cluster does not implement (named in the error),
-    /// and [`ClusterError::Trace`] for a replay whose trace does not fit
-    /// this cluster's task set.
+    /// horizon or with a replay horizon past its trace's, and
+    /// [`ClusterError::Trace`] for a replay whose trace does not fit this
+    /// cluster's task set.
     pub fn run(&mut self, spec: &RunSpec) -> Result<ClusterOutcome> {
-        let horizon = spec.horizon().ok_or_else(|| {
-            ClusterError::InvalidRunSpec("no horizon (call RunSpec::until)".into())
+        let horizon = spec.required_horizon().map_err(|e| match e {
+            CoreError::InvalidConfig(reason) => ClusterError::InvalidRunSpec(reason),
+            other => ClusterError::InvalidRunSpec(other.to_string()),
         })?;
-        match spec.workload() {
-            Workload::Periodic { jitter: ReleaseJitter::None } => Ok(self.run_until(horizon)),
-            Workload::Periodic { jitter } => Ok(self.run_jittered(*jitter, horizon)),
-            Workload::Generated(gen) => Ok(self.run_generated(gen, horizon)),
-            Workload::Replay(trace) => {
-                if horizon != trace.horizon() {
-                    return Err(ClusterError::InvalidRunSpec(
-                        "replay horizon must match the trace horizon".into(),
-                    ));
-                }
-                self.run_replay(trace)
-            }
-            // `Workload` is non-exhaustive: name the variant a future shape
-            // arrives as instead of a bare "unsupported".
-            other => {
-                Err(ClusterError::InvalidRunSpec(format!("unsupported workload shape: {other:?}")))
-            }
-        }
-    }
-
-    /// Runs a periodic [`TaskSet`] workload on the fleet until `horizon` and
-    /// returns per-device and aggregate outcomes. Call once per dispatcher.
-    ///
-    /// *Shape-specific form* of [`run`](Self::run) — equivalent to
-    /// `run(&RunSpec::periodic().until(horizon))`.
-    pub fn run_until(&mut self, horizon: SimTime) -> ClusterOutcome {
-        // Releases of tasks no device could take are known a priori (arrivals
-        // do not depend on simulation state); account them up front.
-        let unplaced_tasks = self.unplaced_taskset();
-        for job in ArrivalStream::new(&unplaced_tasks, horizon) {
+        // The sources borrow the shards for the whole run, which needs
+        // `&mut self`; shard over a copy of the placement.
+        let plans = self.placement.plans.clone();
+        let unplaced_global: Vec<usize> =
+            self.placement.rejected.iter().map(|id| id.index()).collect();
+        let unplaced_tasks = TaskSet::preserving_phases(
+            unplaced_global.iter().map(|&global| self.taskset.tasks()[global].clone()),
+        );
+        let shards: Vec<Shard<'_>> = plans
+            .iter()
+            .map(|plan| Shard { taskset: &plan.taskset, global: &plan.task_indices })
+            .chain([Shard { taskset: &unplaced_tasks, global: &unplaced_global }])
+            .collect();
+        let mut sources = spec.workload().shard(horizon, &shards).map_err(ClusterError::Trace)?;
+        let mut unplaced = sources.pop().expect("one source per shard");
+        while unplaced.next_release().is_some_and(|r| r < horizon) {
+            let job = unplaced.next_job().expect("a pending release was peeked");
             self.unplaced.record_rejection(&job);
         }
-
-        // One lazy arrival stream per device over its placed tasks (local
-        // ids; placement built the local sets with
-        // `TaskSet::preserving_phases`, so the per-device streams together
-        // reproduce the global release times exactly).
-        let device_tasksets: Vec<TaskSet> =
-            self.placement.plans.iter().map(|p| p.taskset.clone()).collect();
-        let streams: Vec<ArrivalStream<'_>> =
-            device_tasksets.iter().map(|ts| ArrivalStream::new(ts, horizon)).collect();
-        self.drive(streams, horizon)
-    }
-
-    /// Runs a jittered periodic [`TaskSet`] workload on the fleet until
-    /// `horizon`. Each device draws its placed tasks' release delays
-    /// locally, with every jitter stream keyed by the task's **global**
-    /// index ([`ArrivalStream::with_jitter_keyed`]), so the per-device
-    /// streams together reproduce exactly the delays a single device would
-    /// draw — the jitter analogue of `TaskSet::preserving_phases` preserving
-    /// release phases, and the fix for the old blanket rejection of
-    /// jittered specs (whose per-task generators were keyed by device-local
-    /// ids). Byte-identical at any thread count and any placement, like
-    /// every other shape. Call once per dispatcher.
-    ///
-    /// *Shape-specific form* of [`run`](Self::run) — equivalent to
-    /// `run(&RunSpec::jittered(jitter).until(horizon))`.
-    pub fn run_jittered(&mut self, jitter: ReleaseJitter, horizon: SimTime) -> ClusterOutcome {
-        let rejected_keys: Vec<u64> =
-            self.placement.rejected.iter().map(|id| id.index() as u64).collect();
-        let unplaced_tasks = self.unplaced_taskset();
-        for job in
-            ArrivalStream::with_jitter_keyed(&unplaced_tasks, horizon, jitter, &rejected_keys)
-        {
-            self.unplaced.record_rejection(&job);
-        }
-
-        let device_tasksets: Vec<TaskSet> =
-            self.placement.plans.iter().map(|p| p.taskset.clone()).collect();
-        let device_keys: Vec<Vec<u64>> = self
-            .placement
-            .plans
-            .iter()
-            .map(|p| p.task_indices.iter().map(|&g| g as u64).collect())
-            .collect();
-        let streams: Vec<ArrivalStream<'_>> = device_tasksets
-            .iter()
-            .zip(&device_keys)
-            .map(|(ts, keys)| ArrivalStream::with_jitter_keyed(ts, horizon, jitter, keys))
-            .collect();
-        self.drive(streams, horizon)
-    }
-
-    /// Runs a seeded [`GenSpec`] workload (bursty, diurnal, correlated) on
-    /// the fleet until `horizon`. Each device generates its placed tasks'
-    /// releases locally, keyed by the tasks' **global** indices, so the
-    /// per-device streams together reproduce the global generator trace
-    /// exactly — the generator analogue of `TaskSet::preserving_phases`
-    /// preserving release phases. A live generated run is therefore
-    /// byte-identical to replaying [`GenSpec::generate`]'s trace of the same
-    /// spec via [`run_replay`](Self::run_replay). Call once per dispatcher.
-    ///
-    /// *Shape-specific form* of [`run`](Self::run) — equivalent to
-    /// `run(&RunSpec::generated(spec).until(horizon))`.
-    pub fn run_generated(&mut self, spec: &GenSpec, horizon: SimTime) -> ClusterOutcome {
-        let rejected_keys: Vec<u64> =
-            self.placement.rejected.iter().map(|id| id.index() as u64).collect();
-        let unplaced_tasks = self.unplaced_taskset();
-        for job in spec.stream_keyed(&unplaced_tasks, horizon, &rejected_keys) {
-            self.unplaced.record_rejection(&job);
-        }
-
-        let device_tasksets: Vec<TaskSet> =
-            self.placement.plans.iter().map(|p| p.taskset.clone()).collect();
-        let device_keys: Vec<Vec<u64>> = self
-            .placement
-            .plans
-            .iter()
-            .map(|p| p.task_indices.iter().map(|&g| g as u64).collect())
-            .collect();
-        let streams: Vec<GeneratedStream<'_>> = device_tasksets
-            .iter()
-            .zip(&device_keys)
-            .map(|(ts, keys)| spec.stream_keyed(ts, horizon, keys))
-            .collect();
-        self.drive(streams, horizon)
-    }
-
-    /// Replays a recorded [`Trace`] (over the dispatcher's *global* task
-    /// set) on the fleet, to exactly the trace's horizon: the global trace
-    /// is split per device along the placement, task ids remapped to each
-    /// device's local space — legal because placement preserves the global
-    /// relative task order, so the per-device event sequences keep the trace
-    /// sort order. Events of tasks the placement rejected are charged as
-    /// rejections up front, exactly like the periodic path. Call once per
-    /// dispatcher.
-    ///
-    /// *Shape-specific form* of [`run`](Self::run) — equivalent to
-    /// `run(&RunSpec::replay(trace))`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::Trace`] when the trace refers to tasks the
-    /// global set does not contain, or a per-device slice violates the trace
-    /// contract.
-    pub fn run_replay(&mut self, trace: &Trace) -> Result<ClusterOutcome> {
-        let horizon = trace.horizon();
-        let n_tasks = self.taskset.len();
-        let unplaced_of: BTreeMap<usize, TaskId> = self
-            .placement
-            .rejected
-            .iter()
-            .enumerate()
-            .map(|(position, id)| (id.index(), TaskId(position as u32)))
-            .collect();
-        let unplaced_tasks = self.unplaced_taskset();
-        let mut per_device: Vec<Vec<TraceEvent>> = vec![Vec::new(); self.devices.len()];
-        for ev in trace.events() {
-            let global = ev.task.index();
-            if global >= n_tasks {
-                return Err(ClusterError::Trace(TraceError::UnknownTask {
-                    task: ev.task,
-                    tasks: n_tasks,
-                }));
-            }
-            match self.placement.device_of[global] {
-                Some(device) => {
-                    let local = self.devices[device].local_of_global[&global];
-                    per_device[device].push(TraceEvent { task: local, ..*ev });
-                }
-                None => {
-                    let local = unplaced_of[&global];
-                    let spec = unplaced_tasks.task(local).expect("compacted unplaced set");
-                    self.unplaced.record_rejection(&ev.job_for(spec));
-                }
-            }
-        }
-
-        let device_tasksets: Vec<TaskSet> =
-            self.placement.plans.iter().map(|p| p.taskset.clone()).collect();
-        let device_traces: Vec<Trace> = per_device
-            .into_iter()
-            .map(|events| Trace::new(horizon, trace.lookahead(), events))
-            .collect::<std::result::Result<_, _>>()
-            .map_err(ClusterError::Trace)?;
-        let players: Vec<TracePlayer<'_>> = device_tasksets
-            .iter()
-            .zip(&device_traces)
-            .map(|(ts, tr)| TracePlayer::new(ts, tr))
-            .collect::<std::result::Result<_, _>>()
-            .map_err(ClusterError::Trace)?;
-        Ok(self.drive(players, horizon))
-    }
-
-    /// The compacted set of tasks the placement rejected, phases preserved —
-    /// the id space `self.unplaced` accounts their releases under.
-    fn unplaced_taskset(&self) -> TaskSet {
-        TaskSet::preserving_phases(
-            self.placement.rejected.iter().map(|id| self.taskset.tasks()[id.index()].clone()),
-        )
+        Ok(self.drive(sources, horizon))
     }
 
     /// The synchronization-round loop shared by every workload shape: rounds

@@ -29,12 +29,13 @@
 //!   [`ExperimentSummary`](daris_metrics::ExperimentSummary)s aggregated
 //!   into fleet-level throughput, deadline-miss and response metrics.
 //!
-//! Beyond periodic task sets, the dispatcher drives any workload shape:
-//! seeded bursty/diurnal/correlated generators
-//! ([`ClusterDispatcher::run_generated`]) and recorded trace replays
-//! ([`ClusterDispatcher::run_replay`]) share the synchronization-round loop
-//! through the [`ArrivalSource`](daris_workload::ArrivalSource) trait, and a
-//! live generated run is byte-identical to replaying its recorded trace.
+//! [`ClusterDispatcher::run`] takes the same
+//! [`RunSpec`](daris_core::RunSpec) a single scheduler runs: periodic and
+//! jittered task sets, seeded bursty/diurnal/correlated generators and
+//! recorded trace replays all shard along the placement into per-device
+//! [`ArrivalSource`](daris_workload::ArrivalSource)s and share the
+//! synchronization-round loop. A live generated run is byte-identical to
+//! replaying its recorded trace.
 //!
 //! Model profiles are calibrated once against the paper's measurement device
 //! (the RTX 2080 Ti) and *run* on each member device, so heterogeneous speed
@@ -45,7 +46,7 @@
 //!
 //! ```
 //! use daris_cluster::{ClusterConfig, ClusterDispatcher, ClusterSpec};
-//! use daris_core::GpuPartition;
+//! use daris_core::{GpuPartition, RunSpec};
 //! use daris_gpu::{GpuSpec, SimTime};
 //! use daris_models::DnnKind;
 //! use daris_workload::TaskSet;
@@ -54,7 +55,7 @@
 //! let fleet = ClusterSpec::homogeneous(2, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
 //! let taskset = TaskSet::table2(DnnKind::UNet);
 //! let mut dispatcher = ClusterDispatcher::new(&taskset, fleet, ClusterConfig::default())?;
-//! let outcome = dispatcher.run_until(SimTime::from_millis(150));
+//! let outcome = dispatcher.run(&RunSpec::periodic().until(SimTime::from_millis(150)))?;
 //! assert_eq!(outcome.summary.devices, 2);
 //! assert!(outcome.summary.total.completed > 0);
 //! # Ok(())

@@ -15,7 +15,7 @@ use daris_cluster::{
     AutoscaleConfig, ClusterConfig, ClusterDispatcher, ClusterError, ClusterSpec, DeviceSpec,
     ElasticQuantum,
 };
-use daris_core::GpuPartition;
+use daris_core::{GpuPartition, RunSpec};
 use daris_gpu::{GpuSpec, SimDuration, SimTime, XorShiftRng};
 use daris_models::DnnKind;
 use daris_telemetry::{EventKind, MemorySink, SinkHandle};
@@ -122,7 +122,7 @@ proptest! {
         let run = |config: ClusterConfig| {
             let mut dispatcher = ClusterDispatcher::new(&taskset, fleet.clone(), config)
                 .expect("dispatcher builds");
-            dispatcher.run_until(horizon)
+            dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs")
         };
         let static_run = run(ClusterConfig::default());
         let inert = run(inert_adaptive_config(n_devices));
@@ -143,7 +143,7 @@ fn inert_adaptive_plane_is_byte_identical_to_static_on_8_device_hetero_fleet() {
     let run = |config: ClusterConfig| {
         let mut dispatcher =
             ClusterDispatcher::new(&taskset, fleet.clone(), config).expect("dispatcher builds");
-        outcome_hash(&dispatcher.run_generated(&spec, horizon))
+        outcome_hash(&dispatcher.run(&RunSpec::generated(spec).until(horizon)).expect("spec runs"))
     };
     assert_eq!(run(ClusterConfig::default()), run(inert_adaptive_config(8)));
 }
@@ -164,7 +164,7 @@ fn active_control_plane_is_byte_identical_at_1_2_8_threads() {
         let mut dispatcher =
             ClusterDispatcher::new(&taskset, hetero_fleet_8(), active_adaptive_config(threads))
                 .expect("dispatcher builds");
-        outcome_hash(&dispatcher.run_generated(&spec, horizon))
+        outcome_hash(&dispatcher.run(&RunSpec::generated(spec).until(horizon)).expect("spec runs"))
     };
     let reference = run(1);
     assert_eq!(run(2), reference, "2 threads diverged from serial");
@@ -204,7 +204,7 @@ fn diurnal_load_drives_drains_joins_and_quantum_changes() {
     let fleet = ClusterSpec::homogeneous(8, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
     let mut dispatcher =
         ClusterDispatcher::new(&taskset, fleet, config).expect("dispatcher builds");
-    let outcome = dispatcher.run_generated(&spec, horizon);
+    let outcome = dispatcher.run(&RunSpec::generated(spec).until(horizon)).expect("spec runs");
     assert!(outcome.summary.total.completed > 0);
 
     let events = sink.take_all();

@@ -4,7 +4,7 @@
 //!   budget, and every task is either placed or explicitly rejected
 //!   (property tests over random task sets and fleets);
 //! * a single-device cluster reproduces the *exact* `ExperimentSummary` of
-//!   the existing single-GPU path;
+//!   the single-GPU path for every workload shape;
 //! * aggregate throughput grows monotonically from 1 to 4 homogeneous
 //!   devices on a fixed oversized task set while high-priority deadline
 //!   protection holds fleet-wide;
@@ -22,9 +22,12 @@ use daris_cluster::{
     PlacementStrategy,
 };
 use daris_core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
-use daris_gpu::{GpuSpec, SimTime, XorShiftRng};
+use daris_gpu::{GpuSpec, SimDuration, SimTime, XorShiftRng};
 use daris_models::DnnKind;
-use daris_workload::{ArrivalPlan, Priority, ReleaseJitter, TaskSet, TaskSetBuilder};
+use daris_workload::{
+    ArrivalPlan, ArrivalStream, BurstyConfig, CorrelatedConfig, GenSpec, Priority, ReleaseJitter,
+    TaskSet, TaskSetBuilder,
+};
 use proptest::prelude::*;
 
 mod common;
@@ -138,7 +141,7 @@ proptest! {
             let config = ClusterConfig { threads, ..Default::default() };
             let mut dispatcher =
                 ClusterDispatcher::new(&taskset, fleet.clone(), config).expect("dispatcher builds");
-            dispatcher.run_until(horizon)
+            dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs")
         };
         let serial = run(1);
         let parallel = run(threads);
@@ -176,7 +179,7 @@ proptest! {
             let config = ClusterConfig { racks, reference_retry_scan, ..Default::default() };
             let mut dispatcher =
                 ClusterDispatcher::new(&taskset, fleet.clone(), config).expect("dispatcher builds");
-            dispatcher.run_until(horizon)
+            dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs")
         };
         let incremental = run(false);
         let rescan = run(true);
@@ -210,7 +213,7 @@ proptest! {
             };
             let mut dispatcher =
                 ClusterDispatcher::new(&taskset, fleet.clone(), config).expect("dispatcher builds");
-            dispatcher.run_until(horizon)
+            dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs")
         };
         let flat = run(1);
         let racked = run(racks);
@@ -247,7 +250,7 @@ fn cross_rack_rebalance_moves_work_over_rack_lines() {
     };
     let mut dispatcher =
         ClusterDispatcher::new(&taskset, fleet, config).expect("dispatcher builds");
-    let outcome = dispatcher.run_until(horizon);
+    let outcome = dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs");
     assert_eq!(outcome.summary.racks, 2);
     assert_eq!(outcome.summary.migrations, 0, "one-device racks cannot migrate locally");
     assert!(
@@ -260,7 +263,6 @@ fn cross_rack_rebalance_moves_work_over_rack_lines() {
 #[test]
 fn zero_sync_quantum_is_rejected_loudly() {
     use daris_cluster::ClusterError;
-    use daris_gpu::SimDuration;
     let taskset = TaskSet::table2(DnnKind::ResNet18);
     let fleet = ClusterSpec::homogeneous(2, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
     let config = ClusterConfig { sync_quantum: SimDuration::ZERO, ..Default::default() };
@@ -283,7 +285,7 @@ fn repeated_hetero_runs_hash_identically_across_thread_counts() {
         let config = ClusterConfig { threads, ..Default::default() };
         let mut dispatcher =
             ClusterDispatcher::new(&taskset, fleet.clone(), config).expect("dispatcher builds");
-        let outcome = dispatcher.run_until(horizon);
+        let outcome = dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs");
         assert!(outcome.summary.total.completed > 0, "scenario must do real work");
         outcome_hash(&outcome)
     };
@@ -301,27 +303,43 @@ fn repeated_hetero_runs_hash_identically_across_thread_counts() {
 
 #[test]
 fn single_device_cluster_reproduces_the_single_gpu_path_exactly() {
+    // Every workload shape, bare and on a 1-device cluster: both layers
+    // shard the spec the same way, so the summaries are byte-identical —
+    // including a replay truncated before its trace horizon.
     let horizon = SimTime::from_millis(200);
     let partition = GpuPartition::mps(6, 6.0);
-    for taskset in [TaskSet::table2(DnnKind::UNet), TaskSet::mixed()] {
+    let unet = TaskSet::table2(DnnKind::UNet);
+    let jitter = ReleaseJitter::Uniform { max: SimDuration::from_millis(2), seed: 42 };
+    let bursty = GenSpec::Bursty(BurstyConfig::default());
+    let recorded = GenSpec::Correlated(CorrelatedConfig::default()).generate(&unet, horizon);
+    let cases = [
+        ("periodic", unet.clone(), RunSpec::periodic().until(horizon)),
+        ("periodic mixed", TaskSet::mixed(), RunSpec::periodic().until(horizon)),
+        ("jittered", unet.clone(), RunSpec::jittered(jitter).until(horizon)),
+        ("generated", TaskSet::mixed(), RunSpec::generated(bursty).until(horizon)),
+        ("replay", unet.clone(), RunSpec::replay(recorded.clone())),
+        ("truncated replay", unet, RunSpec::replay(recorded).until(SimTime::from_millis(120))),
+    ];
+    for (label, taskset, spec) in cases {
         let mut single = DarisScheduler::new(&taskset, DarisConfig::new(partition))
             .expect("single-GPU scheduler builds");
-        let expected = single.run_until(horizon);
+        let expected = single.run(&spec).expect("spec runs");
 
         let fleet = ClusterSpec::homogeneous(1, GpuSpec::rtx_2080_ti(), partition);
         let mut dispatcher = ClusterDispatcher::new(&taskset, fleet, ClusterConfig::default())
             .expect("dispatcher builds");
-        assert!(dispatcher.placement().rejected.is_empty(), "the sets fit one device");
-        let outcome = dispatcher.run_until(horizon);
+        assert!(dispatcher.placement().rejected.is_empty(), "{label}: the set fits one device");
+        let outcome = dispatcher.run(&spec).expect("spec runs");
 
+        assert!(expected.summary.total.completed > 0, "{label}: the run must do real work");
         assert_eq!(
             outcome.devices[0].outcome.summary, expected.summary,
-            "1-device cluster must be byte-identical to the single-GPU path"
+            "{label}: 1-device cluster must be byte-identical to the single-GPU path"
         );
-        assert_eq!(outcome.summary.total, expected.summary.total);
-        assert_eq!(outcome.summary.high, expected.summary.high);
-        assert_eq!(outcome.summary.migrations, 0);
-        assert_eq!(outcome.summary.cluster_admissions, 0);
+        assert_eq!(outcome.summary.total, expected.summary.total, "{label}");
+        assert_eq!(outcome.summary.high, expected.summary.high, "{label}");
+        assert_eq!(outcome.summary.migrations, 0, "{label}");
+        assert_eq!(outcome.summary.cluster_admissions, 0, "{label}");
     }
 }
 
@@ -335,7 +353,7 @@ fn single_device_cluster_reproduces_the_single_gpu_jittered_path_exactly() {
     let horizon = SimTime::from_millis(200);
     let partition = GpuPartition::mps(6, 6.0);
     for seed in [0u64, 7, 0xDEAD_BEEF] {
-        let jitter = ReleaseJitter::Uniform { max: daris_gpu::SimDuration::from_millis(2), seed };
+        let jitter = ReleaseJitter::Uniform { max: SimDuration::from_millis(2), seed };
         let taskset = TaskSet::table2(DnnKind::UNet);
         let mut single = DarisScheduler::new(&taskset, DarisConfig::new(partition))
             .expect("single-GPU scheduler builds");
@@ -346,7 +364,7 @@ fn single_device_cluster_reproduces_the_single_gpu_jittered_path_exactly() {
         let mut dispatcher = ClusterDispatcher::new(&taskset, fleet, ClusterConfig::default())
             .expect("dispatcher builds");
         assert!(dispatcher.placement().rejected.is_empty(), "the set fits one device");
-        let outcome = dispatcher.run_jittered(jitter, horizon);
+        let outcome = dispatcher.run(&RunSpec::jittered(jitter).until(horizon)).expect("spec runs");
 
         assert_eq!(
             outcome.devices[0].outcome.summary, expected.summary,
@@ -366,7 +384,7 @@ fn aggregate_throughput_scales_monotonically_to_four_devices() {
     // Reference: plain single-device DARIS on the same oversized set.
     let mut single = DarisScheduler::new(&taskset, DarisConfig::new(partition))
         .expect("single-GPU scheduler builds");
-    let single_outcome = single.run_until(horizon);
+    let single_outcome = single.run(&RunSpec::periodic().until(horizon)).expect("spec runs");
 
     let mut jps = Vec::new();
     let mut hp_dmr = Vec::new();
@@ -378,7 +396,7 @@ fn aggregate_throughput_scales_monotonically_to_four_devices() {
             ClusterConfig { strategy: PlacementStrategy::GreedyBalance, ..Default::default() };
         let mut dispatcher =
             ClusterDispatcher::new(&taskset, fleet, config).expect("dispatcher builds");
-        let outcome = dispatcher.run_until(horizon);
+        let outcome = dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs");
         assert_eq!(outcome.summary.devices, n);
         jps.push(outcome.summary.throughput_jps);
         hp_dmr.push(outcome.summary.high.deadline_miss_rate);
@@ -417,7 +435,7 @@ fn every_job_is_accounted_exactly_once_across_the_fleet() {
         ));
     let mut dispatcher = ClusterDispatcher::new(&taskset, fleet, ClusterConfig::default())
         .expect("dispatcher builds");
-    let outcome = dispatcher.run_until(horizon);
+    let outcome = dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs");
 
     let expected_releases = ArrivalPlan::generate(&taskset, horizon, ReleaseJitter::None).len();
     assert_eq!(
@@ -427,6 +445,31 @@ fn every_job_is_accounted_exactly_once_across_the_fleet() {
     let per_device: usize = outcome.devices.iter().map(|d| d.outcome.summary.total.released).sum();
     assert!(per_device <= expected_releases, "no job may be counted on two devices");
     assert_eq!(outcome.summary.total.accepted + outcome.summary.total.rejected, expected_releases);
+}
+
+#[test]
+fn jittered_fleet_charges_only_releases_before_the_horizon() {
+    // Most of this set cannot be placed on one device, so most of its jobs
+    // are charged as placement rejections. A jittered release that lands at
+    // or past the horizon is never released — not on a device and not as
+    // an unplaced rejection — so the fleet's released count must equal the
+    // global jittered stream's releases before the horizon.
+    let taskset = TaskSet::table2_scaled(DnnKind::ResNet18, 4);
+    let horizon = SimTime::from_millis(100);
+    let jitter = ReleaseJitter::Uniform { max: SimDuration::from_millis(8), seed: 3 };
+    let fleet = ClusterSpec::homogeneous(1, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
+    let mut dispatcher = ClusterDispatcher::new(&taskset, fleet, ClusterConfig::default())
+        .expect("dispatcher builds");
+    assert!(!dispatcher.placement().rejected.is_empty(), "the set must overflow one device");
+    let outcome = dispatcher.run(&RunSpec::jittered(jitter).until(horizon)).expect("spec runs");
+
+    let offered = ArrivalStream::with_jitter(&taskset, horizon, jitter)
+        .filter(|job| job.release < horizon)
+        .count();
+    let total = &outcome.summary.total;
+    assert_eq!(total.released, offered, "released jobs must match the workload's releases");
+    let outstanding = total.accepted - total.completed;
+    assert_eq!(total.completed + total.rejected + outstanding, total.released);
 }
 
 #[test]
@@ -447,7 +490,7 @@ fn overloaded_device_offloads_to_an_idle_one() {
         ClusterConfig { strategy: PlacementStrategy::FirstFitDecreasing, ..Default::default() };
     let mut dispatcher =
         ClusterDispatcher::new(&taskset, fleet, config).expect("dispatcher builds");
-    let outcome = dispatcher.run_until(horizon);
+    let outcome = dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs");
     assert!(
         outcome.summary.cluster_admissions + outcome.summary.migrations > 0,
         "no cross-device action on a starved+idle fleet: {:?}",
@@ -465,7 +508,7 @@ fn heterogeneous_fleet_orders_devices_by_hardware_class() {
     let mut dispatcher =
         ClusterDispatcher::new(&taskset, ClusterSpec::heterogeneous_demo(), config)
             .expect("dispatcher builds");
-    let outcome = dispatcher.run_until(horizon);
+    let outcome = dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs");
     assert_eq!(outcome.summary.devices, 4);
     let jps_of = |name: &str| {
         outcome

@@ -40,7 +40,8 @@ fn fifo_fleet(
 fn baseline_fleet_serves_jobs_through_the_cluster_round_loop() {
     let taskset = TaskSet::table2(DnnKind::ResNet18);
     let horizon = SimTime::from_millis(horizon_capped_ms(200));
-    let outcome = fifo_fleet(&taskset, 2, 1).run_until(horizon);
+    let outcome =
+        fifo_fleet(&taskset, 2, 1).run(&RunSpec::periodic().until(horizon)).expect("spec runs");
     assert_eq!(outcome.summary.devices, 2);
     assert!(outcome.summary.total.completed > 0, "baseline fleet completed nothing");
     // FIFO has no admission test, so nothing is ever rejected mid-round and
@@ -52,9 +53,15 @@ fn baseline_fleet_serves_jobs_through_the_cluster_round_loop() {
 fn baseline_fleet_is_byte_identical_at_any_thread_count() {
     let taskset = TaskSet::table2(DnnKind::UNet);
     let horizon = SimTime::from_millis(horizon_capped_ms(150));
-    let reference = outcome_hash(&fifo_fleet(&taskset, 4, 1).run_until(horizon));
+    let reference = outcome_hash(
+        &fifo_fleet(&taskset, 4, 1).run(&RunSpec::periodic().until(horizon)).expect("spec runs"),
+    );
     for threads in [2, 8] {
-        let hash = outcome_hash(&fifo_fleet(&taskset, 4, threads).run_until(horizon));
+        let hash = outcome_hash(
+            &fifo_fleet(&taskset, 4, threads)
+                .run(&RunSpec::periodic().until(horizon))
+                .expect("spec runs"),
+        );
         assert_eq!(hash, reference, "threads={threads} diverged from serial");
     }
 }
@@ -77,20 +84,9 @@ fn daris_via_trait_dispatch_is_byte_identical_at_1_2_8_threads() {
 }
 
 #[test]
-fn runspec_periodic_matches_run_until() {
-    let taskset = TaskSet::table2(DnnKind::ResNet18);
-    let horizon = SimTime::from_millis(horizon_capped_ms(150));
-    let mut via_spec = ClusterDispatcher::new(&taskset, fleet(2), config(1)).unwrap();
-    let mut direct = ClusterDispatcher::new(&taskset, fleet(2), config(1)).unwrap();
-    let spec_outcome = via_spec.run(&RunSpec::periodic().until(horizon)).unwrap();
-    let direct_outcome = direct.run_until(horizon);
-    assert_eq!(outcome_hash(&spec_outcome), outcome_hash(&direct_outcome));
-}
-
-#[test]
 fn runspec_rejects_cluster_infeasible_shapes_by_name() {
-    // The two remaining infeasible shapes; each error names what was wrong
-    // instead of a bare "unsupported".
+    // The two invalid specs; each error names what was wrong instead of a
+    // bare "unsupported". A replay may be truncated but never extended.
     let taskset = TaskSet::table2(DnnKind::ResNet18);
 
     let mut dispatcher = ClusterDispatcher::new(&taskset, fleet(2), config(1)).unwrap();
@@ -102,23 +98,8 @@ fn runspec_rejects_cluster_infeasible_shapes_by_name() {
     let horizon = SimTime::from_millis(100);
     let trace = GenSpec::Bursty(BurstyConfig::default()).generate(&taskset, horizon);
     let mismatched = RunSpec::replay(trace).until(SimTime::from_millis(150));
-    let err = dispatcher.run(&mismatched).expect_err("horizon mismatch must be rejected");
+    let err = dispatcher.run(&mismatched).expect_err("an extended replay must be rejected");
     assert!(err.to_string().contains("replay horizon"), "unhelpful error: {err}");
-}
-
-#[test]
-fn runspec_jittered_matches_run_jittered() {
-    // The shape the cluster used to reject outright: jittered periodic
-    // releases now route through `run_jittered`, keyed by global task index.
-    let taskset = TaskSet::table2(DnnKind::ResNet18);
-    let horizon = SimTime::from_millis(horizon_capped_ms(150));
-    let jitter = ReleaseJitter::Uniform { max: daris_gpu::SimDuration::from_millis(2), seed: 7 };
-    let mut via_spec = ClusterDispatcher::new(&taskset, fleet(2), config(1)).unwrap();
-    let mut direct = ClusterDispatcher::new(&taskset, fleet(2), config(1)).unwrap();
-    let spec_outcome = via_spec.run(&RunSpec::jittered(jitter).until(horizon)).unwrap();
-    let direct_outcome = direct.run_jittered(jitter, horizon);
-    assert!(spec_outcome.summary.total.completed > 0, "jittered fleet completed nothing");
-    assert_eq!(outcome_hash(&spec_outcome), outcome_hash(&direct_outcome));
 }
 
 #[test]
@@ -130,7 +111,9 @@ fn jittered_fleet_is_byte_identical_at_1_2_8_threads() {
     let run = |threads: usize| {
         let mut dispatcher =
             ClusterDispatcher::new(&taskset, fleet(4), config(threads)).expect("fleet builds");
-        outcome_hash(&dispatcher.run_jittered(jitter, horizon))
+        let outcome = dispatcher.run(&RunSpec::jittered(jitter).until(horizon)).expect("spec runs");
+        assert!(outcome.summary.total.completed > 0, "jittered fleet completed nothing");
+        outcome_hash(&outcome)
     };
     let reference = run(1);
     assert_eq!(run(2), reference, "2 threads diverged from serial");

@@ -12,7 +12,7 @@
 //! * replay on a fleet whose task set cannot resolve the trace fails loudly.
 
 use daris_cluster::{ClusterConfig, ClusterDispatcher, ClusterError, ClusterSpec};
-use daris_core::{DarisConfig, DarisScheduler, GpuPartition};
+use daris_core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
 use daris_gpu::SimTime;
 use daris_models::DnnKind;
 use daris_workload::{
@@ -45,7 +45,9 @@ fn generator_record_replay_is_byte_identical_on_a_hetero_8_device_fleet() {
     let fleet = ClusterSpec::heterogeneous_mix(8);
     let horizon = SimTime::from_millis(horizon_capped_ms(250));
     for spec in shapes() {
-        let live = dispatcher(&taskset, &fleet, 1).run_generated(&spec, horizon);
+        let live = dispatcher(&taskset, &fleet, 1)
+            .run(&RunSpec::generated(spec).until(horizon))
+            .expect("spec runs");
         assert!(
             live.summary.total.completed > 0,
             "{}: the scenario must do real work",
@@ -57,7 +59,7 @@ fn generator_record_replay_is_byte_identical_on_a_hetero_8_device_fleet() {
         assert_eq!(trace.horizon(), horizon);
         for threads in [1usize, 2, 8] {
             let replay = dispatcher(&taskset, &fleet, threads)
-                .run_replay(&trace)
+                .run(&RunSpec::replay(trace.clone()))
                 .expect("global traces split cleanly along the placement");
             assert_eq!(
                 outcome_hash(&replay),
@@ -67,7 +69,9 @@ fn generator_record_replay_is_byte_identical_on_a_hetero_8_device_fleet() {
             );
         }
         // A parallel live run matches too (live ≡ replay ≡ parallel).
-        let live_par = dispatcher(&taskset, &fleet, 4).run_generated(&spec, horizon);
+        let live_par = dispatcher(&taskset, &fleet, 4)
+            .run(&RunSpec::generated(spec).until(horizon))
+            .expect("spec runs");
         assert_eq!(outcome_hash(&live_par), reference, "{} parallel live run", spec.label());
     }
 }
@@ -81,15 +85,15 @@ fn encoded_traces_replay_the_same_cluster_run() {
     let trace = spec.generate(&taskset, horizon);
     let decoded = Trace::decode(&trace.encode()).expect("codec round trip");
     assert_eq!(trace, decoded);
-    let a = dispatcher(&taskset, &fleet, 1).run_replay(&trace).unwrap();
-    let b = dispatcher(&taskset, &fleet, 2).run_replay(&decoded).unwrap();
+    let a = dispatcher(&taskset, &fleet, 1).run(&RunSpec::replay(trace.clone())).unwrap();
+    let b = dispatcher(&taskset, &fleet, 2).run(&RunSpec::replay(decoded.clone())).unwrap();
     assert_eq!(outcome_hash(&a), outcome_hash(&b));
 }
 
 #[test]
 fn periodic_recording_replays_the_periodic_cluster_run_exactly() {
     // Record the periodic plan's arrival sequence and replay it: the trace
-    // path must reproduce `run_until` byte for byte, single GPU and fleet.
+    // path must reproduce the periodic run byte for byte, single GPU and fleet.
     let taskset = TaskSet::table2(DnnKind::UNet);
     let horizon = SimTime::from_millis(horizon_capped_ms(200));
     let trace = Trace::record(&mut daris_workload::ArrivalStream::new(&taskset, horizon), horizon)
@@ -98,17 +102,20 @@ fn periodic_recording_replays_the_periodic_cluster_run_exactly() {
     // Single GPU.
     let partition = GpuPartition::mps(6, 6.0);
     let mut single = DarisScheduler::new(&taskset, DarisConfig::new(partition)).unwrap();
-    let expected = single.run_until(horizon);
+    let expected = single.run(&RunSpec::periodic().until(horizon)).expect("spec runs");
     let mut replayed = DarisScheduler::new(&taskset, DarisConfig::new(partition)).unwrap();
-    let actual = replayed.run_trace(&trace).unwrap();
+    let actual = replayed.run(&RunSpec::replay(trace.clone())).unwrap();
     assert_eq!(actual.summary, expected.summary);
     assert_eq!(replayed.events_processed(), single.events_processed());
 
     // 2-device fleet, serial and parallel replay.
     let fleet = ClusterSpec::homogeneous(2, daris_gpu::GpuSpec::rtx_2080_ti(), partition);
-    let periodic = dispatcher(&taskset, &fleet, 1).run_until(horizon);
+    let periodic = dispatcher(&taskset, &fleet, 1)
+        .run(&RunSpec::periodic().until(horizon))
+        .expect("spec runs");
     for threads in [1usize, 2, 8] {
-        let replay = dispatcher(&taskset, &fleet, threads).run_replay(&trace).unwrap();
+        let replay =
+            dispatcher(&taskset, &fleet, threads).run(&RunSpec::replay(trace.clone())).unwrap();
         assert_eq!(
             outcome_hash(&replay),
             outcome_hash(&periodic),
@@ -132,11 +139,11 @@ fn unplaced_tasks_are_charged_identically_by_live_and_replay_paths() {
         !live_d.placement().rejected.is_empty(),
         "the scenario must actually reject tasks at placement"
     );
-    let live = live_d.run_generated(&spec, horizon);
+    let live = live_d.run(&RunSpec::generated(spec).until(horizon)).expect("spec runs");
     assert!(live.summary.total.rejected > 0, "unplaced releases must be charged");
 
     let trace = spec.generate(&taskset, horizon);
-    let replay = dispatcher(&taskset, &fleet, 1).run_replay(&trace).unwrap();
+    let replay = dispatcher(&taskset, &fleet, 1).run(&RunSpec::replay(trace.clone())).unwrap();
     assert_eq!(outcome_hash(&replay), outcome_hash(&live));
     assert_eq!(replay.summary.total.released, trace.len());
 }
@@ -149,6 +156,6 @@ fn replay_on_an_incompatible_task_set_fails_loudly() {
     let small = TaskSet::table2(DnnKind::UNet);
     let fleet =
         ClusterSpec::homogeneous(2, daris_gpu::GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
-    let err = dispatcher(&small, &fleet, 1).run_replay(&trace);
+    let err = dispatcher(&small, &fleet, 1).run(&RunSpec::replay(trace.clone()));
     assert!(matches!(err, Err(ClusterError::Trace(TraceError::UnknownTask { .. }))), "{err:?}");
 }

@@ -30,7 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use daris_core::{DarisConfig, DarisScheduler, GpuPartition};
+//! use daris_core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
 //! use daris_workload::TaskSet;
 //! use daris_models::DnnKind;
 //! use daris_gpu::SimTime;
@@ -39,7 +39,7 @@
 //! let taskset = TaskSet::table2(DnnKind::UNet);
 //! let config = DarisConfig::new(GpuPartition::mps(6, 2.0));
 //! let mut scheduler = DarisScheduler::new(&taskset, config)?;
-//! let outcome = scheduler.run_until(SimTime::from_millis(300));
+//! let outcome = scheduler.run(&RunSpec::periodic().until(SimTime::from_millis(300)))?;
 //! assert!(outcome.summary.throughput_jps > 0.0);
 //! assert_eq!(outcome.summary.high.rejected, 0);
 //! # Ok(())
@@ -66,7 +66,7 @@ pub use config::{AblationFlags, DarisConfig, GpuPartition, PartitionPolicy};
 pub use error::CoreError;
 pub use mret::MretEstimator;
 pub use offline::{assignment_by_context, populate_contexts};
-pub use runspec::{RunSpec, Workload};
+pub use runspec::{RunSpec, Shard, ShardSource, Workload};
 pub use scheduler::{DarisScheduler, ExperimentOutcome, MretSample, AFET_INFLATION};
 pub use stage_queue::{ReadyStage, StageQueue};
 pub use traits::Scheduler;

@@ -1,12 +1,7 @@
 //! [`RunSpec`]: one builder-style description of *what to run* — a workload
-//! shape plus a horizon — consumed by every standalone and cluster entry
-//! point.
-//!
-//! Before this type, six `run_*` entry points had accreted across
-//! `daris-core` and `daris-cluster` (`run_until`, `run_with_source`,
-//! `run_trace`; cluster `run_until`, `run_generated`, `run_replay`), each
-//! hard-wiring one workload shape. They all survive as thin documented
-//! shims, but new code writes:
+//! shape plus a horizon — consumed by the one standalone entry point,
+//! [`Scheduler::run`](crate::Scheduler::run), and by the cluster
+//! dispatcher's `run`:
 //!
 //! ```
 //! use daris_core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
@@ -25,13 +20,21 @@
 //! # }
 //! ```
 //!
+//! Both layers turn a spec into arrival sources the same way,
+//! [`Workload::shard`]: a bare scheduler asks for one identity shard, a
+//! fleet for one shard per device plus one for the tasks placement
+//! rejected.
+//!
 //! Telemetry sinks stay *construction-time* configuration
 //! ([`DarisConfig::sink`](crate::DarisConfig)): device tracing must be
 //! enabled when the simulated GPU is built, so a sink cannot be attached
 //! per-run without violating the byte-identical replay guarantee.
 
 use daris_gpu::SimTime;
-use daris_workload::{GenSpec, ReleaseJitter, Trace};
+use daris_workload::{
+    ArrivalSource, ArrivalStream, GenSpec, ReleaseJitter, TaskId, TaskSet, Trace, TraceError,
+    TraceEvent, TracePlayer,
+};
 
 use crate::{CoreError, Result};
 
@@ -51,13 +54,98 @@ pub enum Workload {
     Replay(Trace),
 }
 
+/// One shard of a workload: a task set plus the global index of each of its
+/// tasks. The global indices key every per-task random stream (release
+/// jitter, generator draws) and route replayed trace events, so the shards
+/// of a partition together release exactly the jobs the unsharded workload
+/// would — `TaskSet::preserving_phases` keeps the periodic phases.
+#[derive(Debug, Clone, Copy)]
+pub struct Shard<'a> {
+    /// The shard's task set, in its own (local) task ids.
+    pub taskset: &'a TaskSet,
+    /// `global[i]` is the global index of local task `i`, ascending (as
+    /// placement builds them), so local ids order tasks as global ones do.
+    pub global: &'a [usize],
+}
+
+/// An arrival source built by [`Workload::shard`].
+pub type ShardSource<'a> = Box<dyn ArrivalSource + Send + 'a>;
+
+impl Workload {
+    /// Builds one arrival source per shard, releasing jobs in local task ids.
+    /// A jittered source may release past `horizon` (a delayed release whose
+    /// nominal time lies before it); every other source stops before it. A
+    /// replayed trace is split by the task of each event; its task indices
+    /// refer to the union of the shards' global indices.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::UnknownTask`] for a replayed event whose task
+    /// no shard holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a jitter or generator configuration the lazy streams
+    /// reject (see `ArrivalStream::with_jitter` and `GenSpec::stream_keyed`).
+    pub fn shard<'a>(
+        &self,
+        horizon: SimTime,
+        shards: &[Shard<'a>],
+    ) -> std::result::Result<Vec<ShardSource<'a>>, TraceError> {
+        let keys =
+            |shard: &Shard<'_>| -> Vec<u64> { shard.global.iter().map(|&g| g as u64).collect() };
+        match self {
+            Workload::Periodic { jitter } => Ok(shards
+                .iter()
+                .map(|s| {
+                    let stream =
+                        ArrivalStream::with_jitter_keyed(s.taskset, horizon, *jitter, &keys(s));
+                    Box::new(stream) as ShardSource<'a>
+                })
+                .collect()),
+            Workload::Generated(gen) => Ok(shards
+                .iter()
+                .map(|s| {
+                    Box::new(gen.stream_keyed(s.taskset, horizon, &keys(s))) as ShardSource<'a>
+                })
+                .collect()),
+            Workload::Replay(trace) => {
+                let tasks = shards.iter().map(|s| s.global.len()).sum();
+                let mut route: Vec<Option<(usize, TaskId)>> = vec![None; tasks];
+                for (s, shard) in shards.iter().enumerate() {
+                    for (local, &global) in shard.global.iter().enumerate() {
+                        route[global] = Some((s, TaskId(local as u32)));
+                    }
+                }
+                let mut events: Vec<Vec<TraceEvent>> = vec![Vec::new(); shards.len()];
+                for ev in trace.events() {
+                    let Some(&Some((s, local))) = route.get(ev.task.index()) else {
+                        return Err(TraceError::UnknownTask { task: ev.task, tasks });
+                    };
+                    events[s].push(TraceEvent { task: local, ..*ev });
+                }
+                // With ascending global indices a slice keeps the trace's
+                // order and reorder width, so each slice validates.
+                shards
+                    .iter()
+                    .zip(events)
+                    .map(|(s, events)| {
+                        let slice = Trace::new(trace.horizon(), trace.lookahead(), events)?;
+                        Ok(Box::new(TracePlayer::owned(s.taskset, slice)?) as ShardSource<'a>)
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
 /// A builder-style run description: workload + horizon.
 ///
 /// Construct with [`periodic`](RunSpec::periodic),
 /// [`jittered`](RunSpec::jittered), [`generated`](RunSpec::generated) or
 /// [`replay`](RunSpec::replay), then set the horizon with
 /// [`until`](RunSpec::until). Replay specs default to the trace's own
-/// horizon.
+/// horizon and may be truncated, never extended.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     workload: Workload,
@@ -109,11 +197,22 @@ impl RunSpec {
 
     /// The horizon, or [`CoreError::InvalidConfig`] when the spec does not
     /// determine one (periodic/generated workloads need
-    /// [`until`](RunSpec::until)).
+    /// [`until`](RunSpec::until)) or sets a replay horizon past the trace's.
     pub fn required_horizon(&self) -> Result<SimTime> {
-        self.horizon().ok_or_else(|| {
-            CoreError::InvalidConfig("run spec has no horizon: call RunSpec::until(..)".to_string())
-        })
+        match (&self.workload, self.horizon) {
+            (Workload::Replay(trace), Some(until)) if until > trace.horizon() => {
+                Err(CoreError::InvalidConfig(format!(
+                    "replay horizon {:.3} ms is past the trace horizon {:.3} ms",
+                    until.as_millis_f64(),
+                    trace.horizon().as_millis_f64()
+                )))
+            }
+            _ => self.horizon().ok_or_else(|| {
+                CoreError::InvalidConfig(
+                    "run spec has no horizon: call RunSpec::until(..)".to_string(),
+                )
+            }),
+        }
     }
 }
 
@@ -135,7 +234,10 @@ mod tests {
             .expect("empty trace is valid");
         let spec = RunSpec::replay(trace);
         assert_eq!(spec.horizon(), Some(SimTime::from_millis(25)));
-        let truncated = spec.until(SimTime::from_millis(5));
+        let truncated = spec.clone().until(SimTime::from_millis(5));
         assert_eq!(truncated.required_horizon().unwrap(), SimTime::from_millis(5));
+        let extended = spec.until(SimTime::from_millis(30));
+        let err = extended.required_horizon().expect_err("a replay cannot outrun its trace");
+        assert!(err.to_string().contains("replay horizon"), "{err}");
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! [`DarisScheduler`] owns a simulated GPU configured according to the chosen
 //! [`GpuPartition`](crate::GpuPartition), plus all scheduler state (MRET
-//! estimator, per-context utilization, ready-stage queues, active jobs). Its
-//! [`run_until`](DarisScheduler::run_until) method drives the event loop:
-//! job releases from the workload's arrival plan, stage completions from the
-//! GPU, admission/migration decisions, and stage dispatch.
+//! estimator, per-context utilization, ready-stage queues, active jobs). It
+//! implements the [`Scheduler`] stepping surface — releases with admission
+//! and migration, stage completions from the GPU, stage dispatch — and runs
+//! through the trait's one event loop
+//! ([`Scheduler::run`] for a [`RunSpec`](crate::RunSpec)).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -13,14 +14,11 @@ use daris_gpu::{Gpu, SimDuration, SimTime, StreamId, TraceEventKind, WorkItem};
 use daris_metrics::{ExperimentSummary, MetricsCollector};
 use daris_models::{DnnKind, ModelProfile};
 use daris_telemetry::{AdmissionTest, EventKind, SinkHandle, TelemetryEvent};
-use daris_workload::{
-    ArrivalSource, Job, JobId, LoadDetector, Priority, TaskId, TaskSet, TaskSpec, Trace,
-    TracePlayer,
-};
+use daris_workload::{Job, JobId, LoadDetector, Priority, TaskId, TaskSet, TaskSpec};
 
 use crate::{
     populate_contexts, virtual_deadlines, AfetProfiler, ContextLoad, CoreError, DarisConfig,
-    MretEstimator, ReadyStage, Result, StageQueue,
+    MretEstimator, ReadyStage, Result, Scheduler, StageQueue,
 };
 
 /// Inflation applied to isolated latencies to approximate the full-load AFET
@@ -201,12 +199,6 @@ impl DarisScheduler {
         &self.config
     }
 
-    /// The task set this scheduler was built over, including any adopted
-    /// guest tasks.
-    pub fn taskset(&self) -> &TaskSet {
-        &self.taskset
-    }
-
     /// Read access to the underlying simulated GPU (inspection in tests and
     /// examples).
     pub fn gpu(&self) -> &Gpu {
@@ -218,390 +210,15 @@ impl DarisScheduler {
         &self.mret
     }
 
-    /// Simulated GPU events processed so far (see
-    /// [`Gpu::events_processed`](daris_gpu::Gpu::events_processed)).
-    pub fn events_processed(&self) -> u64 {
-        self.gpu.events_processed()
-    }
-
     /// The current offline/online context assignment, indexed by task.
     pub fn assignment(&self) -> &[usize] {
         &self.assignment
     }
 
-    /// Runs the online phase until `horizon` and returns the outcome.
-    ///
-    /// Job releases stop at the horizon; jobs still in flight at the horizon
-    /// count as deadline misses if their deadline has already passed (the
-    /// same accounting the paper's DMR uses).
-    ///
-    /// *Legacy shim*: new code writes
-    /// `scheduler.run(&RunSpec::periodic().until(horizon))` via the
-    /// [`Scheduler`](crate::Scheduler) trait — same loop, same result.
-    pub fn run_until(&mut self, horizon: SimTime) -> ExperimentOutcome {
-        crate::Scheduler::run(self, &crate::RunSpec::periodic().until(horizon))
-            .expect("a periodic spec with a horizon cannot fail")
-    }
-
-    /// Runs the online phase until `horizon` pulling releases from an
-    /// arbitrary [`ArrivalSource`] — a jittered stream, a seeded generator,
-    /// a replayed trace recording. Rejected releases are charged here (the
-    /// standalone single-device accounting); a cluster dispatcher drives
-    /// [`run_span`](Self::run_span) directly instead so it can retry them on
-    /// other devices.
-    ///
-    /// The source's jobs must belong to this scheduler's task set (same task
-    /// ids); the convenient way to guarantee that is to build the source
-    /// over the same [`TaskSet`] the scheduler was constructed with.
-    ///
-    /// *Legacy shim*: prefer [`RunSpec`](crate::RunSpec) +
-    /// [`Scheduler::run`](crate::Scheduler::run) for the standard workload
-    /// shapes; this remains for custom [`ArrivalSource`] implementations.
-    pub fn run_with_source(
-        &mut self,
-        arrivals: &mut impl ArrivalSource,
-        horizon: SimTime,
-    ) -> ExperimentOutcome {
-        let mut rejected = Vec::new();
-        self.run_span(arrivals, horizon, &mut rejected);
-        for job in &rejected {
-            self.reject_job(job);
-        }
-        self.finish(horizon)
-    }
-
-    /// Replays a recorded [`Trace`] against this scheduler's task set, to
-    /// exactly the trace's horizon. Replaying a trace recorded from a live
-    /// run reproduces that run byte for byte (same completions, same
-    /// metrics) — the round-trip guarantee the differential test suite pins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Trace`] when the trace refers to tasks this
-    /// scheduler's set does not contain.
-    ///
-    /// *Legacy shim*: new code writes
-    /// `scheduler.run(&RunSpec::replay(trace))` via the
-    /// [`Scheduler`](crate::Scheduler) trait.
-    pub fn run_trace(&mut self, trace: &Trace) -> Result<ExperimentOutcome> {
-        let taskset = self.taskset.clone();
-        let mut player = TracePlayer::new(&taskset, trace).map_err(CoreError::Trace)?;
-        Ok(self.run_with_source(&mut player, trace.horizon()))
-    }
-
-    /// Runs the device-local event loop — stage completions, releases from
-    /// `arrivals` (any [`ArrivalSource`]: periodic stream, generator, trace
-    /// replay), and stage dispatch, in exact time order — up to (but not
-    /// including) `until`. Releases the admission test rejects are pushed to
-    /// `rejected` instead of being recorded, so an external driver (the
-    /// cluster dispatcher) can retry them on other devices at the next
-    /// synchronization round; a standalone run charges them via
-    /// [`reject_job`](Self::reject_job).
-    ///
-    /// Everything strictly before `until` is handled at its exact simulated
-    /// time; events at or after `until` stay pending (they are processed by a
-    /// later span or by [`finish`](Self::finish)). Driving consecutive spans
-    /// is therefore byte-identical to one big span — the span boundary only
-    /// bounds how far this call simulates. This is the unit of work the
-    /// cluster dispatcher fans out to worker threads: the loop touches
-    /// nothing but this scheduler's own state.
-    pub fn run_span(
-        &mut self,
-        arrivals: &mut impl ArrivalSource,
-        until: SimTime,
-        rejected: &mut Vec<Job>,
-    ) {
-        loop {
-            let next_release = arrivals.next_release().filter(|r| *r < until);
-            let gpu_next = self.next_event_time().filter(|t| *t < until);
-            let step_to = match (next_release, gpu_next) {
-                (Some(r), Some(g)) => r.min(g),
-                (Some(r), None) => r,
-                (None, Some(g)) => g,
-                (None, None) => break,
-            };
-            self.advance_to(step_to);
-            while arrivals.next_release().map(|r| r <= self.now).unwrap_or(false) {
-                let job = arrivals.next_job().expect("a pending release was peeked");
-                if !self.try_release_job(job) {
-                    rejected.push(job);
-                }
-            }
-            self.dispatch();
-        }
-    }
-
-    // ----- external driving (cluster dispatcher) ----------------------------
-    //
-    // `run_until` is built entirely out of the public methods below, so an
-    // external event loop (e.g. `daris-cluster`'s dispatcher, which steps
-    // several schedulers in lockstep) reproduces the exact single-device
-    // behaviour by issuing the same call sequence.
-
-    /// Earliest pending simulator event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.gpu.next_event_time()
-    }
-
-    /// The scheduler's current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances the simulated GPU to `target` and processes every stage
-    /// completion on the way (without dispatching queued stages; call
-    /// [`dispatch_ready`](Self::dispatch_ready) afterwards).
-    pub fn advance_to(&mut self, target: SimTime) {
-        let completions = self.gpu.advance_to(target);
-        self.now = target;
-        if self.sink.is_some() {
-            self.forward_gpu_trace();
-        }
-        for completion in completions {
-            self.handle_completion(
-                completion.tag,
-                completion.finished_at,
-                completion.execution_time(),
-                completion.stream,
-            );
-        }
-    }
-
-    /// Dispatches ready stages onto idle streams, most urgent first.
-    pub fn dispatch_ready(&mut self) {
-        self.dispatch();
-    }
-
-    /// Final accounting: advances to `horizon` and produces the outcome.
-    pub fn finish(&mut self, horizon: SimTime) -> ExperimentOutcome {
-        self.advance_to(horizon);
-        let summary =
-            self.metrics.summarize(horizon).with_gpu_utilization(self.gpu.average_utilization());
-        ExperimentOutcome {
-            summary,
-            mret_trace: std::mem::take(&mut self.mret_trace),
-            config_label: format!(
-                "{} {}",
-                self.config.partition.policy,
-                self.config.partition.label()
-            ),
-        }
-    }
-
-    /// The admission test (Eq. 11–12) exposed for external callers: whether a
-    /// release of `task` (a task of *this* scheduler's set) at priority
-    /// `priority` would currently be admitted on some context. High-priority
-    /// jobs are only ever tested when the `Overload+HPA` mode is enabled.
-    pub fn would_admit(&self, task: TaskId, priority: Priority) -> bool {
-        let Some(spec) = self.taskset.task(task) else { return false };
-        match priority {
-            Priority::High if !self.hp_admission_active() => true,
-            _ => {
-                let util = self.mret.task_utilization(task, spec.period);
-                let home = self.assignment[task.index()];
-                self.admit(spec, priority, util, home).is_some()
-            }
-        }
-    }
-
-    /// Registers a *guest* task — one that was placed on another device but
-    /// is being admitted or migrated here by a cluster dispatcher — and
-    /// returns its local id. Loads the model's weights if the kind is new
-    /// (which can fail on device memory; the residency is kept for future
-    /// retries of the same kind), seeds MRET from inflated isolated
-    /// latencies (a cheap stand-in for the AFET pass, corrected by MRET
-    /// within a few jobs), and homes the task on the least-loaded context.
-    ///
-    /// Unlike tasks placed here offline, a guest charges **no assigned
-    /// utilization**: it only pays the active-job charge while its jobs run,
-    /// so adopting a task that then never releases here (the dispatcher
-    /// retries it elsewhere) does not shrink the device's Eq. 11 LP
-    /// headroom.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model's weights do not fit in device memory.
-    pub fn adopt_task(&mut self, task: &TaskSpec) -> Result<TaskId> {
-        if !self.profiles.contains_key(&task.model) {
-            let profile = ModelProfile::calibrated_for(
-                task.model,
-                Default::default(),
-                self.config.calibration_spec(),
-            );
-            self.gpu
-                .memory_mut()
-                .alloc(format!("{}.weights", task.model), profile.weight_bytes())?;
-            self.profiles.insert(task.model, profile);
-        }
-        let local = self.taskset.adopt(task.clone());
-        let spec = self.taskset.task(local).expect("just adopted").clone();
-        let profiles: BTreeMap<DnnKind, ModelProfile> =
-            [(spec.model, self.profiles[&spec.model].clone())].into_iter().collect();
-        let afet = AfetProfiler::from_isolated(&profiles, AFET_INFLATION);
-        let seeds = effective_stage_seeds(&afet, &spec, &self.config);
-        self.mret.seed(local, seeds);
-        let ctx = (0..self.loads.len())
-            .min_by(|a, b| self.loads[*a].total_util().total_cmp(&self.loads[*b].total_util()))
-            .expect("at least one context");
-        self.assignment.push(ctx);
-        Ok(local)
-    }
-
-    /// Releases `job` (of a task of this scheduler's set), applying the
-    /// admission test. Returns `false` — recording *nothing* — when the job
-    /// is rejected, so a cluster dispatcher can retry it on another device
-    /// before charging the rejection somewhere via
-    /// [`reject_job`](Self::reject_job).
-    pub fn try_release_job(&mut self, job: Job) -> bool {
-        // Feed the burst detector *before* deciding admission, so the
-        // release that tips a window over the threshold is already treated
-        // under the new mode. The detector sees every release — admitted or
-        // not — making its state independent of admission outcomes.
-        let flipped = self.detector.as_mut().is_some_and(|det| det.observe(job.release));
-        if flipped {
-            let det = self.detector.as_ref().expect("a transition implies a detector");
-            let (hpa_enabled, load_ratio) = (det.is_burst(), det.load_ratio());
-            self.emit(|| EventKind::AdmissionModeChanged { hpa_enabled, load_ratio });
-        }
-        let task = self
-            .taskset
-            .task(job.id.task)
-            .expect("released job refers to a task of this set")
-            .clone();
-        let util = self.mret.task_utilization(task.id, task.period);
-        let home = self.assignment[task.id.index()];
-        self.loads[home].update_task_util(task.id, util);
-
-        let needs_admission = match job.priority {
-            Priority::Low => true,
-            Priority::High => self.hp_admission_active(),
-        };
-        let context = if needs_admission {
-            match self.admit(&task, job.priority, util, home) {
-                Some(ctx) => ctx,
-                None => {
-                    self.emit(|| EventKind::AdmissionRejected {
-                        task: job.id.task,
-                        release_index: job.id.release_index,
-                        priority: job.priority,
-                        test: match job.priority {
-                            Priority::Low => AdmissionTest::LpUtilization,
-                            Priority::High => AdmissionTest::HpUtilization,
-                        },
-                    });
-                    return false;
-                }
-            }
-        } else {
-            home
-        };
-        self.metrics.record_release(&job);
-        let migrated = context != home && job.priority == Priority::Low;
-        self.emit(|| EventKind::AdmissionAccepted {
-            task: job.id.task,
-            release_index: job.id.release_index,
-            priority: job.priority,
-            context: context as u32,
-            migrated,
-        });
-        if migrated {
-            // Zero-delay migration: the task's home context moves with it.
-            self.loads[home].unassign_task(task.id);
-            self.loads[context].assign_task(task.id, task.priority, util);
-            self.assignment[task.id.index()] = context;
-        }
-        self.loads[context].activate_job(job.id, job.priority, util);
-
-        let stage_mrets = self.mret.stage_mrets(task.id);
-        let relative = virtual_deadlines(&stage_mrets, task.relative_deadline);
-        let virtual_deadlines: Vec<SimTime> = relative.iter().map(|d| job.release + *d).collect();
-        let stage_count = stage_mrets.len().max(1);
-        let active = ActiveJob {
-            job,
-            context,
-            next_stage: 0,
-            stage_count,
-            virtual_deadlines,
-            predecessor_missed: false,
-        };
-        let ready = self.ready_stage(&active);
-        self.queues[context].push(ready);
-        self.active.insert(job.id, active);
-        self.active_of[context].insert(job.id);
-        true
-    }
-
-    /// Records `job` as rejected here. A cluster dispatcher calls this on the
-    /// job's home device after every retry device also refused it, so that
-    /// each job is accounted by exactly one device.
-    pub fn reject_job(&mut self, job: &Job) {
-        self.metrics.record_rejection(job);
-        self.emit(|| EventKind::JobRejected {
-            task: job.id.task,
-            release_index: job.id.release_index,
-            priority: job.priority,
-        });
-    }
-
-    /// Withdraws an admitted job whose *first* stage is still queued (nothing
-    /// dispatched yet), removing every trace of it — queue entry, active
-    /// state, load charge and metrics — and returns the job so it can be
-    /// re-released on another device. Returns `None` once any stage has been
-    /// dispatched: partially executed jobs never migrate across devices.
-    pub fn withdraw_queued_job(&mut self, job: JobId) -> Option<Job> {
-        let active = self.active.get(&job)?;
-        if active.next_stage != 0 {
-            return None;
-        }
-        let context = active.context;
-        if !self.queues[context].remove(job) {
-            // Stage 0 is already on a stream.
-            return None;
-        }
-        let active = self.active.remove(&job).expect("checked above");
-        self.active_of[context].remove(&job);
-        self.loads[context].deactivate_job(job);
-        self.metrics.forget(job);
-        Some(active.job)
-    }
-
-    /// Jobs eligible for cross-device migration — admitted, first stage still
-    /// queued — least urgent (latest EDF deadline) first.
-    pub fn migratable_jobs(&self) -> Vec<JobId> {
-        let mut jobs: Vec<(SimTime, JobId)> = self
-            .queues
-            .iter()
-            .flat_map(StageQueue::iter)
-            .filter(|ready| ready.stage == 0)
-            .map(|ready| (ready.edf_deadline, ready.job))
-            .collect();
-        jobs.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        jobs.into_iter().map(|(_, job)| job).collect()
-    }
-
-    /// Total number of queued (undispatched) ready stages across contexts.
-    pub fn queue_backlog(&self) -> usize {
-        self.queues.iter().map(StageQueue::len).sum()
-    }
-
-    /// Number of currently idle streams across contexts.
-    pub fn idle_stream_count(&self) -> usize {
-        self.stream_busy.values().filter(|busy| !**busy).count()
-    }
-
-    /// Fraction of stream capacity charged by currently active jobs, the
-    /// load signal a cluster dispatcher uses to rank retry candidates.
-    pub fn active_load_fraction(&self) -> f64 {
-        let capacity: f64 = self.loads.iter().map(ContextLoad::capacity).sum();
-        if capacity <= 0.0 {
-            return 0.0;
-        }
-        let active: f64 = self
-            .loads
-            .iter()
-            .map(|l| l.active_util(Priority::High) + l.active_util(Priority::Low))
-            .sum();
-        active / capacity
+    /// The adaptive-HPA burst detector, when
+    /// [`DarisConfig::adaptive_hpa`] is configured.
+    pub fn load_detector(&self) -> Option<&LoadDetector> {
+        self.detector.as_ref()
     }
 
     /// Whether high-priority releases are currently subject to the
@@ -609,12 +226,6 @@ impl DarisScheduler {
     /// dynamically while the adaptive detector signals a burst in progress.
     fn hp_admission_active(&self) -> bool {
         self.config.hp_admission || self.detector.as_ref().is_some_and(LoadDetector::is_burst)
-    }
-
-    /// The adaptive-HPA burst detector, when
-    /// [`DarisConfig::adaptive_hpa`] is configured.
-    pub fn load_detector(&self) -> Option<&LoadDetector> {
-        self.detector.as_ref()
     }
 
     // ----- telemetry --------------------------------------------------------
@@ -791,24 +402,6 @@ impl DarisScheduler {
         }
     }
 
-    /// Dispatches ready stages onto idle streams, most urgent first.
-    fn dispatch(&mut self) {
-        for ctx in 0..self.queues.len() {
-            loop {
-                if self.queues[ctx].is_empty() {
-                    break;
-                }
-                let Some(stream) = self.idle_stream(ctx) else { break };
-                let Some(ready) = self.queues[ctx].pop() else { break };
-                if let Err(_e) = self.submit_stage(stream, &ready) {
-                    // Submission can only fail on internal inconsistencies;
-                    // drop the stage rather than wedging the whole run.
-                    debug_assert!(false, "stage submission failed");
-                }
-            }
-        }
-    }
-
     fn idle_stream(&self, ctx: usize) -> Option<StreamId> {
         self.streams[ctx]
             .iter()
@@ -856,84 +449,298 @@ impl DarisScheduler {
     }
 }
 
-/// The [`Scheduler`](crate::Scheduler) trait impl: pure delegation to the
-/// inherent methods above, so trait-driven and direct callers execute the
-/// *identical* code path — the property the cross-crate differential suite
-/// pins byte-for-byte. `run_span` delegates to the inherent loop rather than
-/// taking the trait's (textually identical) default so there is exactly one
-/// loop body in this crate.
-impl crate::Scheduler for DarisScheduler {
+/// DARIS's stepping surface. The run loop is the trait's default
+/// [`run_span`](crate::Scheduler::run_span), shared with every baseline.
+impl Scheduler for DarisScheduler {
+    /// The scheduler's current simulated time.
     fn now(&self) -> SimTime {
-        DarisScheduler::now(self)
+        self.now
     }
 
+    /// Earliest pending simulator event, if any.
     fn next_event_time(&self) -> Option<SimTime> {
-        DarisScheduler::next_event_time(self)
+        self.gpu.next_event_time()
     }
 
+    /// Advances the simulated GPU to `target` and processes every stage
+    /// completion on the way (without dispatching queued stages; call
+    /// [`dispatch_ready`](Self::dispatch_ready) afterwards).
     fn advance_to(&mut self, target: SimTime) {
-        DarisScheduler::advance_to(self, target);
+        let completions = self.gpu.advance_to(target);
+        self.now = target;
+        if self.sink.is_some() {
+            self.forward_gpu_trace();
+        }
+        for completion in completions {
+            self.handle_completion(
+                completion.tag,
+                completion.finished_at,
+                completion.execution_time(),
+                completion.stream,
+            );
+        }
     }
 
+    /// Dispatches ready stages onto idle streams, most urgent first.
     fn dispatch_ready(&mut self) {
-        DarisScheduler::dispatch_ready(self);
+        for ctx in 0..self.queues.len() {
+            loop {
+                if self.queues[ctx].is_empty() {
+                    break;
+                }
+                let Some(stream) = self.idle_stream(ctx) else { break };
+                let Some(ready) = self.queues[ctx].pop() else { break };
+                if let Err(_e) = self.submit_stage(stream, &ready) {
+                    // Submission can only fail on internal inconsistencies;
+                    // drop the stage rather than wedging the whole run.
+                    debug_assert!(false, "stage submission failed");
+                }
+            }
+        }
     }
 
+    /// Releases `job` (of a task of this scheduler's set), applying the
+    /// admission test. Returns `false` — recording *nothing* — when the job
+    /// is rejected, so a cluster dispatcher can retry it on another device
+    /// before charging the rejection somewhere via
+    /// [`reject_job`](Self::reject_job).
     fn try_release_job(&mut self, job: Job) -> bool {
-        DarisScheduler::try_release_job(self, job)
+        // Feed the burst detector *before* deciding admission, so the
+        // release that tips a window over the threshold is already treated
+        // under the new mode. The detector sees every release — admitted or
+        // not — making its state independent of admission outcomes.
+        let flipped = self.detector.as_mut().is_some_and(|det| det.observe(job.release));
+        if flipped {
+            let det = self.detector.as_ref().expect("a transition implies a detector");
+            let (hpa_enabled, load_ratio) = (det.is_burst(), det.load_ratio());
+            self.emit(|| EventKind::AdmissionModeChanged { hpa_enabled, load_ratio });
+        }
+        let task = self
+            .taskset
+            .task(job.id.task)
+            .expect("released job refers to a task of this set")
+            .clone();
+        let util = self.mret.task_utilization(task.id, task.period);
+        let home = self.assignment[task.id.index()];
+        self.loads[home].update_task_util(task.id, util);
+
+        let needs_admission = match job.priority {
+            Priority::Low => true,
+            Priority::High => self.hp_admission_active(),
+        };
+        let context = if needs_admission {
+            match self.admit(&task, job.priority, util, home) {
+                Some(ctx) => ctx,
+                None => {
+                    self.emit(|| EventKind::AdmissionRejected {
+                        task: job.id.task,
+                        release_index: job.id.release_index,
+                        priority: job.priority,
+                        test: match job.priority {
+                            Priority::Low => AdmissionTest::LpUtilization,
+                            Priority::High => AdmissionTest::HpUtilization,
+                        },
+                    });
+                    return false;
+                }
+            }
+        } else {
+            home
+        };
+        self.metrics.record_release(&job);
+        let migrated = context != home && job.priority == Priority::Low;
+        self.emit(|| EventKind::AdmissionAccepted {
+            task: job.id.task,
+            release_index: job.id.release_index,
+            priority: job.priority,
+            context: context as u32,
+            migrated,
+        });
+        if migrated {
+            // Zero-delay migration: the task's home context moves with it.
+            self.loads[home].unassign_task(task.id);
+            self.loads[context].assign_task(task.id, task.priority, util);
+            self.assignment[task.id.index()] = context;
+        }
+        self.loads[context].activate_job(job.id, job.priority, util);
+
+        let stage_mrets = self.mret.stage_mrets(task.id);
+        let relative = virtual_deadlines(&stage_mrets, task.relative_deadline);
+        let virtual_deadlines: Vec<SimTime> = relative.iter().map(|d| job.release + *d).collect();
+        let stage_count = stage_mrets.len().max(1);
+        let active = ActiveJob {
+            job,
+            context,
+            next_stage: 0,
+            stage_count,
+            virtual_deadlines,
+            predecessor_missed: false,
+        };
+        let ready = self.ready_stage(&active);
+        self.queues[context].push(ready);
+        self.active.insert(job.id, active);
+        self.active_of[context].insert(job.id);
+        true
     }
 
+    /// Records `job` as rejected here. A cluster dispatcher calls this on the
+    /// job's home device after every retry device also refused it, so that
+    /// each job is accounted by exactly one device.
     fn reject_job(&mut self, job: &Job) {
-        DarisScheduler::reject_job(self, job);
+        self.metrics.record_rejection(job);
+        self.emit(|| EventKind::JobRejected {
+            task: job.id.task,
+            release_index: job.id.release_index,
+            priority: job.priority,
+        });
     }
 
+    /// The admission test (Eq. 11–12) exposed for external callers: whether a
+    /// release of `task` (a task of *this* scheduler's set) at priority
+    /// `priority` would currently be admitted on some context. High-priority
+    /// jobs are only ever tested when the `Overload+HPA` mode is enabled.
     fn would_admit(&self, task: TaskId, priority: Priority) -> bool {
-        DarisScheduler::would_admit(self, task, priority)
+        let Some(spec) = self.taskset.task(task) else { return false };
+        match priority {
+            Priority::High if !self.hp_admission_active() => true,
+            _ => {
+                let util = self.mret.task_utilization(task, spec.period);
+                let home = self.assignment[task.index()];
+                self.admit(spec, priority, util, home).is_some()
+            }
+        }
     }
 
+    /// Registers a *guest* task — one that was placed on another device but
+    /// is being admitted or migrated here by a cluster dispatcher — and
+    /// returns its local id. Loads the model's weights if the kind is new
+    /// (which can fail on device memory; the residency is kept for future
+    /// retries of the same kind), seeds MRET from inflated isolated
+    /// latencies (a cheap stand-in for the AFET pass, corrected by MRET
+    /// within a few jobs), and homes the task on the least-loaded context.
+    ///
+    /// Unlike tasks placed here offline, a guest charges **no assigned
+    /// utilization**: it only pays the active-job charge while its jobs run,
+    /// so adopting a task that then never releases here (the dispatcher
+    /// retries it elsewhere) does not shrink the device's Eq. 11 LP
+    /// headroom.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the model's weights do not fit in device memory.
     fn adopt_task(&mut self, task: &TaskSpec) -> Result<TaskId> {
-        DarisScheduler::adopt_task(self, task)
+        if !self.profiles.contains_key(&task.model) {
+            let profile = ModelProfile::calibrated_for(
+                task.model,
+                Default::default(),
+                self.config.calibration_spec(),
+            );
+            self.gpu
+                .memory_mut()
+                .alloc(format!("{}.weights", task.model), profile.weight_bytes())?;
+            self.profiles.insert(task.model, profile);
+        }
+        let local = self.taskset.adopt(task.clone());
+        let spec = self.taskset.task(local).expect("just adopted").clone();
+        let profiles: BTreeMap<DnnKind, ModelProfile> =
+            [(spec.model, self.profiles[&spec.model].clone())].into_iter().collect();
+        let afet = AfetProfiler::from_isolated(&profiles, AFET_INFLATION);
+        let seeds = effective_stage_seeds(&afet, &spec, &self.config);
+        self.mret.seed(local, seeds);
+        let ctx = (0..self.loads.len())
+            .min_by(|a, b| self.loads[*a].total_util().total_cmp(&self.loads[*b].total_util()))
+            .expect("at least one context");
+        self.assignment.push(ctx);
+        Ok(local)
     }
 
+    /// Withdraws an admitted job whose *first* stage is still queued (nothing
+    /// dispatched yet), removing every trace of it — queue entry, active
+    /// state, load charge and metrics — and returns the job so it can be
+    /// re-released on another device. Returns `None` once any stage has been
+    /// dispatched: partially executed jobs never migrate across devices.
     fn withdraw_queued_job(&mut self, job: JobId) -> Option<Job> {
-        DarisScheduler::withdraw_queued_job(self, job)
+        let active = self.active.get(&job)?;
+        if active.next_stage != 0 {
+            return None;
+        }
+        let context = active.context;
+        if !self.queues[context].remove(job) {
+            // Stage 0 is already on a stream.
+            return None;
+        }
+        let active = self.active.remove(&job).expect("checked above");
+        self.active_of[context].remove(&job);
+        self.loads[context].deactivate_job(job);
+        self.metrics.forget(job);
+        Some(active.job)
     }
 
+    /// Jobs eligible for cross-device migration — admitted, first stage still
+    /// queued — least urgent (latest EDF deadline) first.
     fn migratable_jobs(&self) -> Vec<JobId> {
-        DarisScheduler::migratable_jobs(self)
+        let mut jobs: Vec<(SimTime, JobId)> = self
+            .queues
+            .iter()
+            .flat_map(StageQueue::iter)
+            .filter(|ready| ready.stage == 0)
+            .map(|ready| (ready.edf_deadline, ready.job))
+            .collect();
+        jobs.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        jobs.into_iter().map(|(_, job)| job).collect()
     }
 
+    /// Total number of queued (undispatched) ready stages across contexts.
     fn queue_backlog(&self) -> usize {
-        DarisScheduler::queue_backlog(self)
+        self.queues.iter().map(StageQueue::len).sum()
     }
 
+    /// Number of currently idle streams across contexts.
     fn idle_stream_count(&self) -> usize {
-        DarisScheduler::idle_stream_count(self)
+        self.stream_busy.values().filter(|busy| !**busy).count()
     }
 
+    /// Fraction of stream capacity charged by currently active jobs, the
+    /// load signal a cluster dispatcher uses to rank retry candidates.
     fn active_load_fraction(&self) -> f64 {
-        DarisScheduler::active_load_fraction(self)
+        let capacity: f64 = self.loads.iter().map(ContextLoad::capacity).sum();
+        if capacity <= 0.0 {
+            return 0.0;
+        }
+        let active: f64 = self
+            .loads
+            .iter()
+            .map(|l| l.active_util(Priority::High) + l.active_util(Priority::Low))
+            .sum();
+        active / capacity
     }
 
+    /// Simulated GPU events processed so far (see
+    /// [`Gpu::events_processed`](daris_gpu::Gpu::events_processed)).
     fn events_processed(&self) -> u64 {
-        DarisScheduler::events_processed(self)
+        self.gpu.events_processed()
     }
 
+    /// The task set this scheduler was built over, including any adopted
+    /// guest tasks.
     fn taskset(&self) -> &TaskSet {
-        DarisScheduler::taskset(self)
+        &self.taskset
     }
 
+    /// Final accounting: advances to `horizon` and produces the outcome.
     fn finish(&mut self, horizon: SimTime) -> ExperimentOutcome {
-        DarisScheduler::finish(self, horizon)
-    }
-
-    fn run_span(
-        &mut self,
-        mut arrivals: &mut dyn ArrivalSource,
-        until: SimTime,
-        rejected: &mut Vec<Job>,
-    ) {
-        DarisScheduler::run_span(self, &mut arrivals, until, rejected);
+        self.advance_to(horizon);
+        let summary =
+            self.metrics.summarize(horizon).with_gpu_utilization(self.gpu.average_utilization());
+        ExperimentOutcome {
+            summary,
+            mret_trace: std::mem::take(&mut self.mret_trace),
+            config_label: format!(
+                "{} {}",
+                self.config.partition.policy,
+                self.config.partition.label()
+            ),
+        }
     }
 }
 
@@ -956,12 +763,16 @@ fn effective_stage_seeds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GpuPartition;
+    use crate::{GpuPartition, RunSpec};
     use daris_workload::{ArrivalPlan, ArrivalStream, ReleaseJitter};
+
+    fn periodic(millis: u64) -> RunSpec {
+        RunSpec::periodic().until(SimTime::from_millis(millis))
+    }
 
     fn short_run(config: DarisConfig, taskset: &TaskSet, millis: u64) -> ExperimentOutcome {
         let mut scheduler = DarisScheduler::new(taskset, config).expect("scheduler builds");
-        scheduler.run_until(SimTime::from_millis(millis))
+        scheduler.run(&periodic(millis)).expect("periodic spec runs")
     }
 
     #[test]
@@ -1033,9 +844,9 @@ mod tests {
             .with_adaptive_hpa(LoadDetectorConfig::default())
             .with_sink(SinkHandle::new(sink.clone()));
         let mut scheduler = DarisScheduler::new(&taskset, config).unwrap();
-        let spec = crate::RunSpec::generated(GenSpec::Bursty(BurstyConfig::default()))
+        let spec = RunSpec::generated(GenSpec::Bursty(BurstyConfig::default()))
             .until(SimTime::from_millis(300));
-        crate::Scheduler::run(&mut scheduler, &spec).unwrap();
+        scheduler.run(&spec).unwrap();
 
         let mut hpa_on = false;
         let (mut ons, mut offs) = (0u64, 0u64);
@@ -1080,7 +891,7 @@ mod tests {
         let config = DarisConfig::new(GpuPartition::mps(4, 4.0))
             .with_ablation(crate::AblationFlags::no_staging());
         let mut scheduler = DarisScheduler::new(&taskset, config).unwrap();
-        let outcome = scheduler.run_until(SimTime::from_millis(200));
+        let outcome = scheduler.run(&periodic(200)).unwrap();
         assert!(outcome.summary.total.completed > 10);
         // Each completed job produced exactly one MRET window entry per task
         // (a single stage), so stage count seen by the estimator is 1.
@@ -1089,15 +900,15 @@ mod tests {
 
     #[test]
     fn stepping_api_reproduces_run_until_exactly() {
-        // The external-driving API must be able to reproduce `run_until`
-        // byte for byte — this is the contract the cluster dispatcher's
-        // single-device equivalence rests on.
+        // The external-driving API must be able to reproduce a periodic
+        // `run` byte for byte — this is the contract the cluster
+        // dispatcher's single-device equivalence rests on.
         let taskset = TaskSet::table2(DnnKind::UNet);
         let config = DarisConfig::new(GpuPartition::mps(4, 4.0));
         let horizon = SimTime::from_millis(200);
 
         let mut reference = DarisScheduler::new(&taskset, config.clone()).unwrap();
-        let expected = reference.run_until(horizon);
+        let expected = reference.run(&RunSpec::periodic().until(horizon)).unwrap();
 
         let mut driven = DarisScheduler::new(&taskset, config).unwrap();
         let plan = ArrivalPlan::generate(&taskset, horizon, ReleaseJitter::None);
@@ -1146,7 +957,8 @@ mod tests {
         assert!(!trace.is_empty());
 
         let mut replay = DarisScheduler::new(&taskset, config.clone()).unwrap();
-        let actual = replay.run_trace(&trace).expect("trace binds to its own task set");
+        let actual =
+            replay.run(&RunSpec::replay(trace.clone())).expect("trace binds to its own task set");
         assert_eq!(actual.summary, expected.summary);
         assert_eq!(replay.events_processed(), live.events_processed());
 
@@ -1154,7 +966,7 @@ mod tests {
         // same run.
         let decoded = Trace::decode(&trace.encode()).unwrap();
         let mut replay2 = DarisScheduler::new(&taskset, config).unwrap();
-        assert_eq!(replay2.run_trace(&decoded).unwrap().summary, expected.summary);
+        assert_eq!(replay2.run(&RunSpec::replay(decoded)).unwrap().summary, expected.summary);
     }
 
     #[test]
@@ -1172,7 +984,7 @@ mod tests {
 
         let trace = spec.generate(&taskset, horizon);
         let mut replay = DarisScheduler::new(&taskset, config).unwrap();
-        let actual = replay.run_trace(&trace).unwrap();
+        let actual = replay.run(&RunSpec::replay(trace)).unwrap();
         assert_eq!(actual.summary, expected.summary);
     }
 
@@ -1187,7 +999,7 @@ mod tests {
         let taskset = TaskSet::table2(DnnKind::UNet);
         let mut scheduler =
             DarisScheduler::new(&taskset, DarisConfig::new(GpuPartition::mps(4, 4.0))).unwrap();
-        let err = scheduler.run_trace(&trace);
+        let err = scheduler.run(&RunSpec::replay(trace));
         assert!(matches!(err, Err(CoreError::Trace(_))), "{err:?}");
     }
 
@@ -1279,12 +1091,12 @@ mod tests {
         let config = DarisConfig::new(GpuPartition::mps(6, 2.0));
 
         let mut silent = DarisScheduler::new(&taskset, config.clone()).unwrap();
-        let expected = silent.run_until(horizon);
+        let expected = silent.run(&RunSpec::periodic().until(horizon)).unwrap();
 
         let sink = MemorySink::unbounded();
         let observed_config = config.with_sink(SinkHandle::new(sink.clone()));
         let mut observed = DarisScheduler::new(&taskset, observed_config).unwrap();
-        let outcome = observed.run_until(horizon);
+        let outcome = observed.run(&RunSpec::periodic().until(horizon)).unwrap();
 
         // Observation is free of feedback: identical summary either way.
         assert_eq!(outcome.summary, expected.summary);

@@ -5,8 +5,8 @@
 //! API, which `daris-cluster`'s dispatcher already consumed method-for-method.
 //! Anything that can implement these methods can be:
 //!
-//! * driven standalone via the provided [`run`](Scheduler::run) /
-//!   [`run_with_source`](Scheduler::run_with_source) loops,
+//! * driven standalone via the provided [`run`](Scheduler::run) (or
+//!   [`run_with_source`](Scheduler::run_with_source) for a custom source),
 //! * fanned out across a fleet by `ClusterDispatcher`, which steps one
 //!   scheduler per device in fixed synchronization rounds, and
 //! * swept by the `scheduler_comparison` bench runner against the full
@@ -22,17 +22,15 @@
 //! tasks of the scheduler's own [`taskset`](Scheduler::taskset) (locally
 //! re-homed via [`adopt_task`](Scheduler::adopt_task) for guests).
 //!
-//! The provided [`run_span`](Scheduler::run_span) default is the canonical
-//! event loop — releases and device events interleaved in exact time order —
-//! shared by every policy, so a comparison between two schedulers compares
-//! *policies*, never loop plumbing.
+//! The provided [`run_span`](Scheduler::run_span) default is the one event
+//! loop — releases and device events interleaved in exact time order —
+//! shared by every policy, DARIS included, so a comparison between two
+//! schedulers compares *policies*, never loop plumbing.
 
 use daris_gpu::SimTime;
-use daris_workload::{
-    ArrivalSource, ArrivalStream, Job, JobId, Priority, TaskId, TaskSet, TaskSpec,
-};
+use daris_workload::{ArrivalSource, Job, JobId, Priority, TaskId, TaskSet, TaskSpec};
 
-use crate::runspec::{RunSpec, Workload};
+use crate::runspec::{RunSpec, Shard};
 use crate::{CoreError, ExperimentOutcome, Result};
 
 /// A deadline-aware scheduler bound to one simulated device.
@@ -121,9 +119,8 @@ pub trait Scheduler {
     /// time; events at or after `until` stay pending. Driving consecutive
     /// spans is byte-identical to one big span.
     ///
-    /// The default body is the canonical loop [`DarisScheduler`] has always
-    /// run; override only to delegate to an inherent twin (as
-    /// [`DarisScheduler`] does), never to change semantics.
+    /// Every scheduler in the workspace, [`DarisScheduler`] included, runs
+    /// this default body; an override must not change its semantics.
     ///
     /// [`DarisScheduler`]: crate::DarisScheduler
     fn run_span(
@@ -169,37 +166,25 @@ pub trait Scheduler {
     }
 
     /// Runs the workload described by `spec` to its horizon — the one
-    /// standalone entry point behind which the legacy `run_until` /
-    /// `run_with_source` / `run_trace` sprawl now lives.
+    /// standalone entry point. The spec's arrival source is its
+    /// [`Workload::shard`](crate::Workload::shard) over one identity shard.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the spec has no horizon
-    /// (periodic/generated workloads require [`RunSpec::until`]) and
-    /// [`CoreError::Trace`] when a replayed trace refers to tasks this
-    /// scheduler's set does not contain.
+    /// (periodic/generated workloads require [`RunSpec::until`]) or a
+    /// replay horizon past the trace's, and [`CoreError::Trace`] when a
+    /// replayed trace refers to tasks this scheduler's set does not contain.
     fn run(&mut self, spec: &RunSpec) -> Result<ExperimentOutcome>
     where
         Self: Sized,
     {
+        let horizon = spec.required_horizon()?;
         let taskset = self.taskset().clone();
-        match spec.workload() {
-            Workload::Periodic { jitter } => {
-                let horizon = spec.required_horizon()?;
-                let mut stream = ArrivalStream::with_jitter(&taskset, horizon, *jitter);
-                Ok(self.run_with_source(&mut stream, horizon))
-            }
-            Workload::Generated(gen) => {
-                let horizon = spec.required_horizon()?;
-                let mut stream = gen.stream(&taskset, horizon);
-                Ok(self.run_with_source(&mut stream, horizon))
-            }
-            Workload::Replay(trace) => {
-                let horizon = spec.horizon().unwrap_or_else(|| trace.horizon());
-                let mut player =
-                    daris_workload::TracePlayer::new(&taskset, trace).map_err(CoreError::Trace)?;
-                Ok(self.run_with_source(&mut player, horizon))
-            }
-        }
+        let global: Vec<usize> = (0..taskset.len()).collect();
+        let shard = Shard { taskset: &taskset, global: &global };
+        let mut sources = spec.workload().shard(horizon, &[shard]).map_err(CoreError::Trace)?;
+        let mut source = sources.pop().expect("one source per shard");
+        Ok(self.run_with_source(&mut *source, horizon))
     }
 }

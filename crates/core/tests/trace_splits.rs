@@ -10,7 +10,7 @@
 //!   replayed wrong (the trace-path extension of the PR 4 jitter ≥ horizon
 //!   rejection).
 
-use daris_core::{DarisConfig, DarisScheduler, GpuPartition};
+use daris_core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
 use daris_gpu::{SimDuration, SimTime, XorShiftRng};
 use daris_models::DnnKind;
 use daris_workload::{
@@ -63,7 +63,7 @@ proptest! {
         let config = DarisConfig::new(GpuPartition::mps(4, 4.0));
 
         let mut reference = DarisScheduler::new(&taskset, config.clone()).expect("builds");
-        let expected = reference.run_trace(&trace).expect("trace binds to its set");
+        let expected = reference.run(&RunSpec::replay(trace.clone())).expect("trace binds to its set");
 
         // Drive the same replay in random pieces.
         let mut rng = XorShiftRng::new(seed ^ 0x5711);

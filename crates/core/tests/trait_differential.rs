@@ -1,8 +1,9 @@
-//! The differential suite behind the `Scheduler` trait extraction: DARIS
-//! driven *through the trait* (the code path the cluster dispatcher and the
-//! comparison harness use) is byte-identical to the direct inherent path,
-//! for every workload shape. The trait impl is pure delegation, so any
-//! digest drift here means the refactor changed scheduling behaviour.
+//! The differential suite behind `Scheduler::run(&RunSpec)`: a run built
+//! from a spec (the workload's sharding step over one identity shard) is
+//! byte-identical to handing the equivalent hand-built arrival source to
+//! `Scheduler::run_with_source`, for every workload shape. Any digest drift
+//! here means the spec path builds a different arrival stream than the
+//! shape's own constructor.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -11,7 +12,9 @@ use daris_core::{
 };
 use daris_gpu::{SimDuration, SimTime};
 use daris_models::DnnKind;
-use daris_workload::{ArrivalStream, BurstyConfig, GenSpec, ReleaseJitter, TaskSet, Trace};
+use daris_workload::{
+    ArrivalStream, BurstyConfig, GenSpec, ReleaseJitter, TaskSet, Trace, TracePlayer,
+};
 
 fn digest(outcome: &ExperimentOutcome) -> u64 {
     let mut hasher = DefaultHasher::new();
@@ -35,9 +38,10 @@ fn run_via_trait<S: Scheduler>(scheduler: &mut S, spec: &RunSpec) -> ExperimentO
 fn periodic_run_via_trait_matches_direct_run_until() {
     let taskset = TaskSet::table2(DnnKind::ResNet18);
     let horizon = SimTime::from_millis(300);
-    let direct = scheduler(&taskset).run_until(horizon);
+    let mut arrivals = ArrivalStream::new(&taskset, horizon);
+    let direct = scheduler(&taskset).run_with_source(&mut arrivals, horizon);
     let via_trait = run_via_trait(&mut scheduler(&taskset), &RunSpec::periodic().until(horizon));
-    assert_eq!(digest(&direct), digest(&via_trait), "trait path diverged from run_until");
+    assert_eq!(digest(&direct), digest(&via_trait), "trait path diverged on periodic arrivals");
 }
 
 #[test]
@@ -70,7 +74,8 @@ fn replay_run_via_trait_matches_direct_run_trace() {
     let horizon = SimTime::from_millis(250);
     let mut source = ArrivalStream::new(&taskset, horizon);
     let trace = Trace::record(&mut source, horizon).expect("trace records");
-    let direct = scheduler(&taskset).run_trace(&trace).expect("trace replays");
+    let mut player = TracePlayer::new(&taskset, &trace).expect("trace binds to its task set");
+    let direct = scheduler(&taskset).run_with_source(&mut player, trace.horizon());
     let via_trait = run_via_trait(&mut scheduler(&taskset), &RunSpec::replay(trace));
     assert_eq!(digest(&direct), digest(&via_trait), "trait path diverged on trace replay");
 }

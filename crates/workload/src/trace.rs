@@ -7,8 +7,8 @@
 //! * [`ArrivalSource`] — the trait every release source implements. The
 //!   strictly periodic (optionally jittered) [`ArrivalStream`] is one impl;
 //!   the seeded generators in [`crate::GenSpec`] and the trace player below
-//!   are others. `daris-core::run_span` and the `daris-cluster` dispatcher
-//!   are generic over it.
+//!   are others. `daris-core`'s `Scheduler::run_span` and the
+//!   `daris-cluster` dispatcher consume it.
 //! * [`Trace`] / [`TraceEvent`] — a validated, fully materialized release
 //!   sequence with a versioned plain-text codec ([`Trace::encode`] /
 //!   [`Trace::decode`]; no external dependencies, the build is offline).
@@ -34,6 +34,7 @@
 //! jitter-versus-horizon rejection: such a trace would force a replayer to
 //! buffer the entire sequence).
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -47,9 +48,9 @@ use crate::{ArrivalStream, Job, JobId, TaskId, TaskSet, TaskSpec};
 /// The contract mirrors [`ArrivalStream`]: [`next_release`] peeks the release
 /// time of the job that the next [`next_job`] call will return (and `None`
 /// exactly when the source is exhausted), and emitted releases never
-/// decrease. `daris-core`'s `run_span` is generic over this trait, so any
-/// impl — periodic plans, seeded generators, recorded traces — can drive a
-/// scheduler or a whole cluster.
+/// decrease. `daris-core`'s `Scheduler::run_span` takes any impl, so
+/// periodic plans, seeded generators and recorded traces all drive a
+/// scheduler or a whole cluster through the same loop.
 ///
 /// [`next_release`]: ArrivalSource::next_release
 /// [`next_job`]: ArrivalSource::next_job
@@ -436,7 +437,7 @@ fn measured_lookahead(events: &[TraceEvent]) -> Result<SimDuration, TraceError> 
 #[derive(Debug, Clone)]
 pub struct TracePlayer<'a> {
     tasks: &'a TaskSet,
-    events: &'a [TraceEvent],
+    events: Cow<'a, [TraceEvent]>,
     next: usize,
 }
 
@@ -449,12 +450,25 @@ impl<'a> TracePlayer<'a> {
     /// Returns [`TraceError::UnknownTask`] for an event the set cannot
     /// resolve.
     pub fn new(tasks: &'a TaskSet, trace: &'a Trace) -> Result<Self, TraceError> {
-        for ev in trace.events() {
-            if tasks.task(ev.task).is_none() {
-                return Err(TraceError::UnknownTask { task: ev.task, tasks: tasks.len() });
-            }
+        Self::bind(tasks, Cow::Borrowed(trace.events()))
+    }
+
+    /// [`new`](Self::new) for a trace the player takes ownership of — a
+    /// per-device slice split off a global trace, for instance.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::UnknownTask`] for an event the set cannot
+    /// resolve.
+    pub fn owned(tasks: &'a TaskSet, trace: Trace) -> Result<Self, TraceError> {
+        Self::bind(tasks, Cow::Owned(trace.events))
+    }
+
+    fn bind(tasks: &'a TaskSet, events: Cow<'a, [TraceEvent]>) -> Result<Self, TraceError> {
+        if let Some(ev) = events.iter().find(|ev| tasks.task(ev.task).is_none()) {
+            return Err(TraceError::UnknownTask { task: ev.task, tasks: tasks.len() });
         }
-        Ok(TracePlayer { tasks, events: trace.events(), next: 0 })
+        Ok(TracePlayer { tasks, events, next: 0 })
     }
 
     /// Number of events not yet replayed.
@@ -544,6 +558,18 @@ impl<S: ArrivalSource> ArrivalSource for TraceRecorder<S> {
 /// trait in `daris-core` takes `&mut dyn ArrivalSource`) reuse code written
 /// against `impl ArrivalSource`.
 impl<S: ArrivalSource + ?Sized> ArrivalSource for &mut S {
+    fn next_release(&self) -> Option<SimTime> {
+        (**self).next_release()
+    }
+
+    fn next_job(&mut self) -> Option<Job> {
+        (**self).next_job()
+    }
+}
+
+/// Forwarding impl for boxed sources, such as the per-shard sources
+/// `daris-core` builds for a workload.
+impl<S: ArrivalSource + ?Sized> ArrivalSource for Box<S> {
     fn next_release(&self) -> Option<SimTime> {
         (**self).next_release()
     }

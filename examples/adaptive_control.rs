@@ -228,7 +228,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let fleet = ClusterSpec::homogeneous(8, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
     let mut dispatcher = ClusterDispatcher::new(&fleet_taskset, fleet, config)?;
-    let outcome = dispatcher.run_generated(&diurnal(0.9), fleet_horizon);
+    let outcome = dispatcher.run(&RunSpec::generated(diurnal(0.9)).until(fleet_horizon))?;
 
     let events = sink.take_all();
     let (mut drains, mut joins, mut quantum_changes, mut mode_flips) = (0u64, 0u64, 0u64, 0u64);

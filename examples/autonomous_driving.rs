@@ -14,7 +14,7 @@
 //! ```
 
 use daris::baselines::FifoMultiStreamServer;
-use daris::core::{DarisConfig, DarisScheduler, GpuPartition};
+use daris::core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
 use daris::gpu::{SimDuration, SimTime};
 use daris::models::DnnKind;
 use daris::workload::{Priority, TaskId, TaskSet, TaskSetBuilder, TaskSpec};
@@ -58,10 +58,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // DARIS with the MPS policy and 200 % oversubscription.
     let config = DarisConfig::new(GpuPartition::mps(4, 2.0));
     let mut daris = DarisScheduler::new(&taskset, config)?;
-    let daris_outcome = daris.run_until(horizon);
+    let spec = RunSpec::periodic().until(horizon);
+    let daris_outcome = daris.run(&spec)?;
 
     // The no-priority FIFO baseline with the same degree of parallelism.
-    let fifo = FifoMultiStreamServer::new(4).run(&taskset, horizon)?;
+    let fifo = FifoMultiStreamServer::new(4).scheduler(&taskset)?.run(&spec)?.summary;
 
     println!("                         DARIS      FIFO multi-stream");
     println!(

@@ -10,7 +10,7 @@
 //! ```
 
 use daris::cluster::{ClusterConfig, ClusterDispatcher, ClusterSpec, PlacementStrategy};
-use daris::core::GpuPartition;
+use daris::core::{GpuPartition, RunSpec};
 use daris::gpu::{GpuSpec, SimTime};
 use daris::models::DnnKind;
 use daris::workload::TaskSet;
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for n in [1usize, 2, 4, 8] {
         let fleet = ClusterSpec::homogeneous(n, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
         let mut dispatcher = ClusterDispatcher::new(&taskset, fleet, balanced())?;
-        let s = dispatcher.run_until(horizon).summary;
+        let s = dispatcher.run(&RunSpec::periodic().until(horizon))?.summary;
         println!(
             "{n:>7}  {:>6.0}  {:>5.0}%  {:>5.2}%  {:>5.2}%  {:>8}  {:>11}  {:>10}",
             s.throughput_jps,
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n## Heterogeneous fleet (2080 Ti + A100 + H100 + Orin, greedy balance)\n");
     let mut dispatcher =
         ClusterDispatcher::new(&taskset, ClusterSpec::heterogeneous_demo(), balanced())?;
-    let outcome = dispatcher.run_until(horizon);
+    let outcome = dispatcher.run(&RunSpec::periodic().until(horizon))?;
     for device in &outcome.devices {
         let s = &device.outcome.summary;
         println!(

@@ -9,7 +9,7 @@
 //! ```
 
 use daris::baselines::{BatchingServer, GsliceServer};
-use daris::core::{DarisConfig, DarisScheduler, GpuPartition};
+use daris::core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
 use daris::gpu::SimTime;
 use daris::metrics::report::Table;
 use daris::metrics::ExperimentSummary;
@@ -27,7 +27,7 @@ fn row(table: &mut Table, name: &str, summary: &ExperimentSummary) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let taskset = TaskSet::mixed();
-    let horizon = SimTime::from_millis(500);
+    let spec = RunSpec::periodic().until(SimTime::from_millis(500));
 
     let mut table = Table::new("Mixed inference server (Fig. 7 workload)");
     table.set_headers(["scheduler", "JPS", "HP DMR", "LP DMR", "GPU util"]);
@@ -40,14 +40,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("DARIS MPS+STR 3x2 OS2", GpuPartition::mps_str(3, 2, 2.0)),
     ] {
         let mut scheduler = DarisScheduler::new(&taskset, DarisConfig::new(partition))?;
-        let outcome = scheduler.run_until(horizon);
+        let outcome = scheduler.run(&spec)?;
         row(&mut table, name, &outcome.summary);
     }
 
     // Baselines on the same workload.
-    let batching = BatchingServer::new().run(&taskset, horizon)?;
+    let batching = BatchingServer::new().scheduler(&taskset)?.run(&spec)?.summary;
     row(&mut table, "pure batching", &batching);
-    let gslice = GsliceServer::new(3).run(&taskset, horizon)?;
+    let gslice = GsliceServer::new(3).scheduler(&taskset)?.run(&spec)?.summary;
     row(&mut table, "GSlice-like (3 slices)", &gslice);
 
     println!("{table}");

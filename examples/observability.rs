@@ -14,7 +14,7 @@
 //! cargo run --example observability
 //! ```
 
-use daris::core::{DarisConfig, DarisScheduler, GpuPartition};
+use daris::core::{DarisConfig, DarisScheduler, GpuPartition, Scheduler};
 use daris::gpu::{SimDuration, SimTime};
 use daris::models::DnnKind;
 use daris::telemetry::{EventKind, MemorySink, SinkHandle, WindowedMetrics};

@@ -8,7 +8,7 @@
 //! cargo run --example overload_admission
 //! ```
 
-use daris::core::{DarisConfig, DarisScheduler, GpuPartition};
+use daris::core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
 use daris::gpu::SimTime;
 use daris::metrics::report::Table;
 use daris::models::DnnKind;
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for hp_share in [0.25, 0.5, 0.75, 1.0] {
             let taskset = TaskSet::with_ratio(DnnKind::ResNet18, scenario, hp_share);
             let mut scheduler = DarisScheduler::new(&taskset, DarisConfig::new(partition))?;
-            let outcome = scheduler.run_until(horizon);
+            let outcome = scheduler.run(&RunSpec::periodic().until(horizon))?;
             let s = &outcome.summary;
             table.add_row([
                 name.to_owned(),
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let taskset = TaskSet::with_ratio(DnnKind::ResNet18, RatioScenario::Overload, hp_share);
         let config = DarisConfig::new(partition).with_hp_admission();
         let mut scheduler = DarisScheduler::new(&taskset, config)?;
-        let outcome = scheduler.run_until(horizon);
+        let outcome = scheduler.run(&RunSpec::periodic().until(horizon))?;
         let s = &outcome.summary;
         table.add_row([
             "Overload+HPA".to_owned(),

@@ -7,7 +7,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use daris::core::{DarisConfig, DarisScheduler, GpuPartition};
+use daris::core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
 use daris::gpu::SimTime;
 use daris::models::DnnKind;
 use daris::workload::TaskSet;
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = DarisConfig::new(GpuPartition::mps(6, 6.0));
 
     let mut scheduler = DarisScheduler::new(&taskset, config)?;
-    let outcome = scheduler.run_until(SimTime::from_millis(500));
+    let outcome = scheduler.run(&RunSpec::periodic().until(SimTime::from_millis(500)))?;
     let summary = &outcome.summary;
 
     println!("configuration      : {}", outcome.config_label);

@@ -10,7 +10,7 @@
 //! cargo run --example trace_workloads
 //! ```
 
-use daris::core::{DarisConfig, DarisScheduler, GpuPartition};
+use daris::core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
 use daris::gpu::SimTime;
 use daris::models::DnnKind;
 use daris::workload::{
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- replay it (through the codec) on a fresh scheduler ---------------
     let decoded = Trace::decode(&trace.encode())?;
     let mut replay = DarisScheduler::new(&taskset, DarisConfig::new(partition))?;
-    let replay_outcome = replay.run_trace(&decoded)?;
+    let replay_outcome = replay.run(&RunSpec::replay(decoded))?;
     assert_eq!(
         replay_outcome.summary, live_outcome.summary,
         "the recorded trace must replay the live run byte for byte"

@@ -18,6 +18,7 @@
 use std::path::PathBuf;
 
 use daris::cluster::{ClusterConfig, ClusterDispatcher, ClusterSpec, PlacementStrategy};
+use daris::core::RunSpec;
 use daris::gpu::SimTime;
 use daris::models::DnnKind;
 use daris::telemetry::{ChromeTraceSink, SinkHandle, CHROME_SCHEMA_VERSION};
@@ -41,7 +42,8 @@ fn record() -> String {
     let spec = GenSpec::Bursty(BurstyConfig { seed: 0xDAC5_0007, ..Default::default() });
     let outcome = ClusterDispatcher::new(&taskset, fleet, config)
         .expect("valid 2-device configuration")
-        .run_generated(&spec, SimTime::from_millis(20));
+        .run(&RunSpec::generated(spec).until(SimTime::from_millis(20)))
+        .expect("spec runs");
     assert!(outcome.summary.total.completed > 0, "fixture scenario must do real work");
     sink.to_json()
 }

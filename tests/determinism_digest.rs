@@ -14,7 +14,7 @@ use daris::cluster::{
     AutoscaleConfig, ClusterConfig, ClusterDispatcher, ClusterSpec, ElasticQuantum,
     PlacementStrategy,
 };
-use daris::core::GpuPartition;
+use daris::core::{GpuPartition, RunSpec};
 use daris::gpu::{GpuSpec, SimDuration, SimTime};
 use daris::models::DnnKind;
 use daris::telemetry::{ChromeTraceSink, MemorySink, SinkHandle};
@@ -28,7 +28,8 @@ fn run_once(threads: usize) -> u64 {
     let spec = GenSpec::Bursty(BurstyConfig { seed: 0xD16E57, ..Default::default() });
     let outcome = ClusterDispatcher::new(&taskset, fleet, config)
         .expect("valid 8-device configuration")
-        .run_generated(&spec, horizon);
+        .run(&RunSpec::generated(spec).until(horizon))
+        .expect("spec runs");
     assert!(outcome.summary.total.completed > 0, "scenario must do real work");
     outcome.summary_hash()
 }
@@ -61,7 +62,8 @@ fn run_observed(threads: usize, observer: Observer) -> u64 {
     let spec = GenSpec::Bursty(BurstyConfig { seed: 0xD16E57, ..Default::default() });
     let outcome = ClusterDispatcher::new(&taskset, fleet, config)
         .expect("valid 8-device configuration")
-        .run_generated(&spec, horizon);
+        .run(&RunSpec::generated(spec).until(horizon))
+        .expect("spec runs");
     assert!(outcome.summary.total.completed > 0, "scenario must do real work");
     outcome.summary_hash()
 }
@@ -99,7 +101,8 @@ fn run_racked(threads: usize) -> u64 {
     let spec = GenSpec::Bursty(BurstyConfig { seed: 0xD16E57, ..Default::default() });
     let outcome = ClusterDispatcher::new(&taskset, fleet, config)
         .expect("valid 16-device 4-rack configuration")
-        .run_generated(&spec, horizon);
+        .run(&RunSpec::generated(spec).until(horizon))
+        .expect("spec runs");
     assert!(outcome.summary.total.completed > 0, "scenario must do real work");
     assert_eq!(outcome.summary.racks, 4);
     outcome.summary_hash()
@@ -156,7 +159,8 @@ fn run_adaptive(threads: usize) -> u64 {
     });
     let outcome = ClusterDispatcher::new(&taskset, fleet, config)
         .expect("valid adaptive 8-device configuration")
-        .run_generated(&spec, horizon);
+        .run(&RunSpec::generated(spec).until(horizon))
+        .expect("spec runs");
     assert!(outcome.summary.total.completed > 0, "scenario must do real work");
     outcome.summary_hash()
 }
@@ -220,7 +224,8 @@ fn telemetry_event_stream_is_thread_count_invariant() {
         let spec = GenSpec::Bursty(BurstyConfig { seed: 0xD16E57, ..Default::default() });
         ClusterDispatcher::new(&taskset, fleet, config)
             .expect("valid 8-device configuration")
-            .run_generated(&spec, horizon);
+            .run(&RunSpec::generated(spec).until(horizon))
+            .expect("spec runs");
         sink.to_json()
     };
     let serial = export(1);

@@ -4,10 +4,12 @@
 //! These run with short horizons so the whole suite stays debug-build
 //! friendly; the full-length numbers live in `EXPERIMENTS.md`.
 
-use daris::baselines::{BatchingServer, FifoMultiStreamServer, SingleTenantServer};
+use daris::baselines::{
+    BaselineScheduler, BatchingServer, FifoMultiStreamServer, SingleTenantServer,
+};
 use daris::cluster::{ClusterConfig, ClusterDispatcher, ClusterSpec, PlacementStrategy};
-use daris::core::{AblationFlags, DarisConfig, DarisScheduler, GpuPartition};
-use daris::gpu::{GpuSpec, SimTime};
+use daris::core::{AblationFlags, DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
+use daris::gpu::{GpuError, GpuSpec, SimTime};
 use daris::models::{DnnKind, ModelProfile};
 use daris::workload::{Priority, TaskSet};
 
@@ -27,7 +29,18 @@ fn run_daris(
 ) -> daris::core::ExperimentOutcome {
     let mut scheduler =
         DarisScheduler::new(taskset, DarisConfig::new(partition)).expect("valid configuration");
-    scheduler.run_until(SimTime::from_millis(millis))
+    scheduler.run(&RunSpec::periodic().until(SimTime::from_millis(millis))).expect("spec runs")
+}
+
+fn run_baseline(
+    scheduler: Result<BaselineScheduler, GpuError>,
+    millis: u64,
+) -> daris::metrics::ExperimentSummary {
+    let mut scheduler = scheduler.expect("baseline builds");
+    scheduler
+        .run(&RunSpec::periodic().until(SimTime::from_millis(millis)))
+        .expect("spec runs")
+        .summary
 }
 
 #[test]
@@ -35,9 +48,7 @@ fn daris_beats_the_single_tenant_lower_baseline() {
     let taskset = TaskSet::table2(DnnKind::ResNet18);
     let horizon = horizon_ms(400);
     let daris = run_daris(&taskset, GpuPartition::mps(6, 6.0), horizon);
-    let single = SingleTenantServer::new()
-        .run(&taskset, SimTime::from_millis(horizon))
-        .expect("baseline runs");
+    let single = run_baseline(SingleTenantServer::new().scheduler(&taskset), horizon);
     assert!(
         daris.summary.throughput_jps > 1.3 * single.throughput_jps,
         "DARIS {:.0} JPS should clearly beat single-tenant {:.0} JPS",
@@ -122,9 +133,7 @@ fn priorities_protect_hp_tasks_compared_with_fifo() {
     let taskset = TaskSet::table2(DnnKind::InceptionV3);
     let horizon = horizon_ms(400);
     let daris = run_daris(&taskset, GpuPartition::mps(8, 8.0), horizon);
-    let fifo = FifoMultiStreamServer::new(8)
-        .run(&taskset, SimTime::from_millis(horizon))
-        .expect("baseline runs");
+    let fifo = run_baseline(FifoMultiStreamServer::new(8).scheduler(&taskset), horizon);
     assert!(
         daris.summary.high.deadline_miss_rate < fifo.high.deadline_miss_rate,
         "DARIS HP DMR {:.3} should be below FIFO HP DMR {:.3}",
@@ -144,7 +153,9 @@ fn staging_ablation_hurts_throughput_and_hp_deadlines() {
         DarisConfig::new(partition).with_ablation(AblationFlags::no_staging()),
     )
     .expect("valid configuration");
-    let no_staging = no_staging_scheduler.run_until(SimTime::from_millis(horizon_ms(400)));
+    let no_staging = no_staging_scheduler
+        .run(&RunSpec::periodic().until(SimTime::from_millis(horizon_ms(400))))
+        .expect("spec runs");
     assert!(
         no_staging.summary.high.response.max_ms >= full.summary.high.response.max_ms,
         "without staging HP worst-case response should not improve ({:.1} vs {:.1} ms)",
@@ -201,8 +212,7 @@ fn pure_batching_misses_deadlines_that_daris_avoids() {
     let taskset = TaskSet::table2(DnnKind::ResNet18);
     let horizon = horizon_ms(400);
     let daris = run_daris(&taskset, GpuPartition::mps(6, 6.0), horizon);
-    let batching =
-        BatchingServer::new().run(&taskset, SimTime::from_millis(horizon)).expect("baseline runs");
+    let batching = run_baseline(BatchingServer::new().scheduler(&taskset), horizon);
     assert!(
         daris.summary.high.deadline_miss_rate < batching.of(Priority::High).deadline_miss_rate,
         "DARIS HP DMR {:.3} vs batching HP DMR {:.3}",
@@ -226,7 +236,7 @@ fn cluster_facade_scales_the_fleet_headline_claim() {
             ClusterConfig { strategy: PlacementStrategy::GreedyBalance, ..Default::default() };
         let mut dispatcher =
             ClusterDispatcher::new(&taskset, fleet, config).expect("dispatcher builds");
-        dispatcher.run_until(horizon).summary
+        dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs").summary
     };
     let one = run(1);
     let two = run(2);

@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use daris::core::{DarisConfig, DarisScheduler, GpuPartition};
+use daris::core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
 use daris::models::DnnKind;
 use daris::workload::{TaskSet, Trace};
 
@@ -68,7 +68,9 @@ fn golden_traces_replay_to_pinned_outcomes() {
             let mut scheduler =
                 DarisScheduler::new(&taskset, DarisConfig::new(GpuPartition::mps(6, 6.0)))
                     .expect("scheduler builds");
-            let outcome = scheduler.run_trace(&trace).expect("fixture binds to its task set");
+            let outcome = scheduler
+                .run(&RunSpec::replay(trace.clone()))
+                .expect("fixture binds to its task set");
             (outcome, scheduler.events_processed())
         };
         let (outcome, events_processed) = run(0);
