@@ -2,14 +2,13 @@
 //! # daris-bench
 //!
 //! Experiment runners that regenerate every table and figure of the DARIS
-//! paper on the simulated substrate, plus Criterion micro-benchmarks of the
-//! scheduler primitives.
+//! paper on the simulated substrate.
 //!
 //! Each `figure*`/`table*` function runs the corresponding experiment and
 //! returns one or more [`Table`]s formatted like the paper's plots (rows are
 //! configurations, columns are the reported series). The binaries in
 //! `src/bin/` are thin wrappers that print these tables; `reproduce_all`
-//! prints the full paper-vs-measured report used to fill `EXPERIMENTS.md`.
+//! prints the full paper-vs-measured report.
 //!
 //! The simulated horizon per configuration defaults to 1.5 s and can be
 //! overridden with the `DARIS_HORIZON_MS` environment variable (shorter for
@@ -19,7 +18,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod comparison;
-pub mod perf;
 
 use daris_baselines::{
     BaselineScheduler, BatchingServer, FifoMultiStreamServer, GsliceServer, SingleTenantServer,

@@ -399,16 +399,9 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
             }
         }
         if let Some(detector) = &config.adaptive_hpa {
-            if detector.window.is_zero() {
-                return Err(ClusterError::InvalidAdaptiveConfig(
-                    "adaptive-HPA detector window must be non-zero".into(),
-                ));
-            }
-            if !(detector.calm_ratio > 0.0 && detector.calm_ratio <= detector.burst_ratio) {
-                return Err(ClusterError::InvalidAdaptiveConfig(
-                    "adaptive-HPA thresholds must satisfy 0 < calm_ratio <= burst_ratio".into(),
-                ));
-            }
+            detector.validate().map_err(|reason| {
+                ClusterError::InvalidAdaptiveConfig(format!("adaptive-HPA detector {reason}"))
+            })?;
         }
         let placement = place(taskset, &cluster, config.strategy, &config.reference_gpu);
 

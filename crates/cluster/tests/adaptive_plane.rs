@@ -239,3 +239,24 @@ fn autoscaling_requires_the_retry_path() {
     };
     assert!(matches!(err, ClusterError::InvalidAdaptiveConfig(_)), "wrong error: {err}");
 }
+
+#[test]
+fn degenerate_adaptive_hpa_detectors_are_rejected() {
+    let taskset = TaskSet::table2(DnnKind::ResNet18);
+    let base = LoadDetectorConfig::default();
+    let cases = [
+        ("zero window", LoadDetectorConfig { window: SimDuration::ZERO, ..base }),
+        ("inverted band", LoadDetectorConfig { burst_ratio: 1.0, calm_ratio: 1.5, ..base }),
+    ];
+    for (name, detector) in cases {
+        let config = ClusterConfig { adaptive_hpa: Some(detector), ..ClusterConfig::default() };
+        let err = match ClusterDispatcher::new(&taskset, hetero_fleet_8(), config) {
+            Ok(_) => panic!("{name} must be rejected"),
+            Err(err) => err,
+        };
+        assert!(
+            matches!(err, ClusterError::InvalidAdaptiveConfig(_)),
+            "{name}: wrong error: {err}"
+        );
+    }
+}

@@ -319,18 +319,9 @@ impl DarisConfig {
             return Err(CoreError::InvalidConfig("window size must be at least 1".into()));
         }
         if let Some(det) = &self.adaptive_hpa {
-            if det.window.is_zero() {
-                return Err(CoreError::InvalidConfig(
-                    "adaptive HPA detector window must be non-zero".into(),
-                ));
-            }
-            if !(det.calm_ratio > 0.0 && det.calm_ratio <= det.burst_ratio) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "adaptive HPA thresholds must satisfy 0 < calm_ratio <= burst_ratio, got \
-                     calm {} burst {}",
-                    det.calm_ratio, det.burst_ratio
-                )));
-            }
+            det.validate().map_err(|reason| {
+                CoreError::InvalidConfig(format!("adaptive HPA detector {reason}"))
+            })?;
         }
         self.partition.validate(&self.gpu)
     }
@@ -339,6 +330,7 @@ impl DarisConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daris_gpu::SimDuration;
 
     #[test]
     fn partition_constructors_and_labels() {
@@ -408,6 +400,25 @@ mod tests {
             DarisConfig::new(GpuPartition::str_streams(2)).with_window_size(0).window_size,
             1
         );
+    }
+
+    #[test]
+    fn adaptive_hpa_detector_rule_is_validated() {
+        let base = LoadDetectorConfig::default();
+        let cases = [
+            ("zero window", LoadDetectorConfig { window: SimDuration::ZERO, ..base }),
+            ("inverted band", LoadDetectorConfig { burst_ratio: 1.0, calm_ratio: 1.5, ..base }),
+            ("zero calm ratio", LoadDetectorConfig { calm_ratio: 0.0, ..base }),
+        ];
+        for (name, detector) in cases {
+            let cfg = DarisConfig::new(GpuPartition::mps(6, 6.0)).with_adaptive_hpa(detector);
+            assert!(
+                matches!(cfg.validate(), Err(CoreError::InvalidConfig(_))),
+                "{name} must be rejected"
+            );
+        }
+        let ok = DarisConfig::new(GpuPartition::mps(6, 6.0)).with_adaptive_hpa(base);
+        assert!(ok.validate().is_ok());
     }
 
     #[test]

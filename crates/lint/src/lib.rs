@@ -7,7 +7,7 @@
 //! round trips, and device-local vs. global arrival streams. This pass makes
 //! that invariant machine-checked instead of conventional. It walks every
 //! workspace source file with a small hand-rolled lexer (no `syn`, no
-//! network — the same vendoring discipline as the criterion/proptest stubs)
+//! network — the same vendoring discipline as the proptest stub)
 //! and enforces six named rules:
 //!
 //! | rule | hazard |

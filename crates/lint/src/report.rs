@@ -1,9 +1,8 @@
 //! Human (diff-style) and machine-readable (JSON) rendering of a lint run.
 //!
 //! The JSON is emitted by hand — the workspace has no serde (see the
-//! `[workspace.dependencies]` note in the root manifest) — in the same
-//! one-object, stable-key-order discipline as `daris-bench`'s perf artifact,
-//! so CI can archive the report next to the perf trajectory.
+//! `[workspace.dependencies]` note in the root manifest) — as one object with
+//! a stable key order, so CI can archive the report as an artifact.
 
 use crate::rules::Finding;
 use crate::waiver::Waiver;

@@ -48,6 +48,25 @@ pub struct LoadDetectorConfig {
     pub calm_ratio: f64,
 }
 
+impl LoadDetectorConfig {
+    /// Checks the rule every consumer of a detector configuration enforces:
+    /// a non-zero window and `0 < calm_ratio <= burst_ratio` (without that
+    /// ordering the hysteresis band is inverted and the signal flaps every
+    /// window). Callers wrap the returned reason in their own error.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.window.is_zero() {
+            return Err("window must be non-zero".into());
+        }
+        if !(self.calm_ratio > 0.0 && self.calm_ratio <= self.burst_ratio) {
+            return Err(format!(
+                "thresholds must satisfy 0 < calm_ratio <= burst_ratio, got calm {} burst {}",
+                self.calm_ratio, self.burst_ratio
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl Default for LoadDetectorConfig {
     fn default() -> Self {
         LoadDetectorConfig {
@@ -100,24 +119,18 @@ impl LoadDetector {
     ///
     /// # Panics
     ///
-    /// Panics loudly on a degenerate configuration — a zero window, a
-    /// non-finite or non-positive nominal rate, or thresholds that are not
-    /// `0 < calm_ratio <= burst_ratio` (without that ordering the
-    /// hysteresis band is inverted and the signal flaps every window).
+    /// Panics loudly on a degenerate configuration — one that fails
+    /// [`LoadDetectorConfig::validate`], or a non-finite or non-positive
+    /// nominal rate.
     ///
     /// [`TaskSet::offered_jps`]: crate::TaskSet::offered_jps
     pub fn new(config: LoadDetectorConfig, nominal_jps: f64) -> Self {
-        assert!(!config.window.is_zero(), "LoadDetector window must be non-zero");
+        if let Err(reason) = config.validate() {
+            panic!("LoadDetector {reason}");
+        }
         assert!(
             nominal_jps.is_finite() && nominal_jps > 0.0,
             "LoadDetector nominal rate must be positive and finite, got {nominal_jps}"
-        );
-        assert!(
-            config.calm_ratio > 0.0 && config.calm_ratio <= config.burst_ratio,
-            "LoadDetector thresholds must satisfy 0 < calm_ratio <= burst_ratio, got calm {} \
-             burst {}",
-            config.calm_ratio,
-            config.burst_ratio,
         );
         LoadDetector {
             config,
