@@ -9,7 +9,7 @@
 //! the default constructor), placed by the same placement engine, driven by
 //! the same synchronization-round loop. Differences between rows are
 //! therefore *policy* differences, not harness differences — the point of
-//! the [`Scheduler`] trait.
+//! the [`Scheduler`](daris_core::Scheduler) trait.
 //!
 //! The committed summary lives in `COMPARISON.md` at the repo root; the
 //! `scheduler_comparison` binary regenerates it.

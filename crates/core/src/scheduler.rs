@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use daris_gpu::{Gpu, SimDuration, SimTime, StreamId, TraceEventKind, WorkItem};
+use daris_gpu::{Gpu, SimDuration, SimTime, StreamId, WorkItem};
 use daris_metrics::{ExperimentSummary, MetricsCollector};
 use daris_models::{DnnKind, ModelProfile};
 use daris_telemetry::{AdmissionTest, EventKind, SinkHandle, TelemetryEvent};
@@ -127,9 +127,9 @@ impl DarisScheduler {
         // Spatial partition: Nc contexts × Ns streams with the Eq. 9 quota.
         let mut gpu = Gpu::new(config.gpu.clone());
         if config.sink.is_some() {
-            // Device-level tracing is only worth paying for when someone is
-            // listening; the trace is drained into the sink on every advance.
-            gpu.enable_tracing();
+            // Device events are only worth building when someone is
+            // listening; they are drained into the sink on every advance.
+            gpu.record_events();
         }
         let quota = config.partition.sm_quota(config.gpu.sm_count);
         let mut streams = Vec::new();
@@ -245,38 +245,11 @@ impl DarisScheduler {
         }
     }
 
-    /// Drains the GPU's execution trace into the sink, translating device
-    /// events into telemetry events. Item submissions are skipped (the
-    /// scheduler's own `StageDispatched` already covers them with richer
-    /// context); everything else maps one-to-one.
-    fn forward_gpu_trace(&mut self) {
-        let Some(sink) = self.sink.clone() else { return };
-        for ev in self.gpu.trace_mut().take_events() {
-            let (tag, stream, context) =
-                (ev.tag, ev.stream.index() as u32, ev.context.index() as u32);
-            let kind = match ev.kind {
-                TraceEventKind::ItemSubmitted => continue,
-                TraceEventKind::CopyInStarted => EventKind::CopyInStarted { tag, stream, context },
-                TraceEventKind::CopyOutStarted => {
-                    EventKind::CopyOutStarted { tag, stream, context }
-                }
-                TraceEventKind::ExecutionStarted => EventKind::ItemStarted { tag, stream, context },
-                TraceEventKind::KernelCompleted => {
-                    EventKind::KernelFinished { tag, stream, context, label: ev.label }
-                }
-                TraceEventKind::ItemCompleted => EventKind::ItemFinished { tag, stream, context },
-            };
-            sink.record(TelemetryEvent { at: ev.at, device: 0, kind });
-        }
-        for replan in self.gpu.trace_mut().take_replans() {
-            sink.record(TelemetryEvent {
-                at: replan.at,
-                device: 0,
-                kind: EventKind::Replan {
-                    computing: replan.computing,
-                    utilization: replan.utilization,
-                },
-            });
+    /// Drains the GPU's recorded device events into the sink verbatim.
+    fn forward_device_events(&mut self) {
+        let Some(sink) = &self.sink else { return };
+        for (at, event) in self.gpu.take_events() {
+            sink.record(TelemetryEvent { at, device: 0, kind: EventKind::Device(event) });
         }
     }
 
@@ -468,9 +441,7 @@ impl Scheduler for DarisScheduler {
     fn advance_to(&mut self, target: SimTime) {
         let completions = self.gpu.advance_to(target);
         self.now = target;
-        if self.sink.is_some() {
-            self.forward_gpu_trace();
-        }
+        self.forward_device_events();
         for completion in completions {
             self.handle_completion(
                 completion.tag,
@@ -1084,7 +1055,7 @@ mod tests {
 
     #[test]
     fn telemetry_sink_sees_the_full_event_stream_without_perturbing_the_run() {
-        use daris_telemetry::{EventKind, MemorySink, SinkHandle};
+        use daris_telemetry::{DeviceEvent, EventKind, MemorySink, SinkHandle};
         let taskset = TaskSet::table2(DnnKind::ResNet18);
         let horizon = SimTime::from_millis(150);
         // Overloaded partition so the admission test rejects some LP jobs.
@@ -1125,10 +1096,14 @@ mod tests {
         );
         // The device layer streams through too.
         assert!(count(&|k| matches!(k, EventKind::StageDispatched { .. })) > 0);
-        assert!(count(&|k| matches!(k, EventKind::KernelFinished { .. })) > 0);
-        assert!(count(&|k| matches!(k, EventKind::Replan { .. })) > 0);
-        assert!(count(&|k| matches!(k, EventKind::CopyInStarted { .. })) > 0);
-        assert!(count(&|k| matches!(k, EventKind::CopyOutStarted { .. })) > 0);
+        let device =
+            |f: fn(&DeviceEvent) -> bool| count(&|k| matches!(k, EventKind::Device(e) if f(e)));
+        assert!(device(|e| matches!(e, DeviceEvent::CopyInStarted { .. })) > 0);
+        assert!(device(|e| matches!(e, DeviceEvent::ItemStarted { .. })) > 0);
+        assert!(device(|e| matches!(e, DeviceEvent::KernelFinished { .. })) > 0);
+        assert!(device(|e| matches!(e, DeviceEvent::CopyOutStarted { .. })) > 0);
+        assert!(device(|e| matches!(e, DeviceEvent::ItemFinished { .. })) > 0);
+        assert!(device(|e| matches!(e, DeviceEvent::Replan { .. })) > 0);
         // Event times never run backwards within the scheduler layer's own
         // emissions (device events interleave at span granularity).
         assert!(events.iter().all(|e| e.at <= horizon));

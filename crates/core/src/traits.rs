@@ -11,21 +11,6 @@
 //!   scheduler per device in fixed synchronization rounds, and
 //! * swept by the `scheduler_comparison` bench runner against the full
 //!   scenario grid.
-//!
-//! # Contract
-//!
-//! Implementations must be **deterministic**: the same construction inputs
-//! and the same call sequence must produce byte-identical outcomes (this is
-//! what lets the cluster pool run devices on any number of worker threads).
-//! Time never goes backwards: callers only pass non-decreasing targets to
-//! [`advance_to`](Scheduler::advance_to). Releases are only offered for
-//! tasks of the scheduler's own [`taskset`](Scheduler::taskset) (locally
-//! re-homed via [`adopt_task`](Scheduler::adopt_task) for guests).
-//!
-//! The provided [`run_span`](Scheduler::run_span) default is the one event
-//! loop — releases and device events interleaved in exact time order —
-//! shared by every policy, DARIS included, so a comparison between two
-//! schedulers compares *policies*, never loop plumbing.
 
 use daris_gpu::SimTime;
 use daris_workload::{ArrivalSource, Job, JobId, Priority, TaskId, TaskSet, TaskSpec};
@@ -35,9 +20,23 @@ use crate::{CoreError, ExperimentOutcome, Result};
 
 /// A deadline-aware scheduler bound to one simulated device.
 ///
-/// See the [module docs](self) for the determinism contract. The required
-/// methods are the primitive stepping surface; the provided methods compose
-/// them into the standard standalone run loops.
+/// The required methods are the primitive stepping surface; the provided
+/// methods compose them into the standard standalone run loops.
+///
+/// # Contract
+///
+/// Implementations must be **deterministic**: the same construction inputs
+/// and the same call sequence must produce byte-identical outcomes (this is
+/// what lets the cluster pool run devices on any number of worker threads).
+/// Time never goes backwards: callers only pass non-decreasing targets to
+/// [`advance_to`](Scheduler::advance_to). Releases are only offered for
+/// tasks of the scheduler's own [`taskset`](Scheduler::taskset) (locally
+/// re-homed via [`adopt_task`](Scheduler::adopt_task) for guests).
+///
+/// The provided [`run_span`](Scheduler::run_span) default is the one event
+/// loop — releases and device events interleaved in exact time order —
+/// shared by every policy, DARIS included, so a comparison between two
+/// schedulers compares *policies*, never loop plumbing.
 pub trait Scheduler {
     /// The scheduler's current simulated time.
     fn now(&self) -> SimTime;

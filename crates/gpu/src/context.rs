@@ -19,33 +19,15 @@ impl fmt::Display for ContextId {
     }
 }
 
-/// Read-only view of an MPS context's configuration and instantaneous state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ContextState {
-    /// The context id.
-    pub id: ContextId,
-    /// SM quota assigned at creation (Eq. 9 of the paper).
-    pub sm_quota: u32,
-    /// Streams created inside this context.
-    pub stream_count: usize,
-    /// Streams currently executing or launching a kernel.
-    pub busy_streams: usize,
-    /// SMs currently allocated to this context's kernels after contention
-    /// scaling (zero when the context is idle).
-    pub allocated_sms: f64,
-}
-
-/// Internal mutable context record.
+/// Internal context record.
 #[derive(Debug, Clone)]
 pub(crate) struct Context {
-    pub(crate) id: ContextId,
     pub(crate) sm_quota: u32,
-    pub(crate) streams: Vec<crate::StreamId>,
 }
 
 impl Context {
-    pub(crate) fn new(id: ContextId, sm_quota: u32) -> Self {
-        Context { id, sm_quota, streams: Vec::new() }
+    pub(crate) fn new(sm_quota: u32) -> Self {
+        Context { sm_quota }
     }
 }
 
@@ -61,11 +43,7 @@ mod tests {
     }
 
     #[test]
-    fn context_records_streams() {
-        let mut ctx = Context::new(ContextId(0), 34);
-        assert!(ctx.streams.is_empty());
-        ctx.streams.push(crate::StreamId(0));
-        assert_eq!(ctx.streams.len(), 1);
-        assert_eq!(ctx.sm_quota, 34);
+    fn context_keeps_its_quota() {
+        assert_eq!(Context::new(34).sm_quota, 34);
     }
 }

@@ -51,16 +51,16 @@ mod stream;
 mod time;
 mod trace;
 
-pub use context::{ContextId, ContextState};
-pub use engine::{Completion, Gpu, GpuUtilizationSample};
+pub use context::ContextId;
+pub use engine::{Completion, Gpu};
 pub use error::GpuError;
 pub use kernel::{KernelDesc, KernelId, KernelPhase, WorkItem, WorkItemId};
 pub use memory::{MemoryPool, MemoryStats};
 pub use rng::XorShiftRng;
 pub use spec::{GpuSpec, InterferenceModel};
-pub use stream::{StreamId, StreamState};
+pub use stream::StreamId;
 pub use time::{SimDuration, SimTime};
-pub use trace::{ReplanEvent, Trace, TraceEvent, TraceEventKind};
+pub use trace::DeviceEvent;
 
 /// Convenience result alias used across the crate.
 pub type Result<T, E = GpuError> = std::result::Result<T, E>;

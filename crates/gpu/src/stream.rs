@@ -23,31 +23,17 @@ impl fmt::Display for StreamId {
     }
 }
 
-/// Read-only view of a stream's instantaneous state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamState {
-    /// The stream id.
-    pub id: StreamId,
-    /// Context that owns the stream.
-    pub context: ContextId,
-    /// Work items queued (including the one currently executing).
-    pub queued_items: usize,
-    /// Whether any kernel of this stream is launching or computing right now.
-    pub busy: bool,
-}
-
 /// Internal mutable stream record.
 #[derive(Debug, Clone)]
 pub(crate) struct Stream {
-    pub(crate) id: StreamId,
     pub(crate) context: ContextId,
     /// FIFO of pending work items (front = currently active item).
     pub(crate) queue: VecDeque<WorkItemId>,
 }
 
 impl Stream {
-    pub(crate) fn new(id: StreamId, context: ContextId) -> Self {
-        Stream { id, context, queue: VecDeque::new() }
+    pub(crate) fn new(context: ContextId) -> Self {
+        Stream { context, queue: VecDeque::new() }
     }
 
     pub(crate) fn active_item(&self) -> Option<WorkItemId> {
@@ -67,7 +53,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let mut s = Stream::new(StreamId(0), ContextId(0));
+        let mut s = Stream::new(ContextId(0));
         assert!(s.active_item().is_none());
         s.queue.push_back(WorkItemId(1));
         s.queue.push_back(WorkItemId(2));

@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-use daris_gpu::SimTime;
+use daris_gpu::{DeviceEvent, SimTime};
 
 use crate::event::{EventKind, TelemetryEvent, CLUSTER_DEVICE, RACK_DEVICE_BASE};
 use crate::TelemetrySink;
@@ -167,24 +167,25 @@ impl Exporter {
     fn push(&mut self, ev: &TelemetryEvent) {
         let pid = pid_of(ev.device);
         match &ev.kind {
-            EventKind::CopyInStarted { tag, stream, context } => self.instant(
+            EventKind::Device(DeviceEvent::CopyInStarted { tag, stream, context }) => self.instant(
                 ev.at,
                 pid,
                 TID_COPY,
                 "copy-in",
                 &format!("\"tag\":{tag},\"stream\":{stream},\"ctx\":{context}"),
             ),
-            EventKind::CopyOutStarted { tag, stream, context } => self.instant(
-                ev.at,
-                pid,
-                TID_COPY,
-                "copy-out",
-                &format!("\"tag\":{tag},\"stream\":{stream},\"ctx\":{context}"),
-            ),
-            EventKind::ItemStarted { tag, stream, context } => {
+            EventKind::Device(DeviceEvent::CopyOutStarted { tag, stream, context }) => self
+                .instant(
+                    ev.at,
+                    pid,
+                    TID_COPY,
+                    "copy-out",
+                    &format!("\"tag\":{tag},\"stream\":{stream},\"ctx\":{context}"),
+                ),
+            EventKind::Device(DeviceEvent::ItemStarted { tag, stream, context }) => {
                 self.open_items.insert((ev.device, *tag), (ev.at, *context, *stream));
             }
-            EventKind::KernelFinished { tag, stream: _, context, label } => {
+            EventKind::Device(DeviceEvent::KernelFinished { tag, stream: _, context, label }) => {
                 let name = label.as_deref().unwrap_or("kernel");
                 self.instant(
                     ev.at,
@@ -194,7 +195,7 @@ impl Exporter {
                     &format!("\"tag\":{tag}"),
                 );
             }
-            EventKind::ItemFinished { tag, stream, context } => {
+            EventKind::Device(DeviceEvent::ItemFinished { tag, stream, context }) => {
                 match self.open_items.remove(&(ev.device, *tag)) {
                     Some((started, ctx, strm)) => self.span(
                         started,
@@ -213,7 +214,7 @@ impl Exporter {
                     ),
                 }
             }
-            EventKind::Replan { computing, utilization } => {
+            EventKind::Device(DeviceEvent::Replan { computing, utilization }) => {
                 self.counter(
                     ev.at,
                     pid,
@@ -477,19 +478,23 @@ mod tests {
             TelemetryEvent {
                 at: t(1),
                 device: 0,
-                kind: CopyInStarted { tag: 7, stream: 2, context: 1 },
+                kind: Device(DeviceEvent::CopyInStarted { tag: 7, stream: 2, context: 1 }),
             },
             TelemetryEvent {
                 at: t(2),
                 device: 0,
-                kind: ItemStarted { tag: 7, stream: 2, context: 1 },
+                kind: Device(DeviceEvent::ItemStarted { tag: 7, stream: 2, context: 1 }),
             },
             TelemetryEvent {
                 at: t(5),
                 device: 0,
-                kind: ItemFinished { tag: 7, stream: 2, context: 1 },
+                kind: Device(DeviceEvent::ItemFinished { tag: 7, stream: 2, context: 1 }),
             },
-            TelemetryEvent { at: t(5), device: 0, kind: Replan { computing: 1, utilization: 0.5 } },
+            TelemetryEvent {
+                at: t(5),
+                device: 0,
+                kind: Device(DeviceEvent::Replan { computing: 1, utilization: 0.5 }),
+            },
             TelemetryEvent {
                 at: t(6),
                 device: 1,

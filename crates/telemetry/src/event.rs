@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use daris_gpu::{SimDuration, SimTime};
+use daris_gpu::{DeviceEvent, SimDuration, SimTime};
 use daris_workload::{Priority, TaskId};
 
 /// Device index used for fleet-level events that do not belong to any single
@@ -92,60 +92,8 @@ impl fmt::Display for RoundPhase {
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     // ---- device layer (daris-gpu) ----
-    /// A work item's host-to-device copy claimed the copy engine.
-    CopyInStarted {
-        /// Caller tag of the work item (the scheduler's job tag).
-        tag: u64,
-        /// Stream the item runs on.
-        stream: u32,
-        /// Context owning the stream.
-        context: u32,
-    },
-    /// A work item's device-to-host copy claimed the copy engine.
-    CopyOutStarted {
-        /// Caller tag of the work item.
-        tag: u64,
-        /// Stream the item runs on.
-        stream: u32,
-        /// Context owning the stream.
-        context: u32,
-    },
-    /// A work item's first kernel started executing.
-    ItemStarted {
-        /// Caller tag of the work item.
-        tag: u64,
-        /// Stream the item runs on.
-        stream: u32,
-        /// Context owning the stream.
-        context: u32,
-    },
-    /// A kernel of a work item completed.
-    KernelFinished {
-        /// Caller tag of the work item.
-        tag: u64,
-        /// Stream the item runs on.
-        stream: u32,
-        /// Context owning the stream.
-        context: u32,
-        /// Kernel/layer label, when the model provides one.
-        label: Option<String>,
-    },
-    /// A work item (including its device-to-host copy) finished.
-    ItemFinished {
-        /// Caller tag of the work item.
-        tag: u64,
-        /// Stream the item runs on.
-        stream: u32,
-        /// Context owning the stream.
-        context: u32,
-    },
-    /// The water-filling allocator replanned SM allocations.
-    Replan {
-        /// Number of contexts computing after the replan.
-        computing: u32,
-        /// Fraction of physical SMs allocated after the replan (0.0–1.0).
-        utilization: f64,
-    },
+    /// A device event, carried verbatim from the engine's drain.
+    Device(DeviceEvent),
 
     // ---- scheduler layer (daris-core) ----
     /// A released job passed its admission test and was bound to a context.
@@ -351,12 +299,14 @@ impl EventKind {
     /// Stable lowercase name of the event kind (aggregation key).
     pub fn name(&self) -> &'static str {
         match self {
-            EventKind::CopyInStarted { .. } => "copy-in",
-            EventKind::CopyOutStarted { .. } => "copy-out",
-            EventKind::ItemStarted { .. } => "item-start",
-            EventKind::KernelFinished { .. } => "kernel",
-            EventKind::ItemFinished { .. } => "item-finish",
-            EventKind::Replan { .. } => "replan",
+            EventKind::Device(device) => match device {
+                DeviceEvent::CopyInStarted { .. } => "copy-in",
+                DeviceEvent::CopyOutStarted { .. } => "copy-out",
+                DeviceEvent::ItemStarted { .. } => "item-start",
+                DeviceEvent::KernelFinished { .. } => "kernel",
+                DeviceEvent::ItemFinished { .. } => "item-finish",
+                DeviceEvent::Replan { .. } => "replan",
+            },
             EventKind::AdmissionAccepted { .. } => "admit",
             EventKind::AdmissionRejected { .. } => "reject",
             EventKind::JobRejected { .. } => "drop",
@@ -392,8 +342,15 @@ mod tests {
 
     #[test]
     fn kind_names_are_stable() {
-        let kind = EventKind::Replan { computing: 1, utilization: 0.25 };
+        let kind = EventKind::Device(DeviceEvent::Replan { computing: 1, utilization: 0.25 });
         assert_eq!(kind.name(), "replan");
+        let kind = EventKind::Device(DeviceEvent::KernelFinished {
+            tag: 1,
+            stream: 0,
+            context: 0,
+            label: None,
+        });
+        assert_eq!(kind.name(), "kernel");
         let kind = EventKind::DeviceSpan { from: SimTime::ZERO, to: SimTime::from_millis(1) };
         assert_eq!(kind.name(), "device-span");
         let kind = EventKind::RackLoad { rack: 2, round: 7, backlog: 3, idle_streams: 1 };

@@ -28,21 +28,24 @@
 //!   `chrome://tracing`), one process per device, one track per context plus
 //!   scheduler/copy-engine/round tracks;
 //! * [`WindowedMetrics`] — time-windowed gauges (arrival rate, per-priority
-//!   queue depth, rolling deadline-miss rate, per-device utilization), the
-//!   signal the ROADMAP's burst-triggered load detector will consume.
+//!   queue depth, rolling deadline-miss rate, per-device utilization), so a
+//!   burst shows up as the windows where it happened.
+//!
+//! Device-layer events are [`DeviceEvent`]s, defined once in `daris-gpu`
+//! and carried verbatim as [`EventKind::Device`].
 //!
 //! # Example
 //!
 //! ```
 //! use daris_gpu::SimTime;
-//! use daris_telemetry::{EventKind, MemorySink, SinkHandle, TelemetryEvent};
+//! use daris_telemetry::{DeviceEvent, EventKind, MemorySink, SinkHandle, TelemetryEvent};
 //!
 //! let sink = MemorySink::unbounded();
 //! let handle = SinkHandle::new(sink.clone());
 //! handle.record(TelemetryEvent {
 //!     at: SimTime::from_millis(1),
 //!     device: 0,
-//!     kind: EventKind::Replan { computing: 2, utilization: 0.5 },
+//!     kind: EventKind::Device(DeviceEvent::Replan { computing: 2, utilization: 0.5 }),
 //! });
 //! assert_eq!(sink.len(), 1);
 //! ```
@@ -58,6 +61,7 @@ mod sink;
 mod windowed;
 
 pub use chrome::{ChromeTraceSink, CHROME_SCHEMA_VERSION};
+pub use daris_gpu::DeviceEvent;
 pub use event::{
     AdmissionTest, EventKind, RoundPhase, TelemetryEvent, CLUSTER_DEVICE, RACK_DEVICE_BASE,
 };

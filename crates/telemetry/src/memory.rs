@@ -70,16 +70,10 @@ impl MemorySink {
         self.lock().events.iter().cloned().collect()
     }
 
-    /// Removes and returns all buffered events in record order.
-    pub fn drain(&self) -> Vec<TelemetryEvent> {
-        self.lock().events.drain(..).collect()
-    }
-
-    /// Moves the whole buffer out in record order, leaving it empty. Same
-    /// observable result as [`drain`](MemorySink::drain), but swaps the
-    /// backing storage out wholesale instead of moving events one by one —
-    /// the cluster dispatcher's round merge uses this so per-round cost is a
-    /// pointer swap, not O(events).
+    /// Moves the whole buffer out in record order, leaving it empty. It
+    /// swaps the backing storage out wholesale instead of moving events one
+    /// by one — the cluster dispatcher's round merge uses this so per-round
+    /// cost is a pointer swap, not O(events).
     pub fn take_all(&self) -> Vec<TelemetryEvent> {
         std::mem::take(&mut self.lock().events).into()
     }
@@ -121,14 +115,14 @@ impl TelemetrySink for MemorySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventKind;
+    use crate::{DeviceEvent, EventKind};
     use daris_gpu::SimTime;
 
     fn event(at_us: u64) -> TelemetryEvent {
         TelemetryEvent {
             at: SimTime::from_micros(at_us),
             device: 0,
-            kind: EventKind::Replan { computing: 1, utilization: 0.1 },
+            kind: EventKind::Device(DeviceEvent::Replan { computing: 1, utilization: 0.1 }),
         }
     }
 
@@ -143,16 +137,6 @@ mod tests {
         let events = sink.events();
         assert_eq!(events[0].at, SimTime::from_micros(2));
         assert_eq!(events[1].at, SimTime::from_micros(3));
-    }
-
-    #[test]
-    fn drain_empties_the_buffer() {
-        let mut sink = MemorySink::unbounded();
-        sink.record(&event(1));
-        let drained = sink.drain();
-        assert_eq!(drained.len(), 1);
-        assert!(sink.is_empty());
-        assert_eq!(sink.recorded(), 1);
     }
 
     #[test]

@@ -79,14 +79,14 @@ impl PartialEq for SinkHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventKind, MemorySink};
+    use crate::{DeviceEvent, EventKind, MemorySink};
     use daris_gpu::SimTime;
 
     fn event() -> TelemetryEvent {
         TelemetryEvent {
             at: SimTime::from_micros(5),
             device: 0,
-            kind: EventKind::Replan { computing: 1, utilization: 0.5 },
+            kind: EventKind::Device(DeviceEvent::Replan { computing: 1, utilization: 0.5 }),
         }
     }
 

@@ -1,16 +1,14 @@
 //! Time-windowed aggregation: arrival rates, queue depths, rolling DMR and
 //! per-device utilization, bucketed into fixed sim-time windows.
 //!
-//! This is the signal shape the ROADMAP's burst-triggered load detector will
-//! consume: instead of one end-of-run scalar per metric, every window gets
-//! its own gauge values, so a burst shows up as the windows where
-//! high-priority queue depth spikes and the rolling deadline-miss rate
-//! collapses.
+//! Instead of one end-of-run scalar per metric, every window gets its own
+//! gauge values, so a burst shows up as the windows where high-priority
+//! queue depth spikes and the rolling deadline-miss rate collapses.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use daris_gpu::{SimDuration, SimTime};
+use daris_gpu::{DeviceEvent, SimDuration, SimTime};
 use daris_workload::Priority;
 
 use crate::event::{EventKind, TelemetryEvent};
@@ -293,7 +291,7 @@ impl TelemetrySink for WindowedMetrics {
                 }
                 state.bump_depth_peaks(at);
             }
-            EventKind::Replan { utilization, .. } => {
+            EventKind::Device(DeviceEvent::Replan { utilization, .. }) => {
                 let width = state.window.as_nanos().max(1);
                 let device = event.device;
                 let prev = state.util.insert(device, UtilTrack { since: at, value: *utilization });
@@ -363,8 +361,14 @@ mod tests {
     fn utilization_integrates_across_window_boundaries() {
         let mut sink = WindowedMetrics::new(SimDuration::from_millis(10));
         // 50% utilization from t=0 to t=15ms, then 100% to t=20ms.
-        sink.record(&ev(0, EventKind::Replan { computing: 1, utilization: 0.5 }));
-        sink.record(&ev(15, EventKind::Replan { computing: 2, utilization: 1.0 }));
+        sink.record(&ev(
+            0,
+            EventKind::Device(DeviceEvent::Replan { computing: 1, utilization: 0.5 }),
+        ));
+        sink.record(&ev(
+            15,
+            EventKind::Device(DeviceEvent::Replan { computing: 2, utilization: 1.0 }),
+        ));
         let snaps = sink.snapshots(SimTime::from_millis(20));
         assert_eq!(snaps.len(), 2);
         assert!((snaps[0].mean_utilization - 0.5).abs() < 1e-9);

@@ -125,8 +125,8 @@ impl Default for CorrelatedConfig {
     }
 }
 
-/// A deterministic seeded arrival generator (see the [module docs](self) for
-/// the math of each shape).
+/// A deterministic seeded arrival generator (the module docs of
+/// `generators.rs` give the math of each shape).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GenSpec {
     /// On/off MMPP-style bursts.

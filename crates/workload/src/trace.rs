@@ -201,7 +201,7 @@ impl fmt::Display for TraceError {
 impl Error for TraceError {}
 
 /// A validated, fully materialized release sequence: the serializable unit of
-/// the trace-driven workload path. See the [module docs](self) for the
+/// the trace-driven workload path. The module docs of `trace.rs` give the
 /// format and the lookahead contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
@@ -288,7 +288,8 @@ impl Trace {
         self.horizon
     }
 
-    /// The declared out-of-order bound (see the [module docs](self)).
+    /// The declared out-of-order bound (the lookahead contract in the module
+    /// docs of `trace.rs`).
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
     }

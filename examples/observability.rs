@@ -17,7 +17,7 @@
 use daris::core::{DarisConfig, DarisScheduler, GpuPartition, Scheduler};
 use daris::gpu::{SimDuration, SimTime};
 use daris::models::DnnKind;
-use daris::telemetry::{EventKind, MemorySink, SinkHandle, WindowedMetrics};
+use daris::telemetry::{DeviceEvent, EventKind, MemorySink, SinkHandle, WindowedMetrics};
 use daris::workload::{BurstyConfig, GenSpec, TaskSet};
 
 const HORIZON_MS: u64 = 300;
@@ -67,8 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for event in &recorded {
         match event.kind {
             EventKind::StageDispatched { .. } => dispatched += 1,
-            EventKind::KernelFinished { .. } => kernels += 1,
-            EventKind::Replan { .. } => replans += 1,
+            EventKind::Device(DeviceEvent::KernelFinished { .. }) => kernels += 1,
+            EventKind::Device(DeviceEvent::Replan { .. }) => replans += 1,
             _ => {}
         }
     }
