@@ -28,8 +28,7 @@ use crate::{ClusterError, Result};
 /// Each round boundary recomputes the next round's quantum from the fleet's
 /// mean active load `u ∈ [0, 1]` as `max - (max - min) · u`: an idle fleet
 /// runs `max`-length rounds, a saturated fleet `min`-length rounds. The
-/// static [`sync_quantum`](crate::ClusterConfig::sync_quantum) (clamped into
-/// the bounds) seeds the first round.
+/// static 1 ms quantum (clamped into the bounds) seeds the first round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElasticQuantum {
     /// Round length under full load. Must be non-zero and at most `max`.
@@ -47,8 +46,8 @@ impl Default for ElasticQuantum {
 }
 
 impl ElasticQuantum {
-    /// Rejects a zero `min` (a zero-length round cannot advance time, same
-    /// rule as [`ClusterError::ZeroSyncQuantum`]) and inverted bounds.
+    /// Rejects a zero `min` (a zero-length round cannot advance time) and
+    /// inverted bounds.
     pub fn validate(&self) -> Result<()> {
         if self.min.is_zero() {
             return Err(ClusterError::InvalidAdaptiveConfig(
@@ -106,7 +105,7 @@ pub struct AutoscaleConfig {
 
 impl Default for AutoscaleConfig {
     /// Keep at least one device; drain below 25% mean load, rejoin above
-    /// 75%; evaluate every 8 rounds (the default rebalance epoch).
+    /// 75%; evaluate every 8 rounds.
     fn default() -> Self {
         AutoscaleConfig { min_devices: 1, scale_up_ratio: 0.75, scale_down_ratio: 0.25, epoch: 8 }
     }

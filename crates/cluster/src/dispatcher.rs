@@ -23,7 +23,8 @@
 //!
 //! # Round protocol
 //!
-//! Simulated time is cut into rounds of [`ClusterConfig::sync_quantum`].
+//! Simulated time is cut into rounds of 1 ms (`SYNC_QUANTUM`; an
+//! [elastic quantum](ClusterConfig::elastic_quantum) varies it by load).
 //! Within a round `[t0, t1)` every device is **independent**: it runs its own
 //! event loop ([`Scheduler::run_span`]) over its own simulator events and
 //! the releases of its own placed tasks, each handled at its exact
@@ -34,19 +35,19 @@
 //!
 //! * **rack-local admission** — a job whose home device's admission test
 //!   (Eq. 11–12) rejected it mid-round is retried at the boundary on the
-//!   least-loaded [`ClusterConfig::retry_fanout`] other devices *of its
-//!   home rack*, adopting the task as a *guest* on first contact; only when
-//!   every consulted device refuses is the rejection charged to the home
+//!   four (`RETRY_FANOUT`) least-loaded other devices *of its home rack*,
+//!   adopting the task as a *guest* on first contact; only when every
+//!   consulted device refuses is the rejection charged to the home
 //!   device. Candidates come from an incrementally maintained
 //!   [load ordering](crate::rack) — O(fanout + log rack) per rejection
 //!   instead of an O(fleet) rescan;
 //! * **stage-boundary migration** — queued jobs that have not started their
 //!   first stage are pulled from devices with a backlog and no idle streams
 //!   onto devices of the same rack that are sitting idle;
-//! * **cross-rack rebalance** — every
-//!   [`ClusterConfig::rebalance_epoch`] rounds (and only with more than one
-//!   rack), racks exchange load summaries and queued-unstarted jobs migrate
-//!   across rack lines, in fixed rack/device-index order.
+//! * **cross-rack rebalance** — every eight rounds (`REBALANCE_EPOCH`,
+//!   and only with more than one rack), racks exchange load summaries and
+//!   queued-unstarted jobs migrate across rack lines, in fixed
+//!   rack/device-index order.
 //!
 //! With `racks = 1` (the default) the retry and migration domains span the
 //! whole fleet and the epoch phase never runs: the hierarchy degenerates to
@@ -98,6 +99,22 @@ use crate::{
 /// pathological ping-ponging (in practice a round moves at most a few jobs).
 const MAX_MIGRATIONS_PER_STEP: usize = 8;
 
+/// Length of one synchronization round: how often rejected releases are
+/// retried and queued jobs may migrate. With an
+/// [elastic quantum](ClusterConfig::elastic_quantum) it is clamped into the
+/// bounds to seed the first round.
+const SYNC_QUANTUM: SimDuration = SimDuration::from_millis(1);
+
+/// Rounds between cross-rack rebalances (only with more than one rack).
+const REBALANCE_EPOCH: u64 = 8;
+
+/// How many other devices of its home rack (ascending active-load order) a
+/// rejected job is retried on before the rejection is charged. Saturated
+/// fleets reject on the least-loaded device almost iff they reject
+/// everywhere, so a small fan-out keeps the boundary serial work O(1) per
+/// rejection instead of O(fleet).
+const RETRY_FANOUT: usize = 4;
+
 /// Cluster-level scheduling configuration, shared by every device scheduler.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -113,51 +130,24 @@ pub struct ClusterConfig {
     pub cluster_admission: bool,
     /// Migrate queued jobs from overloaded to idle devices.
     pub migration: bool,
-    /// Device the model profiles are calibrated against (the paper's
-    /// measurement device). Pinned fleet-wide so hardware speed emerges from
-    /// the simulation instead of being re-calibrated away.
-    pub reference_gpu: GpuSpec,
     /// Worker threads the dispatcher fans per-device simulation out to
     /// between synchronization rounds (and during construction). `1` runs
     /// serially on the caller's thread. Results are byte-identical at every
     /// thread count.
     pub threads: usize,
-    /// Length of one synchronization round: how often rejected releases are
-    /// retried and queued jobs may migrate. Shorter rounds react faster but
-    /// synchronize more often. Must not be zero —
-    /// [`ClusterDispatcher::new`] rejects a zero quantum with
-    /// [`ClusterError::ZeroSyncQuantum`].
-    pub sync_quantum: SimDuration,
     /// Number of racks the fleet is partitioned into (contiguous, balanced
     /// device spans). Admission retry and stage-boundary migration stay
     /// rack-local every round; racks exchange load summaries and queued
-    /// jobs only at [`rebalance_epoch`](Self::rebalance_epoch) boundaries.
-    /// `1` (the default) is flat dispatch over the whole fleet. Clamped to
+    /// jobs only every eighth round, when queued-unstarted jobs migrate from
+    /// backlogged devices to idle devices of *other* racks. `1` (the
+    /// default) is flat dispatch over the whole fleet. Clamped to
     /// `1..=devices`.
     pub racks: usize,
-    /// Rounds between cross-rack rebalances: at each epoch boundary the
-    /// dispatcher exchanges per-rack load summaries and migrates
-    /// queued-unstarted jobs from backlogged devices to idle devices of
-    /// *other* racks. Only meaningful with `racks > 1`; clamped to ≥ 1.
-    pub rebalance_epoch: u64,
-    /// Select retry candidates with the flat dispatcher's per-job O(rack)
-    /// load rescan instead of the incrementally maintained ordering. Both
-    /// paths are byte-identical — a debug assertion checks every selection
-    /// and a property test pins whole runs — so this exists purely as the
-    /// executable reference the hierarchy is validated against. Leave off.
-    pub reference_retry_scan: bool,
-    /// How many other devices (ascending active-load order) a rejected job is
-    /// retried on before the rejection is charged. Saturated fleets reject on
-    /// the least-loaded device almost iff they reject everywhere, so a small
-    /// fan-out keeps the boundary serial work O(1) per rejection instead of
-    /// O(fleet). `usize::MAX` restores exhaustive retries; `0` disables
-    /// retries entirely (like `cluster_admission: false`).
-    pub retry_fanout: usize,
     /// Load-elastic bounds for the synchronization quantum. When set, every
     /// round boundary recomputes the *next* round's length from the fleet's
     /// mean active load (a loaded fleet synchronizes often, an idle fleet
-    /// strides long rounds); the static [`sync_quantum`](Self::sync_quantum)
-    /// — clamped into the bounds — seeds the first round. Quantum changes
+    /// strides long rounds); the static 1 ms quantum — clamped into the
+    /// bounds — seeds the first round. Quantum changes
     /// apply only at round boundaries, so determinism is untouched: the
     /// round sequence is a pure function of simulated state. `None` (the
     /// default) keeps the quantum fixed.
@@ -168,9 +158,9 @@ pub struct ClusterConfig {
     /// drained device's pending releases are redirected through the
     /// rack-local retry path and its queued-unstarted jobs re-placed through
     /// the migration path, so autoscaling requires
-    /// [`cluster_admission`](Self::cluster_admission) with a non-zero
-    /// [`retry_fanout`](Self::retry_fanout) — rejected at construction
-    /// otherwise. `None` (the default) keeps every device online.
+    /// [`cluster_admission`](Self::cluster_admission) — rejected at
+    /// construction otherwise. `None` (the default) keeps every device
+    /// online.
     pub autoscale: Option<AutoscaleConfig>,
     /// Burst-triggered HP admission for every device scheduler (the
     /// adaptive alternative to the static [`hp_admission`](Self::hp_admission)
@@ -205,13 +195,8 @@ impl Default for ClusterConfig {
             hp_admission: false,
             cluster_admission: true,
             migration: true,
-            reference_gpu: GpuSpec::rtx_2080_ti(),
             threads: 1,
-            sync_quantum: SimDuration::from_millis(1),
             racks: 1,
-            rebalance_epoch: 8,
-            reference_retry_scan: false,
-            retry_fanout: 4,
             elastic_quantum: None,
             autoscale: None,
             adaptive_hpa: None,
@@ -284,8 +269,9 @@ pub struct DeviceSlot<'a> {
     pub spec: &'a DeviceSpec,
     /// The device's placed task set (device-local task ids).
     pub taskset: &'a TaskSet,
-    /// The fleet-wide reference calibration device
-    /// ([`ClusterConfig::reference_gpu`]).
+    /// The fleet-wide reference calibration device: the RTX 2080 Ti, the
+    /// paper's measurement device. Pinned fleet-wide so hardware speed
+    /// emerges from the simulation instead of being re-calibrated away.
     pub reference: &'a GpuSpec,
     /// Handle on the device's private telemetry buffer, present iff the
     /// cluster config carries a [`sink`](ClusterConfig::sink). Schedulers
@@ -324,11 +310,11 @@ impl ClusterDispatcher {
     ///
     /// # Errors
     ///
-    /// Fails on an empty cluster or task set, a zero
-    /// [`sync_quantum`](ClusterConfig::sync_quantum), an infeasible device
-    /// partition, or a device scheduler that cannot be built (e.g. a plan
-    /// whose model weights exceed device memory — the placement engine's
-    /// accounting prevents this for the shipped specs). With several failing
+    /// Fails on an empty cluster or task set, an infeasible device
+    /// partition, an invalid adaptive knob, or a device scheduler that
+    /// cannot be built (e.g. a plan whose model weights exceed device
+    /// memory — the placement engine's accounting prevents this for the
+    /// shipped specs). With several failing
     /// devices, the error reported is the lowest-indexed one.
     pub fn new(taskset: &TaskSet, cluster: ClusterSpec, config: ClusterConfig) -> Result<Self> {
         let window_size = config.window_size;
@@ -367,9 +353,8 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     ///
     /// # Errors
     ///
-    /// Fails on an empty cluster or task set, a zero
-    /// [`sync_quantum`](ClusterConfig::sync_quantum), an infeasible device
-    /// partition, or a factory error (wrapped in
+    /// Fails on an empty cluster or task set, an infeasible device
+    /// partition, an invalid adaptive knob, or a factory error (wrapped in
     /// [`ClusterError::Scheduler`] with the device's name). With several
     /// failing devices, the error reported is the lowest-indexed one.
     pub fn with_factory(
@@ -382,18 +367,15 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
         if taskset.is_empty() {
             return Err(ClusterError::EmptyTaskSet);
         }
-        if config.sync_quantum.is_zero() {
-            return Err(ClusterError::ZeroSyncQuantum);
-        }
         if let Some(elastic) = &config.elastic_quantum {
             elastic.validate()?;
         }
         if let Some(autoscale) = &config.autoscale {
             autoscale.validate()?;
-            if !config.cluster_admission || config.retry_fanout == 0 {
+            if !config.cluster_admission {
                 return Err(ClusterError::InvalidAdaptiveConfig(
                     "autoscaling redirects drained devices' releases through the admission \
-                     retry path; it requires cluster_admission with retry_fanout > 0"
+                     retry path; it requires cluster_admission"
                         .into(),
                 ));
             }
@@ -403,7 +385,8 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
                 ClusterError::InvalidAdaptiveConfig(format!("adaptive-HPA detector {reason}"))
             })?;
         }
-        let placement = place(taskset, &cluster, config.strategy, &config.reference_gpu);
+        let reference = GpuSpec::rtx_2080_ti();
+        let placement = place(taskset, &cluster, config.strategy, &reference);
 
         // One private buffer per device when a fleet sink is attached; the
         // user's sink itself is never handed to a device scheduler.
@@ -421,7 +404,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
                 index: device,
                 spec,
                 taskset: &plan.taskset,
-                reference: &config.reference_gpu,
+                reference: &reference,
                 sink: buffers[device].as_ref().map(|b| SinkHandle::new(b.clone())),
             })
             .map(Some)
@@ -536,13 +519,12 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
         // the static seed and every boundary may recompute it, but a
         // published round always runs to its published end.
         let mut quantum = match elastic {
-            Some(bounds) => bounds.clamp(self.config.sync_quantum),
-            None => self.config.sync_quantum,
+            Some(bounds) => bounds.clamp(SYNC_QUANTUM),
+            None => SYNC_QUANTUM,
         };
         let workers = self.config.threads.max(1).min(n.max(1));
         let mut racks = RackDispatcher::layout(n, self.config.racks);
         let rack_of = RackDispatcher::rack_of(&racks);
-        let rebalance_epoch = self.config.rebalance_epoch.max(1);
 
         let cells: Vec<DeviceCell<Sch, S>> = self
             .devices
@@ -672,7 +654,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
                     for span in spans {
                         self.rebalance(&fleet, span, &online, t1);
                     }
-                    if racks.len() > 1 && (round + 1) % rebalance_epoch == 0 {
+                    if racks.len() > 1 && (round + 1) % REBALANCE_EPOCH == 0 {
                         self.cross_rack_rebalance(&fleet, &racks, &rack_of, &online, t1, round);
                     }
                 }
@@ -813,15 +795,14 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
 
     /// Retries the round's home-rejected releases rack-locally (in device
     /// order, then release order): each job is offered to the
-    /// `retry_fanout` least-loaded other devices of its home rack, adopting
+    /// [`RETRY_FANOUT`] least-loaded other devices of its home rack, adopting
     /// the task as a guest on first contact; if every consulted device
     /// refuses, the rejection is charged to the home device — each job is
     /// accounted exactly once. Candidate selection walks each rack's
     /// incrementally maintained load ordering (rebuilt once per phase,
     /// re-keyed per consultation) — O(fanout + log rack) per rejection
-    /// instead of an O(rack) rescan; with
-    /// [`ClusterConfig::reference_retry_scan`] the old rescan runs instead,
-    /// and a debug assertion pins the two paths against each other. Returns
+    /// instead of an O(rack) rescan; a debug assertion checks every
+    /// selection against the rescan. Returns
     /// `(retry offers made, jobs charged as rejections)` — the first feeds
     /// the round's telemetry phase mark, the second the autoscaler's
     /// shed-work pressure signal.
@@ -839,7 +820,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
         if rejected.is_empty() {
             return (0, 0);
         }
-        let retrying = self.config.cluster_admission && self.config.retry_fanout > 0;
+        let retrying = self.config.cluster_admission;
         // Offline devices never show up as retry candidates (they receive no
         // new work); they can still be the charged home of a rejection.
         let fresh_loads = |span: Range<usize>| -> Vec<(usize, f64)> {
@@ -849,7 +830,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
                 })
                 .collect()
         };
-        if retrying && !self.config.reference_retry_scan {
+        if retrying {
             // Rebuild each retrying rack's ordering once for the phase;
             // within the phase a member's load only changes when a
             // consultation touches it, and `update` below re-keys exactly
@@ -869,18 +850,16 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
                 let global = self.devices[home].global_of_local[job.id.task.index()];
                 let mut admitted = false;
                 if retrying {
-                    let fanout = self.config.retry_fanout;
-                    let candidates = if self.config.reference_retry_scan {
-                        LoadOrder::naive_select(&fresh_loads(rack.span.clone()), home, fanout)
-                    } else {
-                        let selected = rack.order.select(home, fanout);
-                        debug_assert_eq!(
-                            selected,
-                            LoadOrder::naive_select(&fresh_loads(rack.span.clone()), home, fanout),
-                            "incremental load order diverged from a fresh rescan"
-                        );
-                        selected
-                    };
+                    let candidates = rack.order.select(home, RETRY_FANOUT);
+                    debug_assert_eq!(
+                        candidates,
+                        LoadOrder::naive_select(
+                            &fresh_loads(rack.span.clone()),
+                            home,
+                            RETRY_FANOUT
+                        ),
+                        "incremental load order diverged from a fresh rescan"
+                    );
                     for device in candidates {
                         let Some(local) = self.local_id_on(fleet, device, global) else { continue };
                         self.catch_up(fleet, device, now);
@@ -1041,20 +1020,25 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
         None
     }
 
-    /// Stage-boundary migration within one rack's device span: while some
-    /// device has a backlog it cannot serve (no idle stream) and another
-    /// device of the same rack sits idle, move queued not-yet-started jobs
-    /// over (least urgent first, admission-tested on the receiver). Devices
-    /// a migration lands on are caught up to `now` first.
-    fn rebalance<S: ArrivalSource>(
+    /// The selection loop both migration phases share. While some device of
+    /// `domain` has a backlog it cannot serve (no idle stream), the most
+    /// backlogged one hands a queued not-yet-started job (least urgent
+    /// first, admission-tested on the receiver) to the idlest online device
+    /// of `domain` that has no backlog and passes `may_receive(src, dst)`;
+    /// at most [`MAX_MIGRATIONS_PER_STEP`] moves. Devices a migration lands
+    /// on are caught up to `now` first. Returns the moves in order as
+    /// `(src, dst, global task index, release index)`.
+    fn migrate<S: ArrivalSource>(
         &mut self,
         fleet: &FleetCells<Sch, S>,
-        span: Range<usize>,
+        domain: Range<usize>,
         online: &[bool],
         now: SimTime,
-    ) {
+        may_receive: impl Fn(usize, usize) -> bool,
+    ) -> Vec<(usize, usize, usize, u64)> {
+        let mut moves = Vec::new();
         for _ in 0..MAX_MIGRATIONS_PER_STEP {
-            let stats = Self::pressure_stats(fleet, span.clone());
+            let stats = Self::pressure_stats(fleet, domain.clone());
             let Some(src) = stats
                 .iter()
                 .filter(|&&(_, backlog, idle)| backlog > 0 && idle == 0)
@@ -1067,7 +1051,9 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
             // never receives migrated work (dst).
             let Some(dst) = stats
                 .iter()
-                .filter(|&&(d, backlog, idle)| d != src && online[d] && backlog == 0 && idle > 0)
+                .filter(|&&(d, backlog, idle)| {
+                    d != src && online[d] && backlog == 0 && idle > 0 && may_receive(src, d)
+                })
                 .max_by_key(|&&(d, _, idle)| (idle, usize::MAX - d))
                 .map(|&(d, ..)| d)
             else {
@@ -1077,6 +1063,21 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
             else {
                 break;
             };
+            moves.push((src, dst, global, release_index));
+        }
+        moves
+    }
+
+    /// Stage-boundary migration within one rack's device span.
+    fn rebalance<S: ArrivalSource>(
+        &mut self,
+        fleet: &FleetCells<Sch, S>,
+        span: Range<usize>,
+        online: &[bool],
+        now: SimTime,
+    ) {
+        for (src, dst, global, release_index) in self.migrate(fleet, span, online, now, |_, _| true)
+        {
             self.migrations += 1;
             self.emit(CLUSTER_DEVICE, now, || EventKind::Migration {
                 task: TaskId(global as u32),
@@ -1240,30 +1241,10 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
         if !any_backlog || !any_idle {
             return;
         }
-        for _ in 0..MAX_MIGRATIONS_PER_STEP {
-            let stats = Self::pressure_stats(fleet, 0..fleet.len());
-            let Some(src) = stats
-                .iter()
-                .filter(|&&(_, backlog, idle)| backlog > 0 && idle == 0)
-                .max_by_key(|&&(d, backlog, _)| (backlog, usize::MAX - d))
-                .map(|&(d, ..)| d)
-            else {
-                break;
-            };
-            let Some(dst) = stats
-                .iter()
-                .filter(|&&(d, backlog, idle)| {
-                    rack_of[d] != rack_of[src] && online[d] && backlog == 0 && idle > 0
-                })
-                .max_by_key(|&&(d, _, idle)| (idle, usize::MAX - d))
-                .map(|&(d, ..)| d)
-            else {
-                break;
-            };
-            let Some((global, release_index)) = self.transfer_queued_job(fleet, src, dst, now)
-            else {
-                break;
-            };
+        let across_racks = |src: usize, dst: usize| rack_of[src] != rack_of[dst];
+        for (src, dst, global, release_index) in
+            self.migrate(fleet, 0..fleet.len(), online, now, across_racks)
+        {
             self.cross_rack_migrations += 1;
             let (from_rack, to_rack) = (rack_of[src] as u32, rack_of[dst] as u32);
             self.emit(CLUSTER_DEVICE, now, || EventKind::RackMigration {

@@ -30,9 +30,6 @@ pub enum ClusterError {
     },
     /// A workload trace could not be replayed on this cluster.
     Trace(TraceError),
-    /// `ClusterConfig::sync_quantum` is zero. A zero-length round can never
-    /// advance simulated time; rejected loudly instead of silently clamped.
-    ZeroSyncQuantum,
     /// A [`RunSpec`](daris_core::RunSpec) cannot be executed on a cluster
     /// (e.g. it has no horizon, or its replay horizon does not match the
     /// trace).
@@ -55,9 +52,6 @@ impl fmt::Display for ClusterError {
                 write!(f, "scheduler for device '{device}' failed: {source}")
             }
             ClusterError::Trace(source) => write!(f, "workload trace error: {source}"),
-            ClusterError::ZeroSyncQuantum => {
-                write!(f, "sync_quantum must be non-zero (a zero-length round cannot advance time)")
-            }
             ClusterError::InvalidRunSpec(reason) => {
                 write!(f, "run spec cannot be executed on a cluster: {reason}")
             }
@@ -96,8 +90,5 @@ mod tests {
         let t = ClusterError::Trace(TraceError::Parse { line: 1, reason: "bad".into() });
         assert!(t.to_string().contains("trace"));
         assert!(t.source().is_some());
-        let q = ClusterError::ZeroSyncQuantum;
-        assert!(q.to_string().contains("sync_quantum"));
-        assert!(q.source().is_none());
     }
 }

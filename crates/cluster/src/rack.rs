@@ -4,11 +4,11 @@
 //! ([`rack_spans`]). Within each sync round, admission retry and
 //! stage-boundary migration are *rack-local*: a [`RackDispatcher`] confines
 //! both to its own device span, so per-round boundary work scales with rack
-//! size, not fleet size. Racks interact only at the coarser
-//! [`rebalance_epoch`](crate::ClusterConfig::rebalance_epoch) boundary,
-//! where the top-level dispatcher exchanges per-rack load summaries and
-//! migrates queued-unstarted jobs across rack lines — in fixed rack/device
-//! index order, so the hierarchy preserves the byte-identical guarantee.
+//! size, not fleet size. Racks interact only at the coarser rebalance epoch
+//! (every eighth round), where the top-level dispatcher exchanges per-rack
+//! load summaries and migrates queued-unstarted jobs across rack lines — in
+//! fixed rack/device index order, so the hierarchy preserves the
+//! byte-identical guarantee.
 //!
 //! With one rack the hierarchy degenerates to the flat dispatcher exactly:
 //! the single rack spans the whole fleet and the cross-rack phase never
@@ -94,9 +94,7 @@ impl LoadOrder {
     }
 
     /// The selection a full rescan would produce: the debug-build oracle
-    /// [`select`](Self::select) is checked against, and the reference path
-    /// `ClusterConfig::reference_retry_scan` runs in release builds to pin
-    /// the hierarchy against the flat dispatcher.
+    /// [`select`](Self::select) is checked against on every retry.
     pub fn naive_select(loads: &[(usize, f64)], home: usize, fanout: usize) -> Vec<usize> {
         let mut candidates: Vec<(f64, usize)> =
             loads.iter().filter(|(d, _)| *d != home).map(|(d, l)| (*l, *d)).collect();

@@ -24,15 +24,16 @@ pub enum ReleaseJitter {
     },
 }
 
-/// The jitter generator of one delay *stream*: `seed` mixed with the stream
-/// key through a splitmix64 finalizer. Each stream draws its delays
-/// independently, so the eager [`ArrivalPlan`] (task-major generation) and
-/// the lazy [`ArrivalStream`] (time-ordered generation) produce
-/// byte-identical delays without sharing generator state across tasks — and
-/// a cluster dispatcher can key a device-local task by its *global* index to
-/// reproduce the exact delay stream a single device would draw (the jitter
-/// analogue of [`GenSpec::stream_keyed`](crate::GenSpec::stream_keyed)).
-fn jitter_rng(seed: u64, key: u64) -> XorShiftRng {
+/// The generator of one keyed random *stream*: `seed` mixed with the stream
+/// key through a splitmix64 finalizer. Release jitter and the seeded
+/// generators both draw from it. Each stream draws independently, so the
+/// eager [`ArrivalPlan`] (task-major generation) and the lazy
+/// [`ArrivalStream`] (time-ordered generation) produce byte-identical delays
+/// without sharing generator state across tasks — and a cluster dispatcher
+/// can key a device-local task by its *global* index to reproduce the exact
+/// stream a single device would draw (see
+/// [`GenSpec::stream_keyed`](crate::GenSpec::stream_keyed)).
+pub(crate) fn keyed_rng(seed: u64, key: u64) -> XorShiftRng {
     let mut z = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(key.wrapping_add(1));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -42,7 +43,7 @@ fn jitter_rng(seed: u64, key: u64) -> XorShiftRng {
 /// The standalone per-task jitter generator: the stream key is the task's
 /// own id.
 fn task_jitter_rng(seed: u64, task: TaskId) -> XorShiftRng {
-    jitter_rng(seed, u64::from(task.0))
+    keyed_rng(seed, u64::from(task.0))
 }
 
 /// The uniform delay drawn for one release. Inclusion of a job is decided on
@@ -257,7 +258,7 @@ impl<'a> ArrivalStream<'a> {
                 let mut states = Vec::with_capacity(tasks.len());
                 for (task, &key) in tasks.tasks().iter().zip(keys) {
                     let mut state = TaskJitterState {
-                        rng: jitter_rng(seed, key),
+                        rng: keyed_rng(seed, key),
                         max,
                         next_index: 0,
                         buffer: BinaryHeap::new(),

@@ -20,16 +20,11 @@
 //! the property the cluster's byte-identity digests rely on when the
 //! control plane is enabled.
 //!
-//! Any [`ArrivalSource`] can be metered by wrapping it in a
-//! [`MeteredSource`], which observes each job as it is pulled; a scheduler
-//! that applies its own admission policy per release (like
-//! `DarisScheduler`) instead feeds the detector directly from its release
-//! path so the signal is available at admission time.
+//! A consumer feeds the detector one [`observe`](LoadDetector::observe)
+//! per release: `DarisScheduler` does so from its release path, so the
+//! signal is available at admission time.
 
 use daris_gpu::{SimDuration, SimTime};
-
-use crate::trace::ArrivalSource;
-use crate::Job;
 
 /// Configuration of a [`LoadDetector`]: window width plus the two
 /// hysteresis thresholds, expressed as ratios of the workload's nominal
@@ -148,7 +143,7 @@ impl LoadDetector {
     /// threshold).
     ///
     /// Observations are expected in non-decreasing time order (the order
-    /// any [`ArrivalSource`] emits them); an instant from an
+    /// any [`ArrivalSource`](crate::ArrivalSource) emits them); an instant from an
     /// already-evaluated window is counted into the currently open window
     /// rather than reopening history.
     pub fn observe(&mut self, at: SimTime) -> bool {
@@ -207,45 +202,6 @@ impl LoadDetector {
             self.burst = false;
             self.transitions += 1;
         }
-    }
-}
-
-/// An [`ArrivalSource`] adapter that meters every job it hands out through
-/// a [`LoadDetector`], so any source — periodic streams, seeded
-/// generators, trace replays — exposes a burst signal without the consumer
-/// changing.
-#[derive(Debug, Clone)]
-pub struct MeteredSource<S> {
-    inner: S,
-    detector: LoadDetector,
-}
-
-impl<S: ArrivalSource> MeteredSource<S> {
-    /// Wraps `inner`, observing each pulled job's release instant.
-    pub fn new(inner: S, detector: LoadDetector) -> Self {
-        MeteredSource { inner, detector }
-    }
-
-    /// The detector, for reading the burst signal mid-run.
-    pub fn detector(&self) -> &LoadDetector {
-        &self.detector
-    }
-
-    /// Unwraps into the source and the detector's final state.
-    pub fn into_inner(self) -> (S, LoadDetector) {
-        (self.inner, self.detector)
-    }
-}
-
-impl<S: ArrivalSource> ArrivalSource for MeteredSource<S> {
-    fn next_release(&self) -> Option<SimTime> {
-        self.inner.next_release()
-    }
-
-    fn next_job(&mut self) -> Option<Job> {
-        let job = self.inner.next_job()?;
-        self.detector.observe(job.release);
-        Some(job)
     }
 }
 
@@ -358,33 +314,11 @@ mod tests {
     #[test]
     fn the_bursty_generator_trips_the_default_thresholds() {
         let ts = TaskSet::table2(DnnKind::UNet);
-        let stream =
-            GenSpec::Bursty(BurstyConfig::default()).stream(&ts, SimTime::from_millis(400));
-        let mut metered = MeteredSource::new(
-            stream,
-            LoadDetector::new(LoadDetectorConfig::default(), ts.offered_jps()),
-        );
-        while metered.next_job().is_some() {}
-        let (_, det) = metered.into_inner();
-        assert!(det.transitions() >= 2, "on/off segments must flip the signal, got {det:?}");
-    }
-
-    #[test]
-    fn metered_source_is_transparent() {
-        let ts = TaskSet::table2(DnnKind::UNet);
-        let horizon = SimTime::from_millis(50);
-        let plain: Vec<Job> = ArrivalStream::new(&ts, horizon).collect();
-        let mut metered = MeteredSource::new(
-            ArrivalStream::new(&ts, horizon),
-            LoadDetector::new(LoadDetectorConfig::default(), ts.offered_jps()),
-        );
-        let mut seen = Vec::new();
-        while let Some(next) = metered.next_release() {
-            let job = metered.next_job().expect("peeked release implies a job");
-            assert_eq!(job.release, next);
-            seen.push(job);
+        let mut det = LoadDetector::new(LoadDetectorConfig::default(), ts.offered_jps());
+        for job in GenSpec::Bursty(BurstyConfig::default()).stream(&ts, SimTime::from_millis(400)) {
+            det.observe(job.release);
         }
-        assert_eq!(plain, seen, "metering must not perturb the stream");
+        assert!(det.transitions() >= 2, "on/off segments must flip the signal, got {det:?}");
     }
 
     #[test]

@@ -45,6 +45,7 @@ use std::f64::consts::TAU;
 
 use daris_gpu::{SimDuration, SimTime, XorShiftRng};
 
+use crate::arrivals::keyed_rng;
 use crate::{ArrivalSource, Job, JobId, TaskId, TaskSet, TaskSpec, Trace};
 
 /// Configuration of the bursty (on/off MMPP-style) generator.
@@ -243,7 +244,7 @@ impl GenSpec {
     fn init_state(&self, task: &TaskSpec, key: u64) -> GenState {
         match *self {
             GenSpec::Bursty(c) => {
-                let mut rng = stream_rng(c.seed, key);
+                let mut rng = keyed_rng(c.seed, key);
                 let fast_period =
                     SimDuration::from_micros_f64(task.period.as_micros_f64() / c.burst_rate)
                         .max(SimDuration::from_nanos(1));
@@ -261,7 +262,7 @@ impl GenSpec {
                 }
             }
             GenSpec::Diurnal(c) => {
-                let mut rng = stream_rng(c.seed, key);
+                let mut rng = keyed_rng(c.seed, key);
                 // `phase_spread == 1.0` multiplies the draw by exactly 1.0,
                 // so the default reproduces the historical phase bit for bit.
                 GenState::Diurnal {
@@ -276,7 +277,7 @@ impl GenSpec {
                 let group = key % u64::from(c.groups);
                 // The group RNG: every member derives the identical instant
                 // sequence independently of which device it lands on.
-                let rng = stream_rng(c.seed ^ 0x9209_55ED_C077_E147, group);
+                let rng = keyed_rng(c.seed ^ 0x9209_55ED_C077_E147, group);
                 let next = SimTime::ZERO + c.group_period * group / u64::from(c.groups);
                 GenState::Correlated {
                     rng,
@@ -323,16 +324,6 @@ fn dwell(rng: &mut XorShiftRng, mean: SimDuration) -> SimDuration {
     let u = rng.next_f64();
     let factor = (-(1.0 - u).ln()).clamp(0.1, 6.0);
     mean.mul_f64(factor).max(SimDuration::from_nanos(1))
-}
-
-/// The per-task stream RNG: `seed` mixed with the task's stream key through
-/// a splitmix64 finalizer (the same derivation shape as the jitter RNG in
-/// `arrivals`, keyed by an explicit u64 so keys can outlive local task ids).
-fn stream_rng(seed: u64, key: u64) -> XorShiftRng {
-    let mut z = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(key.wrapping_add(1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    XorShiftRng::new(z ^ (z >> 31))
 }
 
 impl GenState {

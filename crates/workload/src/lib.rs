@@ -43,7 +43,7 @@ mod taskset;
 mod trace;
 
 pub use arrivals::{ArrivalPlan, ArrivalStream, ReleaseJitter};
-pub use detector::{LoadDetector, LoadDetectorConfig, MeteredSource};
+pub use detector::{LoadDetector, LoadDetectorConfig};
 pub use generators::{BurstyConfig, CorrelatedConfig, DiurnalConfig, GenSpec, GeneratedStream};
 pub use task::{Job, JobId, Priority, TaskId, TaskSpec};
 pub use taskset::{RatioScenario, TaskSet, TaskSetBuilder};

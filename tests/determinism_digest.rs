@@ -11,7 +11,7 @@
 //! here, without needing a cross-process harness.
 
 use daris::cluster::{
-    AutoscaleConfig, ClusterConfig, ClusterDispatcher, ClusterSpec, ElasticQuantum,
+    AutoscaleConfig, ClusterConfig, ClusterDispatcher, ClusterSpec, DeviceSpec, ElasticQuantum,
     PlacementStrategy,
 };
 use daris::core::{GpuPartition, RunSpec};
@@ -83,18 +83,24 @@ fn hetero_bursty_digest_is_thread_count_invariant() {
     assert_eq!(serial, run_once(1), "two serial runs diverged in one process");
 }
 
-/// The multi-rack variant of the scenario: a 16-device heterogeneous fleet
-/// cut into 4 racks with a short rebalance epoch, so every hierarchical
+/// The multi-rack variant of the scenario: 16 RTX 2080 Tis in 4 racks, the
+/// first rack single-stream devices that back up under bursts and the other
+/// twelve 6-context MPS devices with room to spare. Every hierarchical
 /// phase — rack-local retry on the incremental load ordering, rack-local
-/// migration, and the cross-rack epoch exchange — actually runs.
+/// migration, and the cross-rack epoch exchange — moves work here, and the
+/// run asserts that each of them did.
 fn run_racked(threads: usize) -> u64 {
-    let taskset = TaskSet::table2_scaled(DnnKind::ResNet18, 6);
-    let fleet = ClusterSpec::heterogeneous_mix(16);
+    let taskset = TaskSet::table2_scaled(DnnKind::ResNet18, 10);
+    let fleet = (0..16u64).fold(ClusterSpec::new(), |fleet, d| {
+        let partition =
+            if d < 4 { GpuPartition::str_streams(1) } else { GpuPartition::mps(6, 6.0) };
+        let gpu = GpuSpec::rtx_2080_ti().with_seed(0x5eed_0000 + d);
+        fleet.with_device(DeviceSpec::new(format!("gpu{d}"), gpu, partition))
+    });
     let config = ClusterConfig {
         strategy: PlacementStrategy::GreedyBalance,
         threads,
         racks: 4,
-        rebalance_epoch: 4,
         ..Default::default()
     };
     let horizon = SimTime::from_millis(daris_bench::horizon_capped_ms(150));
@@ -103,8 +109,12 @@ fn run_racked(threads: usize) -> u64 {
         .expect("valid 16-device 4-rack configuration")
         .run(&RunSpec::generated(spec).until(horizon))
         .expect("spec runs");
-    assert!(outcome.summary.total.completed > 0, "scenario must do real work");
-    assert_eq!(outcome.summary.racks, 4);
+    let summary = &outcome.summary;
+    assert!(summary.total.completed > 0, "scenario must do real work");
+    assert_eq!(summary.racks, 4);
+    assert!(summary.cluster_admissions > 0, "rack-local retry must admit work: {summary:?}");
+    assert!(summary.migrations > 0, "rack-local migration must move work: {summary:?}");
+    assert!(summary.cross_rack_migrations > 0, "the epoch phase must move work: {summary:?}");
     outcome.summary_hash()
 }
 
