@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # daris-baselines
 //!
 //! The comparison schedulers used by the DARIS paper's evaluation, all

@@ -83,6 +83,7 @@ fn main() -> ExitCode {
         "Simulated horizon per configuration: {:.1} s\n",
         daris_bench::horizon().as_secs_f64()
     );
+    #[allow(clippy::disallowed_methods)] // independent sections, printed in a fixed order
     let reports: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = sections.into_iter().map(|(_, f)| scope.spawn(f)).collect();
         handles.into_iter().map(|h| h.join().expect("experiment section panicked")).collect()

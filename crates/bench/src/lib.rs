@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # daris-bench
 //!
 //! Experiment runners that regenerate every table and figure of the DARIS

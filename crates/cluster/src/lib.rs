@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # daris-cluster
 //!
 //! Fleet-scale DARIS: shards a real-time DNN inference

@@ -1,6 +1,7 @@
 //! The sanctioned worker pool: every thread the cluster crate ever spawns
-//! is spawned here (`daris-lint` rule D004 pins this file as the only legal
-//! spawn site).
+//! is spawned here. Determinism rule D004 bans `std::thread` spawns in
+//! `clippy.toml`, so the two `std::thread::scope` calls below carry
+//! reasoned allows.
 //!
 //! Two fan-out shapes live behind this module's API:
 //!
@@ -107,6 +108,7 @@ pub(crate) fn build_striped<T: Send>(
     }
     let mut out: Vec<Option<T>> = Vec::new();
     out.resize_with(n, || None);
+    #[allow(clippy::disallowed_methods)] // sanctioned spawn site: results land by index
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
@@ -215,6 +217,7 @@ fn worker_loop<Sch: Scheduler, S: ArrivalSource>(
 /// caller's thread — the serial and parallel paths issue the identical
 /// per-device call sequence, which is what makes results thread-count
 /// invariant.
+#[allow(clippy::disallowed_methods)] // sanctioned spawn site: the scope is this function's tail
 pub(crate) fn drive_rounds<Sch: Scheduler + Send, S: ArrivalSource + Send, R>(
     fleet: &FleetCells<Sch, S>,
     workers: usize,

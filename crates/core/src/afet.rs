@@ -166,7 +166,6 @@ fn measure_full_load(
     }
     Ok(sums
         .into_iter()
-        // daris-lint: allow(D005, reason = "mean of per-repetition micros; REPETITIONS is a small exact-in-f64 constant and the result re-enters integer time via the rounding from_micros_f64 constructor")
         .map(|total| SimDuration::from_micros_f64(total / REPETITIONS as f64))
         .collect())
 }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # daris-core
 //!
 //! The DARIS scheduler: a deadline-aware, priority-based, spatio-temporal

@@ -32,7 +32,6 @@ pub fn virtual_deadlines(
     let mut cumulative = Vec::with_capacity(n);
     let mut acc = 0.0;
     for (j, mret) in stage_mrets.iter().enumerate() {
-        // daris-lint: allow(D005, reason = "n is a stage count (small exact-in-f64 integer); the share is a deterministic ratio evaluated in a fixed stage order, not accumulated time")
         let share = if total > 0.0 { mret.as_micros_f64() / total } else { 1.0 / n as f64 };
         acc += share * deadline_us;
         if j + 1 == n {

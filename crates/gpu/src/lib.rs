@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # daris-gpu
 //!
 //! A discrete-event simulator of an NVIDIA-style GPU as seen by an inference
@@ -78,6 +77,7 @@ pub fn ceil_even(value: f64) -> u32 {
     if value <= 0.0 {
         return 0;
     }
+    #[allow(clippy::cast_sign_loss)] // `value` is positive here; an SM count, not time
     let c = value.ceil() as u32;
     if c % 2 == 0 {
         c

@@ -48,12 +48,6 @@ impl SimTime {
         SimTime(ms.saturating_mul(1_000_000))
     }
 
-    /// Creates an instant from a floating-point number of seconds.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        // daris-lint: allow(D005, reason = "this IS the sanctioned float->time entry point: rounds to the nearest exact integer nanosecond before the cast")
-        SimTime((secs.max(0.0) * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -110,11 +104,11 @@ impl SimDuration {
     /// Creates a duration from a floating-point number of microseconds.
     ///
     /// Negative or non-finite inputs clamp to zero.
+    #[allow(clippy::cast_sign_loss)] // the float->time entry point; casts only finite `us > 0`
     pub fn from_micros_f64(us: f64) -> Self {
         if !us.is_finite() || us <= 0.0 {
             return SimDuration::ZERO;
         }
-        // daris-lint: allow(D005, reason = "this IS the sanctioned float->duration entry point: rounds to the nearest exact integer nanosecond before the cast")
         SimDuration((us * 1e3).round() as u64)
     }
 
@@ -248,7 +242,6 @@ mod tests {
         assert_eq!(d.as_nanos(), 3_000_000);
         let t = SimTime::from_micros(1_500);
         assert_eq!(t.as_millis_f64(), 1.5);
-        assert_eq!(SimTime::from_secs_f64(0.25).as_millis_f64(), 250.0);
     }
 
     #[test]

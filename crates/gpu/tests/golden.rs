@@ -191,7 +191,7 @@ fn trace_hash(completions: &[Completion]) -> u64 {
 /// byte-identical. Each fresh engine would get fresh (per-process-random)
 /// hasher state if those maps ever regressed to `HashMap` and iteration order
 /// leaked into the results — this repeated-run hash test is the dynamic pin
-/// for daris-lint rule D001 (see crates/lint).
+/// for determinism rule D001 (the `disallowed-types` ban in `clippy.toml`).
 #[test]
 fn repeated_runs_hash_identically() {
     let run_once = || {

@@ -161,7 +161,6 @@ impl Accumulator {
     fn finish(self) -> PrioritySummary {
         let accepted = self.released - self.rejected;
         let miss_rate =
-            // daris-lint: allow(D005, reason = "ratio of integer job counters for reporting; no time quantity is cast")
             if accepted == 0 { 0.0 } else { self.deadline_misses as f64 / accepted as f64 };
         PrioritySummary {
             released: self.released,
@@ -216,7 +215,6 @@ impl PrioritySummary {
             responses.push(&p.response);
         }
         out.deadline_miss_rate =
-            // daris-lint: allow(D005, reason = "ratio of integer job counters for reporting; no time quantity is cast")
             if out.accepted == 0 { 0.0 } else { out.deadline_misses as f64 / out.accepted as f64 };
         out.response = ResponseStats::merged(responses);
         out

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # daris-metrics
 //!
 //! Metrics collection and reporting for the DARIS reproduction. The paper

@@ -90,13 +90,13 @@ impl ResponseStats {
         let count = sorted.len();
         let sum: f64 = sorted.iter().sum();
         let percentile = |p: f64| -> f64 {
+            #[allow(clippy::cast_sign_loss)] // p in [0, 1] and count >= 1: a non-negative rank
             let rank = (p * (count as f64 - 1.0)).round() as usize;
             sorted[rank.min(count - 1)]
         };
         ResponseStats {
             count,
             min_ms: sorted[0],
-            // daris-lint: allow(D005, reason = "mean over an already-sorted Vec; count is an integer cardinality, not a time value")
             mean_ms: sum / count as f64,
             p50_ms: percentile(0.50),
             p95_ms: percentile(0.95),

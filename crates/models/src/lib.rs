@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # daris-models
 //!
 //! DNN workload models for the DARIS reproduction: layer-level descriptions

@@ -57,6 +57,7 @@ impl LoweringConfig {
     pub fn lower(&self, layer: &Layer, batch: u32, work_scale: f64, par_scale: f64) -> KernelDesc {
         let work = (self.raw_work(layer, batch) * work_scale).max(1e-3);
         let par = (self.raw_parallelism(layer, batch) * par_scale).ceil();
+        #[allow(clippy::cast_sign_loss)] // `par` is a non-negative block count, clamped below
         let parallelism =
             (par as u32).clamp(self.min_parallelism.max(1), self.max_parallelism.max(1));
         KernelDesc::new(work, parallelism)
@@ -126,7 +127,9 @@ mod tests {
         for batch in [1u32, 2, 8] {
             let analytic = cfg.scaled_parallelism(&layer, batch, 0.5);
             let lowered = cfg.lower(&layer, batch, 1.0, 0.5);
-            assert_eq!(analytic as u32, lowered.parallelism);
+            #[allow(clippy::cast_sign_loss)] // the same non-negative count `lower` casts
+            let analytic = analytic as u32;
+            assert_eq!(analytic, lowered.parallelism);
         }
     }
 }

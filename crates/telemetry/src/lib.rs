@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # daris-telemetry
 //!
 //! Structured observability for the DARIS simulator: a zero-cost-when-disabled
@@ -18,7 +17,7 @@
 //!   nondeterministic, measures where a cluster sync round spends *host* time
 //!   (span fan-out, admission retries, migration scan, merge). It exists for
 //!   the benchmark harness only and carries the one sanctioned wall-clock
-//!   waiver outside `daris-bench`.
+//!   `#[allow]` outside `daris-bench`.
 //!
 //! Three sinks ship with the crate:
 //!

@@ -67,9 +67,8 @@ impl WallClockProfiler {
 
     /// Marks the start of `phase`. Phases do not nest; starting a new phase
     /// while another is open discards the open one.
-    #[allow(clippy::disallowed_methods)] // the sanctioned wall-clock site below
+    #[allow(clippy::disallowed_methods)] // host time for the bench report; never feeds the sim
     pub fn phase_started(&self, phase: RoundPhase) {
-        // daris-lint: allow(D002, reason = "the one sanctioned wall-clock site outside daris-bench: round-phase self-profiling measures host time for the bench report only and never feeds simulation state")
         let now = Instant::now();
         self.lock().open = Some((phase, now));
     }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # daris-workload
 //!
 //! Periodic real-time DNN inference workloads for the DARIS reproduction:

@@ -156,6 +156,7 @@ impl TaskSet {
     pub fn resnet50_comparison() -> TaskSet {
         let reference = Table1Reference::for_kind(DnnKind::ResNet50);
         let jps = 24.0;
+        #[allow(clippy::cast_sign_loss)] // a positive task count, not time
         let total = (1.5 * reference.max_jps / jps).round() as u32;
         let hp = total / 3;
         let lp = total - hp;
@@ -175,7 +176,9 @@ impl TaskSet {
         };
         let reference = Table1Reference::for_kind(kind);
         let total_jobs = scenario.load_factor() * reference.max_jps;
+        #[allow(clippy::cast_sign_loss)] // a task count of at least one, not time
         let total_tasks = (total_jobs / jps).round().max(1.0) as u32;
+        #[allow(clippy::cast_sign_loss)] // a share in [0, 1] of that count
         let hp = (f64::from(total_tasks) * hp_share.clamp(0.0, 1.0)).round() as u32;
         let lp = total_tasks - hp;
         TaskSetBuilder::new()

@@ -1,11 +1,11 @@
-//! The dynamic backstop for what `daris-lint`'s static rules cannot see:
+//! The dynamic backstop for what the static determinism rules cannot see:
 //! run the 8-device heterogeneous bursty scenario twice **in-process** — once
 //! serial, once on the maximum worker-thread count — and assert the summary
 //! digests are equal.
 //!
-//! Static analysis (crates/lint, rules D001–D006) proves the *absence of
-//! known hazard patterns*; this test observes the actual guarantee those
-//! rules protect. Running twice in one process matters: any regressed
+//! Static analysis (clippy and the workspace lints, rules D001–D006) proves
+//! the *absence of known hazard patterns*; this test observes the actual
+//! guarantee those rules protect. Running twice in one process matters: any regressed
 //! `HashMap` state would get fresh per-instance hasher seeds on the second
 //! construction, so hash-order leakage shows up as a digest mismatch right
 //! here, without needing a cross-process harness.
