@@ -75,7 +75,9 @@ pub struct DarisScheduler {
     gpu: Gpu,
     /// Streams grouped by context index.
     streams: Vec<Vec<StreamId>>,
-    stream_busy: BTreeMap<StreamId, bool>,
+    /// Busy flag per stream, indexed by [`StreamId::index`] (the scheduler
+    /// creates every stream of its device, so the ids are dense).
+    stream_busy: Vec<bool>,
     loads: Vec<ContextLoad>,
     queues: Vec<StageQueue>,
     mret: MretEstimator,
@@ -141,7 +143,7 @@ impl DarisScheduler {
             }
             streams.push(ctx_streams);
         }
-        let stream_busy = streams.iter().flatten().map(|s| (*s, false)).collect();
+        let stream_busy = vec![false; gpu.stream_count()];
 
         // Every model stays resident on the device for the whole run.
         for (kind, profile) in &profiles {
@@ -324,7 +326,7 @@ impl DarisScheduler {
         stream: StreamId,
     ) {
         let Some((job_id, stage)) = self.tag_map.remove(&tag) else { return };
-        self.stream_busy.insert(stream, false);
+        self.stream_busy[stream.index()] = false;
         let task = job_id.task;
         if self.config.record_mret_trace {
             let predicted = self.mret.stage_mret(task, stage);
@@ -376,10 +378,7 @@ impl DarisScheduler {
     }
 
     fn idle_stream(&self, ctx: usize) -> Option<StreamId> {
-        self.streams[ctx]
-            .iter()
-            .copied()
-            .find(|s| !self.stream_busy.get(s).copied().unwrap_or(false))
+        self.streams[ctx].iter().copied().find(|s| !self.stream_busy[s.index()])
     }
 
     fn submit_stage(&mut self, stream: StreamId, ready: &ReadyStage) -> Result<()> {
@@ -407,7 +406,7 @@ impl DarisScheduler {
             item = item.with_d2h_bytes(profile.output_bytes(job.batch_size));
         }
         self.gpu.submit(stream, item)?;
-        self.stream_busy.insert(stream, true);
+        self.stream_busy[stream.index()] = true;
         self.tag_map.insert(tag, (ready.job, ready.stage));
         self.emit(|| EventKind::StageDispatched {
             task: ready.job.task,
@@ -668,7 +667,7 @@ impl Scheduler for DarisScheduler {
 
     /// Number of currently idle streams across contexts.
     fn idle_stream_count(&self) -> usize {
-        self.stream_busy.values().filter(|busy| !**busy).count()
+        self.stream_busy.iter().filter(|busy| !**busy).count()
     }
 
     /// Fraction of stream capacity charged by currently active jobs, the

@@ -29,19 +29,24 @@
 //!   times shrink by exact integer-nanosecond subtraction, so the absolute
 //!   completion instant never moves.
 //! * **Compute** completions depend on the floating-point SM rate, which can
-//!   change on every [`replan`](Gpu::submit); they are rescheduled (epoch
-//!   bump + new entry) whenever allocations are recomputed — with the same
-//!   arithmetic the previous scan-based engine used, keeping event times
-//!   bit-identical (pinned by the golden-trace tests).
+//!   change on every replan. Each replan recomputes every computing item's
+//!   finish instant, `now + max(1 ns, round(work_remaining / rate))`, with the
+//!   arithmetic the previous scan-based engine used, but bumps the item's
+//!   epoch and pushes a new entry only when that instant differs from the
+//!   one its live entry already carries. Transitions scan the `running` set
+//!   in id order, never heap order, so only entry *times* are observable and
+//!   event times stay bit-identical (pinned by the golden-trace tests).
 //!
-//! Bookkeeping that used to scan every pending item is incremental: a
-//! `running` set (at most one item per stream) bounds progress application
-//! and transition checks, and per-context *computing* sets with dirty flags
-//! let `replan` reuse cached water-filling for contexts whose membership did
-//! not change.
+//! Bookkeeping that used to scan every pending item is incremental: in-flight
+//! items sit in a slab indexed by their dense, increasing ids; a `running`
+//! set (at most one item per stream) bounds progress application and
+//! transition checks; per-context *computing* sets with dirty flags let
+//! `replan` reuse cached water-filling for contexts whose membership did not
+//! change; and every pass reuses buffers the engine owns, so a steady-state
+//! event allocates nothing. [`Gpu::work_counters`] reports the work done.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use crate::context::Context;
 use crate::kernel::{KernelDesc, KernelPhase, WorkItem, WorkItemId};
@@ -116,6 +121,78 @@ struct ItemInstance {
     /// Lazy-invalidation epoch: calendar entries scheduled for this item are
     /// only honoured while their recorded epoch matches.
     epoch: u64,
+    /// SM rate (SMs × efficiency) set by the last replan; read only while
+    /// the item is computing.
+    rate: f64,
+    /// `(epoch, at)` of the last Compute entry pushed for this item; it is
+    /// the live one while `epoch` still matches.
+    compute_entry: Option<(u64, SimTime)>,
+}
+
+impl ItemInstance {
+    /// Instant of the item's live Compute entry, if it has one.
+    fn live_compute_at(&self) -> Option<SimTime> {
+        self.compute_entry.filter(|&(epoch, _)| epoch == self.epoch).map(|(_, at)| at)
+    }
+}
+
+/// The in-flight items, indexed by id. The slab hands out ids densely and in
+/// increasing order, so a deque of slots offset by the oldest live id
+/// replaces a map: lookups are an index, and finished items leave holes that
+/// are trimmed once they reach the front.
+#[derive(Debug, Default)]
+struct ItemSlab {
+    /// Id of the item in `slots[0]`; `base + slots.len()` is the next id.
+    base: u64,
+    slots: VecDeque<Option<ItemInstance>>,
+}
+
+impl ItemSlab {
+    fn slot(&self, id: WorkItemId) -> Option<usize> {
+        id.0.checked_sub(self.base).map(|i| i as usize)
+    }
+
+    fn get(&self, id: WorkItemId) -> Option<&ItemInstance> {
+        self.slots.get(self.slot(id)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: WorkItemId) -> Option<&mut ItemInstance> {
+        let slot = self.slot(id)?;
+        self.slots.get_mut(slot)?.as_mut()
+    }
+
+    /// Adds an item under the next id and returns that id.
+    fn insert(&mut self, item: ItemInstance) -> WorkItemId {
+        let id = WorkItemId(self.base + self.slots.len() as u64);
+        self.slots.push_back(Some(item));
+        id
+    }
+
+    fn remove(&mut self, id: WorkItemId) {
+        if let Some(slot) = self.slot(id).and_then(|i| self.slots.get_mut(i)) {
+            *slot = None;
+        }
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
+/// Deterministic counts of the engine's internal work, for gating
+/// performance changes exactly (wall time varies, these do not).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// State transitions fired: copy completions, launch→compute flips and
+    /// kernel completions (the same count as [`Gpu::events_processed`]).
+    pub transitions: u64,
+    /// SM re-allocation passes (one per submit and per transition pass).
+    pub replans: u64,
+    /// Entries pushed onto the event calendar.
+    pub calendar_pushes: u64,
+    /// Stale calendar entries popped off the top of the calendar (entries a
+    /// compaction drops are not counted).
+    pub stale_pops: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,12 +250,9 @@ pub struct Gpu {
     now: SimTime,
     contexts: Vec<Context>,
     streams: Vec<Stream>,
-    items: BTreeMap<WorkItemId, ItemInstance>,
-    next_item_id: u64,
+    items: ItemSlab,
     copy_queue: VecDeque<(WorkItemId, CopyDirection)>,
     active_copy: Option<ActiveCopy>,
-    /// Current SM rate (SMs × efficiency) per actively computing item.
-    rates: BTreeMap<WorkItemId, f64>,
     /// The event calendar (min-heap by event time, lazily invalidated).
     calendar: BinaryHeap<Reverse<CalendarEntry>>,
     /// Monotonic scheduling counter used as the calendar tie-breaker.
@@ -193,6 +267,10 @@ pub struct Gpu {
     ctx_dirty: Vec<bool>,
     /// Cached water-fill allocation per context (valid while not dirty).
     ctx_alloc: Vec<Vec<(WorkItemId, f64)>>,
+    /// Reused buffers of the water-filling pass.
+    water_fill: WaterFill,
+    /// Reused snapshot of `running` for a transition pass.
+    transition_ids: Vec<WorkItemId>,
     memory: MemoryPool,
     /// Whether device events are being recorded (off until
     /// [`Gpu::record_events`]).
@@ -205,7 +283,7 @@ pub struct Gpu {
     completed_work: f64,
     busy_sm_integral_us: f64,
     pending_count: usize,
-    events_processed: u64,
+    counters: WorkCounters,
 }
 
 impl Gpu {
@@ -218,11 +296,9 @@ impl Gpu {
             now: SimTime::ZERO,
             contexts: Vec::new(),
             streams: Vec::new(),
-            items: BTreeMap::new(),
-            next_item_id: 0,
+            items: ItemSlab::default(),
             copy_queue: VecDeque::new(),
             active_copy: None,
-            rates: BTreeMap::new(),
             calendar: BinaryHeap::new(),
             cal_seq: 0,
             copy_epoch: 0,
@@ -230,6 +306,8 @@ impl Gpu {
             computing: Vec::new(),
             ctx_dirty: Vec::new(),
             ctx_alloc: Vec::new(),
+            water_fill: WaterFill::default(),
+            transition_ids: Vec::new(),
             memory,
             recording: false,
             events: Vec::new(),
@@ -238,7 +316,7 @@ impl Gpu {
             completed_work: 0.0,
             busy_sm_integral_us: 0.0,
             pending_count: 0,
-            events_processed: 0,
+            counters: WorkCounters::default(),
         }
     }
 
@@ -333,11 +411,8 @@ impl Gpu {
             .get(stream.index())
             .map(|s| s.context)
             .ok_or(GpuError::UnknownStream(stream))?;
-        let id = WorkItemId(self.next_item_id);
-        self.next_item_id += 1;
-        let tag = item.tag;
         let instance = ItemInstance {
-            tag,
+            tag: item.tag,
             stream,
             context,
             spec: item,
@@ -348,8 +423,10 @@ impl Gpu {
             launch_remaining: SimDuration::ZERO,
             work_remaining: 0.0,
             epoch: 0,
+            rate: 0.0,
+            compute_entry: None,
         };
-        self.items.insert(id, instance);
+        let id = self.items.insert(instance);
         self.streams[stream.index()].queue.push_back(id);
         self.pending_count += 1;
         // If the stream was idle, the new item starts immediately.
@@ -371,10 +448,16 @@ impl Gpu {
     }
 
     /// Number of discrete state transitions fired so far (copy completions,
-    /// launch→compute flips, kernel completions). The denominator-independent
-    /// "simulated events" figure the perf harness reports as events/sec.
+    /// launch→compute flips, kernel completions): the load-independent
+    /// "simulated events" count that perfbench divides wall time by for
+    /// `wall_ns_per_event`.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.counters.transitions
+    }
+
+    /// Counts of the engine's internal work so far.
+    pub fn work_counters(&self) -> WorkCounters {
+        self.counters
     }
 
     /// Average device utilization (busy SM-time divided by `sm_count ×
@@ -438,7 +521,7 @@ impl Gpu {
     /// Starts the item at the front of `stream` if it is still `Queued`.
     fn activate_front(&mut self, stream: StreamId) {
         let Some(item_id) = self.streams[stream.index()].active_item() else { return };
-        let Some(item) = self.items.get_mut(&item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id) else { return };
         if item.state != ItemState::Queued {
             return;
         }
@@ -462,7 +545,7 @@ impl Gpu {
         };
         let default_launch = self.spec.default_launch_overhead;
         let now = self.now;
-        let Some(item) = self.items.get_mut(&item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id) else { return };
         // A back-to-back kernel of the same item leaves the computing set.
         let was_computing = matches!(item.state, ItemState::Running(KernelPhase::Computing));
         let ctx = item.context.index();
@@ -492,7 +575,7 @@ impl Gpu {
             return;
         }
         let Some((item_id, direction)) = self.copy_queue.pop_front() else { return };
-        let Some(item) = self.items.get_mut(&item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id) else { return };
         let bytes = match direction {
             CopyDirection::HostToDevice => item.spec.h2d_bytes,
             CopyDirection::DeviceToHost => item.spec.d2h_bytes,
@@ -526,15 +609,14 @@ impl Gpu {
         }
         let dt_us = dt.as_micros_f64();
         let mut executed = 0.0;
-        for id in &self.running {
+        for &id in &self.running {
             let Some(item) = self.items.get_mut(id) else { continue };
             match item.state {
                 ItemState::Running(KernelPhase::Launching) => {
                     item.launch_remaining = item.launch_remaining.saturating_sub(dt);
                 }
                 ItemState::Running(KernelPhase::Computing) => {
-                    let rate = self.rates.get(id).copied().unwrap_or(0.0);
-                    let done = (rate * dt_us).min(item.work_remaining);
+                    let done = (item.rate * dt_us).min(item.work_remaining);
                     item.work_remaining -= done;
                     executed += done;
                 }
@@ -551,6 +633,7 @@ impl Gpu {
     /// Fires every transition that is due at the current time, then replans
     /// allocations.
     fn apply_transitions(&mut self, completions: &mut Vec<Completion>) {
+        let mut ids = std::mem::take(&mut self.transition_ids);
         let mut changed = true;
         while changed {
             changed = false;
@@ -561,7 +644,7 @@ impl Gpu {
             if copy_done {
                 let copy = self.active_copy.take().expect("checked above");
                 changed = true;
-                self.events_processed += 1;
+                self.counters.transitions += 1;
                 match copy.direction {
                     CopyDirection::HostToDevice => {
                         self.start_kernel(copy.item, 0);
@@ -574,10 +657,11 @@ impl Gpu {
             }
 
             // Kernel phase transitions: only running items can transition.
-            let ids: Vec<WorkItemId> = self.running.iter().copied().collect();
-            for id in ids {
+            ids.clear();
+            ids.extend(self.running.iter().copied());
+            for &id in &ids {
                 let (state, launch_left, work_left, kernel_index, kernel_count) = {
-                    let Some(item) = self.items.get(&id) else { continue };
+                    let Some(item) = self.items.get(id) else { continue };
                     (
                         item.state.clone(),
                         item.launch_remaining,
@@ -588,7 +672,7 @@ impl Gpu {
                 };
                 match state {
                     ItemState::Running(KernelPhase::Launching) if launch_left.is_zero() => {
-                        if let Some(item) = self.items.get_mut(&id) {
+                        if let Some(item) = self.items.get_mut(id) {
                             item.state = ItemState::Running(KernelPhase::Computing);
                             item.epoch += 1;
                             let ctx = item.context.index();
@@ -596,13 +680,13 @@ impl Gpu {
                             self.ctx_dirty[ctx] = true;
                         }
                         changed = true;
-                        self.events_processed += 1;
+                        self.counters.transitions += 1;
                     }
                     ItemState::Running(KernelPhase::Computing) if work_left <= WORK_EPSILON => {
                         changed = true;
-                        self.events_processed += 1;
+                        self.counters.transitions += 1;
                         if self.recording {
-                            let item = &self.items[&id];
+                            let item = self.items.get(id).expect("running items are in flight");
                             let event = DeviceEvent::KernelFinished {
                                 tag: item.tag,
                                 stream: item.stream.0,
@@ -614,9 +698,9 @@ impl Gpu {
                         if kernel_index + 1 < kernel_count {
                             self.start_kernel(id, kernel_index + 1);
                         } else {
-                            let d2h = self.items.get(&id).map(|i| i.spec.d2h_bytes).unwrap_or(0);
+                            let d2h = self.items.get(id).map(|i| i.spec.d2h_bytes).unwrap_or(0);
                             if d2h > 0 {
-                                if let Some(item) = self.items.get_mut(&id) {
+                                if let Some(item) = self.items.get_mut(id) {
                                     item.state = ItemState::PendingCopyOut;
                                     item.epoch += 1;
                                     let ctx = item.context.index();
@@ -635,13 +719,14 @@ impl Gpu {
                 }
             }
         }
+        self.transition_ids = ids;
         self.replan();
     }
 
     /// Marks an item complete, emits its completion, and activates the next
     /// item in its stream.
     fn finish_item(&mut self, item_id: WorkItemId, completions: &mut Vec<Completion>) {
-        let Some(item) = self.items.get_mut(&item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id) else { return };
         item.state = ItemState::Done;
         let completion = Completion {
             tag: item.tag,
@@ -656,8 +741,7 @@ impl Gpu {
         self.record(DeviceEvent::ItemFinished { tag, stream: stream.0, context: context.0 });
         completions.push(completion);
         let context = context.index();
-        self.items.remove(&item_id);
-        self.rates.remove(&item_id);
+        self.items.remove(item_id);
         self.running.remove(&item_id);
         if self.computing[context].remove(&item_id) {
             self.ctx_dirty[context] = true;
@@ -673,30 +757,29 @@ impl Gpu {
         self.activate_front(stream);
     }
 
-    /// Recomputes SM allocation rates for every computing kernel and
-    /// reschedules their compute-finish events on the calendar.
+    /// Recomputes the SM rate of every computing kernel and reschedules the
+    /// compute-finish events whose instant moved.
     ///
     /// Water-filling is cached per context and only recomputed for contexts
     /// whose computing membership changed since the last replan (`ctx_dirty`).
     /// The cross-context contention scale still applies globally, but that is
     /// a single multiply per computing item.
     fn replan(&mut self) {
-        self.rates.clear();
+        self.counters.replans += 1;
         // Refresh the water-fill cache of dirty contexts.
         for ctx in 0..self.contexts.len() {
             if !self.ctx_dirty[ctx] {
                 continue;
             }
             self.ctx_dirty[ctx] = false;
-            let kernels: Vec<(WorkItemId, u32)> = self.computing[ctx]
-                .iter()
-                .map(|id| {
-                    let item = &self.items[id];
-                    (*id, item.spec.kernels[item.kernel_index].parallelism)
-                })
-                .collect();
+            let kernels = &mut self.water_fill.kernels;
+            kernels.clear();
+            for &id in &self.computing[ctx] {
+                let item = self.items.get(id).expect("computing items are in flight");
+                kernels.push((id, item.spec.kernels[item.kernel_index].parallelism));
+            }
             let quota = f64::from(self.contexts[ctx].sm_quota);
-            self.ctx_alloc[ctx] = water_fill(quota, &kernels);
+            self.water_fill.run(quota, &mut self.ctx_alloc[ctx]);
         }
         let mut total = 0.0;
         let mut busy_contexts = 0usize;
@@ -727,28 +810,57 @@ impl Gpu {
             let computing = busy_contexts as u32;
             self.replans.push((self.now, DeviceEvent::Replan { computing, utilization }));
         }
-        // Apply the global factor and reschedule each compute-finish event
-        // with the exact arithmetic the scan-based engine used.
+        // Apply the global factor and move each compute-finish event whose
+        // instant changed.
         let now = self.now;
         for ctx in 0..self.contexts.len() {
             for i in 0..self.ctx_alloc[ctx].len() {
                 let (id, alloc) = self.ctx_alloc[ctx][i];
-                let rate = alloc * factor;
-                self.rates.insert(id, rate);
-                let Some(item) = self.items.get_mut(&id) else { continue };
+                let Some(item) = self.items.get_mut(id) else { continue };
+                item.rate = alloc * factor;
+                let live = item.live_compute_at();
+                let at =
+                    (item.rate > 0.0).then(|| compute_finish(now, item.work_remaining, item.rate));
+                if at == live {
+                    continue;
+                }
+                // The live entry (if any) goes stale; a positive rate gets a
+                // new one.
                 item.epoch += 1;
                 let epoch = item.epoch;
-                if rate > 0.0 {
-                    let us = item.work_remaining / rate;
-                    let mut d = SimDuration::from_micros_f64(us);
-                    if d.is_zero() {
-                        d = SimDuration::from_nanos(1);
-                    }
-                    self.push_event(now + d, EventKind::Compute { item: id, epoch });
+                item.compute_entry = at.map(|at| (epoch, at));
+                if let Some(at) = at {
+                    self.push_event(at, EventKind::Compute { item: id, epoch });
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_compute_entries();
         self.clean_calendar();
+    }
+
+    /// Debug oracle for [`replan`](Self::replan): every computing item is
+    /// covered by the allocation cache, and each with a positive rate holds
+    /// a live Compute entry at exactly the recomputed finish instant, which
+    /// lies strictly in the future.
+    #[cfg(debug_assertions)]
+    fn check_compute_entries(&self) {
+        for ctx in 0..self.contexts.len() {
+            assert_eq!(self.ctx_alloc[ctx].len(), self.computing[ctx].len(), "stale alloc cache");
+        }
+        for &id in &self.running {
+            let item = self.items.get(id).expect("running items are in flight");
+            if item.state != ItemState::Running(KernelPhase::Computing) || item.rate <= 0.0 {
+                continue;
+            }
+            let expected = compute_finish(self.now, item.work_remaining, item.rate);
+            assert_eq!(
+                item.compute_entry,
+                Some((item.epoch, expected)),
+                "{id}: live Compute entry differs from the recomputed finish"
+            );
+            assert!(expected > self.now, "{id}: Compute entry not in the future");
+        }
     }
 
     /// Records an item-level event stamped with the current time, if
@@ -762,6 +874,7 @@ impl Gpu {
     /// Schedules a calendar entry.
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
         self.cal_seq += 1;
+        self.counters.calendar_pushes += 1;
         self.calendar.push(Reverse(CalendarEntry { at, seq: self.cal_seq, kind }));
     }
 
@@ -771,7 +884,7 @@ impl Gpu {
             EventKind::Copy { epoch } => epoch == self.copy_epoch && self.active_copy.is_some(),
             EventKind::Launch { item, epoch } => self
                 .items
-                .get(&item)
+                .get(item)
                 .map(|i| {
                     i.epoch == epoch
                         && matches!(i.state, ItemState::Running(KernelPhase::Launching))
@@ -779,7 +892,7 @@ impl Gpu {
                 .unwrap_or(false),
             EventKind::Compute { item, epoch } => self
                 .items
-                .get(&item)
+                .get(item)
                 .map(|i| {
                     i.epoch == epoch
                         && matches!(i.state, ItemState::Running(KernelPhase::Computing))
@@ -797,6 +910,7 @@ impl Gpu {
                 break;
             }
             self.calendar.pop();
+            self.counters.stale_pops += 1;
         }
         let live_bound = 8 * (self.running.len() + 2);
         if self.calendar.len() > 64 && self.calendar.len() > live_bound {
@@ -807,45 +921,68 @@ impl Gpu {
     }
 }
 
-/// Distributes `quota` SMs across kernels, capping each kernel at its own
-/// parallelism and spreading leftover capacity over the kernels that can
-/// still absorb it (classic water-filling).
-fn water_fill(quota: f64, kernels: &[(WorkItemId, u32)]) -> Vec<(WorkItemId, f64)> {
-    let n = kernels.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut alloc = vec![0.0f64; n];
-    let mut remaining = quota;
-    let mut unsatisfied: Vec<usize> = (0..n).collect();
-    while remaining > 1e-9 && !unsatisfied.is_empty() {
-        let share = remaining / unsatisfied.len() as f64;
-        let mut next_unsatisfied = Vec::new();
-        let mut consumed = 0.0;
-        for &i in &unsatisfied {
-            let cap = f64::from(kernels[i].1);
-            let want = cap - alloc[i];
-            if want <= share + 1e-12 {
-                alloc[i] = cap;
-                consumed += want;
-            } else {
-                alloc[i] += share;
-                consumed += share;
-                next_unsatisfied.push(i);
+/// When a kernel with `work_remaining` SM·µs left at `rate` SMs finishes:
+/// never sooner than 1 ns after `now`, so a Compute entry always moves time
+/// forward.
+fn compute_finish(now: SimTime, work_remaining: f64, rate: f64) -> SimTime {
+    let d = SimDuration::from_micros_f64(work_remaining / rate);
+    now + if d.is_zero() { SimDuration::from_nanos(1) } else { d }
+}
+
+/// Water-filling of a context's SM quota over its computing kernels, with
+/// buffers that persist across replans so a pass allocates nothing.
+#[derive(Debug, Default)]
+struct WaterFill {
+    /// Input: `(item, parallelism)` of each computing kernel.
+    kernels: Vec<(WorkItemId, u32)>,
+    unsatisfied: Vec<usize>,
+    next_unsatisfied: Vec<usize>,
+}
+
+impl WaterFill {
+    /// Distributes `quota` SMs across `self.kernels` into `alloc`, capping
+    /// each kernel at its own parallelism and spreading leftover capacity
+    /// over the kernels that can still absorb it (classic water-filling).
+    fn run(&mut self, quota: f64, alloc: &mut Vec<(WorkItemId, f64)>) {
+        let kernels = &self.kernels;
+        alloc.clear();
+        alloc.extend(kernels.iter().map(|&(id, _)| (id, 0.0)));
+        let mut remaining = quota;
+        let unsatisfied = &mut self.unsatisfied;
+        unsatisfied.clear();
+        unsatisfied.extend(0..kernels.len());
+        while remaining > 1e-9 && !unsatisfied.is_empty() {
+            let share = remaining / unsatisfied.len() as f64;
+            let next_unsatisfied = &mut self.next_unsatisfied;
+            next_unsatisfied.clear();
+            let mut consumed = 0.0;
+            for &i in unsatisfied.iter() {
+                let cap = f64::from(kernels[i].1);
+                let a = &mut alloc[i].1;
+                let want = cap - *a;
+                if want <= share + 1e-12 {
+                    *a = cap;
+                    consumed += want;
+                } else {
+                    *a += share;
+                    consumed += share;
+                    next_unsatisfied.push(i);
+                }
             }
+            remaining -= consumed;
+            // If nobody was saturated this round, the distribution is final.
+            if next_unsatisfied.len() == unsatisfied.len() {
+                break;
+            }
+            std::mem::swap(unsatisfied, next_unsatisfied);
         }
-        remaining -= consumed;
-        // If nobody was saturated this round, the distribution is final.
-        if next_unsatisfied.len() == unsatisfied.len() {
-            break;
-        }
-        unsatisfied = next_unsatisfied;
     }
-    kernels.iter().zip(alloc).map(|((id, _), a)| (*id, a)).collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn quiet_spec() -> GpuSpec {
@@ -1015,6 +1152,42 @@ mod tests {
     }
 
     #[test]
+    fn compute_entry_firing_with_residual_work_moves_forward_and_completes() {
+        let mut gpu = Gpu::new(quiet_spec());
+        let ctx = gpu.add_context(68).unwrap();
+        let s = gpu.add_stream(ctx).unwrap();
+        // 0.7072 SM·µs over 68 SMs takes 10.4 ns, which the calendar rounds
+        // down to 10 ns: the Compute entry fires with 0.0272 SM·µs left.
+        let kernel = KernelDesc::new(0.7072, 68).with_launch_overhead(SimDuration::ZERO);
+        gpu.submit(s, WorkItem::new(1).with_kernel(kernel)).unwrap();
+        assert!(gpu.advance_to(SimTime::from_nanos(10)).is_empty());
+        assert_eq!(gpu.pending_items(), 1, "the residual keeps the kernel alive");
+        // The re-pushed entry lies strictly after the one that just fired.
+        assert_eq!(gpu.next_event_time(), Some(SimTime::from_nanos(11)));
+        let done = gpu.advance_to(SimTime::from_nanos(11));
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].finished_at, SimTime::from_nanos(11));
+        assert_eq!(gpu.next_event_time(), None);
+    }
+
+    #[test]
+    fn submit_onto_a_busy_stream_pushes_nothing() {
+        let mut gpu = Gpu::new(quiet_spec());
+        let ctx = gpu.add_context(68).unwrap();
+        let s = gpu.add_stream(ctx).unwrap();
+        let item = |tag| WorkItem::new(tag).with_kernel(KernelDesc::new(680.0, 68));
+        gpu.submit(s, item(1)).unwrap();
+        // Mid-compute: item 1 holds a live Compute entry.
+        gpu.advance_to(SimTime::from_micros(8));
+        let before = gpu.work_counters();
+        gpu.submit(s, item(2)).unwrap();
+        let after = gpu.work_counters();
+        assert_eq!(after.replans, before.replans + 1);
+        assert_eq!(after.calendar_pushes, before.calendar_pushes, "no finish instant moved");
+        assert_eq!(gpu.run_to_idle().len(), 2);
+    }
+
+    #[test]
     fn utilization_accounting() {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
@@ -1111,6 +1284,13 @@ mod tests {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(1_000).unwrap();
         assert_eq!(gpu.contexts[ctx.index()].sm_quota, 68);
+    }
+
+    fn water_fill(quota: f64, kernels: &[(WorkItemId, u32)]) -> Vec<(WorkItemId, f64)> {
+        let mut fill = WaterFill { kernels: kernels.to_vec(), ..WaterFill::default() };
+        let mut alloc = Vec::new();
+        fill.run(quota, &mut alloc);
+        alloc
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod time;
 mod trace;
 
 pub use context::ContextId;
-pub use engine::{Completion, Gpu};
+pub use engine::{Completion, Gpu, WorkCounters};
 pub use error::GpuError;
 pub use kernel::{KernelDesc, KernelId, KernelPhase, WorkItem, WorkItemId};
 pub use memory::{MemoryPool, MemoryStats};

@@ -7,7 +7,12 @@
 //! **exactly** (nanosecond timestamps included), pinning the refactored
 //! engine to the original behaviour.
 //!
-//! To regenerate (only legitimate after an *intentional* semantic change):
+//! The engine's [`WorkCounters`] on the same three workloads are pinned in
+//! `tests/golden/work_counters.txt`, so a change to how much work the engine
+//! does per event shows up as an exact diff. Re-bless that file whenever a
+//! performance change moves the counts (completion streams must not move).
+//!
+//! To regenerate (only legitimate after an *intentional* change):
 //!
 //! ```sh
 //! DARIS_REGEN_GOLDEN=1 cargo test -p daris-gpu --test golden
@@ -16,10 +21,12 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use daris_gpu::{Completion, Gpu, GpuSpec, KernelDesc, SimTime, WorkItem, XorShiftRng};
+use daris_gpu::{
+    Completion, Gpu, GpuSpec, KernelDesc, SimTime, WorkCounters, WorkItem, XorShiftRng,
+};
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{name}.trace"))
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file)
 }
 
 fn serialize(completions: &[Completion]) -> String {
@@ -43,17 +50,22 @@ fn serialize(completions: &[Completion]) -> String {
 }
 
 fn check_or_regen(name: &str, completions: &[Completion]) {
-    let path = golden_path(name);
-    let actual = serialize(completions);
+    check_or_regen_file(&format!("{name}.trace"), &serialize(completions));
+}
+
+/// Compares `actual` with the committed golden `file`, or rewrites the file
+/// under `DARIS_REGEN_GOLDEN`.
+fn check_or_regen_file(file: &str, actual: &str) {
+    let path = golden_path(file);
     if std::env::var_os("DARIS_REGEN_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
             .expect("create golden dir");
-        std::fs::write(&path, &actual).expect("write golden trace");
+        std::fs::write(&path, actual).expect("write golden file");
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "missing golden trace {path:?} ({e}); regenerate with \
+            "missing golden file {path:?} ({e}); regenerate with \
              DARIS_REGEN_GOLDEN=1 cargo test -p daris-gpu --test golden"
         )
     });
@@ -73,9 +85,12 @@ fn check_or_regen(name: &str, completions: &[Completion]) {
                     actual.lines().count()
                 )
             });
-        panic!("completion stream diverged from golden trace {name}: {diverging}");
+        panic!("output diverged from golden file {file}: {diverging}");
     }
 }
+
+/// A golden workload's completion stream and the engine work it took.
+type GoldenRun = (Vec<Completion>, WorkCounters);
 
 /// A pseudo-random work item: 1–3 kernels, varying work/parallelism, and
 /// (for some items) host/device copies.
@@ -98,8 +113,7 @@ fn random_item(rng: &mut XorShiftRng, tag: u64) -> WorkItem {
 
 /// Workload 1: a t=0 burst of 48 mixed items over 3 quota-limited contexts
 /// with the default jitter + interference model, drained with run_to_idle.
-#[test]
-fn golden_burst_multi_context() {
+fn burst_multi_context() -> GoldenRun {
     let mut rng = XorShiftRng::new(0xB0B5_0001);
     let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
     let mut streams = Vec::new();
@@ -115,13 +129,17 @@ fn golden_burst_multi_context() {
     }
     let done = gpu.run_to_idle();
     assert_eq!(done.len(), 48);
-    check_or_regen("burst_multi_context", &done);
+    (done, gpu.work_counters())
+}
+
+#[test]
+fn golden_burst_multi_context() {
+    check_or_regen("burst_multi_context", &burst_multi_context().0);
 }
 
 /// Workload 2: staggered submissions — batches arrive at random times while
 /// earlier work is still in flight, advancing in uneven steps.
-#[test]
-fn golden_staggered_arrivals() {
+fn staggered_arrivals() -> GoldenRun {
     let mut rng = XorShiftRng::new(0xB0B5_0002);
     let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
     let mut streams = Vec::new();
@@ -146,13 +164,17 @@ fn golden_staggered_arrivals() {
     }
     all.extend(gpu.run_to_idle());
     assert_eq!(all.len(), tag as usize);
-    check_or_regen("staggered_arrivals", &all);
+    (all, gpu.work_counters())
+}
+
+#[test]
+fn golden_staggered_arrivals() {
+    check_or_regen("staggered_arrivals", &staggered_arrivals().0);
 }
 
 /// Workload 3: heavy oversubscription — 4 full-width contexts fighting for
 /// the device, drained through many small advance_to steps.
-#[test]
-fn golden_oversubscribed_small_steps() {
+fn oversubscribed_small_steps() -> GoldenRun {
     let mut rng = XorShiftRng::new(0xB0B5_0003);
     let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
     let mut streams = Vec::new();
@@ -172,7 +194,34 @@ fn golden_oversubscribed_small_steps() {
         all.extend(gpu.advance_to(t));
     }
     assert_eq!(all.len(), 40);
-    check_or_regen("oversubscribed_small_steps", &all);
+    (all, gpu.work_counters())
+}
+
+#[test]
+fn golden_oversubscribed_small_steps() {
+    check_or_regen("oversubscribed_small_steps", &oversubscribed_small_steps().0);
+}
+
+/// The engine's work on the three golden workloads, pinned exactly: one
+/// test (not three) because all rows share one file.
+#[test]
+fn golden_work_counters() {
+    let mut out = String::new();
+    out.push_str("# workload transitions replans calendar_pushes stale_pops\n");
+    let rows = [
+        ("burst_multi_context", burst_multi_context().1),
+        ("staggered_arrivals", staggered_arrivals().1),
+        ("oversubscribed_small_steps", oversubscribed_small_steps().1),
+    ];
+    for (name, c) in rows {
+        writeln!(
+            out,
+            "{name} {} {} {} {}",
+            c.transitions, c.replans, c.calendar_pushes, c.stale_pops
+        )
+        .expect("writing to a String cannot fail");
+    }
+    check_or_regen_file("work_counters.txt", &out);
 }
 
 /// FNV-1a over the serialized completion stream: a stable digest for
@@ -186,17 +235,18 @@ fn trace_hash(completions: &[Completion]) -> u64 {
     h
 }
 
-/// The engine's per-item state (`items`, the water-filling `rates`) lives in
-/// `BTreeMap`s precisely so that two runs of the same workload are
-/// byte-identical. Each fresh engine would get fresh (per-process-random)
-/// hasher state if those maps ever regressed to `HashMap` and iteration order
-/// leaked into the results — this repeated-run hash test is the dynamic pin
-/// for determinism rule D001 (the `disallowed-types` ban in `clippy.toml`).
+/// The engine's per-item state (the `running` and per-context `computing`
+/// sets) lives in ordered containers precisely so that two runs of the same
+/// workload are byte-identical. Each fresh engine would get fresh
+/// (per-process-random) hasher state if those sets ever regressed to
+/// `HashSet` and iteration order leaked into the results — this repeated-run
+/// hash test is the dynamic pin for determinism rule D001 (the
+/// `disallowed-types` ban in `clippy.toml`).
 #[test]
 fn repeated_runs_hash_identically() {
     let run_once = || {
         // Oversubscribed multi-context burst: maximum pressure on the
-        // water-filling `rates` state and the copy-engine queue.
+        // water-filling rates and the copy-engine queue.
         let mut rng = XorShiftRng::new(0xD1CE_0006);
         let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
         let mut streams = Vec::new();
