@@ -96,7 +96,7 @@ impl BaselineScheduler {
         let profiles: BTreeMap<DnnKind, ModelProfile> = taskset
             .model_kinds()
             .into_iter()
-            .map(|k| (k, ModelProfile::calibrated_for(k, Default::default(), &calibration)))
+            .map(|k| (k, ModelProfile::calibrated_for(k, &calibration)))
             .collect();
         let mut gpu = Gpu::new(device.clone());
         let slots = match layout {
@@ -214,8 +214,7 @@ impl Scheduler for BaselineScheduler {
 
     fn adopt_task(&mut self, task: &TaskSpec) -> CoreResult<TaskId> {
         if !self.profiles.contains_key(&task.model) {
-            let profile =
-                ModelProfile::calibrated_for(task.model, Default::default(), &self.calibration);
+            let profile = ModelProfile::calibrated_for(task.model, &self.calibration);
             self.profiles.insert(task.model, profile);
         }
         let local = self.taskset.adopt(task.clone());

@@ -47,7 +47,7 @@ impl SingleTenantServer {
     /// model by running `jobs` back-to-back inferences.
     pub fn isolated_jps(kind: DnnKind, jobs: u32) -> f64 {
         let spec = GpuSpec::rtx_2080_ti().without_interference();
-        let profile = ModelProfile::calibrated_for(kind, Default::default(), &spec);
+        let profile = ModelProfile::calibrated_for(kind, &spec);
         let mut gpu = Gpu::new(spec);
         let ctx = gpu.add_context(gpu.spec().sm_count).expect("valid context");
         let stream = gpu.add_stream(ctx).expect("valid stream");

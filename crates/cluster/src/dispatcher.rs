@@ -470,7 +470,8 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     /// # Errors
     ///
     /// Returns [`ClusterError::InvalidRunSpec`] for a spec without a
-    /// horizon or with a replay horizon past its trace's, and
+    /// horizon, with a replay horizon past its trace's, with a jitter the
+    /// horizon cannot hold or with an out-of-range generator, and
     /// [`ClusterError::Trace`] for a replay whose trace does not fit this
     /// cluster's task set.
     pub fn run(&mut self, spec: &RunSpec) -> Result<ClusterOutcome> {

@@ -82,7 +82,7 @@ pub fn utilization_estimates(taskset: &TaskSet, reference: &GpuSpec) -> Vec<f64>
     let profiles: BTreeMap<DnnKind, ModelProfile> = taskset
         .model_kinds()
         .into_iter()
-        .map(|k| (k, ModelProfile::calibrated_for(k, Default::default(), reference)))
+        .map(|k| (k, ModelProfile::calibrated_for(k, reference)))
         .collect();
     taskset.tasks().iter().map(|t| task_utilization(t, &profiles)).collect()
 }
@@ -101,7 +101,7 @@ pub fn place(
     let profiles: BTreeMap<DnnKind, ModelProfile> = taskset
         .model_kinds()
         .into_iter()
-        .map(|k| (k, ModelProfile::calibrated_for(k, Default::default(), reference)))
+        .map(|k| (k, ModelProfile::calibrated_for(k, reference)))
         .collect();
     let utils: Vec<f64> = taskset.tasks().iter().map(|t| task_utilization(t, &profiles)).collect();
     debug_assert_eq!(utils.len(), taskset.len());

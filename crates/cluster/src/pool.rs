@@ -272,26 +272,19 @@ pub(crate) fn drive_rounds<Sch: Scheduler + Send, S: ArrivalSource + Send, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daris_workload::{ArrivalStream, TaskSet, TaskSetBuilder};
 
-    /// A stream stub: the pool only ever forwards it to `run_span`, which
-    /// these tests never reach (no schedulers), so an empty source is fine.
-    #[derive(Debug)]
-    struct NoJobs;
-    impl ArrivalSource for NoJobs {
-        fn next_release(&self) -> Option<SimTime> {
-            None
-        }
-        fn next_job(&mut self) -> Option<Job> {
-            None
-        }
-    }
-
-    fn idle_fleet(n: usize) -> FleetCells<daris_core::DarisScheduler, NoJobs> {
+    /// An empty stream per device: the pool only ever forwards it to
+    /// `run_span`, which these tests never reach (no schedulers).
+    fn idle_fleet(
+        tasks: &TaskSet,
+        n: usize,
+    ) -> FleetCells<daris_core::DarisScheduler, ArrivalStream<'_>> {
         FleetCells::new(
             (0..n)
                 .map(|_| DeviceCell {
                     scheduler: None,
-                    stream: NoJobs,
+                    stream: ArrivalStream::new(tasks, SimTime::ZERO),
                     due: false,
                     rejected: Vec::new(),
                 })
@@ -311,8 +304,9 @@ mod tests {
     fn drive_rounds_runs_many_rounds_on_one_pool() {
         // No device is ever due, so rounds are pure protocol: this pins the
         // publish/park handshake over many rounds and both worker counts.
+        let tasks = TaskSetBuilder::new().build();
         for workers in [1usize, 4] {
-            let fleet = idle_fleet(6);
+            let fleet = idle_fleet(&tasks, 6);
             let rounds = drive_rounds(&fleet, workers, |run_round| {
                 for r in 0..100u64 {
                     run_round(SimTime::from_micros(r + 1));
@@ -325,7 +319,8 @@ mod tests {
 
     #[test]
     fn drive_rounds_serial_never_blocks_on_empty_fleet() {
-        let fleet = idle_fleet(0);
+        let tasks = TaskSetBuilder::new().build();
+        let fleet = idle_fleet(&tasks, 0);
         let out = drive_rounds(&fleet, 8, |run_round| {
             run_round(SimTime::from_micros(1));
             42

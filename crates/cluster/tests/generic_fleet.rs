@@ -4,9 +4,9 @@
 //! DARIS fleet, with the same thread-count byte-identity guarantee, and the
 //! `RunSpec` entry point routes every workload shape.
 
-use daris_cluster::{ClusterConfig, ClusterDispatcher, ClusterSpec};
+use daris_cluster::{ClusterConfig, ClusterDispatcher, ClusterError, ClusterSpec};
 use daris_core::{GpuPartition, RunSpec};
-use daris_gpu::{GpuSpec, SimTime};
+use daris_gpu::{GpuSpec, SimDuration, SimTime};
 use daris_models::DnnKind;
 use daris_workload::{BurstyConfig, GenSpec, ReleaseJitter, TaskSet};
 
@@ -85,8 +85,8 @@ fn daris_via_trait_dispatch_is_byte_identical_at_1_2_8_threads() {
 
 #[test]
 fn runspec_rejects_cluster_infeasible_shapes_by_name() {
-    // The two invalid specs; each error names what was wrong instead of a
-    // bare "unsupported". A replay may be truncated but never extended.
+    // The invalid specs; each error names what was wrong instead of a bare
+    // "unsupported" or a panic. A replay may be truncated but never extended.
     let taskset = TaskSet::table2(DnnKind::ResNet18);
 
     let mut dispatcher = ClusterDispatcher::new(&taskset, fleet(2), config(1)).unwrap();
@@ -100,14 +100,27 @@ fn runspec_rejects_cluster_infeasible_shapes_by_name() {
     let mismatched = RunSpec::replay(trace).until(SimTime::from_millis(150));
     let err = dispatcher.run(&mismatched).expect_err("an extended replay must be rejected");
     assert!(err.to_string().contains("replay horizon"), "unhelpful error: {err}");
+
+    // Workloads the lazy streams cannot run to the horizon: a jitter whose
+    // max delay reaches it, and an out-of-range generator.
+    let wide = ReleaseJitter::Uniform { max: SimDuration::from_millis(100), seed: 1 };
+    let silent = GenSpec::Bursty(BurstyConfig { burst_rate: 0.0, ..Default::default() });
+    for (spec, reason) in [
+        (RunSpec::jittered(wide), "cannot lazily reproduce"),
+        (RunSpec::generated(silent), "burst_rate must be positive"),
+    ] {
+        let mut dispatcher = ClusterDispatcher::new(&taskset, fleet(2), config(1)).unwrap();
+        let err = dispatcher.run(&spec.until(horizon)).expect_err("the spec must be rejected");
+        assert!(matches!(err, ClusterError::InvalidRunSpec(_)), "{err:?}");
+        assert!(err.to_string().contains(reason), "unhelpful error: {err}");
+    }
 }
 
 #[test]
 fn jittered_fleet_is_byte_identical_at_1_2_8_threads() {
     let taskset = TaskSet::table2(DnnKind::UNet);
     let horizon = SimTime::from_millis(horizon_capped_ms(150));
-    let jitter =
-        ReleaseJitter::Uniform { max: daris_gpu::SimDuration::from_millis(3), seed: 0xBEEF };
+    let jitter = ReleaseJitter::Uniform { max: SimDuration::from_millis(3), seed: 0xBEEF };
     let run = |threads: usize| {
         let mut dispatcher =
             ClusterDispatcher::new(&taskset, fleet(4), config(threads)).expect("fleet builds");

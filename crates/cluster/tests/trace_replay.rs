@@ -3,8 +3,8 @@
 //! * record→replay round trip is **byte-identical** — the same completions,
 //!   metrics and event counts — on a single GPU and on an 8-device
 //!   heterogeneous cluster, at 1, 2 and 8 worker threads, for every
-//!   generator shape (bursty, diurnal, correlated) and for a periodic
-//!   recording;
+//!   generator shape (bursty, diurnal, correlated) and for periodic and
+//!   jittered recordings, the jittered one reordering a task's releases;
 //! * the codec sits inside the loop: replaying `decode(encode(trace))`
 //!   reproduces the same run as replaying the in-memory trace;
 //! * placement-rejected (unplaced) tasks are charged identically by the
@@ -13,10 +13,11 @@
 
 use daris_cluster::{ClusterConfig, ClusterDispatcher, ClusterError, ClusterSpec};
 use daris_core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
-use daris_gpu::SimTime;
+use daris_gpu::{SimDuration, SimTime};
 use daris_models::DnnKind;
 use daris_workload::{
-    BurstyConfig, CorrelatedConfig, DiurnalConfig, GenSpec, TaskSet, Trace, TraceError,
+    ArrivalStream, BurstyConfig, CorrelatedConfig, DiurnalConfig, GenSpec, ReleaseJitter, TaskSet,
+    Trace, TraceError,
 };
 
 mod common;
@@ -93,34 +94,50 @@ fn encoded_traces_replay_the_same_cluster_run() {
 #[test]
 fn periodic_recording_replays_the_periodic_cluster_run_exactly() {
     // Record the periodic plan's arrival sequence and replay it: the trace
-    // path must reproduce the periodic run byte for byte, single GPU and fleet.
+    // path must reproduce the periodic run byte for byte, single GPU and
+    // fleet. The jittered input delays releases by up to half the horizon,
+    // past UNet's 41.7 ms period, so a task's release indices reorder in
+    // time and the recording carries a non-zero lookahead; the horizon stays
+    // at least 120 ms under any cap to keep that so.
     let taskset = TaskSet::table2(DnnKind::UNet);
-    let horizon = SimTime::from_millis(horizon_capped_ms(200));
-    let trace = Trace::record(&mut daris_workload::ArrivalStream::new(&taskset, horizon), horizon)
-        .expect("periodic recordings are valid");
+    let horizon = SimTime::from_millis(horizon_capped_ms(200).max(120));
+    let half = SimDuration::from_nanos(horizon.as_nanos() / 2);
+    let jitter = ReleaseJitter::Uniform { max: half, seed: 7 };
+    for (label, live_spec, mut recorded) in [
+        ("periodic", RunSpec::periodic(), ArrivalStream::new(&taskset, horizon)),
+        (
+            "jittered",
+            RunSpec::jittered(jitter),
+            ArrivalStream::with_jitter(&taskset, horizon, jitter),
+        ),
+    ] {
+        let live_spec = live_spec.until(horizon);
+        let trace = Trace::record(&mut recorded, horizon).expect("recordings are valid");
+        if label == "jittered" {
+            assert!(trace.lookahead() > SimDuration::ZERO, "jitter must reorder releases");
+        }
 
-    // Single GPU.
-    let partition = GpuPartition::mps(6, 6.0);
-    let mut single = DarisScheduler::new(&taskset, DarisConfig::new(partition)).unwrap();
-    let expected = single.run(&RunSpec::periodic().until(horizon)).expect("spec runs");
-    let mut replayed = DarisScheduler::new(&taskset, DarisConfig::new(partition)).unwrap();
-    let actual = replayed.run(&RunSpec::replay(trace.clone())).unwrap();
-    assert_eq!(actual.summary, expected.summary);
-    assert_eq!(replayed.events_processed(), single.events_processed());
+        // Single GPU.
+        let partition = GpuPartition::mps(6, 6.0);
+        let mut single = DarisScheduler::new(&taskset, DarisConfig::new(partition)).unwrap();
+        let expected = single.run(&live_spec).expect("spec runs");
+        let mut replayed = DarisScheduler::new(&taskset, DarisConfig::new(partition)).unwrap();
+        let actual = replayed.run(&RunSpec::replay(trace.clone())).unwrap();
+        assert_eq!(actual.summary, expected.summary, "{label} single-GPU replay");
+        assert_eq!(replayed.events_processed(), single.events_processed(), "{label}");
 
-    // 2-device fleet, serial and parallel replay.
-    let fleet = ClusterSpec::homogeneous(2, daris_gpu::GpuSpec::rtx_2080_ti(), partition);
-    let periodic = dispatcher(&taskset, &fleet, 1)
-        .run(&RunSpec::periodic().until(horizon))
-        .expect("spec runs");
-    for threads in [1usize, 2, 8] {
-        let replay =
-            dispatcher(&taskset, &fleet, threads).run(&RunSpec::replay(trace.clone())).unwrap();
-        assert_eq!(
-            outcome_hash(&replay),
-            outcome_hash(&periodic),
-            "periodic replay at {threads} threads"
-        );
+        // 2-device fleet, serial and parallel replay.
+        let fleet = ClusterSpec::homogeneous(2, daris_gpu::GpuSpec::rtx_2080_ti(), partition);
+        let live = dispatcher(&taskset, &fleet, 1).run(&live_spec).expect("spec runs");
+        for threads in [1usize, 2, 8] {
+            let replay =
+                dispatcher(&taskset, &fleet, threads).run(&RunSpec::replay(trace.clone())).unwrap();
+            assert_eq!(
+                outcome_hash(&replay),
+                outcome_hash(&live),
+                "{label} replay at {threads} threads"
+            );
+        }
     }
 }
 

@@ -65,7 +65,7 @@ pub use config::{AblationFlags, DarisConfig, GpuPartition, PartitionPolicy};
 pub use error::CoreError;
 pub use mret::MretEstimator;
 pub use offline::{assignment_by_context, populate_contexts};
-pub use runspec::{RunSpec, Shard, ShardSource, Workload};
+pub use runspec::{RunSpec, Shard, Workload};
 pub use scheduler::{DarisScheduler, ExperimentOutcome, MretSample, AFET_INFLATION};
 pub use stage_queue::{ReadyStage, StageQueue};
 pub use traits::Scheduler;

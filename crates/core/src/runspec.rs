@@ -31,10 +31,7 @@
 //! per-run without violating the byte-identical replay guarantee.
 
 use daris_gpu::SimTime;
-use daris_workload::{
-    ArrivalSource, ArrivalStream, GenSpec, ReleaseJitter, TaskId, TaskSet, Trace, TraceError,
-    TraceEvent, TracePlayer,
-};
+use daris_workload::{ArrivalStream, GenSpec, ReleaseJitter, TaskSet, Trace, TraceError};
 
 use crate::{CoreError, Result};
 
@@ -56,9 +53,9 @@ pub enum Workload {
 
 /// One shard of a workload: a task set plus the global index of each of its
 /// tasks. The global indices key every per-task random stream (release
-/// jitter, generator draws) and route replayed trace events, so the shards
-/// of a partition together release exactly the jobs the unsharded workload
-/// would — `TaskSet::preserving_phases` keeps the periodic phases.
+/// jitter, generator draws) and select the replayed trace events, so the
+/// shards of a partition together release exactly the jobs the unsharded
+/// workload would — `TaskSet::preserving_phases` keeps the periodic phases.
 #[derive(Debug, Clone, Copy)]
 pub struct Shard<'a> {
     /// The shard's task set, in its own (local) task ids.
@@ -68,15 +65,14 @@ pub struct Shard<'a> {
     pub global: &'a [usize],
 }
 
-/// An arrival source built by [`Workload::shard`].
-pub type ShardSource<'a> = Box<dyn ArrivalSource + Send + 'a>;
-
 impl Workload {
-    /// Builds one arrival source per shard, releasing jobs in local task ids.
-    /// A jittered source may release past `horizon` (a delayed release whose
-    /// nominal time lies before it); every other source stops before it. A
-    /// replayed trace is split by the task of each event; its task indices
-    /// refer to the union of the shards' global indices.
+    /// Builds one arrival stream per shard, releasing jobs in local task
+    /// ids, each keyed by its shard's global indices. A jittered stream may
+    /// release past `horizon` (a delayed release whose nominal time lies
+    /// before it), and a replay runs to its trace's own horizon; every other
+    /// stream stops before `horizon`. A replayed trace's task indices refer
+    /// to the union of the shards' global indices, which must partition
+    /// `0..n`.
     ///
     /// # Errors
     ///
@@ -86,56 +82,31 @@ impl Workload {
     /// # Panics
     ///
     /// Panics on a jitter or generator configuration the lazy streams
-    /// reject (see `ArrivalStream::with_jitter` and `GenSpec::stream_keyed`).
+    /// reject; [`RunSpec::required_horizon`] rejects those by name first.
     pub fn shard<'a>(
         &self,
         horizon: SimTime,
         shards: &[Shard<'a>],
-    ) -> std::result::Result<Vec<ShardSource<'a>>, TraceError> {
-        let keys =
-            |shard: &Shard<'_>| -> Vec<u64> { shard.global.iter().map(|&g| g as u64).collect() };
-        match self {
-            Workload::Periodic { jitter } => Ok(shards
-                .iter()
-                .map(|s| {
-                    let stream =
-                        ArrivalStream::with_jitter_keyed(s.taskset, horizon, *jitter, &keys(s));
-                    Box::new(stream) as ShardSource<'a>
-                })
-                .collect()),
-            Workload::Generated(gen) => Ok(shards
-                .iter()
-                .map(|s| {
-                    Box::new(gen.stream_keyed(s.taskset, horizon, &keys(s))) as ShardSource<'a>
-                })
-                .collect()),
-            Workload::Replay(trace) => {
-                let tasks = shards.iter().map(|s| s.global.len()).sum();
-                let mut route: Vec<Option<(usize, TaskId)>> = vec![None; tasks];
-                for (s, shard) in shards.iter().enumerate() {
-                    for (local, &global) in shard.global.iter().enumerate() {
-                        route[global] = Some((s, TaskId(local as u32)));
-                    }
-                }
-                let mut events: Vec<Vec<TraceEvent>> = vec![Vec::new(); shards.len()];
-                for ev in trace.events() {
-                    let Some(&Some((s, local))) = route.get(ev.task.index()) else {
-                        return Err(TraceError::UnknownTask { task: ev.task, tasks });
-                    };
-                    events[s].push(TraceEvent { task: local, ..*ev });
-                }
-                // With ascending global indices a slice keeps the trace's
-                // order and reorder width, so each slice validates.
-                shards
-                    .iter()
-                    .zip(events)
-                    .map(|(s, events)| {
-                        let slice = Trace::new(trace.horizon(), trace.lookahead(), events)?;
-                        Ok(Box::new(TracePlayer::owned(s.taskset, slice)?) as ShardSource<'a>)
-                    })
-                    .collect()
+    ) -> std::result::Result<Vec<ArrivalStream<'a>>, TraceError> {
+        if let Workload::Replay(trace) = self {
+            let tasks = shards.iter().map(|s| s.global.len()).sum();
+            if let Some(ev) = trace.events().iter().find(|ev| ev.task.index() >= tasks) {
+                return Err(TraceError::UnknownTask { task: ev.task, tasks });
             }
         }
+        Ok(shards
+            .iter()
+            .map(|s| {
+                let keys: Vec<u64> = s.global.iter().map(|&g| g as u64).collect();
+                match self {
+                    Workload::Periodic { jitter } => {
+                        ArrivalStream::with_jitter_keyed(s.taskset, horizon, *jitter, &keys)
+                    }
+                    Workload::Generated(gen) => gen.stream_keyed(s.taskset, horizon, &keys),
+                    Workload::Replay(trace) => ArrivalStream::replay_keyed(s.taskset, trace, &keys),
+                }
+            })
+            .collect())
     }
 }
 
@@ -197,22 +168,32 @@ impl RunSpec {
 
     /// The horizon, or [`CoreError::InvalidConfig`] when the spec does not
     /// determine one (periodic/generated workloads need
-    /// [`until`](RunSpec::until)) or sets a replay horizon past the trace's.
+    /// [`until`](RunSpec::until)), sets a replay horizon past the trace's,
+    /// or names a workload the lazy streams cannot run to that horizon: a
+    /// jitter whose max delay reaches it (see `ReleaseJitter::validate`) or
+    /// an out-of-range generator (see `GenSpec::validate`).
     pub fn required_horizon(&self) -> Result<SimTime> {
-        match (&self.workload, self.horizon) {
+        let horizon = match (&self.workload, self.horizon) {
             (Workload::Replay(trace), Some(until)) if until > trace.horizon() => {
-                Err(CoreError::InvalidConfig(format!(
+                return Err(CoreError::InvalidConfig(format!(
                     "replay horizon {:.3} ms is past the trace horizon {:.3} ms",
                     until.as_millis_f64(),
                     trace.horizon().as_millis_f64()
-                )))
+                )));
             }
             _ => self.horizon().ok_or_else(|| {
                 CoreError::InvalidConfig(
                     "run spec has no horizon: call RunSpec::until(..)".to_string(),
                 )
-            }),
+            })?,
+        };
+        match &self.workload {
+            Workload::Periodic { jitter } => jitter.validate(horizon),
+            Workload::Generated(gen) => gen.validate(),
+            Workload::Replay(_) => Ok(()),
         }
+        .map_err(CoreError::InvalidConfig)?;
+        Ok(horizon)
     }
 }
 

@@ -121,9 +121,7 @@ impl DarisScheduler {
         let profiles: BTreeMap<DnnKind, ModelProfile> = taskset
             .model_kinds()
             .into_iter()
-            .map(|k| {
-                (k, ModelProfile::calibrated_for(k, Default::default(), config.calibration_spec()))
-            })
+            .map(|k| (k, ModelProfile::calibrated_for(k, config.calibration_spec())))
             .collect();
 
         // Spatial partition: Nc contexts × Ns streams with the Eq. 9 quota.
@@ -600,11 +598,7 @@ impl Scheduler for DarisScheduler {
     /// Returns an error if the model's weights do not fit in device memory.
     fn adopt_task(&mut self, task: &TaskSpec) -> Result<TaskId> {
         if !self.profiles.contains_key(&task.model) {
-            let profile = ModelProfile::calibrated_for(
-                task.model,
-                Default::default(),
-                self.config.calibration_spec(),
-            );
+            let profile = ModelProfile::calibrated_for(task.model, self.config.calibration_spec());
             self.gpu
                 .memory_mut()
                 .alloc(format!("{}.weights", task.model), profile.weight_bytes())?;
@@ -971,6 +965,29 @@ mod tests {
             DarisScheduler::new(&taskset, DarisConfig::new(GpuPartition::mps(4, 4.0))).unwrap();
         let err = scheduler.run(&RunSpec::replay(trace));
         assert!(matches!(err, Err(CoreError::Trace(_))), "{err:?}");
+    }
+
+    #[test]
+    fn run_rejects_workloads_the_streams_cannot_run_by_name() {
+        use daris_gpu::SimDuration;
+        use daris_workload::{BurstyConfig, GenSpec};
+        let taskset = TaskSet::table2(DnnKind::UNet);
+        let horizon = SimTime::from_millis(50);
+        // A jitter as wide as the horizon, and a generator that never bursts.
+        let wide = ReleaseJitter::Uniform { max: SimDuration::from_millis(50), seed: 1 };
+        let silent = GenSpec::Bursty(BurstyConfig { burst_rate: 0.0, ..Default::default() });
+        for (spec, reason) in [
+            (RunSpec::jittered(wide), "cannot lazily reproduce"),
+            (RunSpec::generated(silent), "burst_rate must be positive"),
+        ] {
+            let mut scheduler =
+                DarisScheduler::new(&taskset, DarisConfig::new(GpuPartition::mps(4, 4.0))).unwrap();
+            let err = scheduler.run(&spec.until(horizon));
+            assert!(
+                matches!(&err, Err(CoreError::InvalidConfig(r)) if r.contains(reason)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -171,8 +171,9 @@ pub trait Scheduler {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the spec has no horizon
-    /// (periodic/generated workloads require [`RunSpec::until`]) or a
-    /// replay horizon past the trace's, and [`CoreError::Trace`] when a
+    /// (periodic/generated workloads require [`RunSpec::until`]), a replay
+    /// horizon past the trace's, a jitter the horizon cannot hold or an
+    /// out-of-range generator, and [`CoreError::Trace`] when a
     /// replayed trace refers to tasks this scheduler's set does not contain.
     fn run(&mut self, spec: &RunSpec) -> Result<ExperimentOutcome>
     where
@@ -184,6 +185,6 @@ pub trait Scheduler {
         let shard = Shard { taskset: &taskset, global: &global };
         let mut sources = spec.workload().shard(horizon, &[shard]).map_err(CoreError::Trace)?;
         let mut source = sources.pop().expect("one source per shard");
-        Ok(self.run_with_source(&mut *source, horizon))
+        Ok(self.run_with_source(&mut source, horizon))
     }
 }

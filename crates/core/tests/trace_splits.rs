@@ -15,7 +15,7 @@ use daris_gpu::{SimDuration, SimTime, XorShiftRng};
 use daris_models::DnnKind;
 use daris_workload::{
     ArrivalStream, BurstyConfig, CorrelatedConfig, DiurnalConfig, GenSpec, ReleaseJitter, TaskId,
-    TaskSet, Trace, TraceError, TraceEvent, TracePlayer,
+    TaskSet, Trace, TraceError, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -74,7 +74,7 @@ proptest! {
         splits.push(horizon);
 
         let mut split_run = DarisScheduler::new(&taskset, config).expect("builds");
-        let mut player = TracePlayer::new(&taskset, &trace).expect("binds");
+        let mut player = ArrivalStream::replay(&taskset, &trace).expect("binds");
         let mut rejected = Vec::new();
         for until in splits {
             split_run.run_span(&mut player, until, &mut rejected);

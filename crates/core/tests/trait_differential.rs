@@ -12,9 +12,7 @@ use daris_core::{
 };
 use daris_gpu::{SimDuration, SimTime};
 use daris_models::DnnKind;
-use daris_workload::{
-    ArrivalStream, BurstyConfig, GenSpec, ReleaseJitter, TaskSet, Trace, TracePlayer,
-};
+use daris_workload::{ArrivalStream, BurstyConfig, GenSpec, ReleaseJitter, TaskSet, Trace};
 
 fn digest(outcome: &ExperimentOutcome) -> u64 {
     let mut hasher = DefaultHasher::new();
@@ -74,7 +72,7 @@ fn replay_run_via_trait_matches_direct_run_trace() {
     let horizon = SimTime::from_millis(250);
     let mut source = ArrivalStream::new(&taskset, horizon);
     let trace = Trace::record(&mut source, horizon).expect("trace records");
-    let mut player = TracePlayer::new(&taskset, &trace).expect("trace binds to its task set");
+    let mut player = ArrivalStream::replay(&taskset, &trace).expect("trace binds to its task set");
     let direct = scheduler(&taskset).run_with_source(&mut player, trace.horizon());
     let via_trait = run_via_trait(&mut scheduler(&taskset), &RunSpec::replay(trace));
     assert_eq!(digest(&direct), digest(&via_trait), "trait path diverged on trace replay");

@@ -281,7 +281,6 @@ pub struct Gpu {
     replans: Vec<(SimTime, DeviceEvent)>,
     rng: XorShiftRng,
     completed_work: f64,
-    busy_sm_integral_us: f64,
     pending_count: usize,
     counters: WorkCounters,
 }
@@ -314,7 +313,6 @@ impl Gpu {
             replans: Vec::new(),
             rng,
             completed_work: 0.0,
-            busy_sm_integral_us: 0.0,
             pending_count: 0,
             counters: WorkCounters::default(),
         }
@@ -468,7 +466,7 @@ impl Gpu {
         if elapsed_us <= 0.0 {
             return 0.0;
         }
-        self.busy_sm_integral_us / (elapsed_us * f64::from(self.spec.sm_count))
+        self.completed_work / (elapsed_us * f64::from(self.spec.sm_count))
     }
 
     /// Time of the next internal state transition, if any work is in flight.
@@ -627,7 +625,6 @@ impl Gpu {
             copy.remaining = copy.remaining.saturating_sub(dt);
         }
         self.completed_work += executed;
-        self.busy_sm_integral_us += executed;
     }
 
     /// Fires every transition that is due at the current time, then replans

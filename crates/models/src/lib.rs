@@ -44,7 +44,6 @@ pub mod zoo;
 
 pub use graph::{ModelGraph, StageSpec};
 pub use layer::{Layer, LayerKind};
-pub use lowering::LoweringConfig;
 pub use profile::{BatchSweepPoint, ModelProfile, Table1Reference};
 pub use shape::TensorShape;
 

@@ -15,7 +15,8 @@
 
 use daris_gpu::{GpuSpec, KernelDesc};
 
-use crate::{zoo, DnnKind, LoweringConfig, ModelGraph};
+use crate::lowering::{self, LAUNCH_OVERHEAD_US};
+use crate::{zoo, DnnKind, ModelGraph};
 
 /// Batch sizes explored when searching for the best batched throughput
 /// (Table I "max JPS" is the best the paper found over its batch sweep).
@@ -63,7 +64,6 @@ pub struct BatchSweepPoint {
 pub struct ModelProfile {
     kind: DnnKind,
     graph: ModelGraph,
-    cfg: LoweringConfig,
     sm_count: u32,
     copy_latency_us: f64,
     copy_bandwidth_bytes_per_us: f64,
@@ -75,13 +75,12 @@ impl ModelProfile {
     /// Builds a profile calibrated against Table I for the default evaluation
     /// device (RTX 2080 Ti, 68 SMs).
     pub fn calibrated(kind: DnnKind) -> Self {
-        Self::calibrated_for(kind, LoweringConfig::default(), &GpuSpec::rtx_2080_ti())
+        Self::calibrated_for(kind, &GpuSpec::rtx_2080_ti())
     }
 
-    /// Builds a profile calibrated against Table I for an arbitrary device
-    /// and lowering configuration.
-    pub fn calibrated_for(kind: DnnKind, cfg: LoweringConfig, spec: &GpuSpec) -> Self {
-        let mut profile = Self::uncalibrated_for(kind, cfg, spec);
+    /// Builds a profile calibrated against Table I for an arbitrary device.
+    pub fn calibrated_for(kind: DnnKind, spec: &GpuSpec) -> Self {
+        let mut profile = Self::uncalibrated_for(kind, spec);
         profile.fit_to(Table1Reference::for_kind(kind));
         profile
     }
@@ -89,14 +88,13 @@ impl ModelProfile {
     /// Builds an uncalibrated profile (`work_scale = par_scale = 1`), mostly
     /// useful for inspecting the raw cost model.
     pub fn uncalibrated(kind: DnnKind) -> Self {
-        Self::uncalibrated_for(kind, LoweringConfig::default(), &GpuSpec::rtx_2080_ti())
+        Self::uncalibrated_for(kind, &GpuSpec::rtx_2080_ti())
     }
 
-    fn uncalibrated_for(kind: DnnKind, cfg: LoweringConfig, spec: &GpuSpec) -> Self {
+    fn uncalibrated_for(kind: DnnKind, spec: &GpuSpec) -> Self {
         ModelProfile {
             kind,
             graph: zoo::graph(kind),
-            cfg,
             sm_count: spec.sm_count,
             copy_latency_us: spec.copy_latency.as_micros_f64(),
             copy_bandwidth_bytes_per_us: spec.copy_bandwidth_bytes_per_us,
@@ -113,11 +111,6 @@ impl ModelProfile {
     /// The underlying layer graph.
     pub fn graph(&self) -> &ModelGraph {
         &self.graph
-    }
-
-    /// The lowering configuration in use.
-    pub fn lowering(&self) -> &LoweringConfig {
-        &self.cfg
     }
 
     /// Calibrated work scale (exposed for diagnostics and EXPERIMENTS.md).
@@ -166,7 +159,7 @@ impl ModelProfile {
         self.graph
             .stage_layers(stage)
             .iter()
-            .map(|l| self.cfg.lower(l, batch, self.work_scale, self.par_scale))
+            .map(|l| lowering::lower(l, batch, self.work_scale, self.par_scale))
             .collect()
     }
 
@@ -229,26 +222,25 @@ impl ModelProfile {
     // ----- calibration ------------------------------------------------------
 
     fn layer_latency_us(&self, layer: &crate::Layer, batch: u32) -> f64 {
-        let work = self.cfg.raw_work(layer, batch) * self.work_scale;
-        let par =
-            self.cfg.scaled_parallelism(layer, batch, self.par_scale).min(f64::from(self.sm_count));
-        self.cfg.launch_overhead_us + work / par.max(1.0)
+        let work = lowering::raw_work(layer, batch) * self.work_scale;
+        let par = lowering::scaled_parallelism(layer, batch, self.par_scale)
+            .min(f64::from(self.sm_count));
+        LAUNCH_OVERHEAD_US + work / par.max(1.0)
     }
 
     /// Fits `work_scale` so the isolated batch-1 latency hits
     /// `1e6 / reference.min_jps` given the current `par_scale`.
     fn fit_work_scale(&mut self, reference: Table1Reference) {
         let target_us = 1e6 / reference.min_jps;
-        let fixed: f64 =
-            self.graph.layers.len() as f64 * self.cfg.launch_overhead_us + self.copy_time_us(1);
+        let fixed: f64 = self.graph.layers.len() as f64 * LAUNCH_OVERHEAD_US + self.copy_time_us(1);
         let variable: f64 = self
             .graph
             .layers
             .iter()
             .map(|l| {
-                let par =
-                    self.cfg.scaled_parallelism(l, 1, self.par_scale).min(f64::from(self.sm_count));
-                self.cfg.raw_work(l, 1) / par.max(1.0)
+                let par = lowering::scaled_parallelism(l, 1, self.par_scale)
+                    .min(f64::from(self.sm_count));
+                lowering::raw_work(l, 1) / par.max(1.0)
             })
             .sum();
         let budget = (target_us - fixed).max(target_us * 0.05);

@@ -1,11 +1,13 @@
-//! Job arrival generation.
+//! Job arrival generation: the eager [`ArrivalPlan`] and the one lazy
+//! source, [`ArrivalStream`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use daris_gpu::{SimDuration, SimTime, XorShiftRng};
 
-use crate::{Job, TaskId, TaskSet};
+use crate::generators::GenState;
+use crate::{Job, TaskId, TaskSet, TaskSpec, Trace, TraceError};
 
 /// Optional jitter applied to nominal periodic release times, modelling
 /// client-side timing noise. Deadlines remain anchored to the *nominal*
@@ -24,6 +26,31 @@ pub enum ReleaseJitter {
     },
 }
 
+impl ReleaseJitter {
+    /// Checks that an [`ArrivalStream`] can reproduce this jitter *lazily* up
+    /// to `horizon`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason for a [`ReleaseJitter::Uniform`] whose `max` delay
+    /// reaches a non-zero horizon span: the in-order lookahead would then
+    /// buffer the entire plan and the stream would silently degenerate to
+    /// the eager path (materialize an [`ArrivalPlan`] instead).
+    pub fn validate(&self, horizon: SimTime) -> Result<(), String> {
+        let span = horizon.duration_since(SimTime::ZERO);
+        match *self {
+            ReleaseJitter::Uniform { max, .. } if !span.is_zero() && max >= span => Err(format!(
+                "ArrivalStream cannot lazily reproduce ReleaseJitter::Uniform with a max delay \
+                 of {:.3} ms at a {:.3} ms horizon: the in-order lookahead would buffer every \
+                 release; materialize an ArrivalPlan instead",
+                max.as_millis_f64(),
+                span.as_millis_f64(),
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// The generator of one keyed random *stream*: `seed` mixed with the stream
 /// key through a splitmix64 finalizer. Release jitter and the seeded
 /// generators both draw from it. Each stream draws independently, so the
@@ -38,12 +65,6 @@ pub(crate) fn keyed_rng(seed: u64, key: u64) -> XorShiftRng {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     XorShiftRng::new(z ^ (z >> 31))
-}
-
-/// The standalone per-task jitter generator: the stream key is the task's
-/// own id.
-fn task_jitter_rng(seed: u64, task: TaskId) -> XorShiftRng {
-    keyed_rng(seed, u64::from(task.0))
 }
 
 /// The uniform delay drawn for one release. Inclusion of a job is decided on
@@ -81,7 +102,7 @@ impl ArrivalPlan {
         let mut jobs = Vec::new();
         for task in tasks.tasks() {
             let mut rng = match jitter {
-                ReleaseJitter::Uniform { seed, .. } => Some(task_jitter_rng(seed, task.id)),
+                ReleaseJitter::Uniform { seed, .. } => Some(keyed_rng(seed, u64::from(task.id.0))),
                 ReleaseJitter::None => None,
             };
             let mut index = 0u64;
@@ -135,29 +156,113 @@ impl ArrivalPlan {
     }
 }
 
-/// Per-task state of a jittered [`ArrivalStream`]: the task's delay
-/// generator plus a bounded lookahead of drawn-but-unemitted releases.
+impl IntoIterator for ArrivalPlan {
+    type Item = Job;
+    type IntoIter = std::vec::IntoIter<Job>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.jobs.into_iter()
+    }
+}
+
+/// Per-task state of a jittered [`Cursor`]: the task's delay generator plus
+/// a bounded lookahead of drawn-but-unemitted releases.
 ///
 /// Jitter can reorder a task's releases (a job delayed past its successor's
-/// draw), so the stream draws ahead until the earliest buffered release is
+/// draw), so the cursor draws ahead until the earliest buffered release is
 /// provably final: once `buffer.min <= next nominal release`, every undrawn
 /// job jitters to at least its nominal, hence at least `buffer.min`. The
 /// lookahead is bounded by `max / period + 1` entries per task.
 #[derive(Debug, Clone)]
-struct TaskJitterState {
+pub(crate) struct TaskJitterState {
     rng: XorShiftRng,
     max: SimDuration,
     /// Next nominal release index not yet drawn.
     next_index: u64,
-    /// Drawn releases not yet handed to the global heap: `(release, index)`.
+    /// Drawn releases not yet handed to the stream's heap: `(release, index)`.
     buffer: BinaryHeap<Reverse<(SimTime, u64)>>,
 }
 
-/// A **lazy** arrival source: yields the same jobs, in the same order, as
-/// [`ArrivalPlan::generate`] with the same [`ReleaseJitter`], but holds only
-/// one global heap entry per task plus (for jittered streams) a bounded
-/// per-task lookahead, instead of materializing the whole horizon up front —
-/// memory stays O(tasks) however long the run is.
+impl TaskJitterState {
+    /// Draws releases until the earliest buffered one is provably the task's
+    /// next (or nominal generation passes the horizon): the task's undrawn
+    /// jobs all jitter to at least the next nominal release.
+    fn refill(&mut self, task: &TaskSpec, horizon: SimTime) {
+        loop {
+            let nominal = task.job(self.next_index).release;
+            if nominal >= horizon {
+                break;
+            }
+            if let Some(Reverse((buffered_min, _))) = self.buffer.peek() {
+                if *buffered_min <= nominal {
+                    break;
+                }
+            }
+            let release = nominal + draw_delay(&mut self.rng, self.max);
+            self.buffer.push(Reverse((release, self.next_index)));
+            self.next_index += 1;
+        }
+    }
+}
+
+/// One task's position in its release sequence. Each kind of cursor knows
+/// its own deadlines: nominal-anchored (periodic, jittered), `release +
+/// relative_deadline` (generated) or recorded (replayed).
+#[derive(Debug, Clone)]
+pub(crate) enum Cursor {
+    /// Strictly periodic; holds the next release index.
+    Periodic(u64),
+    /// Periodic releases with seeded jitter.
+    Jittered(TaskJitterState),
+    /// A seeded generator's sequence and the index of its next release.
+    Generated(GenState, u64),
+    /// The task's recorded `(release, index, deadline)` events, in time order.
+    Replayed(std::vec::IntoIter<(SimTime, u64, SimTime)>),
+}
+
+impl Cursor {
+    /// Advances past the task's next release and returns its `(release,
+    /// release_index, absolute_deadline)`, or `None` once the sequence is
+    /// exhausted.
+    fn pull(&mut self, task: &TaskSpec, horizon: SimTime) -> Option<(SimTime, u64, SimTime)> {
+        match self {
+            Cursor::Periodic(next_index) => {
+                let job = task.job(*next_index);
+                if job.release >= horizon {
+                    return None;
+                }
+                *next_index += 1;
+                Some((job.release, job.id.release_index, job.absolute_deadline))
+            }
+            Cursor::Jittered(state) => {
+                state.refill(task, horizon);
+                let Reverse((release, index)) = state.buffer.pop()?;
+                Some((release, index, task.job(index).absolute_deadline))
+            }
+            Cursor::Generated(state, next_index) => {
+                let release = state.next_release(horizon)?;
+                *next_index += 1;
+                // A generated arrival is a fresh request, not a delayed
+                // periodic one.
+                Some((release, *next_index - 1, release + task.relative_deadline))
+            }
+            Cursor::Replayed(events) => events.next(),
+        }
+    }
+}
+
+/// The **lazy** arrival source: a k-way merge over one *cursor* per task,
+/// holding one heap entry per task ordered by `(release, task, index)` — the
+/// exact tie-break of the eager plan's stable sort and of a [`Trace`].
+///
+/// Each task's cursor is periodic, jittered ([`with_jitter`]), generated
+/// ([`GenSpec::stream`](crate::GenSpec::stream)) or replayed ([`replay`]).
+/// Periodic and generated cursors hold O(1) state and a jittered one a
+/// bounded lookahead, so their memory stays O(tasks) however long the run
+/// is; a replayed cursor holds its task's recorded events.
+///
+/// A periodic or jittered stream yields the same jobs, in the same order, as
+/// [`ArrivalPlan::generate`] with the same [`ReleaseJitter`]:
 ///
 /// ```
 /// use daris_workload::{ArrivalPlan, ArrivalStream, TaskSet, ReleaseJitter};
@@ -176,16 +281,18 @@ struct TaskJitterState {
 /// let lazy: Vec<_> = ArrivalStream::with_jitter(&ts, horizon, jitter).collect();
 /// assert_eq!(eager, lazy);
 /// ```
+///
+/// [`with_jitter`]: Self::with_jitter
+/// [`replay`]: Self::replay
 #[derive(Debug, Clone)]
 pub struct ArrivalStream<'a> {
     tasks: &'a TaskSet,
     horizon: SimTime,
     /// Next emittable release of each task, ordered by `(release, task,
-    /// index)` — the exact tie-break of the eager plan's stable sort.
-    heap: BinaryHeap<Reverse<(SimTime, TaskId, u64)>>,
-    /// Per-task jitter state, indexed by task; empty for jitter-free streams
-    /// (the common scheduler path keeps its one-entry-per-task fast path).
-    jitter: Vec<TaskJitterState>,
+    /// index)`, with its deadline.
+    heap: BinaryHeap<Reverse<(SimTime, TaskId, u64, SimTime)>>,
+    /// One cursor per task, indexed by task.
+    cursors: Vec<Cursor>,
 }
 
 impl<'a> ArrivalStream<'a> {
@@ -201,11 +308,8 @@ impl<'a> ArrivalStream<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on a jitter configuration the stream cannot reproduce *lazily*:
-    /// a [`ReleaseJitter::Uniform`] whose `max` delay reaches the horizon, as
-    /// the in-order lookahead would then buffer the entire plan and the
-    /// stream would silently degenerate to the eager path (materialize an
-    /// [`ArrivalPlan`] instead).
+    /// Panics on a jitter configuration the stream cannot reproduce lazily
+    /// (see [`ReleaseJitter::validate`]).
     pub fn with_jitter(tasks: &'a TaskSet, horizon: SimTime, jitter: ReleaseJitter) -> Self {
         let keys: Vec<u64> = (0..tasks.len() as u64).collect();
         Self::with_jitter_keyed(tasks, horizon, jitter, &keys)
@@ -222,85 +326,101 @@ impl<'a> ArrivalStream<'a> {
     ///
     /// Panics when `keys.len() != tasks.len()`, or on a jitter
     /// configuration the stream cannot reproduce lazily (see
-    /// [`with_jitter`](Self::with_jitter)).
+    /// [`ReleaseJitter::validate`]).
     pub fn with_jitter_keyed(
         tasks: &'a TaskSet,
         horizon: SimTime,
         jitter: ReleaseJitter,
         keys: &[u64],
     ) -> Self {
+        if let Err(reason) = jitter.validate(horizon) {
+            panic!("{reason}");
+        }
+        let cursors = keys.iter().map(|&key| match jitter {
+            ReleaseJitter::None => Cursor::Periodic(0),
+            ReleaseJitter::Uniform { max, seed } => Cursor::Jittered(TaskJitterState {
+                rng: keyed_rng(seed, key),
+                max,
+                next_index: 0,
+                buffer: BinaryHeap::new(),
+            }),
+        });
+        Self::from_cursors(tasks, horizon, cursors.collect())
+    }
+
+    /// Replays `trace` against `tasks`: each event becomes the job of the
+    /// task it names, with the recorded release and deadline. Replaying a
+    /// trace recorded from a live run reproduces that run's arrival sequence
+    /// byte for byte.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::UnknownTask`] for an event naming a task the
+    /// set does not contain.
+    pub fn replay(tasks: &'a TaskSet, trace: &Trace) -> Result<Self, TraceError> {
+        if let Some(ev) = trace.events().iter().find(|ev| ev.task.index() >= tasks.len()) {
+            return Err(TraceError::UnknownTask { task: ev.task, tasks: tasks.len() });
+        }
+        let keys: Vec<u64> = (0..tasks.len() as u64).collect();
+        Ok(Self::replay_keyed(tasks, trace, &keys))
+    }
+
+    /// Replays the events of trace task `keys[i]` as task `i` of `tasks`,
+    /// skipping the events of every task `keys` does not name (a cluster
+    /// dispatcher passes each device's global task indices, so each device
+    /// replays its own tasks' events).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `keys.len() != tasks.len()`.
+    pub fn replay_keyed(tasks: &'a TaskSet, trace: &Trace, keys: &[u64]) -> Self {
+        // `local[t]` is the local index of trace task `t`.
+        let trace_tasks = trace.events().iter().map(|ev| ev.task.index() + 1).max().unwrap_or(0);
+        let mut local: Vec<Option<usize>> = vec![None; trace_tasks];
+        for (i, &key) in keys.iter().enumerate() {
+            if let Some(slot) = usize::try_from(key).ok().and_then(|key| local.get_mut(key)) {
+                *slot = Some(i);
+            }
+        }
+        let mut events = vec![Vec::new(); keys.len()];
+        for ev in trace.events() {
+            if let Some(&Some(i)) = local.get(ev.task.index()) {
+                events[i].push((ev.release, ev.release_index, ev.deadline));
+            }
+        }
+        let cursors = events.into_iter().map(|events| Cursor::Replayed(events.into_iter()));
+        Self::from_cursors(tasks, trace.horizon(), cursors.collect())
+    }
+
+    /// Primes the heap with every task's first release — the one path all
+    /// constructors share.
+    pub(crate) fn from_cursors(tasks: &'a TaskSet, horizon: SimTime, cursors: Vec<Cursor>) -> Self {
         assert_eq!(
-            keys.len(),
+            cursors.len(),
             tasks.len(),
-            "with_jitter_keyed needs exactly one stream key per task"
+            "ArrivalStream needs exactly one stream key per task"
         );
-        let mut heap = BinaryHeap::with_capacity(tasks.len());
-        let jitter_states = match jitter {
-            ReleaseJitter::None => {
-                for task in tasks.tasks() {
-                    let first = task.job(0).release;
-                    if first < horizon {
-                        heap.push(Reverse((first, task.id, 0)));
-                    }
-                }
-                Vec::new()
-            }
-            ReleaseJitter::Uniform { max, seed } => {
-                let span = horizon.duration_since(SimTime::ZERO);
-                assert!(
-                    span.is_zero() || max < span,
-                    "ArrivalStream cannot lazily reproduce ReleaseJitter::Uniform with a max \
-                     delay of {:.3} ms at a {:.3} ms horizon: the in-order lookahead would \
-                     buffer every release; materialize an ArrivalPlan instead",
-                    max.as_millis_f64(),
-                    span.as_millis_f64(),
-                );
-                let mut states = Vec::with_capacity(tasks.len());
-                for (task, &key) in tasks.tasks().iter().zip(keys) {
-                    let mut state = TaskJitterState {
-                        rng: keyed_rng(seed, key),
-                        max,
-                        next_index: 0,
-                        buffer: BinaryHeap::new(),
-                    };
-                    state.refill(tasks, task.id, horizon);
-                    if let Some(Reverse((release, index))) = state.buffer.pop() {
-                        heap.push(Reverse((release, task.id, index)));
-                    }
-                    states.push(state);
-                }
-                states
-            }
-        };
-        ArrivalStream { tasks, horizon, heap, jitter: jitter_states }
+        let mut stream =
+            ArrivalStream { tasks, horizon, heap: BinaryHeap::with_capacity(tasks.len()), cursors };
+        for task in tasks.tasks() {
+            stream.advance(task.id);
+        }
+        stream
+    }
+
+    /// Pulls the next release of `task` into the heap, if it has one.
+    fn advance(&mut self, task: TaskId) {
+        let spec = &self.tasks.tasks()[task.index()];
+        if let Some((release, index, deadline)) =
+            self.cursors[task.index()].pull(spec, self.horizon)
+        {
+            self.heap.push(Reverse((release, task, index, deadline)));
+        }
     }
 
     /// Release time of the next job, without consuming it.
     pub fn next_release(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((release, _, _))| *release)
-    }
-}
-
-impl TaskJitterState {
-    /// Draws releases until the earliest buffered one is provably the task's
-    /// next (or nominal generation passes the horizon): the task's undrawn
-    /// jobs all jitter to at least the next nominal release.
-    fn refill(&mut self, tasks: &TaskSet, task_id: TaskId, horizon: SimTime) {
-        let task = tasks.task(task_id).expect("stream tasks outlive the iterator");
-        loop {
-            let nominal = task.job(self.next_index).release;
-            if nominal >= horizon {
-                break;
-            }
-            if let Some(Reverse((buffered_min, _))) = self.buffer.peek() {
-                if *buffered_min <= nominal {
-                    break;
-                }
-            }
-            let release = nominal + draw_delay(&mut self.rng, self.max);
-            self.buffer.push(Reverse((release, self.next_index)));
-            self.next_index += 1;
-        }
+        self.heap.peek().map(|Reverse((release, ..))| *release)
     }
 }
 
@@ -308,33 +428,10 @@ impl Iterator for ArrivalStream<'_> {
     type Item = Job;
 
     fn next(&mut self) -> Option<Job> {
-        let Reverse((release, task_id, index)) = self.heap.pop()?;
-        let task = self.tasks.task(task_id).expect("stream tasks outlive the iterator");
-        let mut job = task.job(index);
-        if self.jitter.is_empty() {
-            // Strictly periodic: the successor's release is its nominal.
-            let succ = task.job(index + 1);
-            if succ.release < self.horizon {
-                self.heap.push(Reverse((succ.release, task_id, index + 1)));
-            }
-        } else {
-            job.release = release;
-            let state = &mut self.jitter[task_id.index()];
-            state.refill(self.tasks, task_id, self.horizon);
-            if let Some(Reverse((next_release, next_index))) = state.buffer.pop() {
-                self.heap.push(Reverse((next_release, task_id, next_index)));
-            }
-        }
+        let Reverse((release, task, index, absolute_deadline)) = self.heap.pop()?;
+        let job = Job { release, absolute_deadline, ..self.tasks.tasks()[task.index()].job(index) };
+        self.advance(task);
         Some(job)
-    }
-}
-
-impl IntoIterator for ArrivalPlan {
-    type Item = Job;
-    type IntoIter = std::vec::IntoIter<Job>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.jobs.into_iter()
     }
 }
 

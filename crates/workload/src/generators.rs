@@ -39,14 +39,12 @@
 //!   by `group_period · uniform(1±gap_jitter)`, drawn from the *group's* RNG
 //!   so every member reproduces the same instants independently.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::f64::consts::TAU;
 
 use daris_gpu::{SimDuration, SimTime, XorShiftRng};
 
-use crate::arrivals::keyed_rng;
-use crate::{ArrivalSource, Job, JobId, TaskId, TaskSet, TaskSpec, Trace};
+use crate::arrivals::{keyed_rng, Cursor};
+use crate::{ArrivalStream, TaskSet, TaskSpec, Trace};
 
 /// Configuration of the bursty (on/off MMPP-style) generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,7 +153,7 @@ impl GenSpec {
     ///
     /// Panics on an out-of-range configuration (see
     /// [`stream_keyed`](Self::stream_keyed)).
-    pub fn stream<'a>(&self, tasks: &'a TaskSet, horizon: SimTime) -> GeneratedStream<'a> {
+    pub fn stream<'a>(&self, tasks: &'a TaskSet, horizon: SimTime) -> ArrivalStream<'a> {
         let keys: Vec<u64> = (0..tasks.len() as u64).collect();
         self.stream_keyed(tasks, horizon, &keys)
     }
@@ -164,33 +162,30 @@ impl GenSpec {
     /// task: `keys[i]` seeds task `i`'s release sequence. A cluster
     /// dispatcher passes each task's global index so device-local streams
     /// reproduce the global trace phases exactly (the generator analogue of
-    /// [`TaskSet::preserving_phases`]).
+    /// [`TaskSet::preserving_phases`]). Job deadlines anchor to the *actual*
+    /// release (`release + relative_deadline`): a generated arrival is a
+    /// fresh request, not a delayed periodic one.
     ///
     /// # Panics
     ///
     /// Panics when `keys.len() != tasks.len()`, or on an out-of-range
-    /// configuration: a non-positive `burst_rate`, an `amplitude` outside
-    /// `[0, 1)`, zero `groups`, a zero dwell mean, cycle or group period —
-    /// all of which would make the release sequence degenerate (the loud
-    /// rejection mirrors `ArrivalStream::with_jitter`).
+    /// configuration (see [`validate`](Self::validate)).
     pub fn stream_keyed<'a>(
         &self,
         tasks: &'a TaskSet,
         horizon: SimTime,
         keys: &[u64],
-    ) -> GeneratedStream<'a> {
+    ) -> ArrivalStream<'a> {
         assert_eq!(keys.len(), tasks.len(), "stream_keyed needs exactly one stream key per task");
-        self.validate();
-        let mut heap = BinaryHeap::with_capacity(tasks.len());
-        let mut states = Vec::with_capacity(tasks.len());
-        for (task, &key) in tasks.tasks().iter().zip(keys) {
-            let mut state = self.init_state(task, key);
-            if let Some(first) = state.next_release(horizon) {
-                heap.push(Reverse((first, task.id, 0u64)));
-            }
-            states.push(state);
+        if let Err(reason) = self.validate() {
+            panic!("{reason}");
         }
-        GeneratedStream { tasks, horizon, heap, states }
+        let cursors = tasks
+            .tasks()
+            .iter()
+            .zip(keys)
+            .map(|(task, &key)| Cursor::Generated(self.init_state(task, key), 0));
+        ArrivalStream::from_cursors(tasks, horizon, cursors.collect())
     }
 
     /// Materializes the full trace of this generator over `tasks`: exactly
@@ -207,38 +202,42 @@ impl GenSpec {
             .expect("generated sequences are monotone per task and bounded by the horizon")
     }
 
-    fn validate(&self) {
-        match *self {
-            GenSpec::Bursty(c) => {
-                assert!(c.burst_rate > 0.0, "burst_rate must be positive, got {}", c.burst_rate);
-                assert!(
-                    !c.on_mean.is_zero() && !c.off_mean.is_zero(),
-                    "bursty dwell means must be non-zero"
-                );
-            }
-            GenSpec::Diurnal(c) => {
-                assert!(
+    /// Checks that the configuration is in range.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason for a non-positive `burst_rate`, an `amplitude`
+    /// outside `[0, 1)`, a `phase_spread` outside `[0, 1]`, zero `groups`, a
+    /// `gap_jitter` outside `[0, 0.95]`, or a zero dwell mean, cycle or group
+    /// period — all of which would make the release sequence degenerate.
+    pub fn validate(&self) -> Result<(), String> {
+        let checks: [(bool, String); 3] = match *self {
+            GenSpec::Bursty(c) => [
+                (c.burst_rate > 0.0, format!("burst_rate must be positive, got {}", c.burst_rate)),
+                (!c.on_mean.is_zero(), "bursty dwell means must be non-zero".into()),
+                (!c.off_mean.is_zero(), "bursty dwell means must be non-zero".into()),
+            ],
+            GenSpec::Diurnal(c) => [
+                (
                     (0.0..1.0).contains(&c.amplitude),
-                    "diurnal amplitude must lie in [0, 1), got {}",
-                    c.amplitude
-                );
-                assert!(!c.cycle.is_zero(), "diurnal cycle must be non-zero");
-                assert!(
+                    format!("diurnal amplitude must lie in [0, 1), got {}", c.amplitude),
+                ),
+                (!c.cycle.is_zero(), "diurnal cycle must be non-zero".into()),
+                (
                     (0.0..=1.0).contains(&c.phase_spread),
-                    "diurnal phase_spread must lie in [0, 1], got {}",
-                    c.phase_spread
-                );
-            }
-            GenSpec::Correlated(c) => {
-                assert!(c.groups >= 1, "correlated generator needs at least one group");
-                assert!(!c.group_period.is_zero(), "group_period must be non-zero");
-                assert!(
+                    format!("diurnal phase_spread must lie in [0, 1], got {}", c.phase_spread),
+                ),
+            ],
+            GenSpec::Correlated(c) => [
+                (c.groups >= 1, "correlated generator needs at least one group".into()),
+                (!c.group_period.is_zero(), "group_period must be non-zero".into()),
+                (
                     (0.0..=0.95).contains(&c.gap_jitter),
-                    "gap_jitter must lie in [0, 0.95], got {}",
-                    c.gap_jitter
-                );
-            }
-        }
+                    format!("gap_jitter must lie in [0, 0.95], got {}", c.gap_jitter),
+                ),
+            ],
+        };
+        checks.into_iter().find(|(ok, _)| !ok).map_or(Ok(()), |(_, reason)| Err(reason))
     }
 
     fn init_state(&self, task: &TaskSpec, key: u64) -> GenState {
@@ -292,7 +291,7 @@ impl GenSpec {
 
 /// Per-task generator state: a cursor through one task's release sequence.
 #[derive(Debug, Clone)]
-enum GenState {
+pub(crate) enum GenState {
     Bursty {
         rng: XorShiftRng,
         on_mean: SimDuration,
@@ -329,7 +328,7 @@ fn dwell(rng: &mut XorShiftRng, mean: SimDuration) -> SimDuration {
 impl GenState {
     /// The task's next release strictly before `horizon`, or `None` once the
     /// sequence has passed it. Strictly monotone per task.
-    fn next_release(&mut self, horizon: SimTime) -> Option<SimTime> {
+    pub(crate) fn next_release(&mut self, horizon: SimTime) -> Option<SimTime> {
         match self {
             GenState::Bursty {
                 rng,
@@ -389,61 +388,10 @@ impl GenState {
     }
 }
 
-/// The lazy merged arrival stream of a [`GenSpec`] over a task set: one
-/// pending release per task in a k-way heap ordered by `(release, task,
-/// index)` — the same tie-break as [`crate::ArrivalPlan`] — with memory
-/// O(tasks) however long the run is. Job deadlines anchor to the *actual*
-/// release (`release + relative_deadline`): a generated arrival is a fresh
-/// request, not a delayed periodic one.
-#[derive(Debug, Clone)]
-pub struct GeneratedStream<'a> {
-    tasks: &'a TaskSet,
-    horizon: SimTime,
-    heap: BinaryHeap<Reverse<(SimTime, TaskId, u64)>>,
-    states: Vec<GenState>,
-}
-
-impl GeneratedStream<'_> {
-    /// Release time of the next job, without consuming it.
-    pub fn next_release(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((release, _, _))| *release)
-    }
-}
-
-impl ArrivalSource for GeneratedStream<'_> {
-    fn next_release(&self) -> Option<SimTime> {
-        GeneratedStream::next_release(self)
-    }
-
-    fn next_job(&mut self) -> Option<Job> {
-        let Reverse((release, task_id, index)) = self.heap.pop()?;
-        let spec = self.tasks.task(task_id).expect("stream tasks outlive the iterator");
-        if let Some(next) = self.states[task_id.index()].next_release(self.horizon) {
-            self.heap.push(Reverse((next, task_id, index + 1)));
-        }
-        Some(Job {
-            id: JobId { task: task_id, release_index: index },
-            model: spec.model,
-            priority: spec.priority,
-            batch_size: spec.batch_size,
-            release,
-            absolute_deadline: release + spec.relative_deadline,
-        })
-    }
-}
-
-impl Iterator for GeneratedStream<'_> {
-    type Item = Job;
-
-    fn next(&mut self) -> Option<Job> {
-        self.next_job()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TracePlayer;
+    use crate::{ArrivalSource, Job, TaskId};
     use daris_models::DnnKind;
 
     fn specs(seed: u64) -> [GenSpec; 3] {
@@ -482,7 +430,7 @@ mod tests {
             assert!(trace.offered_jps() > 0.0);
             // The lazy stream and the materialized trace agree byte for byte.
             let live: Vec<Job> = spec.stream(&ts, horizon).collect();
-            let replayed: Vec<Job> = TracePlayer::new(&ts, &trace).unwrap().collect();
+            let replayed: Vec<Job> = ArrivalStream::replay(&ts, &trace).unwrap().collect();
             assert_eq!(live, replayed, "{}", spec.label());
             for job in &live {
                 assert!(job.release < horizon);
@@ -646,7 +594,7 @@ mod tests {
         for spec in specs(5) {
             let mut stream = spec.stream(&ts, SimTime::from_millis(60));
             let mut last = SimTime::ZERO;
-            while let Some(peeked) = GeneratedStream::next_release(&stream) {
+            while let Some(peeked) = stream.next_release() {
                 let job = stream.next_job().expect("peeked release implies a job");
                 assert_eq!(job.release, peeked);
                 assert!(job.release >= last, "{} must stay time-ordered", spec.label());

@@ -14,8 +14,10 @@
 //! opens arbitrary arrival shapes: seeded [`GenSpec`] generators (bursty,
 //! diurnal, correlated co-releases), a serializable [`Trace`] format with a
 //! versioned plain-text codec, and a [`TraceRecorder`] that captures the
-//! release sequence of any live run for exact round-trip replay via
-//! [`TracePlayer`].
+//! release sequence of any live run. Every shape is one lazy
+//! [`ArrivalStream`] whose per-task cursors are periodic, jittered,
+//! generated or replayed ([`ArrivalStream::replay`]), so a recorded run
+//! replays exactly.
 //!
 //! # Example
 //!
@@ -43,10 +45,10 @@ mod trace;
 
 pub use arrivals::{ArrivalPlan, ArrivalStream, ReleaseJitter};
 pub use detector::{LoadDetector, LoadDetectorConfig};
-pub use generators::{BurstyConfig, CorrelatedConfig, DiurnalConfig, GenSpec, GeneratedStream};
+pub use generators::{BurstyConfig, CorrelatedConfig, DiurnalConfig, GenSpec};
 pub use task::{Job, JobId, Priority, TaskId, TaskSpec};
 pub use taskset::{RatioScenario, TaskSet, TaskSetBuilder};
-pub use trace::{ArrivalSource, Trace, TraceError, TraceEvent, TracePlayer, TraceRecorder};
+pub use trace::{ArrivalSource, Trace, TraceError, TraceEvent, TraceRecorder};
 
 #[cfg(test)]
 mod tests {

@@ -4,16 +4,15 @@
 //! module splits the *source* of those releases from the machinery that runs
 //! them:
 //!
-//! * [`ArrivalSource`] — the trait every release source implements. The
-//!   strictly periodic (optionally jittered) [`ArrivalStream`] is one impl;
-//!   the seeded generators in [`crate::GenSpec`] and the trace player below
-//!   are others. `daris-core`'s `Scheduler::run_span` and the
-//!   `daris-cluster` dispatcher consume it.
+//! * [`ArrivalSource`] — the trait a release source implements. There are
+//!   two: the one lazy source [`ArrivalStream`], whose per-task cursors are
+//!   periodic, jittered, generated ([`crate::GenSpec`]) or replayed
+//!   ([`ArrivalStream::replay`] binds a [`Trace`] to a
+//!   [`TaskSet`](crate::TaskSet)), and the recorder below. `daris-core`'s
+//!   `Scheduler::run_span` and the `daris-cluster` dispatcher consume it.
 //! * [`Trace`] / [`TraceEvent`] — a validated, fully materialized release
 //!   sequence with a versioned plain-text codec ([`Trace::encode`] /
 //!   [`Trace::decode`]; no external dependencies, the build is offline).
-//! * [`TracePlayer`] — replays a [`Trace`] against a [`TaskSet`] as an
-//!   [`ArrivalSource`].
 //! * [`TraceRecorder`] — wraps any source and captures the release sequence
 //!   a live run actually consumed, so the run can be replayed *exactly*
 //!   ([`TraceRecorder::into_trace`]). Round trip is byte-identical: replaying
@@ -34,14 +33,13 @@
 //! jitter-versus-horizon rejection: such a trace would force a replayer to
 //! buffer the entire sequence).
 
-use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 
 use daris_gpu::{SimDuration, SimTime};
 
-use crate::{ArrivalStream, Job, JobId, TaskId, TaskSet, TaskSpec};
+use crate::{ArrivalStream, Job, TaskId};
 
 /// A source of job releases in non-decreasing release order.
 ///
@@ -75,7 +73,7 @@ impl ArrivalSource for ArrivalStream<'_> {
 /// One recorded job release: the task it belongs to, its per-task release
 /// index, and the (possibly jittered or generated) release and absolute
 /// deadline instants. The model/priority/batch-size of the job are *not*
-/// stored — they come from the [`TaskSet`] a trace is replayed against, which
+/// stored — they come from the [`TaskSet`](crate::TaskSet) a trace is replayed against, which
 /// is what makes a trace a pure arrival shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -94,21 +92,6 @@ impl TraceEvent {
     /// eager [`crate::ArrivalPlan`]'s stable sort.
     fn key(&self) -> (SimTime, TaskId, u64) {
         (self.release, self.task, self.release_index)
-    }
-
-    /// Materializes the job this event describes for `spec` (the task the
-    /// event is bound to in the set it is replayed against): workload shape
-    /// from the spec, timing from the event. The job's task id is `spec.id`,
-    /// so remapped (device-local) traces produce locally valid jobs.
-    pub fn job_for(&self, spec: &TaskSpec) -> Job {
-        Job {
-            id: JobId { task: spec.id, release_index: self.release_index },
-            model: spec.model,
-            priority: spec.priority,
-            batch_size: spec.batch_size,
-            release: self.release,
-            absolute_deadline: self.deadline,
-        }
     }
 }
 
@@ -431,74 +414,6 @@ fn measured_lookahead(events: &[TraceEvent]) -> Result<SimDuration, TraceError> 
     Ok(widest)
 }
 
-/// Replays a [`Trace`] against a [`TaskSet`] as an [`ArrivalSource`]: each
-/// event is materialized into the [`Job`] of the spec it refers to, with the
-/// recorded release and deadline. Replaying a trace recorded from a live run
-/// reproduces that run's arrival sequence byte for byte.
-#[derive(Debug, Clone)]
-pub struct TracePlayer<'a> {
-    tasks: &'a TaskSet,
-    events: Cow<'a, [TraceEvent]>,
-    next: usize,
-}
-
-impl<'a> TracePlayer<'a> {
-    /// Binds `trace` to `tasks`, validating that every event refers to a
-    /// task of the set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::UnknownTask`] for an event the set cannot
-    /// resolve.
-    pub fn new(tasks: &'a TaskSet, trace: &'a Trace) -> Result<Self, TraceError> {
-        Self::bind(tasks, Cow::Borrowed(trace.events()))
-    }
-
-    /// [`new`](Self::new) for a trace the player takes ownership of — a
-    /// per-device slice split off a global trace, for instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::UnknownTask`] for an event the set cannot
-    /// resolve.
-    pub fn owned(tasks: &'a TaskSet, trace: Trace) -> Result<Self, TraceError> {
-        Self::bind(tasks, Cow::Owned(trace.events))
-    }
-
-    fn bind(tasks: &'a TaskSet, events: Cow<'a, [TraceEvent]>) -> Result<Self, TraceError> {
-        if let Some(ev) = events.iter().find(|ev| tasks.task(ev.task).is_none()) {
-            return Err(TraceError::UnknownTask { task: ev.task, tasks: tasks.len() });
-        }
-        Ok(TracePlayer { tasks, events, next: 0 })
-    }
-
-    /// Number of events not yet replayed.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.next
-    }
-}
-
-impl ArrivalSource for TracePlayer<'_> {
-    fn next_release(&self) -> Option<SimTime> {
-        self.events.get(self.next).map(|ev| ev.release)
-    }
-
-    fn next_job(&mut self) -> Option<Job> {
-        let ev = self.events.get(self.next)?;
-        self.next += 1;
-        let spec = self.tasks.task(ev.task).expect("validated at construction");
-        Some(ev.job_for(spec))
-    }
-}
-
-impl Iterator for TracePlayer<'_> {
-    type Item = Job;
-
-    fn next(&mut self) -> Option<Job> {
-        self.next_job()
-    }
-}
-
 /// Wraps any [`ArrivalSource`] and captures the releases a live run actually
 /// consumed, so [`into_trace`](Self::into_trace) can turn the run into an
 /// exactly replayable [`Trace`]. The wrapper is transparent: it forwards
@@ -568,22 +483,10 @@ impl<S: ArrivalSource + ?Sized> ArrivalSource for &mut S {
     }
 }
 
-/// Forwarding impl for boxed sources, such as the per-shard sources
-/// `daris-core` builds for a workload.
-impl<S: ArrivalSource + ?Sized> ArrivalSource for Box<S> {
-    fn next_release(&self) -> Option<SimTime> {
-        (**self).next_release()
-    }
-
-    fn next_job(&mut self) -> Option<Job> {
-        (**self).next_job()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArrivalPlan, ReleaseJitter};
+    use crate::{ArrivalPlan, ReleaseJitter, TaskSet};
     use daris_models::DnnKind;
 
     fn periodic_trace(horizon_ms: u64) -> (TaskSet, Trace) {
@@ -601,7 +504,7 @@ mod tests {
         assert_eq!(trace.len(), expected.len());
         assert_eq!(trace.lookahead(), SimDuration::ZERO, "periodic releases are in order");
         let replayed: Vec<Job> =
-            TracePlayer::new(&ts, &trace).expect("trace binds to its own set").collect();
+            ArrivalStream::replay(&ts, &trace).expect("trace binds to its own set").collect();
         assert_eq!(expected, replayed, "round trip must be byte-identical");
     }
 
@@ -617,7 +520,7 @@ mod tests {
             Trace::record(&mut ArrivalStream::with_jitter(&ts, horizon, jitter), horizon).unwrap();
         assert!(trace.lookahead() > SimDuration::ZERO, "wide jitter must reorder releases");
         assert!(trace.lookahead() < SimDuration::from_millis(60), "width is bounded by max");
-        let replayed: Vec<Job> = TracePlayer::new(&ts, &trace).unwrap().collect();
+        let replayed: Vec<Job> = ArrivalStream::replay(&ts, &trace).unwrap().collect();
         // The eager drain includes jobs jittered past the horizon, which a
         // horizon-bounded run never consumes and a trace therefore drops.
         let expected: Vec<Job> = expected.into_iter().filter(|j| j.release < horizon).collect();
@@ -654,8 +557,8 @@ mod tests {
         let decoded = Trace::decode(&text).expect("encoded traces decode");
         assert_eq!(trace, decoded);
         // Jobs replayed from the decoded trace match too.
-        let a: Vec<Job> = TracePlayer::new(&ts, &trace).unwrap().collect();
-        let b: Vec<Job> = TracePlayer::new(&ts, &decoded).unwrap().collect();
+        let a: Vec<Job> = ArrivalStream::replay(&ts, &trace).unwrap().collect();
+        let b: Vec<Job> = ArrivalStream::replay(&ts, &decoded).unwrap().collect();
         assert_eq!(a, b);
     }
 
@@ -739,7 +642,7 @@ mod tests {
     fn player_rejects_traces_for_unknown_tasks() {
         let (big_set, trace) = periodic_trace(80);
         let small: TaskSet = TaskSet::preserving_phases(big_set.tasks().iter().take(3).cloned());
-        let err = TracePlayer::new(&small, &trace);
+        let err = ArrivalStream::replay(&small, &trace);
         assert!(matches!(err, Err(TraceError::UnknownTask { tasks: 3, .. })), "{err:?}");
         for e in [
             TraceError::Unsorted { position: 1 },

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use daris_gpu::SimTime;
 use daris_models::DnnKind;
 use daris_workload::{
-    BurstyConfig, CorrelatedConfig, DiurnalConfig, GenSpec, TaskSet, Trace, TracePlayer,
+    ArrivalStream, BurstyConfig, CorrelatedConfig, DiurnalConfig, GenSpec, TaskSet, Trace,
 };
 
 fn golden_path(name: &str) -> PathBuf {
@@ -111,8 +111,9 @@ fn committed_fixtures_decode_and_replay_cleanly() {
         assert_eq!(trace.len(), events, "{name}");
         assert_eq!(trace.horizon(), horizon, "{name}");
         assert!(trace.offered_jps() > 0.0, "{name}");
-        let jobs: Vec<_> =
-            TracePlayer::new(&taskset, &trace).unwrap_or_else(|e| panic!("{name}: {e}")).collect();
+        let jobs: Vec<_> = ArrivalStream::replay(&taskset, &trace)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .collect();
         assert_eq!(jobs.len(), events, "{name}: replay must yield every event");
         // Round trip through the codec is the identity.
         assert_eq!(trace.encode(), text, "{name}: encode(decode(x)) != x");
