@@ -8,7 +8,7 @@
 //! through the trait's one event loop
 //! ([`Scheduler::run`] for a [`RunSpec`](crate::RunSpec)).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use daris_gpu::{Gpu, SimDuration, SimTime, StreamId, WorkItem};
 use daris_metrics::{ExperimentSummary, MetricsCollector};
@@ -88,8 +88,8 @@ pub struct DarisScheduler {
     /// the admission path (`predicted_finish_us`) walks only the jobs of one
     /// context instead of scanning every active job on the device.
     active_of: Vec<BTreeSet<JobId>>,
-    tag_map: BTreeMap<u64, (JobId, usize)>,
-    next_tag: u64,
+    /// The `(job, stage)` behind each GPU work-item tag in flight.
+    tags: TagSlab,
     metrics: MetricsCollector,
     mret_trace: Vec<MretSample>,
     /// Telemetry sink (from [`DarisConfig::sink`]). `None` keeps the hot
@@ -184,8 +184,7 @@ impl DarisScheduler {
             assignment,
             active: BTreeMap::new(),
             active_of: (0..n_contexts).map(|_| BTreeSet::new()).collect(),
-            tag_map: BTreeMap::new(),
-            next_tag: 0,
+            tags: TagSlab::default(),
             metrics: MetricsCollector::new(),
             mret_trace: Vec::new(),
             sink,
@@ -257,7 +256,7 @@ impl DarisScheduler {
 
     /// Admission test (Eq. 11–12) with migration: returns the context to run
     /// in, or `None` if every context rejects the job.
-    fn admit(&self, task: &TaskSpec, priority: Priority, util: f64, home: usize) -> Option<usize> {
+    fn admit(&self, task: TaskId, priority: Priority, util: f64, home: usize) -> Option<usize> {
         let admits = |ctx: usize| -> bool {
             match priority {
                 Priority::Low => self.loads[ctx].admits_lp(util),
@@ -274,8 +273,7 @@ impl DarisScheduler {
             if ctx == home || !admits(ctx) {
                 continue;
             }
-            let finish =
-                self.predicted_finish_us(ctx) + self.mret.task_mret(task.id).as_micros_f64();
+            let finish = self.predicted_finish_us(ctx) + self.mret.task_mret(task).as_micros_f64();
             if best.map(|(_, f)| finish < f).unwrap_or(true) {
                 best = Some((ctx, finish));
             }
@@ -323,7 +321,7 @@ impl DarisScheduler {
         execution: SimDuration,
         stream: StreamId,
     ) {
-        let Some((job_id, stage)) = self.tag_map.remove(&tag) else { return };
+        let Some((job_id, stage)) = self.tags.remove(tag) else { return };
         self.stream_busy[stream.index()] = false;
         let task = job_id.task;
         if self.config.record_mret_trace {
@@ -394,8 +392,7 @@ impl DarisScheduler {
         };
         let is_first = ready.stage == 0;
         let is_last = ready.stage + 1 == active.stage_count;
-        let tag = self.next_tag;
-        self.next_tag += 1;
+        let tag = self.tags.next_tag();
         let mut item = WorkItem::new(tag).with_kernels(kernels);
         if is_first {
             item = item.with_h2d_bytes(profile.input_bytes(job.batch_size));
@@ -405,7 +402,7 @@ impl DarisScheduler {
         }
         self.gpu.submit(stream, item)?;
         self.stream_busy[stream.index()] = true;
-        self.tag_map.insert(tag, (ready.job, ready.stage));
+        self.tags.push((ready.job, ready.stage));
         self.emit(|| EventKind::StageDispatched {
             task: ready.job.task,
             release_index: ready.job.release_index,
@@ -416,6 +413,39 @@ impl DarisScheduler {
             tag,
         });
         Ok(())
+    }
+}
+
+/// The `(job, stage)` of each in-flight GPU work item, by tag. Tags are
+/// handed out densely and in increasing order, so a deque of slots offset by
+/// the oldest live tag replaces a map, as the engine's item slab does for
+/// item ids: lookups are an index, and completed stages leave holes that are
+/// trimmed once they reach the front.
+#[derive(Debug, Default)]
+struct TagSlab {
+    /// Tag of `slots[0]`; `base + slots.len()` is the next tag.
+    base: u64,
+    slots: VecDeque<Option<(JobId, usize)>>,
+}
+
+impl TagSlab {
+    /// The tag the next [`push`](Self::push) files its stage under.
+    fn next_tag(&self) -> u64 {
+        self.base + self.slots.len() as u64
+    }
+
+    fn push(&mut self, stage: (JobId, usize)) {
+        self.slots.push_back(Some(stage));
+    }
+
+    fn remove(&mut self, tag: u64) -> Option<(JobId, usize)> {
+        let slot = usize::try_from(tag.checked_sub(self.base)?).ok()?;
+        let stage = self.slots.get_mut(slot)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        stage
     }
 }
 
@@ -483,21 +513,20 @@ impl Scheduler for DarisScheduler {
             let (hpa_enabled, load_ratio) = (det.is_burst(), det.load_ratio());
             self.emit(|| EventKind::AdmissionModeChanged { hpa_enabled, load_ratio });
         }
-        let task = self
-            .taskset
-            .task(job.id.task)
-            .expect("released job refers to a task of this set")
-            .clone();
-        let util = self.mret.task_utilization(task.id, task.period);
-        let home = self.assignment[task.id.index()];
-        self.loads[home].update_task_util(task.id, util);
+        let task =
+            self.taskset.task(job.id.task).expect("released job refers to a task of this set");
+        let (task_id, task_priority) = (task.id, task.priority);
+        let (period, relative_deadline) = (task.period, task.relative_deadline);
+        let util = self.mret.task_utilization(task_id, period);
+        let home = self.assignment[task_id.index()];
+        self.loads[home].update_task_util(task_id, util);
 
         let needs_admission = match job.priority {
             Priority::Low => true,
             Priority::High => self.hp_admission_active(),
         };
         let context = if needs_admission {
-            match self.admit(&task, job.priority, util, home) {
+            match self.admit(task_id, job.priority, util, home) {
                 Some(ctx) => ctx,
                 None => {
                     self.emit(|| EventKind::AdmissionRejected {
@@ -526,14 +555,14 @@ impl Scheduler for DarisScheduler {
         });
         if migrated {
             // Zero-delay migration: the task's home context moves with it.
-            self.loads[home].unassign_task(task.id);
-            self.loads[context].assign_task(task.id, task.priority, util);
-            self.assignment[task.id.index()] = context;
+            self.loads[home].unassign_task(task_id);
+            self.loads[context].assign_task(task_id, task_priority, util);
+            self.assignment[task_id.index()] = context;
         }
         self.loads[context].activate_job(job.id, job.priority, util);
 
-        let stage_mrets = self.mret.stage_mrets(task.id);
-        let relative = virtual_deadlines(&stage_mrets, task.relative_deadline);
+        let stage_mrets = self.mret.stage_mrets(task_id);
+        let relative = virtual_deadlines(&stage_mrets, relative_deadline);
         let virtual_deadlines: Vec<SimTime> = relative.iter().map(|d| job.release + *d).collect();
         let stage_count = stage_mrets.len().max(1);
         let active = ActiveJob {
@@ -574,7 +603,7 @@ impl Scheduler for DarisScheduler {
             _ => {
                 let util = self.mret.task_utilization(task, spec.period);
                 let home = self.assignment[task.index()];
-                self.admit(spec, priority, util, home).is_some()
+                self.admit(task, priority, util, home).is_some()
             }
         }
     }

@@ -15,27 +15,28 @@
 //! Kernel progress is the time-integral of its allocated SMs; a kernel
 //! completes when the integral reaches its `work`.
 //!
-//! # Event calendar
+//! # Next event instant
 //!
-//! Time advancement is driven by a [`BinaryHeap`] **event calendar** of
-//! `(SimTime, EventKind)` entries with *lazy invalidation*: every work item
-//! carries an epoch counter that is bumped whenever its state or predicted
-//! finish time changes, and calendar entries record the epoch they were
-//! scheduled under. Stale entries (mismatched epoch) are discarded when they
-//! surface at the top of the heap, so [`Gpu::next_event_time`] is a plain
-//! heap peek instead of a scan over all in-flight items.
+//! There is no event calendar. Every in-flight item carries `next_at`, the
+//! instant of its next transition, and the copy engine's active transfer
+//! carries its finish instant; at the end of every replan (which ends every
+//! [`Gpu::submit`] and every transition pass) one pass over the `running`
+//! set (at most one item per stream) caches their minimum, so
+//! [`Gpu::next_event_time`] returns a field.
 //!
-//! * **Launch** and **copy** completions are scheduled once: their remaining
-//!   times shrink by exact integer-nanosecond subtraction, so the absolute
-//!   completion instant never moves.
+//! * **Launch** and **copy** completions are fixed when they start: the
+//!   launch end is `start + launch overhead`, the copy finish `start +
+//!   latency + bytes / bandwidth`, and a transition fires once `now` reaches
+//!   that instant.
 //! * **Compute** completions depend on the floating-point SM rate, which can
 //!   change on every replan. Each replan recomputes every computing item's
 //!   finish instant, `now + max(1 ns, round(work_remaining / rate))`, with the
-//!   arithmetic the previous scan-based engine used, but bumps the item's
-//!   epoch and pushes a new entry only when that instant differs from the
-//!   one its live entry already carries. Transitions scan the `running` set
-//!   in id order, never heap order, so only entry *times* are observable and
-//!   event times stay bit-identical (pinned by the golden-trace tests).
+//!   arithmetic the original scan-based engine used; the kernel completes
+//!   once its work is exhausted, so an instant that fires with rounding
+//!   residue left simply recomputes to a later one. Transitions scan the
+//!   `running` set in id order, so only the instants themselves are
+//!   observable and event times stay bit-identical (pinned by the
+//!   golden-trace tests).
 //!
 //! Bookkeeping that used to scan every pending item is incremental: in-flight
 //! items sit in a slab indexed by their dense, increasing ids; a `running`
@@ -45,8 +46,7 @@
 //! change; and every pass reuses buffers the engine owns, so a steady-state
 //! event allocates nothing. [`Gpu::work_counters`] reports the work done.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::context::Context;
 use crate::kernel::{KernelDesc, KernelPhase, WorkItem, WorkItemId};
@@ -116,24 +116,14 @@ struct ItemInstance {
     started_at: Option<SimTime>,
     state: ItemState,
     kernel_index: usize,
-    launch_remaining: SimDuration,
     work_remaining: f64,
-    /// Lazy-invalidation epoch: calendar entries scheduled for this item are
-    /// only honoured while their recorded epoch matches.
-    epoch: u64,
     /// SM rate (SMs × efficiency) set by the last replan; read only while
     /// the item is computing.
     rate: f64,
-    /// `(epoch, at)` of the last Compute entry pushed for this item; it is
-    /// the live one while `epoch` still matches.
-    compute_entry: Option<(u64, SimTime)>,
-}
-
-impl ItemInstance {
-    /// Instant of the item's live Compute entry, if it has one.
-    fn live_compute_at(&self) -> Option<SimTime> {
-        self.compute_entry.filter(|&(epoch, _)| epoch == self.epoch).map(|(_, at)| at)
-    }
+    /// Instant of the item's next transition: the launch end while
+    /// launching, the compute finish at `rate` while computing at a positive
+    /// rate, `None` otherwise.
+    next_at: Option<SimTime>,
 }
 
 /// The in-flight items, indexed by id. The slab hands out ids densely and in
@@ -188,11 +178,9 @@ pub struct WorkCounters {
     pub transitions: u64,
     /// SM re-allocation passes (one per submit and per transition pass).
     pub replans: u64,
-    /// Entries pushed onto the event calendar.
-    pub calendar_pushes: u64,
-    /// Stale calendar entries popped off the top of the calendar (entries a
-    /// compaction drops are not counted).
-    pub stale_pops: u64,
+    /// Replans that found no context whose computing membership changed, so
+    /// every water-fill came from the cache.
+    pub clean_replans: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,40 +193,8 @@ enum CopyDirection {
 struct ActiveCopy {
     item: WorkItemId,
     direction: CopyDirection,
-    remaining: SimDuration,
-}
-
-/// What a calendar entry announces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// The single copy engine finishes its active transfer.
-    Copy { epoch: u64 },
-    /// `item` finishes its serial kernel-launch phase.
-    Launch { item: WorkItemId, epoch: u64 },
-    /// `item` exhausts its kernel's work at the rate in force when scheduled.
-    Compute { item: WorkItemId, epoch: u64 },
-}
-
-/// One entry of the event calendar. Ordered by `(at, seq)`; `seq` is a
-/// deterministic tie-breaker (scheduling order) so heap order never depends
-/// on the payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CalendarEntry {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialOrd for CalendarEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CalendarEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
+    /// When the transfer completes (fixed when it starts).
+    finish: SimTime,
 }
 
 /// The simulated GPU device.
@@ -253,12 +209,9 @@ pub struct Gpu {
     items: ItemSlab,
     copy_queue: VecDeque<(WorkItemId, CopyDirection)>,
     active_copy: Option<ActiveCopy>,
-    /// The event calendar (min-heap by event time, lazily invalidated).
-    calendar: BinaryHeap<Reverse<CalendarEntry>>,
-    /// Monotonic scheduling counter used as the calendar tie-breaker.
-    cal_seq: u64,
-    /// Epoch of the copy engine's active transfer (bumped per transfer).
-    copy_epoch: u64,
+    /// Earliest `next_at` of a running item or the active copy's finish,
+    /// refreshed at the end of every replan.
+    next_at: Option<SimTime>,
     /// Items currently launching or computing (at most one per stream).
     running: BTreeSet<WorkItemId>,
     /// Computing items per context (indexed by context), kept incrementally.
@@ -298,9 +251,7 @@ impl Gpu {
             items: ItemSlab::default(),
             copy_queue: VecDeque::new(),
             active_copy: None,
-            calendar: BinaryHeap::new(),
-            cal_seq: 0,
-            copy_epoch: 0,
+            next_at: None,
             running: BTreeSet::new(),
             computing: Vec::new(),
             ctx_dirty: Vec::new(),
@@ -418,11 +369,9 @@ impl Gpu {
             started_at: None,
             state: ItemState::Queued,
             kernel_index: 0,
-            launch_remaining: SimDuration::ZERO,
             work_remaining: 0.0,
-            epoch: 0,
             rate: 0.0,
-            compute_entry: None,
+            next_at: None,
         };
         let id = self.items.insert(instance);
         self.streams[stream.index()].queue.push_back(id);
@@ -471,14 +420,11 @@ impl Gpu {
 
     /// Time of the next internal state transition, if any work is in flight.
     ///
-    /// A heap peek: every public mutation re-establishes the invariant that
-    /// the calendar's top entry is live, so no scan is needed.
+    /// A cached field: every [`submit`](Gpu::submit) and every transition
+    /// pass of [`advance_to`](Gpu::advance_to) ends with a replan, which
+    /// refreshes it.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        debug_assert!(
-            self.calendar.peek().map(|Reverse(e)| self.entry_live(e)).unwrap_or(true),
-            "calendar top must be live at public boundaries"
-        );
-        self.calendar.peek().map(|Reverse(e)| e.at)
+        self.next_at
     }
 
     /// Advances the simulation to exactly `target`, processing every internal
@@ -489,6 +435,9 @@ impl Gpu {
     /// vector.
     pub fn advance_to(&mut self, target: SimTime) -> Vec<Completion> {
         let mut completions = Vec::new();
+        if target < self.now {
+            return completions;
+        }
         while self.now < target {
             let next = self.next_event_time();
             let step_to = match next {
@@ -549,19 +498,15 @@ impl Gpu {
         let ctx = item.context.index();
         let desc: &KernelDesc = &item.spec.kernels[index];
         item.kernel_index = index;
-        item.launch_remaining = desc.launch_overhead.unwrap_or(default_launch);
+        item.next_at = Some(now + desc.launch_overhead.unwrap_or(default_launch));
         item.work_remaining = desc.work * jitter;
         item.state = ItemState::Running(KernelPhase::Launching);
-        item.epoch += 1;
-        let epoch = item.epoch;
-        let at = now + item.launch_remaining;
         let (tag, stream, context) = (item.tag, item.stream.0, item.context.0);
         if was_computing {
             self.computing[ctx].remove(&item_id);
             self.ctx_dirty[ctx] = true;
         }
         self.running.insert(item_id);
-        self.push_event(at, EventKind::Launch { item: item_id, epoch });
         if index == 0 {
             self.record(DeviceEvent::ItemStarted { tag, stream, context });
         }
@@ -581,23 +526,20 @@ impl Gpu {
         let transfer = SimDuration::from_micros_f64(
             bytes as f64 / self.spec.copy_bandwidth_bytes_per_us.max(1e-9),
         );
-        let remaining = self.spec.copy_latency + transfer;
+        let finish = self.now + self.spec.copy_latency + transfer;
         item.state = match direction {
             CopyDirection::HostToDevice => ItemState::CopyingIn,
             CopyDirection::DeviceToHost => ItemState::CopyingOut,
         };
         let (tag, stream, context) = (item.tag, item.stream.0, item.context.0);
-        self.active_copy = Some(ActiveCopy { item: item_id, direction, remaining });
+        self.active_copy = Some(ActiveCopy { item: item_id, direction, finish });
         if direction == CopyDirection::DeviceToHost {
             self.record(DeviceEvent::CopyOutStarted { tag, stream, context });
         }
-        // Copy durations shrink by exact integer subtraction, so the
-        // completion instant is fixed at start: schedule it once.
-        self.copy_epoch += 1;
-        self.push_event(self.now + remaining, EventKind::Copy { epoch: self.copy_epoch });
     }
 
-    /// Applies `dt` of progress to every running kernel and the active copy.
+    /// Applies `dt` of progress to every computing kernel. Launches and
+    /// copies end at fixed instants, so they have no progress to track.
     ///
     /// Only the `running` set (at most one item per stream) is visited;
     /// queued items have no progress to apply.
@@ -609,20 +551,11 @@ impl Gpu {
         let mut executed = 0.0;
         for &id in &self.running {
             let Some(item) = self.items.get_mut(id) else { continue };
-            match item.state {
-                ItemState::Running(KernelPhase::Launching) => {
-                    item.launch_remaining = item.launch_remaining.saturating_sub(dt);
-                }
-                ItemState::Running(KernelPhase::Computing) => {
-                    let done = (item.rate * dt_us).min(item.work_remaining);
-                    item.work_remaining -= done;
-                    executed += done;
-                }
-                _ => {}
+            if item.state == ItemState::Running(KernelPhase::Computing) {
+                let done = (item.rate * dt_us).min(item.work_remaining);
+                item.work_remaining -= done;
+                executed += done;
             }
-        }
-        if let Some(copy) = &mut self.active_copy {
-            copy.remaining = copy.remaining.saturating_sub(dt);
         }
         self.completed_work += executed;
     }
@@ -636,8 +569,7 @@ impl Gpu {
             changed = false;
 
             // Copy completion.
-            let copy_done =
-                self.active_copy.as_ref().map(|c| c.remaining.is_zero()).unwrap_or(false);
+            let copy_done = self.active_copy.as_ref().is_some_and(|c| c.finish <= self.now);
             if copy_done {
                 let copy = self.active_copy.take().expect("checked above");
                 changed = true;
@@ -657,21 +589,25 @@ impl Gpu {
             ids.clear();
             ids.extend(self.running.iter().copied());
             for &id in &ids {
-                let (state, launch_left, work_left, kernel_index, kernel_count) = {
+                let (state, next_at, work_left, kernel_index, kernel_count) = {
                     let Some(item) = self.items.get(id) else { continue };
                     (
                         item.state.clone(),
-                        item.launch_remaining,
+                        item.next_at,
                         item.work_remaining,
                         item.kernel_index,
                         item.spec.kernels.len(),
                     )
                 };
                 match state {
-                    ItemState::Running(KernelPhase::Launching) if launch_left.is_zero() => {
+                    ItemState::Running(KernelPhase::Launching)
+                        if next_at.is_some_and(|t| t <= self.now) =>
+                    {
                         if let Some(item) = self.items.get_mut(id) {
+                            // The replan that ends this pass sets the
+                            // compute finish.
                             item.state = ItemState::Running(KernelPhase::Computing);
-                            item.epoch += 1;
+                            item.next_at = None;
                             let ctx = item.context.index();
                             self.computing[ctx].insert(id);
                             self.ctx_dirty[ctx] = true;
@@ -699,7 +635,7 @@ impl Gpu {
                             if d2h > 0 {
                                 if let Some(item) = self.items.get_mut(id) {
                                     item.state = ItemState::PendingCopyOut;
-                                    item.epoch += 1;
+                                    item.next_at = None;
                                     let ctx = item.context.index();
                                     self.computing[ctx].remove(&id);
                                     self.ctx_dirty[ctx] = true;
@@ -754,21 +690,34 @@ impl Gpu {
         self.activate_front(stream);
     }
 
-    /// Recomputes the SM rate of every computing kernel and reschedules the
-    /// compute-finish events whose instant moved.
+    /// Recomputes the SM rate and finish instant of every computing kernel,
+    /// then refreshes the cached next event instant.
+    fn replan(&mut self) {
+        self.replan_rates();
+        let copy = self.active_copy.as_ref().map(|c| c.finish);
+        let items = &self.items;
+        self.next_at =
+            self.running.iter().filter_map(|&id| items.get(id)?.next_at).chain(copy).min();
+        #[cfg(debug_assertions)]
+        self.check_next_at();
+    }
+
+    /// Sets the SM rate and compute finish of every computing kernel.
     ///
     /// Water-filling is cached per context and only recomputed for contexts
     /// whose computing membership changed since the last replan (`ctx_dirty`).
     /// The cross-context contention scale still applies globally, but that is
     /// a single multiply per computing item.
-    fn replan(&mut self) {
+    fn replan_rates(&mut self) {
         self.counters.replans += 1;
         // Refresh the water-fill cache of dirty contexts.
+        let mut clean = true;
         for ctx in 0..self.contexts.len() {
             if !self.ctx_dirty[ctx] {
                 continue;
             }
             self.ctx_dirty[ctx] = false;
+            clean = false;
             let kernels = &mut self.water_fill.kernels;
             kernels.clear();
             for &id in &self.computing[ctx] {
@@ -777,6 +726,9 @@ impl Gpu {
             }
             let quota = f64::from(self.contexts[ctx].sm_quota);
             self.water_fill.run(quota, &mut self.ctx_alloc[ctx]);
+        }
+        if clean {
+            self.counters.clean_replans += 1;
         }
         let mut total = 0.0;
         let mut busy_contexts = 0usize;
@@ -794,7 +746,6 @@ impl Gpu {
                 self.replans
                     .push((self.now, DeviceEvent::Replan { computing: 0, utilization: 0.0 }));
             }
-            self.clean_calendar();
             return;
         }
         let sm_count = f64::from(self.spec.sm_count);
@@ -807,57 +758,53 @@ impl Gpu {
             let computing = busy_contexts as u32;
             self.replans.push((self.now, DeviceEvent::Replan { computing, utilization }));
         }
-        // Apply the global factor and move each compute-finish event whose
-        // instant changed.
+        // Apply the global factor and recompute each compute finish.
         let now = self.now;
         for ctx in 0..self.contexts.len() {
-            for i in 0..self.ctx_alloc[ctx].len() {
-                let (id, alloc) = self.ctx_alloc[ctx][i];
+            for &(id, alloc) in &self.ctx_alloc[ctx] {
                 let Some(item) = self.items.get_mut(id) else { continue };
                 item.rate = alloc * factor;
-                let live = item.live_compute_at();
-                let at =
+                item.next_at =
                     (item.rate > 0.0).then(|| compute_finish(now, item.work_remaining, item.rate));
-                if at == live {
-                    continue;
-                }
-                // The live entry (if any) goes stale; a positive rate gets a
-                // new one.
-                item.epoch += 1;
-                let epoch = item.epoch;
-                item.compute_entry = at.map(|at| (epoch, at));
-                if let Some(at) = at {
-                    self.push_event(at, EventKind::Compute { item: id, epoch });
-                }
             }
         }
-        #[cfg(debug_assertions)]
-        self.check_compute_entries();
-        self.clean_calendar();
     }
 
     /// Debug oracle for [`replan`](Self::replan): every computing item is
-    /// covered by the allocation cache, and each with a positive rate holds
-    /// a live Compute entry at exactly the recomputed finish instant, which
-    /// lies strictly in the future.
+    /// covered by the allocation cache; every in-flight item's instant is
+    /// the one its state implies (a compute finish recomputed from scratch,
+    /// strictly in the future; a launch end not yet passed); and the cached
+    /// minimum equals a scan of the whole slab and the active copy.
     #[cfg(debug_assertions)]
-    fn check_compute_entries(&self) {
+    fn check_next_at(&self) {
         for ctx in 0..self.contexts.len() {
             assert_eq!(self.ctx_alloc[ctx].len(), self.computing[ctx].len(), "stale alloc cache");
         }
-        for &id in &self.running {
-            let item = self.items.get(id).expect("running items are in flight");
-            if item.state != ItemState::Running(KernelPhase::Computing) || item.rate <= 0.0 {
-                continue;
-            }
-            let expected = compute_finish(self.now, item.work_remaining, item.rate);
-            assert_eq!(
-                item.compute_entry,
-                Some((item.epoch, expected)),
-                "{id}: live Compute entry differs from the recomputed finish"
-            );
-            assert!(expected > self.now, "{id}: Compute entry not in the future");
+        let copy = self.active_copy.as_ref().map(|c| c.finish);
+        assert!(copy.map_or(true, |t| t >= self.now), "copy finish passed");
+        let mut earliest = copy;
+        for (slot, item) in self.items.slots.iter().enumerate() {
+            let Some(item) = item else { continue };
+            let id = self.items.base + slot as u64;
+            let expected = match item.state {
+                ItemState::Running(KernelPhase::Launching) => {
+                    assert!(
+                        item.next_at.is_some_and(|t| t >= self.now),
+                        "item {id}: launch end passed"
+                    );
+                    item.next_at
+                }
+                ItemState::Running(KernelPhase::Computing) if item.rate > 0.0 => {
+                    let at = compute_finish(self.now, item.work_remaining, item.rate);
+                    assert!(at > self.now, "item {id}: compute finish not in the future");
+                    Some(at)
+                }
+                _ => None,
+            };
+            assert_eq!(item.next_at, expected, "item {id}: instant differs from its state");
+            earliest = earliest.into_iter().chain(expected).min();
         }
+        assert_eq!(self.next_at, earliest, "cached next event differs from a full scan");
     }
 
     /// Records an item-level event stamped with the current time, if
@@ -867,59 +814,10 @@ impl Gpu {
             self.events.push((self.now, event));
         }
     }
-
-    /// Schedules a calendar entry.
-    fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        self.cal_seq += 1;
-        self.counters.calendar_pushes += 1;
-        self.calendar.push(Reverse(CalendarEntry { at, seq: self.cal_seq, kind }));
-    }
-
-    /// Whether a calendar entry still refers to a live scheduled event.
-    fn entry_live(&self, entry: &CalendarEntry) -> bool {
-        match entry.kind {
-            EventKind::Copy { epoch } => epoch == self.copy_epoch && self.active_copy.is_some(),
-            EventKind::Launch { item, epoch } => self
-                .items
-                .get(item)
-                .map(|i| {
-                    i.epoch == epoch
-                        && matches!(i.state, ItemState::Running(KernelPhase::Launching))
-                })
-                .unwrap_or(false),
-            EventKind::Compute { item, epoch } => self
-                .items
-                .get(item)
-                .map(|i| {
-                    i.epoch == epoch
-                        && matches!(i.state, ItemState::Running(KernelPhase::Computing))
-                })
-                .unwrap_or(false),
-        }
-    }
-
-    /// Restores the "calendar top is live" invariant (lazy invalidation) and
-    /// occasionally compacts the heap so stale entries cannot accumulate
-    /// beyond a small multiple of the live set.
-    fn clean_calendar(&mut self) {
-        while let Some(Reverse(entry)) = self.calendar.peek() {
-            if self.entry_live(entry) {
-                break;
-            }
-            self.calendar.pop();
-            self.counters.stale_pops += 1;
-        }
-        let live_bound = 8 * (self.running.len() + 2);
-        if self.calendar.len() > 64 && self.calendar.len() > live_bound {
-            let heap = std::mem::take(&mut self.calendar);
-            self.calendar =
-                heap.into_iter().filter(|Reverse(entry)| self.entry_live(entry)).collect();
-        }
-    }
 }
 
 /// When a kernel with `work_remaining` SM·µs left at `rate` SMs finishes:
-/// never sooner than 1 ns after `now`, so a Compute entry always moves time
+/// never sooner than 1 ns after `now`, so a compute finish always moves time
 /// forward.
 fn compute_finish(now: SimTime, work_remaining: f64, rate: f64) -> SimTime {
     let d = SimDuration::from_micros_f64(work_remaining / rate);
@@ -1153,13 +1051,13 @@ mod tests {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        // 0.7072 SM·µs over 68 SMs takes 10.4 ns, which the calendar rounds
-        // down to 10 ns: the Compute entry fires with 0.0272 SM·µs left.
+        // 0.7072 SM·µs over 68 SMs takes 10.4 ns, which the finish instant
+        // rounds down to 10 ns: it fires with 0.0272 SM·µs left.
         let kernel = KernelDesc::new(0.7072, 68).with_launch_overhead(SimDuration::ZERO);
         gpu.submit(s, WorkItem::new(1).with_kernel(kernel)).unwrap();
         assert!(gpu.advance_to(SimTime::from_nanos(10)).is_empty());
         assert_eq!(gpu.pending_items(), 1, "the residual keeps the kernel alive");
-        // The re-pushed entry lies strictly after the one that just fired.
+        // The recomputed finish lies strictly after the one that just fired.
         assert_eq!(gpu.next_event_time(), Some(SimTime::from_nanos(11)));
         let done = gpu.advance_to(SimTime::from_nanos(11));
         assert_eq!(done.len(), 1);
@@ -1168,20 +1066,41 @@ mod tests {
     }
 
     #[test]
-    fn submit_onto_a_busy_stream_pushes_nothing() {
+    fn submit_onto_a_busy_stream_replans_once_and_keeps_the_next_event() {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
         let item = |tag| WorkItem::new(tag).with_kernel(KernelDesc::new(680.0, 68));
         gpu.submit(s, item(1)).unwrap();
-        // Mid-compute: item 1 holds a live Compute entry.
+        // Mid-compute: item 1 finishes at 15 µs.
         gpu.advance_to(SimTime::from_micros(8));
+        let next = gpu.next_event_time();
+        assert_eq!(next, Some(SimTime::from_micros(15)));
         let before = gpu.work_counters();
         gpu.submit(s, item(2)).unwrap();
         let after = gpu.work_counters();
         assert_eq!(after.replans, before.replans + 1);
-        assert_eq!(after.calendar_pushes, before.calendar_pushes, "no finish instant moved");
+        assert_eq!(after.clean_replans, before.clean_replans + 1, "no context went dirty");
+        assert_eq!(gpu.next_event_time(), next, "no finish instant moved");
         assert_eq!(gpu.run_to_idle().len(), 2);
+    }
+
+    #[test]
+    fn advance_to_a_past_target_is_a_no_op() {
+        let mut gpu = Gpu::new(quiet_spec());
+        gpu.record_events();
+        let ctx = gpu.add_context(68).unwrap();
+        let s = gpu.add_stream(ctx).unwrap();
+        gpu.submit(s, WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
+        gpu.advance_to(SimTime::from_micros(8));
+        gpu.take_events();
+        let (counters, next) = (gpu.work_counters(), gpu.next_event_time());
+        assert!(gpu.advance_to(SimTime::from_micros(3)).is_empty());
+        assert_eq!(gpu.now(), SimTime::from_micros(8));
+        assert_eq!(gpu.work_counters(), counters, "no transition pass, no replan");
+        assert_eq!(gpu.next_event_time(), next);
+        assert!(gpu.take_events().is_empty(), "no spurious Replan event");
+        assert_eq!(gpu.run_to_idle().len(), 1);
     }
 
     #[test]

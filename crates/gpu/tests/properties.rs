@@ -1,10 +1,71 @@
 //! Property-based tests of the GPU simulator's core invariants.
 
-use daris_gpu::{ceil_even, sm_quota, Gpu, GpuSpec, KernelDesc, SimTime, WorkItem};
+use daris_gpu::{
+    ceil_even, sm_quota, Completion, Gpu, GpuSpec, KernelDesc, SimDuration, SimTime, StreamId,
+    WorkItem, XorShiftRng,
+};
 use proptest::prelude::*;
 
 fn quiet() -> GpuSpec {
     GpuSpec::rtx_2080_ti().without_interference()
+}
+
+/// A device with jitter and interference on, and two streams in each of
+/// two contexts.
+fn two_by_two() -> (Gpu, Vec<StreamId>) {
+    let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
+    let mut streams = Vec::new();
+    for quota in [34u32, 68] {
+        let ctx = gpu.add_context(quota).unwrap();
+        streams.push(gpu.add_stream(ctx).unwrap());
+        streams.push(gpu.add_stream(ctx).unwrap());
+    }
+    (gpu, streams)
+}
+
+/// `n_items` submissions `(time, stream index, item)` in time order. Gaps
+/// range from a fraction of a kernel to more than a whole item, so items
+/// land on busy and idle streams alike; copies go both ways and some
+/// kernels launch with no overhead.
+fn mid_run_submissions(seed: u64, n_items: usize) -> Vec<(SimTime, usize, WorkItem)> {
+    let mut rng = XorShiftRng::new(seed);
+    let mut t = SimTime::ZERO;
+    (0..n_items as u64)
+        .map(|tag| {
+            t += SimDuration::from_micros_f64(rng.uniform(0.0, 60.0));
+            let mut kernel =
+                KernelDesc::new(rng.uniform(40.0, 3_000.0), 8 + (rng.next_u64() % 60) as u32);
+            if rng.next_u64() % 4 == 0 {
+                kernel = kernel.with_launch_overhead(SimDuration::ZERO);
+            }
+            let mut item = WorkItem::new(tag).with_kernel(kernel);
+            if rng.next_u64() % 2 == 0 {
+                item = item.with_h2d_bytes(1 + rng.next_u64() % 100_000);
+            }
+            if rng.next_u64() % 3 == 0 {
+                item = item.with_d2h_bytes(1 + rng.next_u64() % 50_000);
+            }
+            (t, (rng.next_u64() % 4) as usize, item)
+        })
+        .collect()
+}
+
+/// Advances to `target`, which must lie before the next event instant, and
+/// asserts that no transition fired on the way.
+fn advance_firing_nothing(gpu: &mut Gpu, target: SimTime) {
+    let fired = gpu.events_processed();
+    let next = gpu.next_event_time();
+    gpu.advance_to(target);
+    assert_eq!(gpu.events_processed(), fired, "a transition fired before {next:?} (at {target})");
+}
+
+/// Advances to the next event instant `next` after checking that nothing
+/// fires 1 ns before it.
+fn step_to(gpu: &mut Gpu, next: SimTime, done: &mut Vec<Completion>) {
+    if next > gpu.now() {
+        advance_firing_nothing(gpu, SimTime::from_nanos(next.as_nanos() - 1));
+    }
+    done.extend(gpu.advance_to(next));
 }
 
 proptest! {
@@ -83,20 +144,14 @@ proptest! {
 
     /// Advancing in arbitrary random split points yields the *identical*
     /// completion stream (same order, same nanosecond timestamps) as one
-    /// all-at-once advance: the event calendar must be insensitive to how
+    /// all-at-once advance: the engine must be insensitive to how
     /// callers slice time.
     #[test]
     fn random_advance_splits_never_change_completions(seed in 0u64..1_000_000, n_items in 1usize..24) {
         let build = || {
             // Jitter + interference on: the hardest setting for exactness.
-            let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
-            let mut rng = daris_gpu::XorShiftRng::new(seed);
-            let mut streams = Vec::new();
-            for quota in [34u32, 68] {
-                let ctx = gpu.add_context(quota).unwrap();
-                streams.push(gpu.add_stream(ctx).unwrap());
-                streams.push(gpu.add_stream(ctx).unwrap());
-            }
+            let (mut gpu, streams) = two_by_two();
+            let mut rng = XorShiftRng::new(seed);
             for tag in 0..n_items as u64 {
                 let stream = streams[(rng.next_u64() % streams.len() as u64) as usize];
                 let mut item = WorkItem::new(tag)
@@ -128,6 +183,42 @@ proptest! {
         }
         prop_assert_eq!(&expected, &got, "completion streams must be split-invariant");
         prop_assert!(split.now() >= end);
+    }
+
+    /// `next_event_time` is exactly the next transition while work arrives
+    /// mid-run: stepping event by event (checking 1 ns before each instant,
+    /// and at each submission, that nothing has fired yet) gives the same
+    /// completions as advancing to each submission and one `run_to_idle`.
+    #[test]
+    fn next_event_time_is_the_next_transition_under_mid_run_submits(
+        seed in 0u64..1_000_000,
+        n_items in 1usize..24,
+    ) {
+        let submissions = mid_run_submissions(seed, n_items);
+
+        let (mut reference, streams) = two_by_two();
+        let mut expected = Vec::new();
+        for (at, s, item) in submissions.iter().cloned() {
+            expected.extend(reference.advance_to(at));
+            reference.submit(streams[s], item).unwrap();
+        }
+        expected.extend(reference.run_to_idle());
+
+        let (mut gpu, streams) = two_by_two();
+        let mut got = Vec::new();
+        for (at, s, item) in submissions {
+            while let Some(next) = gpu.next_event_time().filter(|&next| next <= at) {
+                step_to(&mut gpu, next, &mut got);
+            }
+            advance_firing_nothing(&mut gpu, at);
+            gpu.submit(streams[s], item).unwrap();
+        }
+        while let Some(next) = gpu.next_event_time() {
+            step_to(&mut gpu, next, &mut got);
+        }
+        prop_assert_eq!(gpu.pending_items(), 0, "work left with no next event");
+        prop_assert_eq!(got.len(), n_items);
+        prop_assert_eq!(&expected, &got);
     }
 
     /// Completions are never reported before the submission time and the
