@@ -77,7 +77,6 @@ pub struct BaselineScheduler {
     next_tag: u64,
     policy: Box<dyn DispatchQueue>,
     metrics: MetricsCollector,
-    now: SimTime,
 }
 
 impl BaselineScheduler {
@@ -132,7 +131,6 @@ impl BaselineScheduler {
             next_tag: 0,
             policy,
             metrics: MetricsCollector::new(),
-            now: SimTime::ZERO,
         })
     }
 
@@ -168,7 +166,7 @@ impl BaselineScheduler {
 
 impl Scheduler for BaselineScheduler {
     fn now(&self) -> SimTime {
-        self.now
+        self.gpu.now()
     }
 
     fn next_event_time(&self) -> Option<SimTime> {
@@ -177,7 +175,6 @@ impl Scheduler for BaselineScheduler {
 
     fn advance_to(&mut self, target: SimTime) {
         let completions = self.gpu.advance_to(target);
-        self.now = target;
         for completion in completions {
             if let Some((slot, jobs)) = self.in_flight.remove(&completion.tag) {
                 for job in jobs {
@@ -191,7 +188,7 @@ impl Scheduler for BaselineScheduler {
     fn dispatch_ready(&mut self) {
         for slot in 0..self.slots.len() {
             while !self.busy[slot] {
-                let Some(batch) = self.policy.pop(slot, self.now) else { break };
+                let Some(batch) = self.policy.pop(slot, self.gpu.now()) else { break };
                 self.submit(slot, batch);
             }
         }
@@ -268,5 +265,25 @@ impl Scheduler for BaselineScheduler {
         let summary =
             self.metrics.summarize(horizon).with_gpu_utilization(self.gpu.average_utilization());
         ExperimentOutcome { summary, mret_trace: Vec::new(), config_label: self.label.clone() }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use daris_models::DnnKind;
+
+    use super::*;
+    use crate::FifoMultiStreamServer;
+
+    #[test]
+    fn advancing_to_a_past_target_keeps_the_clock_on_the_device() {
+        let taskset = TaskSet::table2(DnnKind::ResNet18);
+        let mut scheduler = FifoMultiStreamServer::new(1).scheduler(&taskset).unwrap();
+        assert!(scheduler.try_release_job(taskset.tasks()[0].job(0)));
+        scheduler.dispatch_ready();
+        scheduler.advance_to(SimTime::from_millis(5));
+        scheduler.advance_to(SimTime::from_millis(2));
+        assert_eq!(scheduler.now(), SimTime::from_millis(5), "the clock never runs backwards");
+        assert_eq!(scheduler.now(), scheduler.gpu().now());
     }
 }

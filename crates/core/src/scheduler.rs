@@ -101,7 +101,6 @@ pub struct DarisScheduler {
     /// release path, so its state is a pure function of the release
     /// sequence — never of how a driver splits spans or rounds.
     detector: Option<LoadDetector>,
-    now: SimTime,
 }
 
 impl DarisScheduler {
@@ -189,7 +188,6 @@ impl DarisScheduler {
             mret_trace: Vec::new(),
             sink,
             detector,
-            now: SimTime::ZERO,
         })
     }
 
@@ -233,7 +231,7 @@ impl DarisScheduler {
     /// closure runs only when a sink is attached, so the disabled path costs
     /// one `Option` check and never allocates.
     fn emit(&self, kind: impl FnOnce() -> EventKind) {
-        self.emit_at(self.now, kind);
+        self.emit_at(self.gpu.now(), kind);
     }
 
     /// Emits an event stamped with an explicit simulated time (completion
@@ -452,9 +450,9 @@ impl TagSlab {
 /// DARIS's stepping surface. The run loop is the trait's default
 /// [`run_span`](crate::Scheduler::run_span), shared with every baseline.
 impl Scheduler for DarisScheduler {
-    /// The scheduler's current simulated time.
+    /// The scheduler's current simulated time: the device's clock.
     fn now(&self) -> SimTime {
-        self.now
+        self.gpu.now()
     }
 
     /// Earliest pending simulator event, if any.
@@ -467,7 +465,6 @@ impl Scheduler for DarisScheduler {
     /// [`dispatch_ready`](Self::dispatch_ready) afterwards).
     fn advance_to(&mut self, target: SimTime) {
         let completions = self.gpu.advance_to(target);
-        self.now = target;
         self.forward_device_events();
         for completion in completions {
             self.handle_completion(
@@ -1169,5 +1166,18 @@ mod tests {
         let stats = scheduler.gpu().memory().stats();
         assert_eq!(stats.allocations, 3, "one weight allocation per model kind");
         assert!(stats.allocated > 100_000_000);
+    }
+
+    #[test]
+    fn advancing_to_a_past_target_keeps_the_clock_on_the_device() {
+        let taskset = TaskSet::table2(DnnKind::UNet);
+        let config = DarisConfig::new(GpuPartition::str_streams(1));
+        let mut scheduler = DarisScheduler::new(&taskset, config).unwrap();
+        assert!(scheduler.try_release_job(taskset.tasks()[0].job(0)));
+        scheduler.dispatch_ready();
+        scheduler.advance_to(SimTime::from_millis(5));
+        scheduler.advance_to(SimTime::from_millis(2));
+        assert_eq!(scheduler.now(), SimTime::from_millis(5), "the clock never runs backwards");
+        assert_eq!(scheduler.now(), scheduler.gpu().now());
     }
 }

@@ -19,9 +19,9 @@
 //!
 //! There is no event calendar. Every in-flight item carries `next_at`, the
 //! instant of its next transition, and the copy engine's active transfer
-//! carries its finish instant; at the end of every replan (which ends every
-//! [`Gpu::submit`] and every transition pass) one pass over the `running`
-//! set (at most one item per stream) caches their minimum, so
+//! carries its finish instant; at the end of every transition pass one pass
+//! over the `running` set (at most one item per stream) caches their minimum,
+//! and [`Gpu::submit`] folds the instants it starts into that minimum, so
 //! [`Gpu::next_event_time`] returns a field.
 //!
 //! * **Launch** and **copy** completions are fixed when they start: the
@@ -29,20 +29,33 @@
 //!   latency + bytes / bandwidth`, and a transition fires once `now` reaches
 //!   that instant.
 //! * **Compute** completions depend on the floating-point SM rate, which can
-//!   change on every replan. Each replan recomputes every computing item's
-//!   finish instant, `now + max(1 ns, round(work_remaining / rate))`, with the
-//!   arithmetic the original scan-based engine used; the kernel completes
-//!   once its work is exhausted, so an instant that fires with rounding
-//!   residue left simply recomputes to a later one. Transitions scan the
-//!   `running` set in id order, so only the instants themselves are
-//!   observable and event times stay bit-identical (pinned by the
+//!   change on every rate pass. Each rate pass recomputes every computing
+//!   item's finish instant, `now + max(1 ns, round(work_remaining / rate))`,
+//!   with the arithmetic the original scan-based engine used; the kernel
+//!   completes once its work is exhausted, so an instant that fires with
+//!   rounding residue left simply recomputes to a later one. Transitions
+//!   scan the `running` set in id order, so only the instants themselves
+//!   are observable and event times stay bit-identical (pinned by the
 //!   golden-trace tests).
+//!
+//! # When the rates are replanned
+//!
+//! The *rate pass* (water-filling, the contention factor and every compute
+//! finish) has two inputs: each context's computing membership (`ctx_dirty`)
+//! and `now`, because `work_remaining` shrinks with time and the last-ns
+//! rounding of `work_remaining / rate` can move a finish instant. A
+//! transition pass runs it only when a context is dirty or time moved since
+//! the last one. A submit never runs it: a new item only queues, starts a
+//! launch, or starts or queues a copy, none of which dirties a context, and
+//! every [`Gpu::advance_to`] ends with a rate pass at its target. While
+//! recording, every skipped pass still emits a [`DeviceEvent::Replan`] with
+//! the cached allocation, so telemetry does not depend on which passes ran.
 //!
 //! Bookkeeping that used to scan every pending item is incremental: in-flight
 //! items sit in a slab indexed by their dense, increasing ids; a `running`
 //! set (at most one item per stream) bounds progress application and
-//! transition checks; per-context *computing* sets with dirty flags let
-//! `replan` reuse cached water-filling for contexts whose membership did not
+//! transition checks; per-context *computing* sets with dirty flags let a
+//! rate pass reuse cached water-filling for contexts whose membership did not
 //! change; and every pass reuses buffers the engine owns, so a steady-state
 //! event allocates nothing. [`Gpu::work_counters`] reports the work done.
 
@@ -117,7 +130,7 @@ struct ItemInstance {
     state: ItemState,
     kernel_index: usize,
     work_remaining: f64,
-    /// SM rate (SMs × efficiency) set by the last replan; read only while
+    /// SM rate (SMs × efficiency) set by the last rate pass; read only while
     /// the item is computing.
     rate: f64,
     /// Instant of the item's next transition: the launch end while
@@ -176,10 +189,12 @@ pub struct WorkCounters {
     /// State transitions fired: copy completions, launch→compute flips and
     /// kernel completions (the same count as [`Gpu::events_processed`]).
     pub transitions: u64,
-    /// SM re-allocation passes (one per submit and per transition pass).
+    /// Rate passes (SM re-allocations) that ran: transition passes at which
+    /// a context's computing membership changed or time had moved since the
+    /// last rate pass. A submit runs none.
     pub replans: u64,
-    /// Replans that found no context whose computing membership changed, so
-    /// every water-fill came from the cache.
+    /// Rate passes that ran only because time moved: no context's computing
+    /// membership changed, so every water-fill came from the cache.
     pub clean_replans: u64,
 }
 
@@ -210,13 +225,18 @@ pub struct Gpu {
     copy_queue: VecDeque<(WorkItemId, CopyDirection)>,
     active_copy: Option<ActiveCopy>,
     /// Earliest `next_at` of a running item or the active copy's finish,
-    /// refreshed at the end of every replan.
+    /// refreshed at the end of every transition pass and folded by submits.
     next_at: Option<SimTime>,
+    /// Instant of the last rate pass. Outside `advance_to` it equals `now`.
+    rate_pass_at: SimTime,
+    /// `(busy contexts, utilization)` of the last rate pass, as every
+    /// recorded [`DeviceEvent::Replan`] reports it.
+    allocation: (u32, f64),
     /// Items currently launching or computing (at most one per stream).
     running: BTreeSet<WorkItemId>,
     /// Computing items per context (indexed by context), kept incrementally.
     computing: Vec<BTreeSet<WorkItemId>>,
-    /// Contexts whose computing membership changed since the last replan.
+    /// Contexts whose computing membership changed since the last rate pass.
     ctx_dirty: Vec<bool>,
     /// Cached water-fill allocation per context (valid while not dirty).
     ctx_alloc: Vec<Vec<(WorkItemId, f64)>>,
@@ -252,6 +272,8 @@ impl Gpu {
             copy_queue: VecDeque::new(),
             active_copy: None,
             next_at: None,
+            rate_pass_at: SimTime::ZERO,
+            allocation: (0, 0.0),
             running: BTreeSet::new(),
             computing: Vec::new(),
             ctx_dirty: Vec::new(),
@@ -376,11 +398,22 @@ impl Gpu {
         let id = self.items.insert(instance);
         self.streams[stream.index()].queue.push_back(id);
         self.pending_count += 1;
-        // If the stream was idle, the new item starts immediately.
+        // If the stream was idle, the new item starts immediately. Starting a
+        // launch or a copy dirties no context and `now` is the last rate
+        // pass's instant, so no rate moved: the new instants only fold into
+        // the cached minimum.
         if self.streams[stream.index()].queue.len() == 1 {
             self.activate_front(stream);
+            let launch = self.items.get(id).and_then(|item| item.next_at);
+            let copy = self.active_copy.as_ref().map(|c| c.finish);
+            self.next_at = self.next_at.into_iter().chain(launch).chain(copy).min();
         }
-        self.replan();
+        #[cfg(debug_assertions)]
+        {
+            self.check_cached_rates();
+            self.check_next_at();
+        }
+        self.record_replan();
         Ok(id)
     }
 
@@ -420,9 +453,9 @@ impl Gpu {
 
     /// Time of the next internal state transition, if any work is in flight.
     ///
-    /// A cached field: every [`submit`](Gpu::submit) and every transition
-    /// pass of [`advance_to`](Gpu::advance_to) ends with a replan, which
-    /// refreshes it.
+    /// A cached field: every transition pass of
+    /// [`advance_to`](Gpu::advance_to) refreshes it, and every
+    /// [`submit`](Gpu::submit) folds the instants it starts into it.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.next_at
     }
@@ -438,19 +471,28 @@ impl Gpu {
         if target < self.now {
             return completions;
         }
-        while self.now < target {
-            let next = self.next_event_time();
-            let step_to = match next {
+        let moved = target > self.now;
+        // At least one step, so transitions due exactly at `now` fire when
+        // `target == now`. The last step's pass reaches the fixpoint at
+        // `target`, so nothing is left due there.
+        loop {
+            let step_to = match self.next_at {
                 Some(t) if t <= target => t,
                 _ => target,
             };
-            let dt = step_to - self.now;
-            self.apply_progress(dt);
+            self.apply_progress(step_to - self.now);
             self.now = step_to;
             self.apply_transitions(&mut completions);
+            if self.now == target {
+                break;
+            }
         }
-        // Transitions may also fall exactly on `target` when now == target.
-        self.apply_transitions(&mut completions);
+        // Recorded telemetry closes every advance that moved time with a
+        // `Replan`, so the event stream does not depend on which rate passes
+        // ran.
+        if moved {
+            self.record_replan();
+        }
         completions
     }
 
@@ -604,7 +646,7 @@ impl Gpu {
                         if next_at.is_some_and(|t| t <= self.now) =>
                     {
                         if let Some(item) = self.items.get_mut(id) {
-                            // The replan that ends this pass sets the
+                            // The rate pass that ends this pass sets the
                             // compute finish.
                             item.state = ItemState::Running(KernelPhase::Computing);
                             item.next_at = None;
@@ -690,10 +732,17 @@ impl Gpu {
         self.activate_front(stream);
     }
 
-    /// Recomputes the SM rate and finish instant of every computing kernel,
-    /// then refreshes the cached next event instant.
+    /// Runs the rate pass if one of its inputs moved since the last one (a
+    /// context's computing membership, or `now`), records the allocation,
+    /// and refreshes the cached next event instant.
     fn replan(&mut self) {
-        self.replan_rates();
+        if self.now != self.rate_pass_at || self.ctx_dirty.contains(&true) {
+            self.replan_rates();
+        } else {
+            #[cfg(debug_assertions)]
+            self.check_cached_rates();
+        }
+        self.record_replan();
         let copy = self.active_copy.as_ref().map(|c| c.finish);
         let items = &self.items;
         self.next_at =
@@ -710,6 +759,7 @@ impl Gpu {
     /// a single multiply per computing item.
     fn replan_rates(&mut self) {
         self.counters.replans += 1;
+        self.rate_pass_at = self.now;
         // Refresh the water-fill cache of dirty contexts.
         let mut clean = true;
         for ctx in 0..self.contexts.len() {
@@ -741,23 +791,8 @@ impl Gpu {
                 total += *a;
             }
         }
-        if busy_contexts == 0 {
-            if self.recording {
-                self.replans
-                    .push((self.now, DeviceEvent::Replan { computing: 0, utilization: 0.0 }));
-            }
-            return;
-        }
-        let sm_count = f64::from(self.spec.sm_count);
-        let scale = if total > sm_count { sm_count / total } else { 1.0 };
-        let demand_ratio = total / sm_count;
-        let efficiency = self.spec.interference.efficiency(busy_contexts, demand_ratio);
-        let factor = scale * efficiency;
-        if self.recording {
-            let utilization = (total * factor / sm_count).min(1.0);
-            let computing = busy_contexts as u32;
-            self.replans.push((self.now, DeviceEvent::Replan { computing, utilization }));
-        }
+        let (factor, allocation) = self.contention(total, busy_contexts);
+        self.allocation = allocation;
         // Apply the global factor and recompute each compute finish.
         let now = self.now;
         for ctx in 0..self.contexts.len() {
@@ -767,6 +802,68 @@ impl Gpu {
                 item.next_at =
                     (item.rate > 0.0).then(|| compute_finish(now, item.work_remaining, item.rate));
             }
+        }
+    }
+
+    /// The factor every water-filled allocation is scaled by when `busy`
+    /// contexts demand `total` SMs (proportional down-scaling past the device
+    /// width times the interference efficiency), and the `(busy contexts,
+    /// utilization)` pair that allocation reports.
+    fn contention(&self, total: f64, busy: usize) -> (f64, (u32, f64)) {
+        if busy == 0 {
+            return (0.0, (0, 0.0));
+        }
+        let sm_count = f64::from(self.spec.sm_count);
+        let scale = if total > sm_count { sm_count / total } else { 1.0 };
+        let efficiency = self.spec.interference.efficiency(busy, total / sm_count);
+        let factor = scale * efficiency;
+        (factor, (busy as u32, (total * factor / sm_count).min(1.0)))
+    }
+
+    /// Records a [`DeviceEvent::Replan`] with the last rate pass's
+    /// allocation, if recording is on.
+    fn record_replan(&mut self) {
+        if self.recording {
+            let (computing, utilization) = self.allocation;
+            self.replans.push((self.now, DeviceEvent::Replan { computing, utilization }));
+        }
+    }
+
+    /// Debug oracle for a skipped rate pass: water-filling every context from
+    /// scratch reproduces each computing item's cached rate and the cached
+    /// allocation bit for bit.
+    #[cfg(debug_assertions)]
+    fn check_cached_rates(&self) {
+        let mut fill = WaterFill::default();
+        let mut allocs = Vec::new();
+        let (mut total, mut busy) = (0.0, 0);
+        for ctx in 0..self.contexts.len() {
+            if self.computing[ctx].is_empty() {
+                continue;
+            }
+            busy += 1;
+            fill.kernels.clear();
+            for &id in &self.computing[ctx] {
+                let item = self.items.get(id).expect("computing items are in flight");
+                fill.kernels.push((id, item.spec.kernels[item.kernel_index].parallelism));
+            }
+            let mut alloc = Vec::new();
+            fill.run(f64::from(self.contexts[ctx].sm_quota), &mut alloc);
+            for (_, a) in &alloc {
+                total += *a;
+            }
+            allocs.extend(alloc);
+        }
+        let (factor, (computing, utilization)) = self.contention(total, busy);
+        assert_eq!(computing, self.allocation.0, "skipped rate pass: busy contexts moved");
+        assert_eq!(
+            utilization.to_bits(),
+            self.allocation.1.to_bits(),
+            "skipped rate pass: utilization moved"
+        );
+        for (id, alloc) in allocs {
+            let rate = self.items.get(id).expect("computing items are in flight").rate;
+            assert_eq!(rate.to_bits(), (alloc * factor).to_bits(), "skipped rate pass: {id} moved");
         }
     }
 
@@ -1066,7 +1163,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_onto_a_busy_stream_replans_once_and_keeps_the_next_event() {
+    fn submit_onto_a_busy_stream_runs_no_rate_pass_and_keeps_the_next_event() {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
@@ -1078,11 +1175,91 @@ mod tests {
         assert_eq!(next, Some(SimTime::from_micros(15)));
         let before = gpu.work_counters();
         gpu.submit(s, item(2)).unwrap();
-        let after = gpu.work_counters();
-        assert_eq!(after.replans, before.replans + 1);
-        assert_eq!(after.clean_replans, before.clean_replans + 1, "no context went dirty");
+        assert_eq!(gpu.work_counters(), before, "a submit runs no rate pass");
         assert_eq!(gpu.next_event_time(), next, "no finish instant moved");
         assert_eq!(gpu.run_to_idle().len(), 2);
+    }
+
+    #[test]
+    fn advancing_exactly_to_an_event_runs_one_rate_pass() {
+        let mut gpu = Gpu::new(quiet_spec());
+        let ctx = gpu.add_context(68).unwrap();
+        let s = gpu.add_stream(ctx).unwrap();
+        gpu.submit(s, WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
+        // The launch ends at 5 µs: one step, one transition, one rate pass.
+        let before = gpu.work_counters();
+        assert!(gpu.advance_to(SimTime::from_micros(5)).is_empty());
+        let after = gpu.work_counters();
+        assert_eq!(after.transitions, before.transitions + 1);
+        assert_eq!(after.replans, before.replans + 1, "no trailing pass at the target");
+        assert_eq!(after.clean_replans, before.clean_replans, "the flip dirtied the context");
+        // Nothing is due at `now`: neither rates nor instants can move.
+        assert!(gpu.advance_to(gpu.now()).is_empty());
+        assert_eq!(gpu.work_counters(), after);
+        assert_eq!(gpu.next_event_time(), Some(SimTime::from_micros(15)));
+        // Moving time with no membership change is a clean rate pass.
+        gpu.advance_to(SimTime::from_micros(8));
+        let moved = gpu.work_counters();
+        assert_eq!(
+            (moved.replans, moved.clean_replans),
+            (after.replans + 1, after.clean_replans + 1)
+        );
+    }
+
+    #[test]
+    fn a_flip_at_an_unchanged_instant_still_runs_the_rate_pass() {
+        let mut gpu = Gpu::new(quiet_spec());
+        let ctx = gpu.add_context(68).unwrap();
+        let s = gpu.add_stream(ctx).unwrap();
+        let kernel = KernelDesc::new(680.0, 68).with_launch_overhead(SimDuration::ZERO);
+        gpu.submit(s, WorkItem::new(1).with_kernel(kernel)).unwrap();
+        // The launch ends at 0: the flip dirties the context without moving time.
+        let before = gpu.work_counters();
+        assert!(gpu.advance_to(SimTime::ZERO).is_empty());
+        let after = gpu.work_counters();
+        assert_eq!(
+            (after.replans, after.clean_replans),
+            (before.replans + 1, before.clean_replans)
+        );
+        assert_eq!(gpu.next_event_time(), Some(SimTime::from_micros(10)));
+    }
+
+    #[test]
+    fn recorded_replans_keep_one_per_submit_and_per_transition_pass() {
+        let mut gpu = Gpu::new(quiet_spec());
+        gpu.record_events();
+        let ctx = gpu.add_context(68).unwrap();
+        let s = gpu.add_stream(ctx).unwrap();
+        fn replans(gpu: &mut Gpu) -> Vec<(SimTime, (u32, f64))> {
+            let events = gpu.take_events().into_iter();
+            events
+                .filter_map(|(t, e)| match e {
+                    DeviceEvent::Replan { computing, utilization } => {
+                        Some((t, (computing, utilization)))
+                    }
+                    _ => None,
+                })
+                .collect()
+        }
+        let item = |tag| WorkItem::new(tag).with_kernel(KernelDesc::new(680.0, 68));
+        let us = SimTime::from_micros;
+        gpu.submit(s, item(1)).unwrap();
+        assert_eq!(replans(&mut gpu), [(us(0), (0, 0.0))], "one per submit");
+        assert_eq!(replans(&mut gpu), []);
+        // No time moves: one transition pass.
+        gpu.advance_to(us(0));
+        assert_eq!(replans(&mut gpu), [(us(0), (0, 0.0))]);
+        // Steps to 5 (launch end) and 8, then one closing the advance.
+        gpu.advance_to(us(8));
+        assert_eq!(replans(&mut gpu), [(us(5), (1, 1.0)), (us(8), (1, 1.0)), (us(8), (1, 1.0))]);
+        // A submit mid-compute reports the allocation it left untouched.
+        gpu.submit(s, item(2)).unwrap();
+        assert_eq!(replans(&mut gpu), [(us(8), (1, 1.0))]);
+        // Steps to 15 (item 1 done, item 2 launches) and 20 (item 2 computes).
+        gpu.advance_to(us(20));
+        assert_eq!(replans(&mut gpu), [(us(15), (0, 0.0)), (us(20), (1, 1.0)), (us(20), (1, 1.0))]);
+        gpu.advance_to(us(3));
+        assert_eq!(replans(&mut gpu), [], "a past target is a no-op");
     }
 
     #[test]
