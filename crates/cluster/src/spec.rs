@@ -124,11 +124,6 @@ impl ClusterSpec {
         self.devices.is_empty()
     }
 
-    /// Total SM count across the fleet (the saturated-throughput proxy).
-    pub fn total_sms(&self) -> u32 {
-        self.devices.iter().map(|d| d.gpu.sm_count).sum()
-    }
-
     /// The contiguous device spans a `racks`-way hierarchical dispatch
     /// partitions this fleet into — balanced to within one device, `racks`
     /// clamped to `1..=len()`. This is the same layout
@@ -184,7 +179,6 @@ mod tests {
         assert!(cap(2) > cap(1));
         assert!(cap(1) > cap(0));
         assert!(cap(0) > cap(3));
-        assert!(fleet.total_sms() > 300);
     }
 
     #[test]

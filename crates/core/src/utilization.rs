@@ -101,11 +101,6 @@ impl ContextLoad {
         }
     }
 
-    /// Whether the task is assigned to this context.
-    pub fn has_task(&self, task: TaskId) -> bool {
-        self.assigned.contains_key(&task)
-    }
-
     /// Total assigned utilization of one priority class
     /// (`U^{h,t}_k` / `U^{l,t}_k`, Eq. 4–5).
     pub fn assigned_util(&self, priority: Priority) -> f64 {
@@ -184,9 +179,7 @@ mod tests {
         assert!((load.assigned_util(Priority::High) - 0.5).abs() < 1e-9);
         assert!((load.assigned_util(Priority::Low) - 0.4).abs() < 1e-9);
         assert!((load.total_util() - 0.9).abs() < 1e-9);
-        assert!(load.has_task(TaskId(2)));
         load.unassign_task(TaskId(2));
-        assert!(!load.has_task(TaskId(2)));
         assert!((load.total_util() - 0.5).abs() < 1e-9);
         load.update_task_util(TaskId(0), 0.6);
         assert!((load.assigned_util(Priority::High) - 0.8).abs() < 1e-9);

@@ -24,40 +24,33 @@
 //! and [`Gpu::submit`] folds the instants it starts into that minimum, so
 //! [`Gpu::next_event_time`] returns a field.
 //!
-//! * **Launch** and **copy** completions are fixed when they start: the
-//!   launch end is `start + launch overhead`, the copy finish `start +
-//!   latency + bytes / bandwidth`, and a transition fires once `now` reaches
-//!   that instant.
-//! * **Compute** completions depend on the floating-point SM rate, which can
-//!   change on every rate pass. Each rate pass recomputes every computing
-//!   item's finish instant, `now + max(1 ns, round(work_remaining / rate))`,
-//!   with the arithmetic the original scan-based engine used; the kernel
-//!   completes once its work is exhausted, so an instant that fires with
-//!   rounding residue left simply recomputes to a later one. Transitions
-//!   scan the `running` set in id order, so only the instants themselves
-//!   are observable and event times stay bit-identical (pinned by the
-//!   golden-trace tests).
+//! Every item follows one rule: its transition fires once `now` reaches its
+//! instant. A launch ends at `start + launch overhead`, a copy at `start +
+//! latency + bytes / bandwidth`. A computing kernel keeps its progress
+//! *anchored*: an `anchor` instant, the work left at the anchor and its SM
+//! `rate`. Its finish is `anchor + work / rate`, rounded up to the next whole
+//! ns and at least 1 ns after the anchor, so the work is done when it fires.
+//! Time moving changes none of the three, so it moves no instant.
 //!
 //! # When the rates are replanned
 //!
-//! The *rate pass* (water-filling, the contention factor and every compute
-//! finish) has two inputs: each context's computing membership (`ctx_dirty`)
-//! and `now`, because `work_remaining` shrinks with time and the last-ns
-//! rounding of `work_remaining / rate` can move a finish instant. A
-//! transition pass runs it only when a context is dirty or time moved since
-//! the last one. A submit never runs it: a new item only queues, starts a
-//! launch, or starts or queues a copy, none of which dirties a context, and
-//! every [`Gpu::advance_to`] ends with a rate pass at its target. While
-//! recording, every skipped pass still emits a [`DeviceEvent::Replan`] with
-//! the cached allocation, so telemetry does not depend on which passes ran.
+//! The *rate pass* (water-filling, the contention factor and re-anchoring)
+//! has one input: each context's computing membership (`ctx_dirty`). A
+//! transition pass runs it only when a context is dirty, and a submit never
+//! does: a new item only queues, starts a launch, or starts or queues a copy.
+//! The pass re-anchors only the kernels whose rate bits moved: it subtracts
+//! `rate × (now − anchor)` from their work and computes their new finish;
+//! every other kernel keeps its instant. While recording, every transition
+//! pass still emits a [`DeviceEvent::Replan`] with the current allocation, so
+//! telemetry does not depend on which passes ran.
 //!
 //! Bookkeeping that used to scan every pending item is incremental: in-flight
 //! items sit in a slab indexed by their dense, increasing ids; a `running`
-//! set (at most one item per stream) bounds progress application and
-//! transition checks; per-context *computing* sets with dirty flags let a
-//! rate pass reuse cached water-filling for contexts whose membership did not
-//! change; and every pass reuses buffers the engine owns, so a steady-state
-//! event allocates nothing. [`Gpu::work_counters`] reports the work done.
+//! set (at most one item per stream) bounds transition checks; per-context
+//! *computing* sets with dirty flags let a rate pass reuse cached
+//! water-filling for contexts whose membership did not change; and every
+//! pass reuses buffers the engine owns, so a steady-state event allocates
+//! nothing. [`Gpu::work_counters`] reports the work done.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -68,10 +61,6 @@ use crate::{
     ContextId, DeviceEvent, GpuError, GpuSpec, MemoryPool, Result, SimDuration, SimTime, StreamId,
     XorShiftRng,
 };
-
-/// Work below this many SM-microseconds counts as finished (guards against
-/// floating-point residue keeping a kernel alive forever).
-const WORK_EPSILON: f64 = 1e-6;
 
 /// Completion notification for a submitted [`WorkItem`].
 #[derive(Debug, Clone, PartialEq)]
@@ -129,14 +118,24 @@ struct ItemInstance {
     started_at: Option<SimTime>,
     state: ItemState,
     kernel_index: usize,
-    work_remaining: f64,
-    /// SM rate (SMs × efficiency) set by the last rate pass; read only while
-    /// the item is computing.
+    /// Instant the computing kernel's progress was last anchored at.
+    anchor: SimTime,
+    /// Work (SM·µs) the current kernel has left at `anchor`.
+    work: f64,
+    /// SM rate (SMs × efficiency) since `anchor`; read only while the item
+    /// is computing.
     rate: f64,
     /// Instant of the item's next transition: the launch end while
-    /// launching, the compute finish at `rate` while computing at a positive
+    /// launching, the anchored compute finish while computing at a positive
     /// rate, `None` otherwise.
     next_at: Option<SimTime>,
+}
+
+impl ItemInstance {
+    /// Work the computing kernel has done since `anchor`, as of `now`.
+    fn progress(&self, now: SimTime) -> f64 {
+        (self.rate * (now - self.anchor).as_micros_f64()).min(self.work)
+    }
 }
 
 /// The in-flight items, indexed by id. The slab hands out ids densely and in
@@ -190,12 +189,8 @@ pub struct WorkCounters {
     /// kernel completions (the same count as [`Gpu::events_processed`]).
     pub transitions: u64,
     /// Rate passes (SM re-allocations) that ran: transition passes at which
-    /// a context's computing membership changed or time had moved since the
-    /// last rate pass. A submit runs none.
+    /// a context's computing membership changed. A submit runs none.
     pub replans: u64,
-    /// Rate passes that ran only because time moved: no context's computing
-    /// membership changed, so every water-fill came from the cache.
-    pub clean_replans: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,8 +222,6 @@ pub struct Gpu {
     /// Earliest `next_at` of a running item or the active copy's finish,
     /// refreshed at the end of every transition pass and folded by submits.
     next_at: Option<SimTime>,
-    /// Instant of the last rate pass. Outside `advance_to` it equals `now`.
-    rate_pass_at: SimTime,
     /// `(busy contexts, utilization)` of the last rate pass, as every
     /// recorded [`DeviceEvent::Replan`] reports it.
     allocation: (u32, f64),
@@ -272,7 +265,6 @@ impl Gpu {
             copy_queue: VecDeque::new(),
             active_copy: None,
             next_at: None,
-            rate_pass_at: SimTime::ZERO,
             allocation: (0, 0.0),
             running: BTreeSet::new(),
             computing: Vec::new(),
@@ -391,7 +383,8 @@ impl Gpu {
             started_at: None,
             state: ItemState::Queued,
             kernel_index: 0,
-            work_remaining: 0.0,
+            anchor: SimTime::ZERO,
+            work: 0.0,
             rate: 0.0,
             next_at: None,
         };
@@ -399,9 +392,8 @@ impl Gpu {
         self.streams[stream.index()].queue.push_back(id);
         self.pending_count += 1;
         // If the stream was idle, the new item starts immediately. Starting a
-        // launch or a copy dirties no context and `now` is the last rate
-        // pass's instant, so no rate moved: the new instants only fold into
-        // the cached minimum.
+        // launch or a copy dirties no context, so no rate moved: the new
+        // instants only fold into the cached minimum.
         if self.streams[stream.index()].queue.len() == 1 {
             self.activate_front(stream);
             let launch = self.items.get(id).and_then(|item| item.next_at);
@@ -422,9 +414,13 @@ impl Gpu {
         self.pending_count
     }
 
-    /// Total compute work completed so far, in SM-microseconds.
+    /// Total compute work completed so far, in SM-microseconds, including
+    /// the progress of kernels still computing.
     pub fn completed_work(&self) -> f64 {
-        self.completed_work
+        let running = self.running.iter().filter_map(|&id| self.items.get(id));
+        let computing =
+            running.filter(|item| item.state == ItemState::Running(KernelPhase::Computing));
+        self.completed_work + computing.map(|item| item.progress(self.now)).sum::<f64>()
     }
 
     /// Number of discrete state transitions fired so far (copy completions,
@@ -448,7 +444,7 @@ impl Gpu {
         if elapsed_us <= 0.0 {
             return 0.0;
         }
-        self.completed_work / (elapsed_us * f64::from(self.spec.sm_count))
+        self.completed_work() / (elapsed_us * f64::from(self.spec.sm_count))
     }
 
     /// Time of the next internal state transition, if any work is in flight.
@@ -480,7 +476,6 @@ impl Gpu {
                 Some(t) if t <= target => t,
                 _ => target,
             };
-            self.apply_progress(step_to - self.now);
             self.now = step_to;
             self.apply_transitions(&mut completions);
             if self.now == target {
@@ -541,7 +536,7 @@ impl Gpu {
         let desc: &KernelDesc = &item.spec.kernels[index];
         item.kernel_index = index;
         item.next_at = Some(now + desc.launch_overhead.unwrap_or(default_launch));
-        item.work_remaining = desc.work * jitter;
+        item.work = desc.work * jitter;
         item.state = ItemState::Running(KernelPhase::Launching);
         let (tag, stream, context) = (item.tag, item.stream.0, item.context.0);
         if was_computing {
@@ -580,28 +575,6 @@ impl Gpu {
         }
     }
 
-    /// Applies `dt` of progress to every computing kernel. Launches and
-    /// copies end at fixed instants, so they have no progress to track.
-    ///
-    /// Only the `running` set (at most one item per stream) is visited;
-    /// queued items have no progress to apply.
-    fn apply_progress(&mut self, dt: SimDuration) {
-        if dt.is_zero() {
-            return;
-        }
-        let dt_us = dt.as_micros_f64();
-        let mut executed = 0.0;
-        for &id in &self.running {
-            let Some(item) = self.items.get_mut(id) else { continue };
-            if item.state == ItemState::Running(KernelPhase::Computing) {
-                let done = (item.rate * dt_us).min(item.work_remaining);
-                item.work_remaining -= done;
-                executed += done;
-            }
-        }
-        self.completed_work += executed;
-    }
-
     /// Fires every transition that is due at the current time, then replans
     /// allocations.
     fn apply_transitions(&mut self, completions: &mut Vec<Completion>) {
@@ -631,24 +604,22 @@ impl Gpu {
             ids.clear();
             ids.extend(self.running.iter().copied());
             for &id in &ids {
-                let (state, next_at, work_left, kernel_index, kernel_count) = {
+                let (state, kernel_index, kernel_count) = {
                     let Some(item) = self.items.get(id) else { continue };
-                    (
-                        item.state.clone(),
-                        item.next_at,
-                        item.work_remaining,
-                        item.kernel_index,
-                        item.spec.kernels.len(),
-                    )
+                    if !item.next_at.is_some_and(|t| t <= self.now) {
+                        continue;
+                    }
+                    (item.state.clone(), item.kernel_index, item.spec.kernels.len())
                 };
                 match state {
-                    ItemState::Running(KernelPhase::Launching)
-                        if next_at.is_some_and(|t| t <= self.now) =>
-                    {
+                    ItemState::Running(KernelPhase::Launching) => {
                         if let Some(item) = self.items.get_mut(id) {
-                            // The rate pass that ends this pass sets the
-                            // compute finish.
+                            // At rate 0 the kernel has made no progress, and
+                            // the rate pass that ends this pass sees its rate
+                            // move, so it anchors the kernel at `now` and sets
+                            // its compute finish.
                             item.state = ItemState::Running(KernelPhase::Computing);
+                            item.rate = 0.0;
                             item.next_at = None;
                             let ctx = item.context.index();
                             self.computing[ctx].insert(id);
@@ -657,11 +628,12 @@ impl Gpu {
                         changed = true;
                         self.counters.transitions += 1;
                     }
-                    ItemState::Running(KernelPhase::Computing) if work_left <= WORK_EPSILON => {
+                    ItemState::Running(KernelPhase::Computing) => {
                         changed = true;
                         self.counters.transitions += 1;
+                        let item = self.items.get(id).expect("running items are in flight");
+                        self.completed_work += item.work;
                         if self.recording {
-                            let item = self.items.get(id).expect("running items are in flight");
                             let event = DeviceEvent::KernelFinished {
                                 tag: item.tag,
                                 stream: item.stream.0,
@@ -732,11 +704,11 @@ impl Gpu {
         self.activate_front(stream);
     }
 
-    /// Runs the rate pass if one of its inputs moved since the last one (a
-    /// context's computing membership, or `now`), records the allocation,
-    /// and refreshes the cached next event instant.
+    /// Runs the rate pass if a context's computing membership changed since
+    /// the last one, records the allocation, and refreshes the cached next
+    /// event instant.
     fn replan(&mut self) {
-        if self.now != self.rate_pass_at || self.ctx_dirty.contains(&true) {
+        if self.ctx_dirty.contains(&true) {
             self.replan_rates();
         } else {
             #[cfg(debug_assertions)]
@@ -751,7 +723,8 @@ impl Gpu {
         self.check_next_at();
     }
 
-    /// Sets the SM rate and compute finish of every computing kernel.
+    /// Sets the SM rate of every computing kernel and re-anchors those whose
+    /// rate moved.
     ///
     /// Water-filling is cached per context and only recomputed for contexts
     /// whose computing membership changed since the last replan (`ctx_dirty`).
@@ -759,15 +732,12 @@ impl Gpu {
     /// a single multiply per computing item.
     fn replan_rates(&mut self) {
         self.counters.replans += 1;
-        self.rate_pass_at = self.now;
         // Refresh the water-fill cache of dirty contexts.
-        let mut clean = true;
         for ctx in 0..self.contexts.len() {
             if !self.ctx_dirty[ctx] {
                 continue;
             }
             self.ctx_dirty[ctx] = false;
-            clean = false;
             let kernels = &mut self.water_fill.kernels;
             kernels.clear();
             for &id in &self.computing[ctx] {
@@ -776,9 +746,6 @@ impl Gpu {
             }
             let quota = f64::from(self.contexts[ctx].sm_quota);
             self.water_fill.run(quota, &mut self.ctx_alloc[ctx]);
-        }
-        if clean {
-            self.counters.clean_replans += 1;
         }
         let mut total = 0.0;
         let mut busy_contexts = 0usize;
@@ -793,14 +760,22 @@ impl Gpu {
         }
         let (factor, allocation) = self.contention(total, busy_contexts);
         self.allocation = allocation;
-        // Apply the global factor and recompute each compute finish.
+        // Apply the global factor; a kernel whose rate moved banks its
+        // progress at the old rate and gets a new finish.
         let now = self.now;
         for ctx in 0..self.contexts.len() {
             for &(id, alloc) in &self.ctx_alloc[ctx] {
                 let Some(item) = self.items.get_mut(id) else { continue };
-                item.rate = alloc * factor;
-                item.next_at =
-                    (item.rate > 0.0).then(|| compute_finish(now, item.work_remaining, item.rate));
+                let rate = alloc * factor;
+                if rate.to_bits() == item.rate.to_bits() {
+                    continue;
+                }
+                let done = item.progress(now);
+                self.completed_work += done;
+                item.work -= done;
+                item.anchor = now;
+                item.rate = rate;
+                item.next_at = (rate > 0.0).then(|| compute_finish(now, item.work, rate));
             }
         }
     }
@@ -869,9 +844,10 @@ impl Gpu {
 
     /// Debug oracle for [`replan`](Self::replan): every computing item is
     /// covered by the allocation cache; every in-flight item's instant is
-    /// the one its state implies (a compute finish recomputed from scratch,
-    /// strictly in the future; a launch end not yet passed); and the cached
-    /// minimum equals a scan of the whole slab and the active copy.
+    /// the one its state implies (a compute finish recomputed from its
+    /// anchor, work and rate, strictly in the future; a launch end not yet
+    /// passed); and the cached minimum equals a scan of the whole slab and
+    /// the active copy.
     #[cfg(debug_assertions)]
     fn check_next_at(&self) {
         for ctx in 0..self.contexts.len() {
@@ -892,7 +868,8 @@ impl Gpu {
                     item.next_at
                 }
                 ItemState::Running(KernelPhase::Computing) if item.rate > 0.0 => {
-                    let at = compute_finish(self.now, item.work_remaining, item.rate);
+                    assert!(item.anchor <= self.now, "item {id}: anchored in the future");
+                    let at = compute_finish(item.anchor, item.work, item.rate);
                     assert!(at > self.now, "item {id}: compute finish not in the future");
                     Some(at)
                 }
@@ -913,12 +890,16 @@ impl Gpu {
     }
 }
 
-/// When a kernel with `work_remaining` SM·µs left at `rate` SMs finishes:
-/// never sooner than 1 ns after `now`, so a compute finish always moves time
-/// forward.
-fn compute_finish(now: SimTime, work_remaining: f64, rate: f64) -> SimTime {
-    let d = SimDuration::from_micros_f64(work_remaining / rate);
-    now + if d.is_zero() { SimDuration::from_nanos(1) } else { d }
+/// When a kernel with `work` SM·µs left at `anchor` finishes at `rate` SMs:
+/// the exact instant rounded up to the next whole ns, so the work is done
+/// when it fires, and never sooner than 1 ns after `anchor`, so a compute
+/// finish always moves time forward.
+fn compute_finish(anchor: SimTime, work: f64, rate: f64) -> SimTime {
+    let us = work / rate;
+    // `from_micros_f64` rounds to the nearest ns; one more if that is early.
+    let nearest = SimDuration::from_micros_f64(us);
+    let up = u64::from((nearest.as_nanos() as f64) < us * 1e3);
+    anchor + (nearest + SimDuration::from_nanos(up)).max(SimDuration::from_nanos(1))
 }
 
 /// Water-filling of a context's SM quota over its computing kernels, with
@@ -1144,25 +1125,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_entry_firing_with_residual_work_moves_forward_and_completes() {
-        let mut gpu = Gpu::new(quiet_spec());
-        let ctx = gpu.add_context(68).unwrap();
-        let s = gpu.add_stream(ctx).unwrap();
-        // 0.7072 SM·µs over 68 SMs takes 10.4 ns, which the finish instant
-        // rounds down to 10 ns: it fires with 0.0272 SM·µs left.
-        let kernel = KernelDesc::new(0.7072, 68).with_launch_overhead(SimDuration::ZERO);
-        gpu.submit(s, WorkItem::new(1).with_kernel(kernel)).unwrap();
-        assert!(gpu.advance_to(SimTime::from_nanos(10)).is_empty());
-        assert_eq!(gpu.pending_items(), 1, "the residual keeps the kernel alive");
-        // The recomputed finish lies strictly after the one that just fired.
-        assert_eq!(gpu.next_event_time(), Some(SimTime::from_nanos(11)));
-        let done = gpu.advance_to(SimTime::from_nanos(11));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].finished_at, SimTime::from_nanos(11));
-        assert_eq!(gpu.next_event_time(), None);
-    }
-
-    #[test]
     fn submit_onto_a_busy_stream_runs_no_rate_pass_and_keeps_the_next_event() {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
@@ -1192,18 +1154,15 @@ mod tests {
         let after = gpu.work_counters();
         assert_eq!(after.transitions, before.transitions + 1);
         assert_eq!(after.replans, before.replans + 1, "no trailing pass at the target");
-        assert_eq!(after.clean_replans, before.clean_replans, "the flip dirtied the context");
         // Nothing is due at `now`: neither rates nor instants can move.
         assert!(gpu.advance_to(gpu.now()).is_empty());
         assert_eq!(gpu.work_counters(), after);
         assert_eq!(gpu.next_event_time(), Some(SimTime::from_micros(15)));
-        // Moving time with no membership change is a clean rate pass.
+        // Moving time with no membership change runs no rate pass and keeps
+        // the anchored finish.
         gpu.advance_to(SimTime::from_micros(8));
-        let moved = gpu.work_counters();
-        assert_eq!(
-            (moved.replans, moved.clean_replans),
-            (after.replans + 1, after.clean_replans + 1)
-        );
+        assert_eq!(gpu.work_counters(), after);
+        assert_eq!(gpu.next_event_time(), Some(SimTime::from_micros(15)));
     }
 
     #[test]
@@ -1216,11 +1175,7 @@ mod tests {
         // The launch ends at 0: the flip dirties the context without moving time.
         let before = gpu.work_counters();
         assert!(gpu.advance_to(SimTime::ZERO).is_empty());
-        let after = gpu.work_counters();
-        assert_eq!(
-            (after.replans, after.clean_replans),
-            (before.replans + 1, before.clean_replans)
-        );
+        assert_eq!(gpu.work_counters().replans, before.replans + 1);
         assert_eq!(gpu.next_event_time(), Some(SimTime::from_micros(10)));
     }
 

@@ -155,11 +155,6 @@ impl WorkItem {
         self
     }
 
-    /// Total compute work (SM-microseconds) across the item's kernels.
-    pub fn total_work(&self) -> f64 {
-        self.kernels.iter().map(|k| k.work).sum()
-    }
-
     /// Number of kernels in the item.
     pub fn kernel_count(&self) -> usize {
         self.kernels.len()
@@ -217,7 +212,6 @@ mod tests {
             .with_h2d_bytes(1024)
             .with_d2h_bytes(64);
         assert_eq!(item.kernel_count(), 3);
-        assert_eq!(item.total_work(), 60.0);
         assert_eq!(item.h2d_bytes, 1024);
         assert_eq!(item.d2h_bytes, 64);
         assert!(item.validate().is_ok());

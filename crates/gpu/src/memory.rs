@@ -91,11 +91,6 @@ impl MemoryPool {
         self.capacity - self.allocated
     }
 
-    /// Whether an allocation of `bytes` would currently succeed.
-    pub fn would_fit(&self, bytes: u64) -> bool {
-        bytes <= self.available()
-    }
-
     /// Snapshot of pool statistics.
     pub fn stats(&self) -> MemoryStats {
         MemoryStats {
@@ -152,8 +147,7 @@ mod tests {
             }
             other => panic!("expected OutOfMemory, got {other:?}"),
         }
-        assert!(pool.would_fit(2));
-        assert!(!pool.would_fit(3));
+        assert_eq!(pool.available(), 2);
     }
 
     #[test]

@@ -117,11 +117,6 @@ impl SimDuration {
         Self::from_micros_f64(ms * 1e3)
     }
 
-    /// Creates a duration from a floating-point number of seconds.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        Self::from_micros_f64(secs * 1e6)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0

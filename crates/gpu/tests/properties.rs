@@ -221,6 +221,33 @@ proptest! {
         prop_assert_eq!(&expected, &got);
     }
 
+    /// Every step to the next event instant fires at least one transition:
+    /// a compute finish is rounded up to the ns, so the kernel's work is done
+    /// when its instant arrives, and no step is spent on rounding residue.
+    #[test]
+    fn every_step_to_the_next_event_fires_a_transition(
+        seed in 0u64..1_000_000,
+        n_items in 1usize..24,
+    ) {
+        let (mut gpu, streams) = two_by_two();
+        let mut submissions = mid_run_submissions(seed, n_items).into_iter().peekable();
+        loop {
+            let submit_at = submissions.peek().map(|&(at, _, _)| at);
+            let step = gpu.next_event_time().filter(|&t| submit_at.map_or(true, |at| t <= at));
+            if let Some(next) = step {
+                let fired = gpu.events_processed();
+                gpu.advance_to(next);
+                prop_assert!(gpu.events_processed() > fired, "the step to {} fired nothing", next);
+            } else if let Some((at, s, item)) = submissions.next() {
+                gpu.advance_to(at);
+                gpu.submit(streams[s], item).unwrap();
+            } else {
+                break;
+            }
+        }
+        prop_assert_eq!(gpu.pending_items(), 0, "work left with no next event");
+    }
+
     /// Completions are never reported before the submission time and the
     /// device clock never runs backwards.
     #[test]

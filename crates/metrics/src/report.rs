@@ -113,11 +113,6 @@ pub fn fmt_pct(ratio: f64) -> String {
     format!("{:.1}%", ratio * 100.0)
 }
 
-/// Formats an `(observed, reference)` pair as `"observed (paper: reference)"`.
-pub fn fmt_vs_paper(observed: f64, reference: f64, decimals: usize) -> String {
-    format!("{} (paper: {})", fmt_num(observed, decimals), fmt_num(reference, decimals))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +149,6 @@ mod tests {
         assert_eq!(fmt_num(-0.0, 1), "0.0");
         assert_eq!(fmt_pct(0.025), "2.5%");
         assert_eq!(fmt_pct(0.0), "0.0%");
-        assert_eq!(fmt_vs_paper(498.2, 498.0, 0), "498 (paper: 498)");
     }
 
     #[test]

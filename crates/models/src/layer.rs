@@ -122,11 +122,6 @@ impl Layer {
         }
     }
 
-    /// Bytes of parameters assuming `f32` weights.
-    pub fn param_bytes(&self) -> u64 {
-        self.params() * 4
-    }
-
     /// Whether the layer launches a GPU kernel of its own (pure reshapes do,
     /// too, but we fold zero-param element-wise layers into real kernels only
     /// when their cost is negligible).

@@ -22,13 +22,6 @@ pub struct PhaseTotal {
     pub count: u64,
 }
 
-impl PhaseTotal {
-    /// Total wall time in milliseconds.
-    pub fn wall_ms(&self) -> f64 {
-        self.wall.as_secs_f64() * 1e3
-    }
-}
-
 /// Wall-clock profiler for the dispatcher's sync-round phases.
 ///
 /// Cloning shares the accumulator. The dispatcher brackets each phase with
@@ -100,13 +93,6 @@ impl WallClockProfiler {
     pub fn rounds(&self) -> u64 {
         self.lock().totals[index_of(RoundPhase::Span)].count
     }
-
-    /// Clears all accumulated totals.
-    pub fn reset(&self) {
-        let mut state = self.lock();
-        state.open = None;
-        state.totals = [PhaseTotal::default(); 4];
-    }
 }
 
 #[cfg(test)]
@@ -128,8 +114,6 @@ mod tests {
             assert_eq!(total.count, 3, "{phase} should have run 3 times");
         }
         assert_eq!(profiler.rounds(), 3);
-        profiler.reset();
-        assert_eq!(profiler.rounds(), 0);
     }
 
     #[test]

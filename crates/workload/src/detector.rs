@@ -171,11 +171,6 @@ impl LoadDetector {
         self.burst
     }
 
-    /// Arrival rate of the most recently closed window, in jobs per second.
-    pub fn rate_jps(&self) -> f64 {
-        self.last_rate
-    }
-
     /// The last closed window's rate as a multiple of the nominal rate.
     pub fn load_ratio(&self) -> f64 {
         self.last_rate / self.nominal_jps

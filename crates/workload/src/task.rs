@@ -113,12 +113,6 @@ impl TaskSpec {
         }
     }
 
-    /// Sets the release phase.
-    pub fn with_phase(mut self, phase: SimDuration) -> Self {
-        self.phase = phase;
-        self
-    }
-
     /// Sets the batch size (Sec. VI-H experiments).
     pub fn with_batch_size(mut self, batch: u32) -> Self {
         self.batch_size = batch.max(1);
@@ -162,11 +156,6 @@ pub struct Job {
 }
 
 impl Job {
-    /// Whether a completion at `finish` meets the deadline.
-    pub fn meets_deadline(&self, finish: SimTime) -> bool {
-        finish <= self.absolute_deadline
-    }
-
     /// Response time for a completion at `finish`.
     pub fn response_time(&self, finish: SimTime) -> SimDuration {
         finish - self.release
@@ -197,7 +186,8 @@ mod tests {
 
     #[test]
     fn jobs_are_released_periodically() {
-        let t = task().with_phase(SimDuration::from_millis(5));
+        let mut t = task();
+        t.phase = SimDuration::from_millis(5);
         let j0 = t.job(0);
         let j3 = t.job(3);
         assert_eq!(j0.release, SimTime::from_millis(5));
@@ -211,8 +201,7 @@ mod tests {
     fn deadline_check_and_response_time() {
         let t = task();
         let j = t.job(0);
-        assert!(j.meets_deadline(j.absolute_deadline));
-        assert!(!j.meets_deadline(j.absolute_deadline + SimDuration::from_nanos(1)));
+        assert_eq!(j.absolute_deadline, j.release + t.relative_deadline);
         let finish = j.release + SimDuration::from_millis(7);
         assert_eq!(j.response_time(finish), SimDuration::from_millis(7));
     }

@@ -69,14 +69,6 @@ impl TaskSetBuilder {
         self
     }
 
-    /// Sets the batch size of every task added so far (Sec. VI-H).
-    pub fn with_batch_sizes(mut self, batch: impl Fn(DnnKind) -> u32) -> Self {
-        for t in &mut self.tasks {
-            t.batch_size = batch(t.model).max(1);
-        }
-        self
-    }
-
     /// Finalizes the set, staggering release phases so tasks of the same
     /// model/priority group do not all release simultaneously.
     pub fn build(mut self) -> TaskSet {

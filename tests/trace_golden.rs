@@ -38,7 +38,7 @@ fn expectations() -> Vec<Expected> {
             name: "diurnal_mixed",
             taskset: TaskSet::mixed,
             totals: (182, 121, 26, 55),
-            events_processed: 10_334,
+            events_processed: 10_336,
         },
         Expected {
             name: "correlated_resnet18",
