@@ -58,8 +58,9 @@
 //! Because a round's per-device work touches nothing but that device's own
 //! scheduler and arrival stream, the dispatcher fans the device spans out to
 //! the persistent spin/park worker pool in [`crate::pool`]
-//! ([`ClusterConfig::threads`] workers spawned once per run, parked between
-//! rounds, device `d` always on worker `d % workers`). Per-device results
+//! ([`ClusterConfig::threads`] workers: the dispatcher's thread is worker 0,
+//! beside helpers spawned once per run and parked between rounds; device
+//! `d` always on worker `d % workers`). Per-device results
 //! (rejected releases) are collected in fixed device-index order, so
 //! completions, retries, migrations and metrics are **byte-identical at any
 //! thread count** — thread scheduling can reorder the wall-clock execution
@@ -131,9 +132,10 @@ pub struct ClusterConfig {
     /// Migrate queued jobs from overloaded to idle devices.
     pub migration: bool,
     /// Worker threads the dispatcher fans per-device simulation out to
-    /// between synchronization rounds (and during construction). `1` runs
-    /// serially on the caller's thread. Results are byte-identical at every
-    /// thread count.
+    /// between synchronization rounds (and during construction). The
+    /// caller's thread is one of them, so `threads − 1` helpers are spawned
+    /// and `1` runs everything on the caller's thread. Results are
+    /// byte-identical at every thread count.
     pub threads: usize,
     /// Number of racks the fleet is partitioned into (contiguous, balanced
     /// device spans). Admission retry and stage-boundary migration stay
@@ -347,9 +349,10 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     /// [`DeviceSlot`]. This is how non-DARIS fleets are assembled — e.g. a
     /// `daris-baselines` server's `scheduler(...)` constructor per device —
     /// while reusing placement, the round loop, retries and migration
-    /// unchanged. With `config.threads > 1` the (independent,
-    /// profiling-heavy) per-device builds are fanned out through the
-    /// worker-pool module; results and errors are collected in device order.
+    /// unchanged. The (independent, profiling-heavy) per-device builds are
+    /// fanned out over `config.threads` workers through the worker-pool
+    /// module, with the same device-to-thread stripes the rounds use;
+    /// results and errors are collected in device order.
     ///
     /// # Errors
     ///
@@ -412,8 +415,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
         };
 
         let n = cluster.len();
-        let workers = config.threads.max(1).min(n);
-        let built = pool::build_striped(n, workers, build_one);
+        let built = pool::build_striped(n, config.threads, build_one);
 
         let mut devices = Vec::with_capacity(n);
         for ((result, buffer), (spec, plan)) in
@@ -523,7 +525,6 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
             Some(bounds) => bounds.clamp(SYNC_QUANTUM),
             None => SYNC_QUANTUM,
         };
-        let workers = self.config.threads.max(1).min(n.max(1));
         let mut racks = RackDispatcher::layout(n, self.config.racks);
         let rack_of = RackDispatcher::rack_of(&racks);
 
@@ -540,7 +541,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
             .collect();
         let fleet = FleetCells::new(cells);
 
-        pool::drive_rounds(&fleet, workers, |run_round| {
+        pool::drive_rounds(&fleet, self.config.threads, |run_round| {
             let mut t0 = SimTime::ZERO;
             let mut round: u64 = 0;
             let mut spans: Vec<(usize, SimTime)> = Vec::with_capacity(n);

@@ -18,12 +18,13 @@
 //!   device or *explicitly rejected*.
 //! * [`ClusterDispatcher`] — drives one scheduler per device through fixed
 //!   synchronization rounds, fanning the independent per-device simulation
-//!   out to a scoped worker pool (`ClusterConfig::threads`) with a
-//!   deterministic device-order join, so results are byte-identical at any
-//!   thread count; a low-priority job rejected by its home device's
-//!   admission test (Eq. 11–12) is retried on the least-loaded other
-//!   devices at the round boundary, and queued-but-unstarted jobs migrate
-//!   from overloaded devices to idle ones at stage boundaries.
+//!   out to a scoped worker pool (`ClusterConfig::threads` workers, the
+//!   calling thread among them) with a deterministic device-order join, so
+//!   results are byte-identical at any thread count; a low-priority job
+//!   rejected by its home device's admission test (Eq. 11–12) is retried on
+//!   the least-loaded other devices at the round boundary, and
+//!   queued-but-unstarted jobs migrate from overloaded devices to idle ones
+//!   at stage boundaries.
 //! * [`ClusterSummary`] — per-device
 //!   [`ExperimentSummary`](daris_metrics::ExperimentSummary)s aggregated
 //!   into fleet-level throughput, deadline-miss and response metrics.

@@ -3,39 +3,40 @@
 //! `clippy.toml`, so the two `std::thread::scope` calls below carry
 //! reasoned allows.
 //!
-//! Two fan-out shapes live behind this module's API:
-//!
-//! * [`build_striped`] — a one-shot scoped fan-out used for scheduler
-//!   construction, dealing indices to workers in fixed stripes and
-//!   collecting results in index order;
-//! * [`drive_rounds`] — the **persistent spin/park pool** the round loop
-//!   runs on. One `std::thread::scope` spans the *entire* run: workers are
-//!   spawned once, then parked between rounds, instead of the old
-//!   spawn-per-round pattern whose fork/join cost grew with round count.
+//! Two fan-out shapes live behind this module's API, and in both the
+//! calling thread is worker 0 beside `workers − 1` spawned helpers (one
+//! worker is the same code with no helpers): [`build_striped`], a one-shot
+//! fan-out for scheduler construction, and [`drive_rounds`], the
+//! **persistent spin/park pool** the round loop runs on, whose helpers are
+//! spawned once per run and parked between rounds.
 //!
 //! # Affinity and determinism
 //!
-//! Worker `w` owns exactly the devices `d` with `d % workers == w` for the
-//! whole run (stable device→worker affinity: a device's scheduler state is
-//! touched by one worker's cache for every span). Each device's state lives
-//! in its own [`Mutex`]-guarded [`DeviceCell`]; during a round the owning
-//! worker holds the only claim on its cells, and between rounds — while all
-//! workers are parked — the dispatcher's boundary phases (retry, migration,
-//! merge) lock cells from the main thread, uncontended. Since every span
-//! simulates a disjoint device over a fixed `[t0, t1)` window, wall-clock
-//! interleaving of workers cannot reorder any simulated outcome: results
-//! are collected in device-index order by the main thread, so the output is
-//! byte-identical at any worker count.
+//! Worker `w` owns exactly the devices `d` with `d % workers == w`, both
+//! while they are built and for the whole run, so a device's state stays in
+//! one worker's cache and its heap in that thread's allocator arena (a
+//! device built on one thread and spanned on another raises peak RSS).
+//! Each device's state lives in its own [`Mutex`]-guarded [`DeviceCell`];
+//! during a round the owning worker holds the only claim on its cells, and
+//! between rounds — while every helper is parked — the dispatcher's
+//! boundary phases (retry, migration, merge) lock cells from the calling
+//! thread, uncontended. Since every span simulates a disjoint device over a
+//! fixed `[t0, t1)` window, wall-clock interleaving of workers cannot
+//! reorder any simulated outcome: results are collected in device-index
+//! order, so the output is byte-identical at any worker count.
 //!
 //! # Round protocol
 //!
-//! The main thread publishes a round by bumping `round` (with the span end
-//! in `until_ns`) and unparking every worker; each worker spans its stripe,
-//! then increments `done`, and the last one unparks the main thread. Both
-//! sides spin briefly before parking, so back-to-back rounds — the common
-//! case in a saturated sweep — never enter the kernel.
+//! The caller publishes a round by bumping `round` (with the span end in
+//! `until_ns`) and unparking every helper, spans its own stripe, then waits
+//! for each helper to span its stripe and increment `done`; the last one
+//! unparks the caller. Both sides spin briefly before parking. A span panic
+//! on any worker is re-raised from the round with its own payload once the
+//! helpers are done, and every exit, unwinding included, stops and wakes
+//! the helpers, so the scope's join never waits on a parked one.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::Thread;
@@ -50,7 +51,7 @@ use daris_workload::{ArrivalSource, Job};
 const SPIN_LIMIT: u32 = 128;
 
 /// One device's run state, shared between the owning worker (span phase)
-/// and the main thread (boundary phases). Generic over the per-device
+/// and the calling thread (boundary phases). Generic over the per-device
 /// scheduler — anything implementing the `daris-core` [`Scheduler`] trait
 /// fans out identically. The scheduler is `None` for a device the placement
 /// left idle.
@@ -58,10 +59,10 @@ const SPIN_LIMIT: u32 = 128;
 pub(crate) struct DeviceCell<Sch, S> {
     pub scheduler: Option<Sch>,
     pub stream: S,
-    /// Set by the main thread's pre-round pass; consumed by the span.
+    /// Set by the caller's pre-round pass; consumed by the span.
     pub due: bool,
     /// Releases the device's admission test rejected during its span,
-    /// collected by the main thread at the boundary.
+    /// collected by the caller at the boundary.
     pub rejected: Vec<Job>,
 }
 
@@ -81,8 +82,8 @@ impl<Sch, S> FleetCells<Sch, S> {
     }
 
     /// Locks one device's cell. Uncontended on every path: workers only
-    /// lock their own stripe during a round, the main thread only locks
-    /// while workers are parked.
+    /// lock their own stripe during a round, the caller only locks boundary
+    /// cells while every helper is parked.
     pub fn cell(&self, device: usize) -> MutexGuard<'_, DeviceCell<Sch, S>> {
         self.cells[device].lock().expect("device cell lock poisoned")
     }
@@ -94,34 +95,26 @@ impl<Sch, S> FleetCells<Sch, S> {
 }
 
 /// One-shot scoped fan-out over `0..n`, dealing index `i` to worker
-/// `i % workers` and collecting the results in index order. Runs on the
-/// caller's thread when `workers <= 1`. Used for scheduler construction,
-/// whose per-device profiling cost dwarfs the spawn cost.
+/// `i % workers` and collecting the results in index order. The caller
+/// builds stripe 0 itself. Used for scheduler construction, whose
+/// per-device profiling cost dwarfs the spawn cost.
 pub(crate) fn build_striped<T: Send>(
     n: usize,
     workers: usize,
     build: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    let workers = workers.max(1).min(n.max(1));
-    if workers <= 1 {
-        return (0..n).map(build).collect();
-    }
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(n, || None);
+    let workers = workers.clamp(1, n.max(1));
+    let build_stripe = |w| (w..n).step_by(workers).map(|i| (i, build(i))).collect::<Vec<_>>();
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     #[allow(clippy::disallowed_methods)] // sanctioned spawn site: results land by index
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let build = &build;
-                scope.spawn(move || {
-                    (w..n).step_by(workers).map(|i| (i, build(i))).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, value) in handle.join().expect("build worker panicked") {
-                out[i] = Some(value);
-            }
+        let build_stripe = &build_stripe;
+        let helpers: Vec<_> = (1..workers).map(|w| scope.spawn(move || build_stripe(w))).collect();
+        let own = build_stripe(0);
+        let theirs =
+            helpers.into_iter().flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+        for (i, value) in own.into_iter().chain(theirs) {
+            out[i] = Some(value);
         }
     });
     out.into_iter().map(|v| v.expect("every index was built")).collect()
@@ -133,14 +126,39 @@ struct PoolCtl {
     round: AtomicU64,
     /// Span end of the published round, as integer nanoseconds.
     until_ns: AtomicU64,
-    /// Workers finished with the published round.
+    /// Helpers finished with the published round.
     done: AtomicUsize,
-    /// A worker's span panicked; the main thread re-raises.
-    panicked: AtomicBool,
+    /// The payload of the round's first helper span panic; the caller
+    /// re-raises it.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Shutdown signal (checked after every round wake-up).
     stop: AtomicBool,
-    /// The main thread, unparked by the last worker to finish a round.
-    main: Thread,
+    /// The calling thread, unparked by the last helper to finish a round.
+    caller: Thread,
+}
+
+/// The caller's handle on the spawned helpers. Dropping it, unwinding
+/// included, stops and wakes every helper.
+struct Helpers<'a> {
+    ctl: &'a PoolCtl,
+    threads: Vec<Thread>,
+}
+
+impl Helpers<'_> {
+    /// Publishes the next round (or the stop signal) to every helper.
+    fn wake(&self) {
+        self.ctl.round.fetch_add(1, Ordering::AcqRel);
+        for t in &self.threads {
+            t.unpark();
+        }
+    }
+}
+
+impl Drop for Helpers<'_> {
+    fn drop(&mut self) {
+        self.ctl.stop.store(true, Ordering::Release);
+        self.wake();
+    }
 }
 
 /// Spin-then-park until `ready` holds. The counterpart `unpark` may arrive
@@ -179,7 +197,7 @@ fn span_stripe<Sch: Scheduler, S: ArrivalSource>(
     }
 }
 
-fn worker_loop<Sch: Scheduler, S: ArrivalSource>(
+fn helper_loop<Sch: Scheduler, S: ArrivalSource>(
     fleet: &FleetCells<Sch, S>,
     ctl: &PoolCtl,
     w: usize,
@@ -193,79 +211,60 @@ fn worker_loop<Sch: Scheduler, S: ArrivalSource>(
             return;
         }
         let until = SimTime::from_nanos(ctl.until_ns.load(Ordering::Acquire));
-        // Contain a panicking span so the main thread is never left waiting
-        // on a `done` count that cannot be reached; the panic is re-raised
-        // on the main thread after the round completes.
-        let ok = catch_unwind(AssertUnwindSafe(|| span_stripe(fleet, w, workers, until))).is_ok();
-        if !ok {
-            ctl.panicked.store(true, Ordering::Release);
+        if let Err(payload) =
+            catch_unwind(AssertUnwindSafe(|| span_stripe(fleet, w, workers, until)))
+        {
+            ctl.panic.lock().expect("panic slot lock poisoned").get_or_insert(payload);
         }
-        if ctl.done.fetch_add(1, Ordering::AcqRel) + 1 == workers {
-            ctl.main.unpark();
-        }
-        if !ok {
-            return;
+        if ctl.done.fetch_add(1, Ordering::AcqRel) + 1 == workers - 1 {
+            ctl.caller.unpark();
         }
     }
 }
 
 /// Runs `body` with a persistent worker pool. `body` receives a
 /// `run_round(until)` callback: each call spans every cell whose `due` flag
-/// the caller set, in parallel across `workers` threads with stable
-/// `d % workers` affinity, and returns once all spans are complete. With
-/// `workers <= 1` no thread is ever spawned and spans run inline on the
-/// caller's thread — the serial and parallel paths issue the identical
+/// the caller set, in parallel across `workers` threads (the caller and
+/// `workers − 1` helpers) with stable `d % workers` affinity, and returns
+/// once all spans are complete. Every worker count issues the identical
 /// per-device call sequence, which is what makes results thread-count
-/// invariant.
+/// invariant. A span panic is re-raised from `run_round` with its original
+/// payload.
 #[allow(clippy::disallowed_methods)] // sanctioned spawn site: the scope is this function's tail
 pub(crate) fn drive_rounds<Sch: Scheduler + Send, S: ArrivalSource + Send, R>(
     fleet: &FleetCells<Sch, S>,
     workers: usize,
     body: impl FnOnce(&mut dyn FnMut(SimTime)) -> R,
 ) -> R {
-    let workers = workers.max(1).min(fleet.len().max(1));
-    if workers <= 1 {
-        let mut run_round = |until: SimTime| span_stripe(fleet, 0, 1, until);
-        return body(&mut run_round);
-    }
-
-    let ctl = PoolCtl {
+    let workers = workers.clamp(1, fleet.len().max(1));
+    let ctl = &PoolCtl {
         round: AtomicU64::new(0),
         until_ns: AtomicU64::new(0),
-        done: AtomicUsize::new(workers),
-        panicked: AtomicBool::new(false),
+        done: AtomicUsize::new(0),
+        panic: Mutex::new(None),
         stop: AtomicBool::new(false),
-        main: std::thread::current(),
+        caller: std::thread::current(),
     };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let ctl = &ctl;
-                scope.spawn(move || worker_loop(fleet, ctl, w, workers))
-            })
-            .collect();
-        let worker_threads: Vec<Thread> = handles.iter().map(|h| h.thread().clone()).collect();
-
+        // The guard exists before the first spawn, so a failed spawn also
+        // releases the helpers already running.
+        let mut helpers = Helpers { ctl, threads: Vec::with_capacity(workers - 1) };
+        for w in 1..workers {
+            let helper = scope.spawn(move || helper_loop(fleet, ctl, w, workers));
+            helpers.threads.push(helper.thread().clone());
+        }
         let mut run_round = |until: SimTime| {
             ctl.done.store(0, Ordering::Release);
             ctl.until_ns.store(until.as_nanos(), Ordering::Release);
-            ctl.round.fetch_add(1, Ordering::AcqRel);
-            for t in &worker_threads {
-                t.unpark();
-            }
-            wait_until(|| ctl.done.load(Ordering::Acquire) >= workers);
-            if ctl.panicked.load(Ordering::Acquire) {
-                panic!("span worker panicked");
+            helpers.wake();
+            let own = catch_unwind(AssertUnwindSafe(|| span_stripe(fleet, 0, workers, until)));
+            wait_until(|| ctl.done.load(Ordering::Acquire) == workers - 1);
+            let theirs = ctl.panic.lock().expect("panic slot lock poisoned").take();
+            if let Some(payload) = own.err().or(theirs) {
+                resume_unwind(payload);
             }
         };
-        let out = body(&mut run_round);
-
-        ctl.stop.store(true, Ordering::Release);
-        ctl.round.fetch_add(1, Ordering::AcqRel);
-        for t in &worker_threads {
-            t.unpark();
-        }
-        out
+        body(&mut run_round)
     })
 }
 
@@ -273,6 +272,7 @@ pub(crate) fn drive_rounds<Sch: Scheduler + Send, S: ArrivalSource + Send, R>(
 mod tests {
     use super::*;
     use daris_workload::{ArrivalStream, TaskSet, TaskSetBuilder};
+    use std::thread;
 
     /// An empty stream per device: the pool only ever forwards it to
     /// `run_span`, which these tests never reach (no schedulers).
@@ -326,5 +326,62 @@ mod tests {
             42
         });
         assert_eq!(out, 42);
+    }
+
+    #[test]
+    fn build_striped_builds_stripe_zero_on_the_callers_thread() {
+        let caller = thread::current().id();
+        let built = build_striped(9, 2, |i| (i, thread::current().id()));
+        for (i, (index, builder)) in built.into_iter().enumerate() {
+            assert_eq!(index, i);
+            assert_eq!(builder == caller, i % 2 == 0, "index {i} built on the wrong thread");
+        }
+    }
+
+    /// The message of a caught panic, whether it was raised with a literal
+    /// or a formatted string.
+    fn panic_message(payload: &(dyn Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("<non-string payload>")
+    }
+
+    /// Runs one round on two workers with device `due` marked due but left
+    /// without a scheduler, so that device's span panics.
+    fn round_with_failing_span(due: usize) -> thread::Result<()> {
+        let tasks = TaskSetBuilder::new().build();
+        let fleet = idle_fleet(&tasks, 4);
+        fleet.cell(due).due = true;
+        catch_unwind(AssertUnwindSafe(|| {
+            drive_rounds(&fleet, 2, |run_round| run_round(SimTime::from_micros(1)))
+        }))
+    }
+
+    #[test]
+    fn span_panic_on_the_callers_stripe_is_reraised() {
+        let payload = round_with_failing_span(0).expect_err("the span panic must propagate");
+        assert_eq!(panic_message(&*payload), "due device has a scheduler");
+    }
+
+    #[test]
+    fn span_panic_on_a_helpers_stripe_is_reraised() {
+        let payload = round_with_failing_span(1).expect_err("the span panic must propagate");
+        assert_eq!(panic_message(&*payload), "due device has a scheduler");
+    }
+
+    #[test]
+    fn body_panic_between_rounds_releases_the_helpers() {
+        let tasks = TaskSetBuilder::new().build();
+        let fleet = idle_fleet(&tasks, 4);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            drive_rounds(&fleet, 2, |run_round| {
+                run_round(SimTime::from_micros(1));
+                panic!("boundary phase failed");
+            })
+        }))
+        .expect_err("the body panic must propagate");
+        assert_eq!(panic_message(&*payload), "boundary phase failed");
     }
 }

@@ -121,13 +121,6 @@ impl Layer {
             _ => 0,
         }
     }
-
-    /// Whether the layer launches a GPU kernel of its own (pure reshapes do,
-    /// too, but we fold zero-param element-wise layers into real kernels only
-    /// when their cost is negligible).
-    pub fn launches_kernel(&self) -> bool {
-        true
-    }
 }
 
 impl fmt::Display for Layer {
