@@ -152,8 +152,7 @@ impl BaselineScheduler {
         let profile = &self.profiles[&model];
         let tag = self.next_tag;
         self.next_tag += 1;
-        let item = WorkItem::new(tag)
-            .with_kernels(profile.job_kernels(batch.batch))
+        let item = WorkItem::new(tag, profile.job_kernels(batch.batch))
             .with_h2d_bytes(profile.input_bytes(batch.batch))
             .with_d2h_bytes(profile.output_bytes(batch.batch));
         self.gpu

@@ -52,8 +52,7 @@ impl SingleTenantServer {
         let ctx = gpu.add_context(gpu.spec().sm_count).expect("valid context");
         let stream = gpu.add_stream(ctx).expect("valid stream");
         for j in 0..jobs {
-            let item = WorkItem::new(u64::from(j))
-                .with_kernels(profile.job_kernels(1))
+            let item = WorkItem::new(u64::from(j), profile.job_kernels(1))
                 .with_h2d_bytes(profile.input_bytes(1))
                 .with_d2h_bytes(profile.output_bytes(1));
             gpu.submit(stream, item).expect("valid item");

@@ -124,8 +124,7 @@ fn measure_full_load(
         };
         let profile = profiles.get(&kind).unwrap_or(target_profile);
         for _ in 0..(REPETITIONS + 2) {
-            let item = WorkItem::new(tag)
-                .with_kernels(profile.job_kernels(1))
+            let item = WorkItem::new(tag, profile.job_kernels(1))
                 .with_h2d_bytes(profile.input_bytes(1))
                 .with_d2h_bytes(profile.output_bytes(1));
             gpu.submit(*stream, item)?;
@@ -139,8 +138,7 @@ fn measure_full_load(
     for rep in 0..REPETITIONS {
         for (stage, sum) in sums.iter_mut().enumerate() {
             let stage_tag = (rep * stage_count + stage) as u64;
-            let mut item =
-                WorkItem::new(stage_tag).with_kernels(target_profile.stage_kernels(stage, 1));
+            let mut item = WorkItem::new(stage_tag, target_profile.stage_kernels(stage, 1));
             if stage == 0 {
                 item = item.with_h2d_bytes(target_profile.input_bytes(1));
             }

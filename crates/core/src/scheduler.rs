@@ -66,6 +66,27 @@ struct ActiveJob {
     predecessor_missed: bool,
 }
 
+impl ActiveJob {
+    /// The job's next stage as its context queue orders it.
+    fn ready_stage(&self) -> ReadyStage {
+        let stage = self.next_stage;
+        let is_last = stage + 1 == self.stage_count;
+        let edf_deadline = if is_last {
+            self.job.absolute_deadline
+        } else {
+            self.virtual_deadlines.get(stage).copied().unwrap_or(self.job.absolute_deadline)
+        };
+        ReadyStage {
+            job: self.job.id,
+            stage,
+            priority: self.job.priority,
+            is_last_stage: is_last,
+            predecessor_missed: self.predecessor_missed,
+            edf_deadline,
+        }
+    }
+}
+
 /// The DARIS scheduler bound to a simulated GPU.
 #[derive(Debug)]
 pub struct DarisScheduler {
@@ -245,7 +266,7 @@ impl DarisScheduler {
     /// Drains the GPU's recorded device events into the sink verbatim.
     fn forward_device_events(&mut self) {
         let Some(sink) = &self.sink else { return };
-        for (at, event) in self.gpu.take_events() {
+        for (at, event) in self.gpu.drain_events() {
             sink.record(TelemetryEvent { at, device: 0, kind: EventKind::Device(event) });
         }
     }
@@ -294,24 +315,6 @@ impl DarisScheduler {
         backlog / f64::from(self.config.partition.streams_per_context.max(1))
     }
 
-    fn ready_stage(&self, active: &ActiveJob) -> ReadyStage {
-        let stage = active.next_stage;
-        let is_last = stage + 1 == active.stage_count;
-        let edf_deadline = if is_last {
-            active.job.absolute_deadline
-        } else {
-            active.virtual_deadlines.get(stage).copied().unwrap_or(active.job.absolute_deadline)
-        };
-        ReadyStage {
-            job: active.job.id,
-            stage,
-            priority: active.job.priority,
-            is_last_stage: is_last,
-            predecessor_missed: active.predecessor_missed,
-            edf_deadline,
-        }
-    }
-
     fn handle_completion(
         &mut self,
         tag: u64,
@@ -334,22 +337,22 @@ impl DarisScheduler {
         }
         self.mret.record(task, stage, execution);
 
-        let Some(mut active) = self.active.remove(&job_id) else { return };
+        let Some(active) = self.active.get_mut(&job_id) else { return };
         let missed_virtual =
             active.virtual_deadlines.get(stage).map(|d| finished_at > *d).unwrap_or(false);
         if stage + 1 < active.stage_count {
+            active.next_stage = stage + 1;
+            active.predecessor_missed = missed_virtual;
+            let (context, ready) = (active.context, active.ready_stage());
+            self.queues[context].push(ready);
             self.emit_at(finished_at, || EventKind::StageBoundary {
                 task: job_id.task,
                 release_index: job_id.release_index,
                 completed_stage: stage as u32,
                 missed_virtual,
             });
-            active.next_stage = stage + 1;
-            active.predecessor_missed = missed_virtual;
-            let ready = self.ready_stage(&active);
-            self.queues[active.context].push(ready);
-            self.active.insert(job_id, active);
         } else {
+            let active = self.active.remove(&job_id).expect("looked up above");
             let missed = finished_at > active.job.absolute_deadline;
             self.emit_at(finished_at, || EventKind::JobCompleted {
                 task: job_id.task,
@@ -391,7 +394,7 @@ impl DarisScheduler {
         let is_first = ready.stage == 0;
         let is_last = ready.stage + 1 == active.stage_count;
         let tag = self.tags.next_tag();
-        let mut item = WorkItem::new(tag).with_kernels(kernels);
+        let mut item = WorkItem::new(tag, kernels);
         if is_first {
             item = item.with_h2d_bytes(profile.input_bytes(job.batch_size));
         }
@@ -570,8 +573,7 @@ impl Scheduler for DarisScheduler {
             virtual_deadlines,
             predecessor_missed: false,
         };
-        let ready = self.ready_stage(&active);
-        self.queues[context].push(ready);
+        self.queues[context].push(active.ready_stage());
         self.active.insert(job.id, active);
         self.active_of[context].insert(job.id);
         true

@@ -51,8 +51,13 @@
 //! water-filling for contexts whose membership did not change; and every
 //! pass reuses buffers the engine owns, so a steady-state event allocates
 //! nothing. [`Gpu::work_counters`] reports the work done.
+//!
+//! The `running` and per-context computing sets hold at most one item per
+//! stream, so they are sorted `Vec`s of ids with binary-search insert and
+//! remove rather than trees. They iterate in id order, as a `BTreeSet`
+//! would, so every float sum, water-fill and jitter draw keeps its order.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::context::Context;
 use crate::kernel::{KernelDesc, KernelPhase, WorkItem, WorkItemId};
@@ -181,6 +186,41 @@ impl ItemSlab {
     }
 }
 
+/// A set of in-flight item ids kept as a sorted `Vec`: a binary-search
+/// insert or remove over at most one id per stream, and iteration in
+/// increasing id order.
+#[derive(Debug, Default)]
+struct IdSet(Vec<WorkItemId>);
+
+impl IdSet {
+    /// Adds `id`; returns whether it was absent.
+    fn insert(&mut self, id: WorkItemId) -> bool {
+        match self.0.binary_search(&id) {
+            Ok(_) => false,
+            Err(at) => {
+                self.0.insert(at, id);
+                true
+            }
+        }
+    }
+
+    /// Removes `id`; returns whether it was present.
+    fn remove(&mut self, id: WorkItemId) -> bool {
+        match self.0.binary_search(&id) {
+            Ok(at) => {
+                self.0.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// The ids, in increasing order.
+    fn ids(&self) -> &[WorkItemId] {
+        &self.0
+    }
+}
+
 /// Deterministic counts of the engine's internal work, for gating
 /// performance changes exactly (wall time varies, these do not).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -226,9 +266,9 @@ pub struct Gpu {
     /// recorded [`DeviceEvent::Replan`] reports it.
     allocation: (u32, f64),
     /// Items currently launching or computing (at most one per stream).
-    running: BTreeSet<WorkItemId>,
+    running: IdSet,
     /// Computing items per context (indexed by context), kept incrementally.
-    computing: Vec<BTreeSet<WorkItemId>>,
+    computing: Vec<IdSet>,
     /// Contexts whose computing membership changed since the last rate pass.
     ctx_dirty: Vec<bool>,
     /// Cached water-fill allocation per context (valid while not dirty).
@@ -266,7 +306,7 @@ impl Gpu {
             active_copy: None,
             next_at: None,
             allocation: (0, 0.0),
-            running: BTreeSet::new(),
+            running: IdSet::default(),
             computing: Vec::new(),
             ctx_dirty: Vec::new(),
             ctx_alloc: Vec::new(),
@@ -305,7 +345,7 @@ impl Gpu {
         let quota = sm_quota.min(self.spec.sm_count);
         let id = ContextId(self.contexts.len() as u32);
         self.contexts.push(Context::new(quota));
-        self.computing.push(BTreeSet::new());
+        self.computing.push(IdSet::default());
         self.ctx_dirty.push(false);
         self.ctx_alloc.push(Vec::new());
         Ok(id)
@@ -335,7 +375,7 @@ impl Gpu {
         self.streams.len()
     }
 
-    /// Starts recording [`DeviceEvent`]s for [`take_events`](Gpu::take_events).
+    /// Starts recording [`DeviceEvent`]s for [`drain_events`](Gpu::drain_events).
     /// Recording cannot be turned off; until it is on, no event is built.
     pub fn record_events(&mut self) {
         self.recording = true;
@@ -343,11 +383,11 @@ impl Gpu {
 
     /// Drains the recorded events, each stamped with its simulated time: the
     /// item-level events in occurrence order, then the replans in occurrence
-    /// order. Recording stays on.
-    pub fn take_events(&mut self) -> Vec<(SimTime, DeviceEvent)> {
-        let mut events = std::mem::take(&mut self.events);
-        events.append(&mut self.replans);
-        events
+    /// order. Recording stays on, and both buffers keep their capacity, so
+    /// recording allocates only when a drain interval outgrows the last. An
+    /// iterator dropped early still empties both buffers.
+    pub fn drain_events(&mut self) -> impl Iterator<Item = (SimTime, DeviceEvent)> + '_ {
+        self.events.drain(..).chain(self.replans.drain(..))
     }
 
     /// Shared device-memory pool.
@@ -417,7 +457,7 @@ impl Gpu {
     /// Total compute work completed so far, in SM-microseconds, including
     /// the progress of kernels still computing.
     pub fn completed_work(&self) -> f64 {
-        let running = self.running.iter().filter_map(|&id| self.items.get(id));
+        let running = self.running.ids().iter().filter_map(|&id| self.items.get(id));
         let computing =
             running.filter(|item| item.state == ItemState::Running(KernelPhase::Computing));
         self.completed_work + computing.map(|item| item.progress(self.now)).sum::<f64>()
@@ -540,7 +580,7 @@ impl Gpu {
         item.state = ItemState::Running(KernelPhase::Launching);
         let (tag, stream, context) = (item.tag, item.stream.0, item.context.0);
         if was_computing {
-            self.computing[ctx].remove(&item_id);
+            self.computing[ctx].remove(item_id);
             self.ctx_dirty[ctx] = true;
         }
         self.running.insert(item_id);
@@ -602,7 +642,7 @@ impl Gpu {
 
             // Kernel phase transitions: only running items can transition.
             ids.clear();
-            ids.extend(self.running.iter().copied());
+            ids.extend_from_slice(self.running.ids());
             for &id in &ids {
                 let (state, kernel_index, kernel_count) = {
                     let Some(item) = self.items.get(id) else { continue };
@@ -651,10 +691,10 @@ impl Gpu {
                                     item.state = ItemState::PendingCopyOut;
                                     item.next_at = None;
                                     let ctx = item.context.index();
-                                    self.computing[ctx].remove(&id);
+                                    self.computing[ctx].remove(id);
                                     self.ctx_dirty[ctx] = true;
                                 }
-                                self.running.remove(&id);
+                                self.running.remove(id);
                                 self.copy_queue.push_back((id, CopyDirection::DeviceToHost));
                                 self.pump_copy_engine();
                             } else {
@@ -689,8 +729,8 @@ impl Gpu {
         completions.push(completion);
         let context = context.index();
         self.items.remove(item_id);
-        self.running.remove(&item_id);
-        if self.computing[context].remove(&item_id) {
+        self.running.remove(item_id);
+        if self.computing[context].remove(item_id) {
             self.ctx_dirty[context] = true;
         }
         self.pending_count = self.pending_count.saturating_sub(1);
@@ -718,7 +758,7 @@ impl Gpu {
         let copy = self.active_copy.as_ref().map(|c| c.finish);
         let items = &self.items;
         self.next_at =
-            self.running.iter().filter_map(|&id| items.get(id)?.next_at).chain(copy).min();
+            self.running.ids().iter().filter_map(|&id| items.get(id)?.next_at).chain(copy).min();
         #[cfg(debug_assertions)]
         self.check_next_at();
     }
@@ -740,7 +780,7 @@ impl Gpu {
             self.ctx_dirty[ctx] = false;
             let kernels = &mut self.water_fill.kernels;
             kernels.clear();
-            for &id in &self.computing[ctx] {
+            for &id in self.computing[ctx].ids() {
                 let item = self.items.get(id).expect("computing items are in flight");
                 kernels.push((id, item.spec.kernels[item.kernel_index].parallelism));
             }
@@ -750,7 +790,7 @@ impl Gpu {
         let mut total = 0.0;
         let mut busy_contexts = 0usize;
         for ctx in 0..self.contexts.len() {
-            if self.computing[ctx].is_empty() {
+            if self.computing[ctx].ids().is_empty() {
                 continue;
             }
             busy_contexts += 1;
@@ -813,12 +853,12 @@ impl Gpu {
         let mut allocs = Vec::new();
         let (mut total, mut busy) = (0.0, 0);
         for ctx in 0..self.contexts.len() {
-            if self.computing[ctx].is_empty() {
+            if self.computing[ctx].ids().is_empty() {
                 continue;
             }
             busy += 1;
             fill.kernels.clear();
-            for &id in &self.computing[ctx] {
+            for &id in self.computing[ctx].ids() {
                 let item = self.items.get(id).expect("computing items are in flight");
                 fill.kernels.push((id, item.spec.kernels[item.kernel_index].parallelism));
             }
@@ -851,7 +891,11 @@ impl Gpu {
     #[cfg(debug_assertions)]
     fn check_next_at(&self) {
         for ctx in 0..self.contexts.len() {
-            assert_eq!(self.ctx_alloc[ctx].len(), self.computing[ctx].len(), "stale alloc cache");
+            assert_eq!(
+                self.ctx_alloc[ctx].len(),
+                self.computing[ctx].ids().len(),
+                "stale alloc cache"
+            );
         }
         let copy = self.active_copy.as_ref().map(|c| c.finish);
         assert!(copy.map_or(true, |t| t >= self.now), "copy finish passed");
@@ -968,7 +1012,7 @@ mod tests {
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
         // 680 SM·µs over 68 SMs = 10 µs of compute + 5 µs launch overhead.
-        let item = WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68));
+        let item = WorkItem::new(1, vec![KernelDesc::new(680.0, 68)]);
         gpu.submit(s, item).unwrap();
         let done = gpu.run_to_idle();
         assert_eq!(done.len(), 1);
@@ -980,7 +1024,7 @@ mod tests {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        let item = WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 10));
+        let item = WorkItem::new(1, vec![KernelDesc::new(680.0, 10)]);
         gpu.submit(s, item).unwrap();
         let done = gpu.run_to_idle();
         // 680 / 10 = 68 µs + 5 µs launch.
@@ -992,7 +1036,7 @@ mod tests {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(17).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        let item = WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68));
+        let item = WorkItem::new(1, vec![KernelDesc::new(680.0, 68)]);
         gpu.submit(s, item).unwrap();
         let done = gpu.run_to_idle();
         // Limited to the context's 17-SM quota: 40 µs + 5 µs launch.
@@ -1004,9 +1048,7 @@ mod tests {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        let item = WorkItem::new(1)
-            .with_kernel(KernelDesc::new(680.0, 68))
-            .with_kernel(KernelDesc::new(680.0, 68));
+        let item = WorkItem::new(1, vec![KernelDesc::new(680.0, 68), KernelDesc::new(680.0, 68)]);
         gpu.submit(s, item).unwrap();
         let done = gpu.run_to_idle();
         assert!((done[0].execution_time().as_micros_f64() - 30.0).abs() < 0.01);
@@ -1019,8 +1061,8 @@ mod tests {
         let s1 = gpu.add_stream(ctx).unwrap();
         let s2 = gpu.add_stream(ctx).unwrap();
         // Each kernel could use the whole device alone; together they halve.
-        gpu.submit(s1, WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
-        gpu.submit(s2, WorkItem::new(2).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
+        gpu.submit(s1, WorkItem::new(1, vec![KernelDesc::new(680.0, 68)])).unwrap();
+        gpu.submit(s2, WorkItem::new(2, vec![KernelDesc::new(680.0, 68)])).unwrap();
         let done = gpu.run_to_idle();
         assert_eq!(done.len(), 2);
         for c in &done {
@@ -1035,8 +1077,8 @@ mod tests {
         let ctx = gpu.add_context(68).unwrap();
         let s1 = gpu.add_stream(ctx).unwrap();
         let s2 = gpu.add_stream(ctx).unwrap();
-        gpu.submit(s1, WorkItem::new(1).with_kernel(KernelDesc::new(300.0, 30))).unwrap();
-        gpu.submit(s2, WorkItem::new(2).with_kernel(KernelDesc::new(300.0, 30))).unwrap();
+        gpu.submit(s1, WorkItem::new(1, vec![KernelDesc::new(300.0, 30)])).unwrap();
+        gpu.submit(s2, WorkItem::new(2, vec![KernelDesc::new(300.0, 30)])).unwrap();
         let done = gpu.run_to_idle();
         for c in &done {
             // 30 + 30 SMs fit in 68: each runs at its own width, 10 µs + 5 µs.
@@ -1051,8 +1093,8 @@ mod tests {
         let c2 = gpu.add_context(68).unwrap();
         let s1 = gpu.add_stream(c1).unwrap();
         let s2 = gpu.add_stream(c2).unwrap();
-        gpu.submit(s1, WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
-        gpu.submit(s2, WorkItem::new(2).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
+        gpu.submit(s1, WorkItem::new(1, vec![KernelDesc::new(680.0, 68)])).unwrap();
+        gpu.submit(s2, WorkItem::new(2, vec![KernelDesc::new(680.0, 68)])).unwrap();
         let done = gpu.run_to_idle();
         for c in &done {
             // Demand 136 SMs on a 68-SM device: each gets 34 → 20 µs + 5 µs.
@@ -1068,7 +1110,7 @@ mod tests {
         let c1 = gpu.add_context(34).unwrap();
         let _c2 = gpu.add_context(34).unwrap();
         let s1 = gpu.add_stream(c1).unwrap();
-        gpu.submit(s1, WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
+        gpu.submit(s1, WorkItem::new(1, vec![KernelDesc::new(680.0, 68)])).unwrap();
         let done = gpu.run_to_idle();
         assert!((done[0].execution_time().as_micros_f64() - 25.0).abs() < 0.1);
     }
@@ -1080,8 +1122,7 @@ mod tests {
         let s1 = gpu.add_stream(ctx).unwrap();
         let s2 = gpu.add_stream(ctx).unwrap();
         // 12_000 bytes at 12_000 bytes/µs = 1 µs + 8 µs fixed latency.
-        let mk =
-            |tag| WorkItem::new(tag).with_kernel(KernelDesc::new(68.0, 68)).with_h2d_bytes(12_000);
+        let mk = |tag| WorkItem::new(tag, vec![KernelDesc::new(68.0, 68)]).with_h2d_bytes(12_000);
         gpu.submit(s1, mk(1)).unwrap();
         gpu.submit(s2, mk(2)).unwrap();
         let done = gpu.run_to_idle();
@@ -1099,8 +1140,8 @@ mod tests {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        gpu.submit(s, WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
-        gpu.submit(s, WorkItem::new(2).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
+        gpu.submit(s, WorkItem::new(1, vec![KernelDesc::new(680.0, 68)])).unwrap();
+        gpu.submit(s, WorkItem::new(2, vec![KernelDesc::new(680.0, 68)])).unwrap();
         let done = gpu.run_to_idle();
         let second = done.iter().find(|c| c.tag == 2).unwrap();
         assert!(second.finished_at - second.submitted_at > second.execution_time());
@@ -1113,7 +1154,7 @@ mod tests {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        gpu.submit(s, WorkItem::new(7).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
+        gpu.submit(s, WorkItem::new(7, vec![KernelDesc::new(680.0, 68)])).unwrap();
         let none = gpu.advance_to(SimTime::from_micros(10));
         assert!(none.is_empty());
         assert_eq!(gpu.now(), SimTime::from_micros(10));
@@ -1129,7 +1170,7 @@ mod tests {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        let item = |tag| WorkItem::new(tag).with_kernel(KernelDesc::new(680.0, 68));
+        let item = |tag| WorkItem::new(tag, vec![KernelDesc::new(680.0, 68)]);
         gpu.submit(s, item(1)).unwrap();
         // Mid-compute: item 1 finishes at 15 µs.
         gpu.advance_to(SimTime::from_micros(8));
@@ -1147,7 +1188,7 @@ mod tests {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        gpu.submit(s, WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
+        gpu.submit(s, WorkItem::new(1, vec![KernelDesc::new(680.0, 68)])).unwrap();
         // The launch ends at 5 µs: one step, one transition, one rate pass.
         let before = gpu.work_counters();
         assert!(gpu.advance_to(SimTime::from_micros(5)).is_empty());
@@ -1171,7 +1212,7 @@ mod tests {
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
         let kernel = KernelDesc::new(680.0, 68).with_launch_overhead(SimDuration::ZERO);
-        gpu.submit(s, WorkItem::new(1).with_kernel(kernel)).unwrap();
+        gpu.submit(s, WorkItem::new(1, vec![kernel])).unwrap();
         // The launch ends at 0: the flip dirties the context without moving time.
         let before = gpu.work_counters();
         assert!(gpu.advance_to(SimTime::ZERO).is_empty());
@@ -1186,8 +1227,7 @@ mod tests {
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
         fn replans(gpu: &mut Gpu) -> Vec<(SimTime, (u32, f64))> {
-            let events = gpu.take_events().into_iter();
-            events
+            gpu.drain_events()
                 .filter_map(|(t, e)| match e {
                     DeviceEvent::Replan { computing, utilization } => {
                         Some((t, (computing, utilization)))
@@ -1196,7 +1236,7 @@ mod tests {
                 })
                 .collect()
         }
-        let item = |tag| WorkItem::new(tag).with_kernel(KernelDesc::new(680.0, 68));
+        let item = |tag| WorkItem::new(tag, vec![KernelDesc::new(680.0, 68)]);
         let us = SimTime::from_micros;
         gpu.submit(s, item(1)).unwrap();
         assert_eq!(replans(&mut gpu), [(us(0), (0, 0.0))], "one per submit");
@@ -1223,15 +1263,15 @@ mod tests {
         gpu.record_events();
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        gpu.submit(s, WorkItem::new(1).with_kernel(KernelDesc::new(680.0, 68))).unwrap();
+        gpu.submit(s, WorkItem::new(1, vec![KernelDesc::new(680.0, 68)])).unwrap();
         gpu.advance_to(SimTime::from_micros(8));
-        gpu.take_events();
+        gpu.drain_events().for_each(drop);
         let (counters, next) = (gpu.work_counters(), gpu.next_event_time());
         assert!(gpu.advance_to(SimTime::from_micros(3)).is_empty());
         assert_eq!(gpu.now(), SimTime::from_micros(8));
         assert_eq!(gpu.work_counters(), counters, "no transition pass, no replan");
         assert_eq!(gpu.next_event_time(), next);
-        assert!(gpu.take_events().is_empty(), "no spurious Replan event");
+        assert_eq!(gpu.drain_events().count(), 0, "no spurious Replan event");
         assert_eq!(gpu.run_to_idle().len(), 1);
     }
 
@@ -1242,8 +1282,10 @@ mod tests {
         let s = gpu.add_stream(ctx).unwrap();
         gpu.submit(
             s,
-            WorkItem::new(1)
-                .with_kernel(KernelDesc::new(680.0, 68).with_launch_overhead(SimDuration::ZERO)),
+            WorkItem::new(
+                1,
+                vec![KernelDesc::new(680.0, 68).with_launch_overhead(SimDuration::ZERO)],
+            ),
         )
         .unwrap();
         gpu.run_to_idle();
@@ -1258,15 +1300,10 @@ mod tests {
         gpu.record_events();
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        gpu.submit(
-            s,
-            WorkItem::new(3)
-                .with_kernel(KernelDesc::new(68.0, 68))
-                .with_kernel(KernelDesc::new(68.0, 68)),
-        )
-        .unwrap();
+        gpu.submit(s, WorkItem::new(3, vec![KernelDesc::new(68.0, 68), KernelDesc::new(68.0, 68)]))
+            .unwrap();
         gpu.run_to_idle();
-        let events = gpu.take_events();
+        let events: Vec<_> = gpu.drain_events().collect();
         let count = |f: fn(&DeviceEvent) -> bool| events.iter().filter(|(_, e)| f(e)).count();
         assert_eq!(count(|e| matches!(e, DeviceEvent::ItemStarted { tag: 3, .. })), 1);
         assert_eq!(count(|e| matches!(e, DeviceEvent::KernelFinished { tag: 3, .. })), 2);
@@ -1279,19 +1316,18 @@ mod tests {
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
         let item = |tag| {
-            WorkItem::new(tag)
-                .with_kernel(KernelDesc::new(68.0, 68).with_label("conv1"))
+            WorkItem::new(tag, vec![KernelDesc::new(68.0, 68).with_label("conv1")])
                 .with_h2d_bytes(12_000)
                 .with_d2h_bytes(12_000)
         };
         gpu.submit(s, item(1)).unwrap();
         gpu.run_to_idle();
-        assert!(gpu.take_events().is_empty(), "nothing is recorded before record_events()");
+        assert_eq!(gpu.drain_events().count(), 0, "nothing is recorded before record_events()");
 
         gpu.record_events();
         gpu.submit(s, item(2)).unwrap();
         gpu.run_to_idle();
-        let events = gpu.take_events();
+        let events: Vec<_> = gpu.drain_events().collect();
         let (stream, context) = (s.0, ctx.0);
         let items: Vec<&DeviceEvent> = events.iter().map(|(_, e)| e).take(4).collect();
         assert_eq!(
@@ -1303,7 +1339,7 @@ mod tests {
                     tag: 2,
                     stream,
                     context,
-                    label: Some("conv1".to_string()),
+                    label: Some("conv1".into()),
                 },
                 &DeviceEvent::CopyOutStarted { tag: 2, stream, context },
             ]
@@ -1315,7 +1351,39 @@ mod tests {
         // Each half is in occurrence order on its own.
         assert!(events[..5].windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(replans.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(gpu.take_events().is_empty(), "a drain empties the buffer");
+        assert_eq!(gpu.drain_events().count(), 0, "a drain empties the buffer");
+    }
+
+    #[test]
+    fn drains_keep_the_event_buffers() {
+        let mut gpu = Gpu::new(quiet_spec());
+        gpu.record_events();
+        let ctx = gpu.add_context(68).unwrap();
+        let s = gpu.add_stream(ctx).unwrap();
+        gpu.submit(s, WorkItem::new(1, vec![KernelDesc::new(680.0, 68)])).unwrap();
+        gpu.run_to_idle();
+        let capacity = (gpu.events.capacity(), gpu.replans.capacity());
+        assert!(capacity.0 > 0 && capacity.1 > 0);
+        // Dropping the drain unconsumed still empties both buffers.
+        drop(gpu.drain_events());
+        assert!(gpu.events.is_empty() && gpu.replans.is_empty());
+        assert_eq!((gpu.events.capacity(), gpu.replans.capacity()), capacity);
+    }
+
+    #[test]
+    fn id_set_iterates_like_a_btree_set() {
+        let mut rng = XorShiftRng::new(7);
+        let mut set = IdSet::default();
+        let mut oracle = std::collections::BTreeSet::new();
+        for _ in 0..5_000 {
+            let id = WorkItemId(rng.next_u64() % 24);
+            if rng.next_u64() % 2 == 0 {
+                assert_eq!(set.insert(id), oracle.insert(id));
+            } else {
+                assert_eq!(set.remove(id), oracle.remove(&id));
+            }
+            assert!(set.ids().iter().eq(oracle.iter()), "{:?} vs {oracle:?}", set.ids());
+        }
     }
 
     #[test]
@@ -1323,7 +1391,7 @@ mod tests {
         let mut gpu = Gpu::new(quiet_spec());
         assert_eq!(gpu.add_stream(ContextId(0)), Err(GpuError::UnknownContext(ContextId(0))));
         assert_eq!(gpu.add_context(0), Err(GpuError::ZeroQuota));
-        let item = WorkItem::new(1).with_kernel(KernelDesc::new(1.0, 1));
+        let item = WorkItem::new(1, vec![KernelDesc::new(1.0, 1)]);
         assert_eq!(gpu.submit(StreamId(9), item), Err(GpuError::UnknownStream(StreamId(9))));
     }
 
@@ -1370,7 +1438,7 @@ mod tests {
         let s = gpu.add_stream(ctx).unwrap();
         let mut times = Vec::new();
         for tag in 0..20 {
-            gpu.submit(s, WorkItem::new(tag).with_kernel(KernelDesc::new(6_800.0, 68))).unwrap();
+            gpu.submit(s, WorkItem::new(tag, vec![KernelDesc::new(6_800.0, 68)])).unwrap();
         }
         for c in gpu.run_to_idle() {
             times.push(c.execution_time().as_micros_f64());

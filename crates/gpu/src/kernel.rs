@@ -1,6 +1,7 @@
 //! Kernel and work-item descriptions.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{GpuError, SimDuration};
 
@@ -59,8 +60,9 @@ pub struct KernelDesc {
     pub parallelism: u32,
     /// Serial launch overhead; `None` uses the device default.
     pub launch_overhead: Option<SimDuration>,
-    /// Optional human-readable label (layer name) used in traces.
-    pub label: Option<String>,
+    /// Optional human-readable label (layer name) used in traces. Shared,
+    /// so recording a kernel finish bumps a refcount instead of copying it.
+    pub label: Option<Arc<str>>,
 }
 
 impl KernelDesc {
@@ -77,7 +79,7 @@ impl KernelDesc {
     }
 
     /// Attaches a label (e.g. the originating layer name).
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+    pub fn with_label(mut self, label: impl Into<Arc<str>>) -> Self {
         self.label = Some(label.into());
         self
     }
@@ -112,12 +114,16 @@ impl KernelDesc {
 /// DNN inference job (or a whole job when staging is disabled, or a batched
 /// stage when batching is enabled). The caller learns about completion through
 /// [`crate::Completion`] events carrying the same tag.
+///
+/// The kernels are a shared slice: a model profile lowers each stage once and
+/// every dispatch of that stage submits the same slice, so building an item
+/// allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkItem {
     /// Caller-chosen identifier reported back on completion.
     pub tag: u64,
     /// Kernels executed sequentially within the owning stream.
-    pub kernels: Vec<KernelDesc>,
+    pub kernels: Arc<[KernelDesc]>,
     /// Bytes copied host-to-device before the first kernel starts.
     pub h2d_bytes: u64,
     /// Bytes copied device-to-host after the last kernel finishes.
@@ -125,22 +131,10 @@ pub struct WorkItem {
 }
 
 impl WorkItem {
-    /// Creates an empty work item with the given tag; add kernels with
-    /// [`WorkItem::with_kernel`] or [`WorkItem::with_kernels`].
-    pub fn new(tag: u64) -> Self {
-        WorkItem { tag, kernels: Vec::new(), h2d_bytes: 0, d2h_bytes: 0 }
-    }
-
-    /// Appends one kernel.
-    pub fn with_kernel(mut self, kernel: KernelDesc) -> Self {
-        self.kernels.push(kernel);
-        self
-    }
-
-    /// Appends several kernels.
-    pub fn with_kernels<I: IntoIterator<Item = KernelDesc>>(mut self, kernels: I) -> Self {
-        self.kernels.extend(kernels);
-        self
+    /// Creates a work item running `kernels` in order, with no transfers:
+    /// a shared slice (`Arc<[KernelDesc]>`) or a `Vec` of kernels.
+    pub fn new(tag: u64, kernels: impl Into<Arc<[KernelDesc]>>) -> Self {
+        WorkItem { tag, kernels: kernels.into(), h2d_bytes: 0, d2h_bytes: 0 }
     }
 
     /// Sets the host-to-device transfer size (e.g. the input tensor).
@@ -170,7 +164,7 @@ impl WorkItem {
         if self.kernels.is_empty() {
             return Err(GpuError::EmptyWorkItem);
         }
-        for k in &self.kernels {
+        for k in self.kernels.iter() {
             k.validate()?;
         }
         Ok(())
@@ -206,11 +200,9 @@ mod tests {
 
     #[test]
     fn work_item_builder_and_totals() {
-        let item = WorkItem::new(9)
-            .with_kernel(KernelDesc::new(10.0, 4))
-            .with_kernels(vec![KernelDesc::new(20.0, 8), KernelDesc::new(30.0, 8)])
-            .with_h2d_bytes(1024)
-            .with_d2h_bytes(64);
+        let kernels =
+            vec![KernelDesc::new(10.0, 4), KernelDesc::new(20.0, 8), KernelDesc::new(30.0, 8)];
+        let item = WorkItem::new(9, kernels).with_h2d_bytes(1024).with_d2h_bytes(64);
         assert_eq!(item.kernel_count(), 3);
         assert_eq!(item.h2d_bytes, 1024);
         assert_eq!(item.d2h_bytes, 64);
@@ -219,7 +211,7 @@ mod tests {
 
     #[test]
     fn empty_work_item_is_rejected() {
-        assert_eq!(WorkItem::new(1).validate(), Err(GpuError::EmptyWorkItem));
+        assert_eq!(WorkItem::new(1, Vec::new()).validate(), Err(GpuError::EmptyWorkItem));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
 //! let ctx = gpu.add_context(68)?;
 //! let stream = gpu.add_stream(ctx)?;
-//! let item = WorkItem::new(42).with_kernel(KernelDesc::new(6800.0, 68));
+//! let item = WorkItem::new(42, vec![KernelDesc::new(6800.0, 68)]);
 //! gpu.submit(stream, item)?;
 //! let completions = gpu.run_to_idle();
 //! assert_eq!(completions.len(), 1);

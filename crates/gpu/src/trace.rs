@@ -3,7 +3,11 @@
 //! The one vocabulary for what happened on the device at work-item, kernel
 //! and allocator granularity. The engine records these while recording is
 //! on ([`crate::Gpu::record_events`]) and hands them out in drains
-//! ([`crate::Gpu::take_events`]); `daris-telemetry` carries them verbatim.
+//! ([`crate::Gpu::drain_events`]) that keep the engine's buffers, so a
+//! steady recording run stops allocating for them; `daris-telemetry`
+//! carries them verbatim.
+
+use std::sync::Arc;
 
 /// One device event. Stream and context are creation-order indices
 /// ([`crate::StreamId::index`], [`crate::ContextId::index`]).
@@ -44,8 +48,9 @@ pub enum DeviceEvent {
         stream: u32,
         /// Context owning the stream.
         context: u32,
-        /// Kernel/layer label, when the model provides one.
-        label: Option<String>,
+        /// Kernel/layer label, when the model provides one: the kernel's
+        /// shared label, so recording it copies no string.
+        label: Option<Arc<str>>,
     },
     /// A work item (including its device-to-host copy) finished.
     ItemFinished {

@@ -95,13 +95,15 @@ type GoldenRun = (Vec<Completion>, WorkCounters);
 /// A pseudo-random work item: 1–3 kernels, varying work/parallelism, and
 /// (for some items) host/device copies.
 fn random_item(rng: &mut XorShiftRng, tag: u64) -> WorkItem {
-    let mut item = WorkItem::new(tag);
-    let kernels = 1 + (rng.next_u64() % 3) as usize;
-    for _ in 0..kernels {
-        let work = rng.uniform(50.0, 4_000.0);
-        let parallelism = 4 + (rng.next_u64() % 64) as u32;
-        item = item.with_kernel(KernelDesc::new(work, parallelism));
-    }
+    let count = 1 + (rng.next_u64() % 3) as usize;
+    let kernels: Vec<KernelDesc> = (0..count)
+        .map(|_| {
+            let work = rng.uniform(50.0, 4_000.0);
+            let parallelism = 4 + (rng.next_u64() % 64) as u32;
+            KernelDesc::new(work, parallelism)
+        })
+        .collect();
+    let mut item = WorkItem::new(tag, kernels);
     if rng.next_u64() % 2 == 0 {
         item = item.with_h2d_bytes(1_000 + rng.next_u64() % 200_000);
     }

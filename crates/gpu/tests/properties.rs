@@ -38,7 +38,7 @@ fn mid_run_submissions(seed: u64, n_items: usize) -> Vec<(SimTime, usize, WorkIt
             if rng.next_u64() % 4 == 0 {
                 kernel = kernel.with_launch_overhead(SimDuration::ZERO);
             }
-            let mut item = WorkItem::new(tag).with_kernel(kernel);
+            let mut item = WorkItem::new(tag, vec![kernel]);
             if rng.next_u64() % 2 == 0 {
                 item = item.with_h2d_bytes(1 + rng.next_u64() % 100_000);
             }
@@ -97,7 +97,7 @@ proptest! {
         let mut gpu = Gpu::new(quiet());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
-        gpu.submit(s, WorkItem::new(0).with_kernel(KernelDesc::new(work, par))).unwrap();
+        gpu.submit(s, WorkItem::new(0, vec![KernelDesc::new(work, par)])).unwrap();
         let done = gpu.run_to_idle();
         prop_assert_eq!(done.len(), 1);
         let t = done[0].execution_time().as_micros_f64();
@@ -119,7 +119,7 @@ proptest! {
         for (i, w) in works.iter().enumerate() {
             total += *w;
             let stream = if i % 2 == 0 { s1 } else { s2 };
-            gpu.submit(stream, WorkItem::new(i as u64).with_kernel(KernelDesc::new(*w, 32))).unwrap();
+            gpu.submit(stream, WorkItem::new(i as u64, vec![KernelDesc::new(*w, 32)])).unwrap();
         }
         let done = gpu.run_to_idle();
         prop_assert_eq!(done.len(), works.len());
@@ -134,7 +134,7 @@ proptest! {
             let mut gpu = Gpu::new(quiet());
             let ctx = gpu.add_context(quota).unwrap();
             let s = gpu.add_stream(ctx).unwrap();
-            gpu.submit(s, WorkItem::new(0).with_kernel(KernelDesc::new(work, 68))).unwrap();
+            gpu.submit(s, WorkItem::new(0, vec![KernelDesc::new(work, 68)])).unwrap();
             gpu.run_to_idle()[0].execution_time().as_micros_f64()
         };
         let t1 = run(q1);
@@ -154,11 +154,12 @@ proptest! {
             let mut rng = XorShiftRng::new(seed);
             for tag in 0..n_items as u64 {
                 let stream = streams[(rng.next_u64() % streams.len() as u64) as usize];
-                let mut item = WorkItem::new(tag)
-                    .with_kernel(KernelDesc::new(rng.uniform(40.0, 3_000.0), 8 + (rng.next_u64() % 60) as u32));
+                let mut kernels =
+                    vec![KernelDesc::new(rng.uniform(40.0, 3_000.0), 8 + (rng.next_u64() % 60) as u32)];
                 if rng.next_u64() % 2 == 0 {
-                    item = item.with_kernel(KernelDesc::new(rng.uniform(40.0, 1_000.0), 16));
+                    kernels.push(KernelDesc::new(rng.uniform(40.0, 1_000.0), 16));
                 }
+                let mut item = WorkItem::new(tag, kernels);
                 if rng.next_u64() % 2 == 0 {
                     item = item.with_h2d_bytes(1 + rng.next_u64() % 100_000);
                 }
@@ -256,7 +257,7 @@ proptest! {
         let ctx = gpu.add_context(34).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
         for i in 0..count {
-            gpu.submit(s, WorkItem::new(i as u64).with_kernel(KernelDesc::new(work, 16))).unwrap();
+            gpu.submit(s, WorkItem::new(i as u64, vec![KernelDesc::new(work, 16)])).unwrap();
         }
         let mut last = SimTime::ZERO;
         let mut step = SimTime::from_micros(10);

@@ -43,7 +43,7 @@ pub(crate) fn lower(layer: &Layer, batch: u32, work_scale: f64, par_scale: f64) 
     let parallelism = (par as u32).clamp(MIN_PARALLELISM, MAX_PARALLELISM);
     KernelDesc::new(work, parallelism)
         .with_launch_overhead(SimDuration::from_micros_f64(LAUNCH_OVERHEAD_US))
-        .with_label(layer.name.clone())
+        .with_label(layer.name.as_str())
 }
 
 /// Parallelism after calibration, clamped like [`lower`] but returned as a

@@ -12,11 +12,17 @@
 //! latency of a kernel sequence on an otherwise idle device is simply
 //! `Σ (launch + work / min(parallelism, NSM))` plus copy-engine time, which
 //! the simulator reproduces exactly.
+//!
+//! Like DARIS's offline profiling, a profile lowers its kernels once: every
+//! stage, and the whole job, at batch 1 when the profile is built. Run-time
+//! dispatch only clones those shared slices; only batched dispatches lower.
+
+use std::sync::Arc;
 
 use daris_gpu::{GpuSpec, KernelDesc};
 
 use crate::lowering::{self, LAUNCH_OVERHEAD_US};
-use crate::{zoo, DnnKind, ModelGraph};
+use crate::{zoo, DnnKind, Layer, ModelGraph};
 
 /// Batch sizes explored when searching for the best batched throughput
 /// (Table I "max JPS" is the best the paper found over its batch sweep).
@@ -69,6 +75,10 @@ pub struct ModelProfile {
     copy_bandwidth_bytes_per_us: f64,
     work_scale: f64,
     par_scale: f64,
+    /// Kernels of each stage at batch 1, lowered when the profile is built.
+    stages: Vec<Arc<[KernelDesc]>>,
+    /// Kernels of the whole job at batch 1: the stage slices concatenated.
+    job: Arc<[KernelDesc]>,
 }
 
 impl ModelProfile {
@@ -80,19 +90,19 @@ impl ModelProfile {
 
     /// Builds a profile calibrated against Table I for an arbitrary device.
     pub fn calibrated_for(kind: DnnKind, spec: &GpuSpec) -> Self {
-        let mut profile = Self::uncalibrated_for(kind, spec);
-        profile.fit_to(Table1Reference::for_kind(kind));
-        profile
+        Self::build(kind, spec, true)
     }
 
     /// Builds an uncalibrated profile (`work_scale = par_scale = 1`), mostly
     /// useful for inspecting the raw cost model.
     pub fn uncalibrated(kind: DnnKind) -> Self {
-        Self::uncalibrated_for(kind, &GpuSpec::rtx_2080_ti())
+        Self::build(kind, &GpuSpec::rtx_2080_ti(), false)
     }
 
-    fn uncalibrated_for(kind: DnnKind, spec: &GpuSpec) -> Self {
-        ModelProfile {
+    /// Builds a profile, fits its scales when `calibrate` is set, then
+    /// lowers its batch-1 kernels with the final scales.
+    fn build(kind: DnnKind, spec: &GpuSpec, calibrate: bool) -> Self {
+        let mut profile = ModelProfile {
             kind,
             graph: zoo::graph(kind),
             sm_count: spec.sm_count,
@@ -100,7 +110,17 @@ impl ModelProfile {
             copy_bandwidth_bytes_per_us: spec.copy_bandwidth_bytes_per_us,
             work_scale: 1.0,
             par_scale: 1.0,
+            stages: Vec::new(),
+            job: Arc::from([]),
+        };
+        if calibrate {
+            profile.fit_to(Table1Reference::for_kind(kind));
         }
+        profile.stages = (0..profile.stage_count())
+            .map(|s| profile.lower(profile.graph.stage_layers(s), 1))
+            .collect();
+        profile.job = profile.stages.iter().flat_map(|s| s.iter().cloned()).collect();
+        profile
     }
 
     /// The model kind.
@@ -150,22 +170,42 @@ impl ModelProfile {
             * u64::from(batch.max(1))
     }
 
-    /// Kernels of stage `stage` for a batch of `batch` samples.
+    /// Kernels of stage `stage` for a batch of `batch` samples: the slice
+    /// lowered when the profile was built at batch 1 (a refcount bump), a
+    /// fresh lowering for a larger batch.
     ///
     /// # Panics
     ///
     /// Panics if `stage >= stage_count()`.
-    pub fn stage_kernels(&self, stage: usize, batch: u32) -> Vec<KernelDesc> {
-        self.graph
-            .stage_layers(stage)
-            .iter()
-            .map(|l| lowering::lower(l, batch, self.work_scale, self.par_scale))
-            .collect()
+    pub fn stage_kernels(&self, stage: usize, batch: u32) -> Arc<[KernelDesc]> {
+        if batch <= 1 {
+            Arc::clone(&self.stages[stage])
+        } else {
+            self.lower(self.graph.stage_layers(stage), batch)
+        }
     }
 
-    /// Kernels of the whole network (all stages concatenated).
-    pub fn job_kernels(&self, batch: u32) -> Vec<KernelDesc> {
-        (0..self.stage_count()).flat_map(|s| self.stage_kernels(s, batch)).collect()
+    /// Kernels of the whole network (all stages concatenated), shared at
+    /// batch 1 like [`stage_kernels`](Self::stage_kernels).
+    pub fn job_kernels(&self, batch: u32) -> Arc<[KernelDesc]> {
+        if batch <= 1 {
+            Arc::clone(&self.job)
+        } else {
+            self.lower((0..self.stage_count()).flat_map(|s| self.graph.stage_layers(s)), batch)
+        }
+    }
+
+    /// Lowers `layers` at `batch` with the current scales: the one lowering
+    /// path, at build time for batch 1 and per dispatch for larger batches.
+    fn lower<'a>(
+        &self,
+        layers: impl IntoIterator<Item = &'a Layer>,
+        batch: u32,
+    ) -> Arc<[KernelDesc]> {
+        layers
+            .into_iter()
+            .map(|l| lowering::lower(l, batch, self.work_scale, self.par_scale))
+            .collect()
     }
 
     /// Analytic isolated latency of stage `stage` at batch `batch`,
@@ -221,7 +261,7 @@ impl ModelProfile {
 
     // ----- calibration ------------------------------------------------------
 
-    fn layer_latency_us(&self, layer: &crate::Layer, batch: u32) -> f64 {
+    fn layer_latency_us(&self, layer: &Layer, batch: u32) -> f64 {
         let work = lowering::raw_work(layer, batch) * self.work_scale;
         let par = lowering::scaled_parallelism(layer, batch, self.par_scale)
             .min(f64::from(self.sm_count));
@@ -271,6 +311,8 @@ impl ModelProfile {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -327,9 +369,55 @@ mod tests {
         let p = ModelProfile::calibrated(DnnKind::InceptionV3);
         let kernels = p.job_kernels(1);
         assert_eq!(kernels.len(), p.graph().layer_count());
-        for k in &kernels {
+        for k in kernels.iter() {
             assert!(k.validate().is_ok());
             assert!(k.label.is_some());
+        }
+    }
+
+    #[test]
+    fn job_slice_concatenates_the_shared_stage_slices() {
+        for kind in DnnKind::all() {
+            let p = ModelProfile::calibrated(kind);
+            let stages: Vec<KernelDesc> =
+                (0..p.stage_count()).flat_map(|s| p.stage_kernels(s, 1).to_vec()).collect();
+            assert_eq!(*p.job_kernels(1), *stages, "{kind}");
+            assert!(Arc::ptr_eq(&p.job_kernels(1), &p.job_kernels(1)), "{kind}");
+            for s in 0..p.stage_count() {
+                assert!(Arc::ptr_eq(&p.stage_kernels(s, 1), &p.stage_kernels(s, 1)), "{kind}");
+            }
+            // A clone shares the slices with its original.
+            assert!(Arc::ptr_eq(&p.clone().job_kernels(1), &p.job_kernels(1)), "{kind}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every slice a profile hands out is exactly the per-layer lowering
+        /// of its stage, shared or fresh: all fields equal, work bit for bit.
+        #[test]
+        fn shared_slices_equal_a_fresh_lowering(
+            kind in 0usize..4,
+            stage in 0usize..64,
+            batch in 1u32..65,
+        ) {
+            let p = ModelProfile::calibrated(DnnKind::all()[kind]);
+            let stage = stage % p.stage_count();
+            let fresh: Vec<KernelDesc> = p
+                .graph()
+                .stage_layers(stage)
+                .iter()
+                .map(|l| lowering::lower(l, batch, p.work_scale(), p.par_scale()))
+                .collect();
+            let shared = p.stage_kernels(stage, batch);
+            prop_assert_eq!(shared.len(), fresh.len());
+            for (a, b) in shared.iter().zip(&fresh) {
+                prop_assert_eq!(a.work.to_bits(), b.work.to_bits());
+                prop_assert_eq!(a.parallelism, b.parallelism);
+                prop_assert_eq!(a.launch_overhead, b.launch_overhead);
+                prop_assert_eq!(&a.label, &b.label);
+            }
         }
     }
 

@@ -12,8 +12,7 @@ fn simulate_jps(profile: &ModelProfile, batch: u32, jobs: u32) -> f64 {
     let ctx = gpu.add_context(gpu.spec().sm_count).unwrap();
     let stream = gpu.add_stream(ctx).unwrap();
     for j in 0..jobs {
-        let item = WorkItem::new(u64::from(j))
-            .with_kernels(profile.job_kernels(batch))
+        let item = WorkItem::new(u64::from(j), profile.job_kernels(batch))
             .with_h2d_bytes(profile.input_bytes(batch))
             .with_d2h_bytes(profile.output_bytes(batch));
         gpu.submit(stream, item).unwrap();
@@ -60,8 +59,7 @@ fn analytic_and_simulated_latency_agree() {
         let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti().without_interference());
         let ctx = gpu.add_context(68).unwrap();
         let stream = gpu.add_stream(ctx).unwrap();
-        let item = WorkItem::new(0)
-            .with_kernels(p.job_kernels(1))
+        let item = WorkItem::new(0, p.job_kernels(1))
             .with_h2d_bytes(p.input_bytes(1))
             .with_d2h_bytes(p.output_bytes(1));
         gpu.submit(stream, item).unwrap();
@@ -102,7 +100,7 @@ proptest! {
     #[test]
     fn stage_kernels_are_always_valid(stage in 0usize..4, batch in 1u32..32) {
         let p = ModelProfile::calibrated(DnnKind::ResNet50);
-        for k in p.stage_kernels(stage, batch) {
+        for k in p.stage_kernels(stage, batch).iter() {
             prop_assert!(k.validate().is_ok());
             prop_assert!(k.parallelism >= 1);
         }
