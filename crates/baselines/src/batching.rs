@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use daris_gpu::{GpuError, GpuSpec};
-use daris_models::{DnnKind, ModelProfile};
+use daris_models::DnnKind;
 use daris_workload::TaskSet;
 
 use crate::harness::{BaselineScheduler, SlotLayout};
@@ -50,12 +50,6 @@ impl BatchingServer {
         self
     }
 
-    /// The upper-baseline throughput of a single model: its best batched JPS
-    /// over a batch sweep on an idle device (Table I max JPS).
-    pub fn upper_baseline_jps(kind: DnnKind) -> f64 {
-        ModelProfile::calibrated(kind).best_batched_jps().1
-    }
-
     /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`:
     /// one stream, per-model batches flushed full-or-stale.
     ///
@@ -85,6 +79,7 @@ mod tests {
     use super::*;
     use crate::harness::run_periodic;
     use daris_gpu::SimTime;
+    use daris_models::ModelProfile;
     use daris_workload::Priority;
 
     #[test]
@@ -95,7 +90,7 @@ mod tests {
             (DnnKind::UNet, 260.0),
             (DnnKind::InceptionV3, 446.0),
         ] {
-            let jps = BatchingServer::upper_baseline_jps(kind);
+            let jps = ModelProfile::calibrated(kind).best_batched_jps().1;
             assert!((jps - expected).abs() / expected < 0.12, "{kind}: {jps} vs {expected}");
         }
     }

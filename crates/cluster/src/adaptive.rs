@@ -99,7 +99,7 @@ pub struct AutoscaleConfig {
     pub scale_up_ratio: f64,
     /// Mean active load at or below which an online device is drained.
     pub scale_down_ratio: f64,
-    /// Rounds between scale evaluations (clamped to ≥ 1).
+    /// Rounds between scale evaluations (at least 1).
     pub epoch: u64,
 }
 
@@ -112,13 +112,18 @@ impl Default for AutoscaleConfig {
 }
 
 impl AutoscaleConfig {
-    /// Rejects a zero device floor and thresholds outside
+    /// Rejects a zero device floor, a zero epoch and thresholds outside
     /// `0 ≤ down < up` (equal thresholds would drain and rejoin in the same
     /// evaluation).
     pub fn validate(&self) -> Result<()> {
         if self.min_devices == 0 {
             return Err(ClusterError::InvalidAdaptiveConfig(
                 "autoscale min_devices must be at least 1".into(),
+            ));
+        }
+        if self.epoch == 0 {
+            return Err(ClusterError::InvalidAdaptiveConfig(
+                "autoscale epoch must be at least 1 round".into(),
             ));
         }
         let ordered = self.scale_down_ratio >= 0.0
@@ -165,6 +170,8 @@ mod tests {
         assert!(AutoscaleConfig::default().validate().is_ok());
         let no_floor = AutoscaleConfig { min_devices: 0, ..AutoscaleConfig::default() };
         assert!(matches!(no_floor.validate(), Err(ClusterError::InvalidAdaptiveConfig(_))));
+        let no_epoch = AutoscaleConfig { epoch: 0, ..AutoscaleConfig::default() };
+        assert!(matches!(no_epoch.validate(), Err(ClusterError::InvalidAdaptiveConfig(_))));
         let crossed = AutoscaleConfig {
             scale_up_ratio: 0.2,
             scale_down_ratio: 0.6,

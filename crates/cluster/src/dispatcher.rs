@@ -38,9 +38,8 @@
 //!   four (`RETRY_FANOUT`) least-loaded other devices *of its home rack*,
 //!   adopting the task as a *guest* on first contact; only when every
 //!   consulted device refuses is the rejection charged to the home
-//!   device. Candidates come from an incrementally maintained
-//!   [load ordering](crate::rack) — O(fanout + log rack) per rejection
-//!   instead of an O(fleet) rescan;
+//!   device. Candidates come from one scan of the home rack's
+//!   [fresh loads](crate::rack) — O(rack) per rejection;
 //! * **stage-boundary migration** — queued jobs that have not started their
 //!   first stage are pulled from devices with a backlog and no idle streams
 //!   onto devices of the same rack that are sitting idle;
@@ -90,7 +89,7 @@ use daris_telemetry::{
 use daris_workload::{ArrivalSource, Job, JobId, LoadDetectorConfig, TaskId, TaskSet};
 
 use crate::pool::{self, DeviceCell, FleetCells};
-use crate::rack::{LoadOrder, RackDispatcher};
+use crate::rack::{rack_of, rack_spans, retry_candidates};
 use crate::{
     place, AutoscaleConfig, ClusterError, ClusterSpec, ClusterSummary, DeviceSpec, ElasticQuantum,
     Placement, PlacementStrategy, Result,
@@ -112,9 +111,9 @@ const REBALANCE_EPOCH: u64 = 8;
 /// How many other devices of its home rack (ascending active-load order) a
 /// rejected job is retried on before the rejection is charged. Saturated
 /// fleets reject on the least-loaded device almost iff they reject
-/// everywhere, so a small fan-out keeps the boundary serial work O(1) per
-/// rejection instead of O(fleet).
-const RETRY_FANOUT: usize = 4;
+/// everywhere, so a small fan-out bounds the consultations (each a
+/// catch-up and an admission test) per rejection to a constant.
+pub(crate) const RETRY_FANOUT: usize = 4;
 
 /// Cluster-level scheduling configuration, shared by every device scheduler.
 #[derive(Debug, Clone)]
@@ -525,8 +524,8 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
             Some(bounds) => bounds.clamp(SYNC_QUANTUM),
             None => SYNC_QUANTUM,
         };
-        let mut racks = RackDispatcher::layout(n, self.config.racks);
-        let rack_of = RackDispatcher::rack_of(&racks);
+        let racks = rack_spans(n, self.config.racks);
+        let rack_of = rack_of(&racks);
 
         let cells: Vec<DeviceCell<Sch, S>> = self
             .devices
@@ -640,7 +639,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
 
                 self.profile_start(RoundPhase::Retry);
                 let (attempts, charged) =
-                    self.retry_rejections(&fleet, &mut racks, &rack_of, &online, rejected, t1);
+                    self.retry_rejections(&fleet, &racks, &rack_of, &online, rejected, t1);
                 shed_since_eval += charged;
                 self.profile_end(RoundPhase::Retry);
                 self.emit(CLUSTER_DEVICE, t1, || EventKind::PhaseMark {
@@ -652,9 +651,8 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
                 self.profile_start(RoundPhase::Migration);
                 let before = self.migrations + self.cross_rack_migrations;
                 if self.config.migration {
-                    let spans: Vec<_> = racks.iter().map(|rack| rack.span.clone()).collect();
-                    for span in spans {
-                        self.rebalance(&fleet, span, &online, t1);
+                    for span in &racks {
+                        self.rebalance(&fleet, span.clone(), &online, t1);
                     }
                     if racks.len() > 1 && (round + 1) % REBALANCE_EPOCH == 0 {
                         self.cross_rack_rebalance(&fleet, &racks, &rack_of, &online, t1, round);
@@ -684,7 +682,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
                 if elastic.is_some() || autoscale.is_some() {
                     let load = Self::mean_online_load(&fleet, &online);
                     if let Some(auto) = autoscale {
-                        if (round + 1) % auto.epoch.max(1) == 0 {
+                        if (round + 1) % auto.epoch == 0 {
                             let shed = std::mem::take(&mut shed_since_eval);
                             self.autoscale_step(&fleet, &mut online, load, shed, round, t1);
                         }
@@ -800,18 +798,15 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     /// [`RETRY_FANOUT`] least-loaded other devices of its home rack, adopting
     /// the task as a guest on first contact; if every consulted device
     /// refuses, the rejection is charged to the home device — each job is
-    /// accounted exactly once. Candidate selection walks each rack's
-    /// incrementally maintained load ordering (rebuilt once per phase,
-    /// re-keyed per consultation) — O(fanout + log rack) per rejection
-    /// instead of an O(rack) rescan; a debug assertion checks every
-    /// selection against the rescan. Returns
-    /// `(retry offers made, jobs charged as rejections)` — the first feeds
-    /// the round's telemetry phase mark, the second the autoscaler's
+    /// accounted exactly once. Candidates come from one scan of the home
+    /// rack's fresh loads ([`retry_candidates`]), O(rack) per rejection.
+    /// Returns `(retry offers made, jobs charged as rejections)` — the first
+    /// feeds the round's telemetry phase mark, the second the autoscaler's
     /// shed-work pressure signal.
     fn retry_rejections<S: ArrivalSource>(
         &mut self,
         fleet: &FleetCells<Sch, S>,
-        racks: &mut [RackDispatcher],
+        racks: &[Range<usize>],
         rack_of: &[usize],
         online: &[bool],
         rejected: Vec<(usize, Vec<Job>)>,
@@ -819,53 +814,24 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     ) -> (u64, u64) {
         let mut attempts = 0u64;
         let mut charged = 0u64;
-        if rejected.is_empty() {
-            return (0, 0);
-        }
         let retrying = self.config.cluster_admission;
-        // Offline devices never show up as retry candidates (they receive no
-        // new work); they can still be the charged home of a rejection.
-        let fresh_loads = |span: Range<usize>| -> Vec<(usize, f64)> {
-            span.filter(|&d| online[d])
-                .filter_map(|d| {
-                    fleet.cell(d).scheduler.as_ref().map(|s| (d, s.active_load_fraction()))
-                })
-                .collect()
-        };
-        if retrying {
-            // Rebuild each retrying rack's ordering once for the phase;
-            // within the phase a member's load only changes when a
-            // consultation touches it, and `update` below re-keys exactly
-            // those members.
-            let mut rebuilt = vec![false; racks.len()];
-            for (home, _) in &rejected {
-                let r = rack_of[*home];
-                if !rebuilt[r] {
-                    rebuilt[r] = true;
-                    racks[r].order.rebuild(fresh_loads(racks[r].span.clone()).into_iter());
-                }
-            }
-        }
         for (home, jobs) in rejected {
-            let rack = &mut racks[rack_of[home]];
+            let span = &racks[rack_of[home]];
             for job in jobs {
                 let global = self.devices[home].global_of_local[job.id.task.index()];
                 let mut admitted = false;
                 if retrying {
-                    let candidates = rack.order.select(home, RETRY_FANOUT);
-                    debug_assert_eq!(
-                        candidates,
-                        LoadOrder::naive_select(
-                            &fresh_loads(rack.span.clone()),
-                            home,
-                            RETRY_FANOUT
-                        ),
-                        "incremental load order diverged from a fresh rescan"
-                    );
+                    // Offline devices never show up as candidates (they
+                    // receive no new work); they can still be the charged
+                    // home of a rejection.
+                    let candidates =
+                        retry_candidates(span.clone(), home, RETRY_FANOUT, online, |d| {
+                            fleet.cell(d).scheduler.as_ref().map(Sch::active_load_fraction)
+                        });
                     for device in candidates {
                         let Some(local) = self.local_id_on(fleet, device, global) else { continue };
                         self.catch_up(fleet, device, now);
-                        let (accepted, load) = {
+                        let accepted = {
                             let mut cell = fleet.cell(device);
                             let scheduler =
                                 cell.scheduler.as_mut().expect("candidate has a scheduler");
@@ -873,12 +839,8 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
                             if accepted {
                                 scheduler.dispatch_ready();
                             }
-                            (accepted, scheduler.active_load_fraction())
+                            accepted
                         };
-                        // The catch-up and (on acceptance) the activation are
-                        // the only in-phase load changes; re-key the touched
-                        // member so the next selection sees them.
-                        rack.order.update(device, load);
                         attempts += 1;
                         self.emit(CLUSTER_DEVICE, now, || EventKind::RetryAttempt {
                             task: TaskId(global as u32),
@@ -1207,7 +1169,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     fn cross_rack_rebalance<S: ArrivalSource>(
         &mut self,
         fleet: &FleetCells<Sch, S>,
-        racks: &[RackDispatcher],
+        racks: &[Range<usize>],
         rack_of: &[usize],
         online: &[bool],
         now: SimTime,
@@ -1215,10 +1177,10 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     ) {
         let summaries: Vec<(u64, u64)> = racks
             .iter()
-            .map(|rack| {
+            .map(|span| {
                 let mut backlog = 0u64;
                 let mut idle = 0u64;
-                for d in rack.span.clone() {
+                for d in span.clone() {
                     let cell = fleet.cell(d);
                     if let Some(scheduler) = cell.scheduler.as_ref() {
                         backlog += scheduler.queue_backlog() as u64;

@@ -2,8 +2,8 @@
 //!
 //! A fleet is partitioned into contiguous, balanced **racks** of devices
 //! ([`rack_spans`]). Within each sync round, admission retry and
-//! stage-boundary migration are *rack-local*: a [`RackDispatcher`] confines
-//! both to its own device span, so per-round boundary work scales with rack
+//! stage-boundary migration are *rack-local*: the dispatcher confines both
+//! to the rack's device span, so per-round boundary work scales with rack
 //! size, not fleet size. Racks interact only at the coarser rebalance epoch
 //! (every eighth round), where the top-level dispatcher exchanges per-rack
 //! load summaries and migrates queued-unstarted jobs across rack lines — in
@@ -14,95 +14,10 @@
 //! the single rack spans the whole fleet and the cross-rack phase never
 //! runs.
 //!
-//! # The incremental load ordering
-//!
-//! Retry-candidate selection used to rescan every device's
-//! `active_load_fraction` per rejected job — O(fleet) per rejection, the
-//! dominant boundary cost at scale. [`LoadOrder`] replaces the rescan with
-//! an ordered set rebuilt once per retry phase (O(R log R) for rack size R)
-//! and updated per consultation: within a retry phase a device's load only
-//! changes when the dispatcher touches it (a catch-up completing jobs, an
-//! admitted retry activating one), so re-inserting exactly the touched
-//! devices reproduces the full rescan bit for bit. Selection walks the set
-//! in ascending `(load, device)` order — `f64::total_cmp` then index, the
-//! same tie-break the scan used — making fan-out selection
-//! O(fanout + log R) instead of O(R). A debug assertion cross-checks every
-//! selection against the naive scan in debug builds.
+//! A rejected job's retry candidates ([`retry_candidates`]) come from one
+//! scan of its home rack's fresh loads per rejection, O(rack).
 
-use std::collections::BTreeSet;
 use std::ops::Range;
-
-/// An `f64` load ordered by `total_cmp`, so it can key a [`BTreeSet`].
-/// Loads are finite fractions in practice; `total_cmp` keeps the order
-/// total (and identical to the old comparator) even if they were not.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OrderedLoad(pub f64);
-
-impl PartialEq for OrderedLoad {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0).is_eq()
-    }
-}
-impl Eq for OrderedLoad {}
-impl PartialOrd for OrderedLoad {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrderedLoad {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Incrementally maintained `(load, device)` ordering of one rack's
-/// schedulable devices.
-#[derive(Debug, Default)]
-pub(crate) struct LoadOrder {
-    entries: BTreeSet<(OrderedLoad, usize)>,
-    /// Current load per member device, to locate a member's entry on update.
-    load_of: Vec<(usize, f64)>,
-}
-
-impl LoadOrder {
-    /// Rebuilds the ordering from scratch (start of a retry phase).
-    pub fn rebuild(&mut self, loads: impl Iterator<Item = (usize, f64)>) {
-        self.entries.clear();
-        self.load_of.clear();
-        for (device, load) in loads {
-            self.entries.insert((OrderedLoad(load), device));
-            self.load_of.push((device, load));
-        }
-    }
-
-    /// Re-keys one member after the dispatcher touched it. No-op for
-    /// non-members (devices without schedulers are never members).
-    pub fn update(&mut self, device: usize, load: f64) {
-        let Some(slot) = self.load_of.iter_mut().find(|(d, _)| *d == device) else {
-            return;
-        };
-        self.entries.remove(&(OrderedLoad(slot.1), device));
-        self.entries.insert((OrderedLoad(load), device));
-        slot.1 = load;
-    }
-
-    /// The `fanout` least-loaded members other than `home`, ascending by
-    /// `(load, device)` — byte-identical to a full rescan with the same
-    /// tie-break.
-    pub fn select(&self, home: usize, fanout: usize) -> Vec<usize> {
-        self.entries.iter().filter(|(_, d)| *d != home).take(fanout).map(|(_, d)| *d).collect()
-    }
-
-    /// The selection a full rescan would produce: the debug-build oracle
-    /// [`select`](Self::select) is checked against on every retry.
-    pub fn naive_select(loads: &[(usize, f64)], home: usize, fanout: usize) -> Vec<usize> {
-        let mut candidates: Vec<(f64, usize)> =
-            loads.iter().filter(|(d, _)| *d != home).map(|(d, l)| (*l, *d)).collect();
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        candidates.truncate(fanout);
-        candidates.into_iter().map(|(_, d)| d).collect()
-    }
-}
 
 /// Splits `devices` into `racks` contiguous spans, balanced to within one
 /// device (the first `devices % racks` racks get the extra). `racks` is
@@ -121,42 +36,45 @@ pub(crate) fn rack_spans(devices: usize, racks: usize) -> Vec<Range<usize>> {
     spans
 }
 
-/// One rack: its device span and the load ordering its admission retries
-/// select from. The dispatcher drives the boundary phases; the rack owns
-/// which devices they may touch.
-#[derive(Debug)]
-pub(crate) struct RackDispatcher {
-    /// Zero-based rack index.
-    pub index: usize,
-    /// The contiguous fleet-device span this rack owns.
-    pub span: Range<usize>,
-    /// Retry-candidate ordering, rebuilt per retry phase on first use.
-    pub order: LoadOrder,
+/// The rack index owning each fleet device, for a layout from
+/// [`rack_spans`].
+pub(crate) fn rack_of(spans: &[Range<usize>]) -> Vec<usize> {
+    let mut of = Vec::new();
+    for (rack, span) in spans.iter().enumerate() {
+        of.resize(span.end, rack);
+    }
+    of
 }
 
-impl RackDispatcher {
-    /// Lays a fleet of `devices` out as `racks` rack dispatchers.
-    pub fn layout(devices: usize, racks: usize) -> Vec<RackDispatcher> {
-        rack_spans(devices, racks)
-            .into_iter()
-            .enumerate()
-            .map(|(index, span)| RackDispatcher { index, span, order: LoadOrder::default() })
-            .collect()
-    }
-
-    /// The rack index owning each fleet device, derivable from any layout.
-    pub fn rack_of(racks: &[RackDispatcher]) -> Vec<usize> {
-        let mut of = Vec::new();
-        for rack in racks {
-            of.resize(rack.span.end, rack.index);
+/// The `fanout` devices of `span` a job rejected on `home` is retried on:
+/// the online devices other than `home` that have a scheduler (`load_of`
+/// returns its active load, `None` without one), least loaded first, ties
+/// broken by the lower device index.
+pub(crate) fn retry_candidates(
+    span: Range<usize>,
+    home: usize,
+    fanout: usize,
+    online: &[bool],
+    load_of: impl Fn(usize) -> Option<f64>,
+) -> Vec<usize> {
+    // The `fanout` best so far, ascending. Devices arrive in ascending
+    // index order, so each one goes after every kept device of equal load.
+    let mut best: Vec<(f64, usize)> = Vec::new();
+    for d in span.filter(|&d| d != home && online[d]) {
+        let Some(load) = load_of(d) else { continue };
+        let at = best.partition_point(|(kept, _)| kept.total_cmp(&load).is_le());
+        if at < fanout {
+            best.insert(at, (load, d));
+            best.truncate(fanout);
         }
-        of
     }
+    best.into_iter().map(|(_, d)| d).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatcher::RETRY_FANOUT;
 
     #[test]
     fn spans_are_contiguous_and_balanced() {
@@ -171,40 +89,31 @@ mod tests {
 
     #[test]
     fn rack_of_inverts_layout() {
-        let racks = RackDispatcher::layout(10, 3);
-        let of = RackDispatcher::rack_of(&racks);
+        let of = rack_of(&rack_spans(10, 3));
         assert_eq!(of, vec![0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
     }
 
     #[test]
-    fn select_matches_naive_scan_under_updates() {
-        // A deterministic pseudo-load sequence with ties, updated piecemeal:
-        // the incremental set must track the full re-sort exactly.
-        let mut loads: Vec<(usize, f64)> =
-            (0..16).map(|d| (d, f64::from((d as u32 * 7) % 5) / 5.0)).collect();
-        let mut order = LoadOrder::default();
-        order.rebuild(loads.iter().copied());
-        for step in 0..64usize {
-            let home = (step * 3) % 16;
-            let fanout = step % 6;
-            assert_eq!(
-                order.select(home, fanout),
-                LoadOrder::naive_select(&loads, home, fanout),
-                "step {step}"
-            );
-            // Touch one device, like a consultation would.
-            let touched = (step * 5) % 16;
-            let new_load = f64::from((step as u32 * 11) % 7) / 7.0;
-            loads[touched].1 = new_load;
-            order.update(touched, new_load);
-        }
-    }
+    fn retry_candidates_are_the_least_loaded_eligible_devices() {
+        // A 10-device fleet and a rack spanning devices 1..9: device 3 is
+        // offline, device 6 has no scheduler, and 2, 4, 5 and 8 tie at the
+        // lowest load of the eligible devices.
+        let loads = [0.0, 0.9, 0.1, 0.0, 0.1, 0.1, 0.0, 0.5, 0.1, 0.0];
+        let mut online = [true; 10];
+        online[3] = false;
+        let load_of = |d: usize| (d != 6).then_some(loads[d]);
 
-    #[test]
-    fn update_ignores_non_members() {
-        let mut order = LoadOrder::default();
-        order.rebuild([(0usize, 0.5f64), (2, 0.1)].into_iter());
-        order.update(1, 0.0); // device 1 has no scheduler: not a member
-        assert_eq!(order.select(usize::MAX, 4), vec![2, 0]);
+        // Equal loads break ties by the lower index; at most the fan-out.
+        let picked = retry_candidates(1..9, 7, RETRY_FANOUT, &online, load_of);
+        assert_eq!(picked, vec![2, 4, 5, 8]);
+        assert_eq!(picked.len(), RETRY_FANOUT);
+
+        // The home device is never a candidate, however idle; neither are
+        // offline or scheduler-less devices. Devices outside the span are
+        // never scanned.
+        let all = retry_candidates(1..9, 2, usize::MAX, &online, load_of);
+        assert_eq!(all, vec![4, 5, 8, 7, 1]);
+        assert!(retry_candidates(3..4, 0, RETRY_FANOUT, &online, load_of).is_empty());
+        assert!(retry_candidates(6..7, 0, RETRY_FANOUT, &online, load_of).is_empty());
     }
 }

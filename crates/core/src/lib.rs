@@ -64,12 +64,11 @@ pub use afet::AfetProfiler;
 pub use config::{AblationFlags, DarisConfig, GpuPartition, PartitionPolicy};
 pub use error::CoreError;
 pub use mret::MretEstimator;
-pub use offline::{assignment_by_context, populate_contexts};
+pub use offline::populate_contexts;
 pub use runspec::{RunSpec, Shard, Workload};
 pub use scheduler::{DarisScheduler, ExperimentOutcome, MretSample, AFET_INFLATION};
 pub use stage_queue::{ReadyStage, StageQueue};
 pub use traits::Scheduler;
-pub use utilization::ContextLoad;
 pub use vdeadline::virtual_deadlines;
 
 /// Convenience result alias.

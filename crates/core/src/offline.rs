@@ -1,6 +1,6 @@
 //! Offline phase: initial context population (Algorithm 1).
 
-use daris_workload::{Priority, TaskId, TaskSpec};
+use daris_workload::{Priority, TaskSpec};
 
 /// Assigns every task to a context, balancing total utilization across
 /// contexts (Algorithm 1 of the paper).
@@ -69,20 +69,6 @@ where
     assignment
 }
 
-/// Convenience view of a context assignment: the task ids placed on each
-/// context.
-pub fn assignment_by_context(
-    tasks: &[TaskSpec],
-    assignment: &[usize],
-    n_contexts: usize,
-) -> Vec<Vec<TaskId>> {
-    let mut per_context = vec![Vec::new(); n_contexts.max(1)];
-    for (idx, &ctx) in assignment.iter().enumerate() {
-        per_context[ctx.min(n_contexts.saturating_sub(1))].push(tasks[idx].id);
-    }
-    per_context
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,9 +81,6 @@ mod tests {
         let assignment = populate_contexts(ts.tasks(), 6, |_| 0.1);
         assert_eq!(assignment.len(), ts.len());
         assert!(assignment.iter().all(|&c| c < 6));
-        let by_ctx = assignment_by_context(ts.tasks(), &assignment, 6);
-        let total: usize = by_ctx.iter().map(Vec::len).sum();
-        assert_eq!(total, ts.len());
     }
 
     #[test]

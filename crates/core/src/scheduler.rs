@@ -8,7 +8,7 @@
 //! through the trait's one event loop
 //! ([`Scheduler::run`] for a [`RunSpec`](crate::RunSpec)).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use daris_gpu::{Gpu, SimDuration, SimTime, StreamId, WorkItem};
 use daris_metrics::{ExperimentSummary, MetricsCollector};
@@ -16,9 +16,10 @@ use daris_models::{DnnKind, ModelProfile};
 use daris_telemetry::{AdmissionTest, EventKind, SinkHandle, TelemetryEvent};
 use daris_workload::{Job, JobId, LoadDetector, Priority, TaskId, TaskSet, TaskSpec};
 
+use crate::utilization::ContextLoad;
 use crate::{
-    populate_contexts, virtual_deadlines, AfetProfiler, ContextLoad, CoreError, DarisConfig,
-    MretEstimator, ReadyStage, Result, Scheduler, StageQueue,
+    populate_contexts, virtual_deadlines, AfetProfiler, CoreError, DarisConfig, MretEstimator,
+    ReadyStage, Result, Scheduler, StageQueue,
 };
 
 /// Inflation applied to isolated latencies to approximate the full-load AFET
@@ -55,10 +56,14 @@ pub struct ExperimentOutcome {
     pub config_label: String,
 }
 
+/// An admitted, unfinished job. It sits in the active map of the context it
+/// runs in, which is the only record of the job's admission.
 #[derive(Debug, Clone)]
 struct ActiveJob {
     job: Job,
-    context: usize,
+    /// The utilization it charged to its context's active class sum
+    /// (Eq. 7), given back when it completes or is withdrawn.
+    util: f64,
     next_stage: usize,
     stage_count: usize,
     /// Absolute virtual deadline per stage (Eq. 8 applied to the release).
@@ -87,6 +92,24 @@ impl ActiveJob {
     }
 }
 
+/// Where a task is homed and the assigned utilization it charges there.
+#[derive(Debug, Clone, Copy)]
+struct TaskHome {
+    context: usize,
+    /// The task's share of its context's assigned class sum (Eq. 4–6).
+    /// `None` for a guest adopted at run time, which charges nothing until an
+    /// admission migrates it to another context.
+    charge: Option<f64>,
+}
+
+/// The stage behind one GPU work-item tag.
+#[derive(Debug, Clone, Copy)]
+struct StageTag {
+    context: usize,
+    job: JobId,
+    stage: usize,
+}
+
 /// The DARIS scheduler bound to a simulated GPU.
 #[derive(Debug)]
 pub struct DarisScheduler {
@@ -102,14 +125,13 @@ pub struct DarisScheduler {
     loads: Vec<ContextLoad>,
     queues: Vec<StageQueue>,
     mret: MretEstimator,
-    /// Task index → context index (HP fixed; LP updated on migration).
-    assignment: Vec<usize>,
-    active: BTreeMap<JobId, ActiveJob>,
-    /// Active jobs indexed by context, in deterministic (job id) order, so
-    /// the admission path (`predicted_finish_us`) walks only the jobs of one
-    /// context instead of scanning every active job on the device.
-    active_of: Vec<BTreeSet<JobId>>,
-    /// The `(job, stage)` behind each GPU work-item tag in flight.
+    /// Home context and assigned charge per task index (HP fixed; LP
+    /// updated on migration).
+    homes: Vec<TaskHome>,
+    /// Active jobs per context, in deterministic (job id) order, so the
+    /// admission path (`predicted_finish_us`) walks only one context's jobs.
+    active: Vec<BTreeMap<JobId, ActiveJob>>,
+    /// The stage behind each GPU work-item tag in flight.
     tags: TagSlab,
     metrics: MetricsCollector,
     mret_trace: Vec<MretSample>,
@@ -183,10 +205,16 @@ impl DarisScheduler {
         let mut loads: Vec<ContextLoad> = (0..n_contexts)
             .map(|_| ContextLoad::new(config.partition.streams_per_context))
             .collect();
-        for (idx, task) in taskset.tasks().iter().enumerate() {
-            let util = mret.task_utilization(task.id, task.period);
-            loads[assignment[idx]].assign_task(task.id, task.priority, util);
-        }
+        let homes = taskset
+            .tasks()
+            .iter()
+            .zip(assignment)
+            .map(|(task, context)| {
+                let util = mret.task_utilization(task.id, task.period);
+                loads[context].assigned.add(task.priority, util);
+                TaskHome { context, charge: Some(util) }
+            })
+            .collect();
         let queues = (0..n_contexts).map(|_| StageQueue::new(config.ablation)).collect();
 
         let sink = config.sink.clone();
@@ -201,9 +229,8 @@ impl DarisScheduler {
             loads,
             queues,
             mret,
-            assignment,
-            active: BTreeMap::new(),
-            active_of: (0..n_contexts).map(|_| BTreeSet::new()).collect(),
+            homes,
+            active: (0..n_contexts).map(|_| BTreeMap::new()).collect(),
             tags: TagSlab::default(),
             metrics: MetricsCollector::new(),
             mret_trace: Vec::new(),
@@ -228,9 +255,9 @@ impl DarisScheduler {
         &self.mret
     }
 
-    /// The current offline/online context assignment, indexed by task.
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
+    /// The current offline/online context of each task, in task order.
+    pub fn assignment(&self) -> impl Iterator<Item = usize> + '_ {
+        self.homes.iter().map(|home| home.context)
     }
 
     /// The adaptive-HPA burst detector, when
@@ -301,16 +328,12 @@ impl DarisScheduler {
     }
 
     /// Predicted time (µs from now) for context `ctx` to drain its currently
-    /// active jobs, assuming its streams share the backlog evenly. Walks the
-    /// per-context active-job index (deterministic job-id order) instead of
-    /// scanning every active job on the device.
+    /// active jobs, assuming its streams share the backlog evenly. Walks that
+    /// context's active jobs in deterministic job-id order.
     fn predicted_finish_us(&self, ctx: usize) -> f64 {
-        let backlog: f64 = self.active_of[ctx]
-            .iter()
-            .map(|id| {
-                let a = &self.active[id];
-                self.mret.remaining_mret(a.job.id.task, a.next_stage).as_micros_f64()
-            })
+        let backlog: f64 = self.active[ctx]
+            .values()
+            .map(|a| self.mret.remaining_mret(a.job.id.task, a.next_stage).as_micros_f64())
             .sum();
         backlog / f64::from(self.config.partition.streams_per_context.max(1))
     }
@@ -322,7 +345,9 @@ impl DarisScheduler {
         execution: SimDuration,
         stream: StreamId,
     ) {
-        let Some((job_id, stage)) = self.tags.remove(tag) else { return };
+        let Some(StageTag { context, job: job_id, stage }) = self.tags.remove(tag) else {
+            return;
+        };
         self.stream_busy[stream.index()] = false;
         let task = job_id.task;
         if self.config.record_mret_trace {
@@ -337,13 +362,13 @@ impl DarisScheduler {
         }
         self.mret.record(task, stage, execution);
 
-        let Some(active) = self.active.get_mut(&job_id) else { return };
+        let Some(active) = self.active[context].get_mut(&job_id) else { return };
         let missed_virtual =
             active.virtual_deadlines.get(stage).map(|d| finished_at > *d).unwrap_or(false);
         if stage + 1 < active.stage_count {
             active.next_stage = stage + 1;
             active.predecessor_missed = missed_virtual;
-            let (context, ready) = (active.context, active.ready_stage());
+            let ready = active.ready_stage();
             self.queues[context].push(ready);
             self.emit_at(finished_at, || EventKind::StageBoundary {
                 task: job_id.task,
@@ -352,7 +377,7 @@ impl DarisScheduler {
                 missed_virtual,
             });
         } else {
-            let active = self.active.remove(&job_id).expect("looked up above");
+            let active = self.active[context].remove(&job_id).expect("looked up above");
             let missed = finished_at > active.job.absolute_deadline;
             self.emit_at(finished_at, || EventKind::JobCompleted {
                 task: job_id.task,
@@ -369,8 +394,7 @@ impl DarisScheduler {
                 });
             }
             self.metrics.record_completion(&active.job, finished_at);
-            self.loads[active.context].deactivate_job(job_id);
-            self.active_of[active.context].remove(&job_id);
+            self.loads[context].active.remove(active.job.priority, active.util);
         }
     }
 
@@ -378,10 +402,9 @@ impl DarisScheduler {
         self.streams[ctx].iter().copied().find(|s| !self.stream_busy[s.index()])
     }
 
-    fn submit_stage(&mut self, stream: StreamId, ready: &ReadyStage) -> Result<()> {
-        let Some(active) = self.active.get(&ready.job) else { return Ok(()) };
-        let job = active.job;
-        let (stage_count, dispatch_context) = (active.stage_count, active.context);
+    fn submit_stage(&mut self, context: usize, stream: StreamId, ready: &ReadyStage) -> Result<()> {
+        let Some(active) = self.active[context].get(&ready.job) else { return Ok(()) };
+        let (job, stage_count) = (active.job, active.stage_count);
         let profile = self.profiles.get(&job.model).ok_or_else(|| {
             CoreError::InvalidConfig(format!("missing profile for {}", job.model))
         })?;
@@ -392,7 +415,7 @@ impl DarisScheduler {
             profile.job_kernels(job.batch_size)
         };
         let is_first = ready.stage == 0;
-        let is_last = ready.stage + 1 == active.stage_count;
+        let is_last = ready.stage + 1 == stage_count;
         let tag = self.tags.next_tag();
         let mut item = WorkItem::new(tag, kernels);
         if is_first {
@@ -403,13 +426,13 @@ impl DarisScheduler {
         }
         self.gpu.submit(stream, item)?;
         self.stream_busy[stream.index()] = true;
-        self.tags.push((ready.job, ready.stage));
+        self.tags.push(StageTag { context, job: ready.job, stage: ready.stage });
         self.emit(|| EventKind::StageDispatched {
             task: ready.job.task,
             release_index: ready.job.release_index,
             stage: ready.stage as u32,
             stage_count: stage_count as u32,
-            context: dispatch_context as u32,
+            context: context as u32,
             stream: stream.index() as u32,
             tag,
         });
@@ -417,7 +440,7 @@ impl DarisScheduler {
     }
 }
 
-/// The `(job, stage)` of each in-flight GPU work item, by tag. Tags are
+/// The stage of each in-flight GPU work item, by tag. Tags are
 /// handed out densely and in increasing order, so a deque of slots offset by
 /// the oldest live tag replaces a map, as the engine's item slab does for
 /// item ids: lookups are an index, and completed stages leave holes that are
@@ -426,7 +449,7 @@ impl DarisScheduler {
 struct TagSlab {
     /// Tag of `slots[0]`; `base + slots.len()` is the next tag.
     base: u64,
-    slots: VecDeque<Option<(JobId, usize)>>,
+    slots: VecDeque<Option<StageTag>>,
 }
 
 impl TagSlab {
@@ -435,11 +458,11 @@ impl TagSlab {
         self.base + self.slots.len() as u64
     }
 
-    fn push(&mut self, stage: (JobId, usize)) {
+    fn push(&mut self, stage: StageTag) {
         self.slots.push_back(Some(stage));
     }
 
-    fn remove(&mut self, tag: u64) -> Option<(JobId, usize)> {
+    fn remove(&mut self, tag: u64) -> Option<StageTag> {
         let slot = usize::try_from(tag.checked_sub(self.base)?).ok()?;
         let stage = self.slots.get_mut(slot)?.take();
         while let Some(None) = self.slots.front() {
@@ -488,7 +511,7 @@ impl Scheduler for DarisScheduler {
                 }
                 let Some(stream) = self.idle_stream(ctx) else { break };
                 let Some(ready) = self.queues[ctx].pop() else { break };
-                if let Err(_e) = self.submit_stage(stream, &ready) {
+                if let Err(_e) = self.submit_stage(ctx, stream, &ready) {
                     // Submission can only fail on internal inconsistencies;
                     // drop the stage rather than wedging the whole run.
                     debug_assert!(false, "stage submission failed");
@@ -518,8 +541,11 @@ impl Scheduler for DarisScheduler {
         let (task_id, task_priority) = (task.id, task.priority);
         let (period, relative_deadline) = (task.period, task.relative_deadline);
         let util = self.mret.task_utilization(task_id, period);
-        let home = self.assignment[task_id.index()];
-        self.loads[home].update_task_util(task_id, util);
+        let home = self.homes[task_id.index()].context;
+        if let Some(prev) = self.homes[task_id.index()].charge {
+            self.loads[home].assigned.retune(task_priority, prev, util);
+            self.homes[task_id.index()].charge = Some(util);
+        }
 
         let needs_admission = match job.priority {
             Priority::Low => true,
@@ -554,12 +580,15 @@ impl Scheduler for DarisScheduler {
             migrated,
         });
         if migrated {
-            // Zero-delay migration: the task's home context moves with it.
-            self.loads[home].unassign_task(task_id);
-            self.loads[context].assign_task(task_id, task_priority, util);
-            self.assignment[task_id.index()] = context;
+            // Zero-delay migration: the task's home context moves with it,
+            // and a guest starts charging assigned utilization.
+            if let Some(prev) = self.homes[task_id.index()].charge {
+                self.loads[home].assigned.remove(task_priority, prev);
+            }
+            self.loads[context].assigned.add(task_priority, util);
+            self.homes[task_id.index()] = TaskHome { context, charge: Some(util) };
         }
-        self.loads[context].activate_job(job.id, job.priority, util);
+        self.loads[context].active.add(job.priority, util);
 
         let stage_mrets = self.mret.stage_mrets(task_id);
         let relative = virtual_deadlines(&stage_mrets, relative_deadline);
@@ -567,15 +596,14 @@ impl Scheduler for DarisScheduler {
         let stage_count = stage_mrets.len().max(1);
         let active = ActiveJob {
             job,
-            context,
+            util,
             next_stage: 0,
             stage_count,
             virtual_deadlines,
             predecessor_missed: false,
         };
         self.queues[context].push(active.ready_stage());
-        self.active.insert(job.id, active);
-        self.active_of[context].insert(job.id);
+        self.active[context].insert(job.id, active);
         true
     }
 
@@ -601,7 +629,7 @@ impl Scheduler for DarisScheduler {
             Priority::High if !self.hp_admission_active() => true,
             _ => {
                 let util = self.mret.task_utilization(task, spec.period);
-                let home = self.assignment[task.index()];
+                let home = self.homes[task.index()].context;
                 self.admit(task, priority, util, home).is_some()
             }
         }
@@ -640,9 +668,11 @@ impl Scheduler for DarisScheduler {
         let seeds = effective_stage_seeds(&afet, &spec, &self.config);
         self.mret.seed(local, seeds);
         let ctx = (0..self.loads.len())
-            .min_by(|a, b| self.loads[*a].total_util().total_cmp(&self.loads[*b].total_util()))
+            .min_by(|a, b| {
+                self.loads[*a].assigned.total().total_cmp(&self.loads[*b].assigned.total())
+            })
             .expect("at least one context");
-        self.assignment.push(ctx);
+        self.homes.push(TaskHome { context: ctx, charge: None });
         Ok(local)
     }
 
@@ -652,18 +682,16 @@ impl Scheduler for DarisScheduler {
     /// re-released on another device. Returns `None` once any stage has been
     /// dispatched: partially executed jobs never migrate across devices.
     fn withdraw_queued_job(&mut self, job: JobId) -> Option<Job> {
-        let active = self.active.get(&job)?;
-        if active.next_stage != 0 {
+        let context = self.active.iter().position(|jobs| jobs.contains_key(&job))?;
+        if self.active[context][&job].next_stage != 0 {
             return None;
         }
-        let context = active.context;
         if !self.queues[context].remove(job) {
             // Stage 0 is already on a stream.
             return None;
         }
-        let active = self.active.remove(&job).expect("checked above");
-        self.active_of[context].remove(&job);
-        self.loads[context].deactivate_job(job);
+        let active = self.active[context].remove(&job).expect("found above");
+        self.loads[context].active.remove(active.job.priority, active.util);
         self.metrics.forget(job);
         Some(active.job)
     }
@@ -699,11 +727,7 @@ impl Scheduler for DarisScheduler {
         if capacity <= 0.0 {
             return 0.0;
         }
-        let active: f64 = self
-            .loads
-            .iter()
-            .map(|l| l.active_util(Priority::High) + l.active_util(Priority::Low))
-            .sum();
+        let active: f64 = self.loads.iter().map(|l| l.active.total()).sum();
         active / capacity
     }
 
@@ -786,7 +810,7 @@ mod tests {
         let scheduler = DarisScheduler::new(&taskset, config).unwrap();
         assert_eq!(scheduler.gpu().context_count(), 1);
         assert_eq!(scheduler.gpu().stream_count(), 4);
-        assert!(scheduler.assignment().iter().all(|&c| c == 0));
+        assert!(scheduler.assignment().all(|c| c == 0));
     }
 
     #[test]
@@ -1181,5 +1205,49 @@ mod tests {
         scheduler.advance_to(SimTime::from_millis(2));
         assert_eq!(scheduler.now(), SimTime::from_millis(5), "the clock never runs backwards");
         assert_eq!(scheduler.now(), scheduler.gpu().now());
+    }
+
+    #[test]
+    fn a_guest_charges_assigned_utilization_only_once_migrated() {
+        let taskset = TaskSet::table2(DnnKind::UNet);
+        let mut scheduler =
+            DarisScheduler::new(&taskset, DarisConfig::new(GpuPartition::mps(4, 4.0))).unwrap();
+        let lp_assigned = |s: &DarisScheduler| -> Vec<f64> {
+            s.loads.iter().map(|l| l.assigned.of(Priority::Low)).collect()
+        };
+        let before = lp_assigned(&scheduler);
+
+        // Adopting an LP guest leaves every context's assigned LP total as is.
+        let guest = TaskSet::table2(DnnKind::ResNet18)
+            .tasks()
+            .iter()
+            .find(|t| t.priority == Priority::Low)
+            .cloned()
+            .unwrap();
+        let local = scheduler.adopt_task(&guest).unwrap();
+        let home = scheduler.assignment().nth(local.index()).unwrap();
+        assert_eq!(lp_assigned(&scheduler), before, "a guest charges no assigned utilization");
+
+        // Its releases fill the home context's LP headroom until admission
+        // migrates the task to another context.
+        let mut release_index = 0;
+        let moved_to = loop {
+            assert!(release_index < 64, "the guest never migrated");
+            let mut job = guest.job(release_index);
+            job.id.task = local;
+            release_index += 1;
+            assert!(scheduler.try_release_job(job), "another context has headroom");
+            let context = scheduler.assignment().nth(local.index()).unwrap();
+            if context != home {
+                break context;
+            }
+        };
+        let util = scheduler.mret().task_utilization(local, guest.period);
+        let after = lp_assigned(&scheduler);
+        assert_eq!(after[moved_to], before[moved_to] + util, "the new context charges the guest");
+        assert_eq!(after[home], before[home], "the old home never charged it");
+        for ctx in (0..after.len()).filter(|&c| c != home && c != moved_to) {
+            assert_eq!(after[ctx], before[ctx]);
+        }
     }
 }

@@ -176,11 +176,6 @@ impl LoadDetector {
         self.last_rate / self.nominal_jps
     }
 
-    /// The nominal offered rate the thresholds are anchored to.
-    pub fn nominal_jps(&self) -> f64 {
-        self.nominal_jps
-    }
-
     /// Number of burst↔calm transitions so far.
     pub fn transitions(&self) -> u64 {
         self.transitions

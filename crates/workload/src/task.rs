@@ -155,13 +155,6 @@ pub struct Job {
     pub absolute_deadline: SimTime,
 }
 
-impl Job {
-    /// Response time for a completion at `finish`.
-    pub fn response_time(&self, finish: SimTime) -> SimDuration {
-        finish - self.release
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,8 +195,6 @@ mod tests {
         let t = task();
         let j = t.job(0);
         assert_eq!(j.absolute_deadline, j.release + t.relative_deadline);
-        let finish = j.release + SimDuration::from_millis(7);
-        assert_eq!(j.response_time(finish), SimDuration::from_millis(7));
     }
 
     #[test]

@@ -235,11 +235,6 @@ impl TaskSet {
         self.tasks.iter().map(TaskSpec::jobs_per_second).sum()
     }
 
-    /// Offered load of one priority level in jobs per second.
-    pub fn offered_jps_of(&self, priority: Priority) -> f64 {
-        self.tasks.iter().filter(|t| t.priority == priority).map(TaskSpec::jobs_per_second).sum()
-    }
-
     /// Distinct model kinds present in the set.
     pub fn model_kinds(&self) -> Vec<DnnKind> {
         let mut kinds: Vec<DnnKind> = self.tasks.iter().map(|t| t.model).collect();
@@ -350,7 +345,13 @@ mod tests {
         let full = TaskSet::with_ratio(DnnKind::ResNet18, RatioScenario::FullLoad, 0.5);
         let over = TaskSet::with_ratio(DnnKind::ResNet18, RatioScenario::Overload, 0.5);
         assert!(over.offered_jps() > full.offered_jps() * 1.3);
-        let hp_share = full.offered_jps_of(Priority::High) / full.offered_jps();
+        let hp_jps: f64 = full
+            .tasks()
+            .iter()
+            .filter(|t| t.priority == Priority::High)
+            .map(TaskSpec::jobs_per_second)
+            .sum();
+        let hp_share = hp_jps / full.offered_jps();
         assert!((hp_share - 0.5).abs() < 0.1, "{hp_share}");
         // Extreme shares clamp sanely.
         let all_hp = TaskSet::with_ratio(DnnKind::UNet, RatioScenario::Overload, 1.0);

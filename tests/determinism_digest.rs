@@ -86,7 +86,7 @@ fn hetero_bursty_digest_is_thread_count_invariant() {
 /// The multi-rack variant of the scenario: 16 RTX 2080 Tis in 4 racks, the
 /// first rack single-stream devices that back up under bursts and the other
 /// twelve 6-context MPS devices with room to spare. Every hierarchical
-/// phase — rack-local retry on the incremental load ordering, rack-local
+/// phase — rack-local retry on a scan of the home rack's loads, rack-local
 /// migration, and the cross-rack epoch exchange — moves work here, and the
 /// run asserts that each of them did.
 fn run_racked(threads: usize) -> u64 {
