@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use daris_core::{ExperimentOutcome, Result as CoreResult, Scheduler};
-use daris_gpu::{Gpu, GpuError, GpuSpec, SimTime, StreamId, WorkItem};
+use daris_gpu::{Completion, Gpu, GpuError, GpuSpec, SimTime, StreamId, WorkItem};
 use daris_metrics::MetricsCollector;
 use daris_models::{DnnKind, ModelProfile};
 use daris_workload::{Job, JobId, Priority, TaskId, TaskSet, TaskSpec};
@@ -77,6 +77,8 @@ pub struct BaselineScheduler {
     next_tag: u64,
     policy: Box<dyn DispatchQueue>,
     metrics: MetricsCollector,
+    /// Reused buffer of the completions one advance reports.
+    completions: Vec<Completion>,
 }
 
 impl BaselineScheduler {
@@ -131,6 +133,7 @@ impl BaselineScheduler {
             next_tag: 0,
             policy,
             metrics: MetricsCollector::new(),
+            completions: Vec::new(),
         })
     }
 
@@ -173,8 +176,8 @@ impl Scheduler for BaselineScheduler {
     }
 
     fn advance_to(&mut self, target: SimTime) {
-        let completions = self.gpu.advance_to(target);
-        for completion in completions {
+        self.gpu.advance_into(target, &mut self.completions);
+        for completion in self.completions.drain(..) {
             if let Some((slot, jobs)) = self.in_flight.remove(&completion.tag) {
                 for job in jobs {
                     self.metrics.record_completion(&job, completion.finished_at);

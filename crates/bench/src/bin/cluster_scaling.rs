@@ -22,28 +22,28 @@
 //!
 //! Control the per-configuration simulated horizon with `DARIS_HORIZON_MS`
 //! (default 1500 ms).
+
+use daris_bench::cli::Args;
+
+const USAGE: &str = "\
+usage: cluster_scaling [--threads N] [--max-devices M] [--racks R]
+  --threads N      dispatcher worker threads for the wide sweeps (0 = one per core; default 1)
+  --max-devices M  cap the wide sweeps (default 64)
+  --racks R        racks per wide-sweep fleet (default 1 = flat dispatch)
+The per-configuration horizon comes from DARIS_HORIZON_MS (default 1500 ms).
+";
+
 fn main() {
     let mut threads = 1usize;
     let mut max_devices = 64usize;
     let mut racks = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |name: &str| args.next().unwrap_or_else(|| panic!("{name} requires a value"));
-        match arg.as_str() {
-            "--threads" => threads = daris_bench::parse_thread_count(&value("--threads")),
-            "--max-devices" => {
-                let raw = value("--max-devices");
-                max_devices = raw
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--max-devices must be a number, got {raw:?}"));
-            }
-            "--racks" => {
-                let raw = value("--racks");
-                racks =
-                    raw.parse().unwrap_or_else(|_| panic!("--racks must be a number, got {raw:?}"));
-            }
-            other => panic!("unknown argument {other:?} (see the bin docs)"),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--threads" => threads = args.threads(),
+            "--max-devices" => max_devices = args.value("--max-devices"),
+            "--racks" => racks = args.value("--racks"),
+            other => args.fail(format!("unknown argument {other:?}")),
         }
     }
 

@@ -22,33 +22,38 @@
 //! Control the per-cell simulated horizon with `DARIS_HORIZON_MS`
 //! (default 1500 ms).
 
+use daris_bench::cli::Args;
 use daris_bench::comparison::{comparison_grid, comparison_markdown, comparison_tables};
+
+const USAGE: &str = "\
+usage: scheduler_comparison [--quick] [--threads N] [--fleets 1,8,64] [--markdown]
+  --quick       fleets 1 and 2 only
+  --threads N   dispatcher worker threads per cluster run (0 = one per core; default 1)
+  --fleets LIST comma-separated fleet sizes (default 1,8,64)
+  --markdown    print the grid as the COMPARISON.md document
+The per-cell horizon comes from DARIS_HORIZON_MS (default 1500 ms).
+";
 
 fn main() {
     let mut quick = false;
     let mut markdown = false;
     let mut threads = 1usize;
     let mut fleets: Vec<usize> = vec![1, 8, 64];
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |name: &str| args.next().unwrap_or_else(|| panic!("{name} requires a value"));
-        match arg.as_str() {
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--quick" => quick = true,
             "--markdown" => markdown = true,
-            "--threads" => threads = daris_bench::parse_thread_count(&value("--threads")),
+            "--threads" => threads = args.threads(),
             "--fleets" => {
-                let raw = value("--fleets");
-                fleets = raw
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            panic!("--fleets must be comma-separated numbers, got {raw:?}")
-                        })
-                    })
-                    .collect();
+                let raw: String = args.value("--fleets");
+                let parsed: Result<Vec<usize>, _> =
+                    raw.split(',').map(|s| s.trim().parse()).collect();
+                fleets = parsed.unwrap_or_else(|_| {
+                    args.fail(format!("--fleets must be comma-separated numbers, got {raw:?}"))
+                });
             }
-            other => panic!("unknown argument {other:?} (see the bin docs)"),
+            other => args.fail(format!("unknown argument {other:?}")),
         }
     }
     if quick {

@@ -33,17 +33,30 @@
 
 use std::process::ExitCode;
 
+use daris_bench::cli::Args;
 use daris_cluster::{ClusterConfig, ClusterDispatcher, ClusterOutcome, ClusterSpec};
 use daris_core::RunSpec;
 use daris_metrics::report::{fmt_num, fmt_pct, Table};
 use daris_workload::{BurstyConfig, CorrelatedConfig, DiurnalConfig, GenSpec, TaskSet, Trace};
 
-fn spec_for(label: &str, seed: u64) -> GenSpec {
+const USAGE: &str = "\
+usage: trace_replay [--devices N] [--threads N] [--gen bursty|diurnal|correlated]
+                    [--seed S] [--record PATH] [--replay PATH]
+  --devices N    fleet size of the heterogeneous a100/h100/orin mix (default 8)
+  --threads N    extra thread count to verify replay at (0 = one per core; default 4)
+  --gen SHAPE    generator shape to verify (default bursty)
+  --seed S       generator seed (default 1)
+  --record PATH  also write the verified trace to PATH
+  --replay PATH  replay an existing trace file instead of generating one
+The horizon comes from DARIS_HORIZON_MS (default 1500 ms).
+";
+
+fn spec_for(label: &str, seed: u64) -> Option<GenSpec> {
     match label {
-        "bursty" => GenSpec::Bursty(BurstyConfig { seed, ..Default::default() }),
-        "diurnal" => GenSpec::Diurnal(DiurnalConfig { seed, ..Default::default() }),
-        "correlated" => GenSpec::Correlated(CorrelatedConfig { seed, ..Default::default() }),
-        other => panic!("--gen must be bursty, diurnal or correlated, got {other:?}"),
+        "bursty" => Some(GenSpec::Bursty(BurstyConfig { seed, ..Default::default() })),
+        "diurnal" => Some(GenSpec::Diurnal(DiurnalConfig { seed, ..Default::default() })),
+        "correlated" => Some(GenSpec::Correlated(CorrelatedConfig { seed, ..Default::default() })),
+        _ => None,
     }
 }
 
@@ -78,31 +91,22 @@ fn main() -> ExitCode {
     let mut seed = 1u64;
     let mut record: Option<String> = None;
     let mut replay: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |name: &str| args.next().unwrap_or_else(|| panic!("{name} requires a value"));
-        match arg.as_str() {
-            "--devices" => {
-                let raw = value("--devices");
-                devices = raw
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--devices must be a number, got {raw:?}"));
-            }
-            "--threads" => threads = daris_bench::parse_thread_count(&value("--threads")),
-            "--gen" => gen_label = value("--gen"),
-            "--seed" => {
-                let raw = value("--seed");
-                seed =
-                    raw.parse().unwrap_or_else(|_| panic!("--seed must be a number, got {raw:?}"));
-            }
-            "--record" => record = Some(value("--record")),
-            "--replay" => replay = Some(value("--replay")),
-            other => panic!("unknown argument {other:?} (see the bin docs)"),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--devices" => devices = args.value("--devices"),
+            "--threads" => threads = args.threads(),
+            "--gen" => gen_label = args.value("--gen"),
+            "--seed" => seed = args.value("--seed"),
+            "--record" => record = Some(args.value("--record")),
+            "--replay" => replay = Some(args.value("--replay")),
+            other => args.fail(format!("unknown argument {other:?}")),
         }
     }
 
-    let spec = spec_for(&gen_label, seed);
+    let Some(spec) = spec_for(&gen_label, seed) else {
+        args.fail(format!("--gen must be bursty, diurnal or correlated, got {gen_label:?}"))
+    };
     let horizon = daris_bench::horizon();
     let taskset = daris_bench::cluster_taskset_scaled(devices);
     let fleet = ClusterSpec::heterogeneous_mix(devices);
@@ -207,9 +211,12 @@ fn main() -> ExitCode {
         // the most expensive simulation just to fill its table row.
         let outcome = match &live {
             Some(live) if shape == gen_label => live.clone(),
-            _ => dispatcher(&taskset, &fleet, 1)
-                .run(&RunSpec::generated(spec_for(shape, seed)).until(horizon))
-                .expect("spec runs"),
+            _ => {
+                let spec = spec_for(shape, seed).expect("every listed shape is known");
+                dispatcher(&taskset, &fleet, 1)
+                    .run(&RunSpec::generated(spec).until(horizon))
+                    .expect("spec runs")
+            }
         };
         table.add_row(comparison_row(shape, &taskset, &outcome));
     }

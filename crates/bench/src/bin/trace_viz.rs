@@ -19,6 +19,7 @@
 //!
 //! The simulated horizon comes from `DARIS_HORIZON_MS` (default 250 ms).
 
+use daris_bench::cli::Args;
 use daris_cluster::{ClusterConfig, ClusterDispatcher, ClusterSpec, PlacementStrategy};
 use daris_core::RunSpec;
 use daris_gpu::SimTime;
@@ -26,17 +27,22 @@ use daris_models::DnnKind;
 use daris_telemetry::{ChromeTraceSink, SinkHandle, CHROME_SCHEMA_VERSION};
 use daris_workload::{BurstyConfig, GenSpec, TaskSet};
 
+const USAGE: &str = "\
+usage: trace_viz [--out PATH] [--threads N]
+  --out PATH   output path (default daris_hetero8.trace.json; - writes to stdout)
+  --threads N  dispatcher worker threads (0 = one per core; default 1)
+The horizon comes from DARIS_HORIZON_MS (default 250 ms).
+";
+
 fn main() {
     let mut out = "daris_hetero8.trace.json".to_owned();
     let mut threads = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |name: &str| args.next().unwrap_or_else(|| panic!("{name} requires a value"));
-        match arg.as_str() {
-            "--out" => out = value("--out"),
-            "--threads" => threads = daris_bench::parse_thread_count(&value("--threads")),
-            other => panic!("unknown argument {other:?} (see the bin docs)"),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--out" => out = args.value("--out"),
+            "--threads" => threads = args.threads(),
+            other => args.fail(format!("unknown argument {other:?}")),
         }
     }
 

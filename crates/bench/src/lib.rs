@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod comparison;
 
 use daris_baselines::{
@@ -53,22 +54,6 @@ fn horizon_override_ms() -> Option<u64> {
         Err(std::env::VarError::NotUnicode(_)) => {
             panic!("DARIS_HORIZON_MS is set but is not valid unicode")
         }
-    }
-}
-
-/// Parses a `--threads` argument shared by the runner binaries: a plain
-/// count, with `0` meaning "one worker per available core".
-///
-/// # Panics
-///
-/// Panics with a clear message when the value is not a whole number.
-pub fn parse_thread_count(raw: &str) -> usize {
-    let threads: usize =
-        raw.parse().unwrap_or_else(|_| panic!("--threads must be a number, got {raw:?}"));
-    if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
     }
 }
 

@@ -135,6 +135,7 @@ fn measure_full_load(
     // Measure the target's stages back-to-back, REPETITIONS times.
     let stage_count = target_profile.stage_count();
     let mut sums = vec![0.0f64; stage_count];
+    let mut completions = Vec::new();
     for rep in 0..REPETITIONS {
         for (stage, sum) in sums.iter_mut().enumerate() {
             let stage_tag = (rep * stage_count + stage) as u64;
@@ -148,9 +149,9 @@ fn measure_full_load(
             gpu.submit(target_stream, item)?;
             // Run until this stage finishes (background work keeps flowing).
             while let Some(t) = gpu.next_event_time() {
-                let completions = gpu.advance_to(t);
+                gpu.advance_into(t, &mut completions);
                 let mut done = false;
-                for c in completions {
+                for c in completions.drain(..) {
                     if c.stream == target_stream && c.tag == stage_tag {
                         *sum += c.execution_time().as_micros_f64();
                         done = true;

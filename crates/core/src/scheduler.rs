@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use daris_gpu::{Gpu, SimDuration, SimTime, StreamId, WorkItem};
+use daris_gpu::{Completion, Gpu, SimDuration, SimTime, StreamId, WorkItem};
 use daris_metrics::{ExperimentSummary, MetricsCollector};
 use daris_models::{DnnKind, ModelProfile};
 use daris_telemetry::{AdmissionTest, EventKind, SinkHandle, TelemetryEvent};
@@ -139,6 +139,10 @@ pub struct DarisScheduler {
     /// paths event-free: every emission site guards on this before even
     /// constructing the event.
     sink: Option<SinkHandle>,
+    /// Reused batch of the device events one advance hands to the sink.
+    device_events: Vec<TelemetryEvent>,
+    /// Reused buffer of the stage completions one advance reports.
+    completions: Vec<Completion>,
     /// Burst detector driving the adaptive Overload/HPA admission mode
     /// (from [`DarisConfig::adaptive_hpa`]). Observed exclusively from the
     /// release path, so its state is a pure function of the release
@@ -235,6 +239,8 @@ impl DarisScheduler {
             metrics: MetricsCollector::new(),
             mret_trace: Vec::new(),
             sink,
+            device_events: Vec::new(),
+            completions: Vec::new(),
             detector,
         })
     }
@@ -290,12 +296,17 @@ impl DarisScheduler {
         }
     }
 
-    /// Drains the GPU's recorded device events into the sink verbatim.
+    /// Drains the GPU's recorded device events into the sink verbatim, as
+    /// one batch through a buffer that keeps its capacity.
     fn forward_device_events(&mut self) {
         let Some(sink) = &self.sink else { return };
-        for (at, event) in self.gpu.drain_events() {
-            sink.record(TelemetryEvent { at, device: 0, kind: EventKind::Device(event) });
-        }
+        let batch = self.gpu.drain_events().map(|(at, event)| TelemetryEvent {
+            at,
+            device: 0,
+            kind: EventKind::Device(event),
+        });
+        self.device_events.extend(batch);
+        sink.record_batch(&mut self.device_events);
     }
 
     // ----- event handlers ---------------------------------------------------
@@ -490,9 +501,10 @@ impl Scheduler for DarisScheduler {
     /// completion on the way (without dispatching queued stages; call
     /// [`dispatch_ready`](Self::dispatch_ready) afterwards).
     fn advance_to(&mut self, target: SimTime) {
-        let completions = self.gpu.advance_to(target);
+        let mut completions = std::mem::take(&mut self.completions);
+        self.gpu.advance_into(target, &mut completions);
         self.forward_device_events();
-        for completion in completions {
+        for completion in completions.drain(..) {
             self.handle_completion(
                 completion.tag,
                 completion.finished_at,
@@ -500,6 +512,7 @@ impl Scheduler for DarisScheduler {
                 completion.stream,
             );
         }
+        self.completions = completions;
     }
 
     /// Dispatches ready stages onto idle streams, most urgent first.
@@ -1175,6 +1188,54 @@ mod tests {
         // Event times never run backwards within the scheduler layer's own
         // emissions (device events interleave at span granularity).
         assert!(events.iter().all(|e| e.at <= horizon));
+    }
+
+    #[test]
+    fn device_events_reach_the_sink_in_one_batch_per_advance() {
+        use std::sync::{Arc, Mutex};
+
+        use daris_telemetry::{SinkHandle, TelemetrySink};
+        /// Counts device events recorded one at a time, batches, and the
+        /// device events the batches carry.
+        #[derive(Debug, Clone, Default)]
+        struct Arrivals(Arc<Mutex<[usize; 3]>>);
+        impl TelemetrySink for Arrivals {
+            fn record(&mut self, event: &TelemetryEvent) {
+                if matches!(event.kind, EventKind::Device(_)) {
+                    self.0.lock().unwrap()[0] += 1;
+                }
+            }
+            fn record_batch(&mut self, events: &mut Vec<TelemetryEvent>) {
+                let mut counts = self.0.lock().unwrap();
+                counts[1] += 1;
+                counts[2] +=
+                    events.drain(..).filter(|e| matches!(e.kind, EventKind::Device(_))).count();
+            }
+        }
+        let taskset = TaskSet::table2(DnnKind::UNet);
+        let horizon = SimTime::from_millis(50);
+        let sink = Arrivals::default();
+        let config =
+            DarisConfig::new(GpuPartition::mps(4, 4.0)).with_sink(SinkHandle::new(sink.clone()));
+        let mut scheduler = DarisScheduler::new(&taskset, config).unwrap();
+        let mut advances = 0;
+        for job in ArrivalPlan::generate(&taskset, horizon, ReleaseJitter::None) {
+            while let Some(t) = scheduler.next_event_time().filter(|&t| t < job.release) {
+                scheduler.advance_to(t);
+                scheduler.dispatch_ready();
+                advances += 1;
+            }
+            scheduler.advance_to(job.release);
+            advances += 1;
+            if !scheduler.try_release_job(job) {
+                scheduler.reject_job(&job);
+            }
+            scheduler.dispatch_ready();
+        }
+        let [one_by_one, batches, batched] = *sink.0.lock().unwrap();
+        assert_eq!(one_by_one, 0, "device events go through record_batch only");
+        assert!(batched > 0);
+        assert!(batches <= advances, "{batches} batches for {advances} advances");
     }
 
     #[test]

@@ -40,9 +40,11 @@
 //! does: a new item only queues, starts a launch, or starts or queues a copy.
 //! The pass re-anchors only the kernels whose rate bits moved: it subtracts
 //! `rate × (now − anchor)` from their work and computes their new finish;
-//! every other kernel keeps its instant. While recording, every transition
-//! pass still emits a [`DeviceEvent::Replan`] with the current allocation, so
-//! telemetry does not depend on which passes ran.
+//! every other kernel keeps its instant. While recording, a rate pass whose
+//! `(busy contexts, utilization)` differs bit for bit from the last one
+//! records a [`DeviceEvent::Replan`]: the allocation is recorded when it
+//! changes, so the stream does not depend on how a caller splits its
+//! advances, and the initial idle allocation is never recorded.
 //!
 //! Bookkeeping that used to scan every pending item is incremental: in-flight
 //! items sit in a slab indexed by their dense, increasing ids; a `running`
@@ -262,8 +264,8 @@ pub struct Gpu {
     /// Earliest `next_at` of a running item or the active copy's finish,
     /// refreshed at the end of every transition pass and folded by submits.
     next_at: Option<SimTime>,
-    /// `(busy contexts, utilization)` of the last rate pass, as every
-    /// recorded [`DeviceEvent::Replan`] reports it.
+    /// `(busy contexts, utilization)` of the last rate pass; a rate pass that
+    /// moves it records a [`DeviceEvent::Replan`].
     allocation: (u32, f64),
     /// Items currently launching or computing (at most one per stream).
     running: IdSet,
@@ -445,7 +447,6 @@ impl Gpu {
             self.check_cached_rates();
             self.check_next_at();
         }
-        self.record_replan();
         Ok(id)
     }
 
@@ -498,16 +499,24 @@ impl Gpu {
 
     /// Advances the simulation to exactly `target`, processing every internal
     /// transition on the way, and returns the work items that completed (in
-    /// completion order).
+    /// completion order). A caller that advances often should reuse one
+    /// buffer through [`advance_into`](Gpu::advance_into) instead.
     ///
     /// If `target` is in the past, the call is a no-op returning an empty
     /// vector.
     pub fn advance_to(&mut self, target: SimTime) -> Vec<Completion> {
         let mut completions = Vec::new();
+        self.advance_into(target, &mut completions);
+        completions
+    }
+
+    /// [`advance_to`](Gpu::advance_to) that appends the completions to a
+    /// caller-owned buffer, so an advance allocates only when the buffer
+    /// outgrows its capacity.
+    pub fn advance_into(&mut self, target: SimTime, completions: &mut Vec<Completion>) {
         if target < self.now {
-            return completions;
+            return;
         }
-        let moved = target > self.now;
         // At least one step, so transitions due exactly at `now` fire when
         // `target == now`. The last step's pass reaches the fixpoint at
         // `target`, so nothing is left due there.
@@ -517,25 +526,18 @@ impl Gpu {
                 _ => target,
             };
             self.now = step_to;
-            self.apply_transitions(&mut completions);
+            self.apply_transitions(completions);
             if self.now == target {
                 break;
             }
         }
-        // Recorded telemetry closes every advance that moved time with a
-        // `Replan`, so the event stream does not depend on which rate passes
-        // ran.
-        if moved {
-            self.record_replan();
-        }
-        completions
     }
 
     /// Runs until the device is fully idle and returns all completions.
     pub fn run_to_idle(&mut self) -> Vec<Completion> {
         let mut completions = Vec::new();
         while let Some(t) = self.next_event_time() {
-            completions.extend(self.advance_to(t));
+            self.advance_into(t, &mut completions);
         }
         completions
     }
@@ -745,8 +747,7 @@ impl Gpu {
     }
 
     /// Runs the rate pass if a context's computing membership changed since
-    /// the last one, records the allocation, and refreshes the cached next
-    /// event instant.
+    /// the last one, and refreshes the cached next event instant.
     fn replan(&mut self) {
         if self.ctx_dirty.contains(&true) {
             self.replan_rates();
@@ -754,7 +755,6 @@ impl Gpu {
             #[cfg(debug_assertions)]
             self.check_cached_rates();
         }
-        self.record_replan();
         let copy = self.active_copy.as_ref().map(|c| c.finish);
         let items = &self.items;
         self.next_at =
@@ -764,7 +764,8 @@ impl Gpu {
     }
 
     /// Sets the SM rate of every computing kernel and re-anchors those whose
-    /// rate moved.
+    /// rate moved. While recording, a moved allocation is recorded as a
+    /// [`DeviceEvent::Replan`].
     ///
     /// Water-filling is cached per context and only recomputed for contexts
     /// whose computing membership changed since the last replan (`ctx_dirty`).
@@ -799,6 +800,11 @@ impl Gpu {
             }
         }
         let (factor, allocation) = self.contention(total, busy_contexts);
+        let bits = |(computing, utilization): (u32, f64)| (computing, utilization.to_bits());
+        if self.recording && bits(allocation) != bits(self.allocation) {
+            let (computing, utilization) = allocation;
+            self.replans.push((self.now, DeviceEvent::Replan { computing, utilization }));
+        }
         self.allocation = allocation;
         // Apply the global factor; a kernel whose rate moved banks its
         // progress at the old rate and gets a new finish.
@@ -833,15 +839,6 @@ impl Gpu {
         let efficiency = self.spec.interference.efficiency(busy, total / sm_count);
         let factor = scale * efficiency;
         (factor, (busy as u32, (total * factor / sm_count).min(1.0)))
-    }
-
-    /// Records a [`DeviceEvent::Replan`] with the last rate pass's
-    /// allocation, if recording is on.
-    fn record_replan(&mut self) {
-        if self.recording {
-            let (computing, utilization) = self.allocation;
-            self.replans.push((self.now, DeviceEvent::Replan { computing, utilization }));
-        }
     }
 
     /// Debug oracle for a skipped rate pass: water-filling every context from
@@ -1221,7 +1218,7 @@ mod tests {
     }
 
     #[test]
-    fn recorded_replans_keep_one_per_submit_and_per_transition_pass() {
+    fn recorded_replans_mark_each_allocation_change() {
         let mut gpu = Gpu::new(quiet_spec());
         gpu.record_events();
         let ctx = gpu.add_context(68).unwrap();
@@ -1239,20 +1236,18 @@ mod tests {
         let item = |tag| WorkItem::new(tag, vec![KernelDesc::new(680.0, 68)]);
         let us = SimTime::from_micros;
         gpu.submit(s, item(1)).unwrap();
-        assert_eq!(replans(&mut gpu), [(us(0), (0, 0.0))], "one per submit");
-        assert_eq!(replans(&mut gpu), []);
-        // No time moves: one transition pass.
+        assert_eq!(replans(&mut gpu), [], "a submit moves no allocation");
+        // No time moves and nothing computes: the idle allocation is not news.
         gpu.advance_to(us(0));
-        assert_eq!(replans(&mut gpu), [(us(0), (0, 0.0))]);
-        // Steps to 5 (launch end) and 8, then one closing the advance.
+        assert_eq!(replans(&mut gpu), []);
+        // The launch ends at 5 and item 1 computes; the step to 8 moves nothing.
         gpu.advance_to(us(8));
-        assert_eq!(replans(&mut gpu), [(us(5), (1, 1.0)), (us(8), (1, 1.0)), (us(8), (1, 1.0))]);
-        // A submit mid-compute reports the allocation it left untouched.
+        assert_eq!(replans(&mut gpu), [(us(5), (1, 1.0))]);
         gpu.submit(s, item(2)).unwrap();
-        assert_eq!(replans(&mut gpu), [(us(8), (1, 1.0))]);
-        // Steps to 15 (item 1 done, item 2 launches) and 20 (item 2 computes).
+        assert_eq!(replans(&mut gpu), []);
+        // Item 1 finishes at 15 while item 2 launches; item 2 computes at 20.
         gpu.advance_to(us(20));
-        assert_eq!(replans(&mut gpu), [(us(15), (0, 0.0)), (us(20), (1, 1.0)), (us(20), (1, 1.0))]);
+        assert_eq!(replans(&mut gpu), [(us(15), (0, 0.0)), (us(20), (1, 1.0))]);
         gpu.advance_to(us(3));
         assert_eq!(replans(&mut gpu), [], "a past target is a no-op");
     }

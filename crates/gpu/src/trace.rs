@@ -61,7 +61,10 @@ pub enum DeviceEvent {
         /// Context owning the stream.
         context: u32,
     },
-    /// The water-filling allocator replanned SM allocations. Utilization is
+    /// The SM allocation changed: recorded when a rate pass leaves a
+    /// `(computing, utilization)` pair that differs bit for bit from the
+    /// previous one, so no two consecutive replans of a device repeat. The
+    /// initial idle allocation `(0, 0.0)` is never recorded. Utilization is
     /// piecewise-constant between consecutive replans, which is exactly the
     /// shape a windowed aggregator integrates.
     Replan {

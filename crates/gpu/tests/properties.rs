@@ -1,8 +1,8 @@
 //! Property-based tests of the GPU simulator's core invariants.
 
 use daris_gpu::{
-    ceil_even, sm_quota, Completion, Gpu, GpuSpec, KernelDesc, SimDuration, SimTime, StreamId,
-    WorkItem, XorShiftRng,
+    ceil_even, sm_quota, Completion, DeviceEvent, Gpu, GpuSpec, KernelDesc, SimDuration, SimTime,
+    StreamId, WorkItem, XorShiftRng,
 };
 use proptest::prelude::*;
 
@@ -66,6 +66,19 @@ fn step_to(gpu: &mut Gpu, next: SimTime, done: &mut Vec<Completion>) {
         advance_firing_nothing(gpu, SimTime::from_nanos(next.as_nanos() - 1));
     }
     done.extend(gpu.advance_to(next));
+}
+
+/// The recorded `Replan`s as `(time, busy contexts, utilization bits)`,
+/// drained from a recording device.
+fn recorded_replans(gpu: &mut Gpu) -> Vec<(SimTime, u32, u64)> {
+    gpu.drain_events()
+        .filter_map(|(at, event)| match event {
+            DeviceEvent::Replan { computing, utilization } => {
+                Some((at, computing, utilization.to_bits()))
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 proptest! {
@@ -220,6 +233,59 @@ proptest! {
         prop_assert_eq!(gpu.pending_items(), 0, "work left with no next event");
         prop_assert_eq!(got.len(), n_items);
         prop_assert_eq!(&expected, &got);
+    }
+
+    /// A recorded `Replan` marks an allocation change: none repeats its
+    /// predecessor (the first differs from the idle `(0, 0.0)`), and the
+    /// stream is the same however the advances between submissions are
+    /// split, so no event depends on where a caller stopped time.
+    #[test]
+    fn recorded_replans_mark_changes_and_ignore_advance_splits(
+        seed in 0u64..1_000_000,
+        n_items in 1usize..24,
+    ) {
+        let submissions = mid_run_submissions(seed, n_items);
+
+        let (mut reference, streams) = two_by_two();
+        reference.record_events();
+        for (at, s, item) in submissions.iter().cloned() {
+            reference.advance_to(at);
+            reference.submit(streams[s], item).unwrap();
+        }
+        reference.run_to_idle();
+        let expected = recorded_replans(&mut reference);
+
+        let (mut split, streams) = two_by_two();
+        split.record_events();
+        let mut split_rng = XorShiftRng::new(seed ^ 0x5911_77ed);
+        let mut t = SimTime::ZERO;
+        for (at, s, item) in submissions {
+            loop {
+                t += SimDuration::from_micros_f64(split_rng.uniform(0.1, 25.0));
+                if t >= at {
+                    break;
+                }
+                split.advance_to(t);
+            }
+            split.advance_to(at);
+            t = at;
+            split.submit(streams[s], item).unwrap();
+        }
+        while split.pending_items() > 0 {
+            t += SimDuration::from_micros_f64(split_rng.uniform(0.1, 25.0));
+            split.advance_to(t);
+        }
+        let got = recorded_replans(&mut split);
+
+        let idle = (SimTime::ZERO, 0, 0.0f64.to_bits());
+        for (prev, next) in std::iter::once(&idle).chain(&expected).zip(&expected) {
+            prop_assert!(
+                (prev.1, prev.2) != (next.1, next.2),
+                "the Replan at {} repeats the allocation recorded at {}", next.0, prev.0
+            );
+        }
+        prop_assert!(!expected.is_empty());
+        prop_assert_eq!(&expected, &got, "the Replan stream must be split-invariant");
     }
 
     /// Every step to the next event instant fires at least one transition:
