@@ -9,15 +9,32 @@
 //! `HashMap` state would get fresh per-instance hasher seeds on the second
 //! construction, so hash-order leakage shows up as a digest mismatch right
 //! here, without needing a cross-process harness.
+//!
+//! The digests only compare thread counts of one build. The hand-off
+//! golden (`tests/golden/handoffs.txt`) pins the multi-rack and adaptive
+//! scenarios' job accounting and cross-device moves as plain text, so a
+//! change to how the dispatcher retries, migrates or drains shows up as a
+//! diff across commits. Regenerate it (only after an intended change to
+//! those decisions) with
+//!
+//! ```sh
+//! DARIS_REGEN_GOLDEN=1 cargo test --test determinism_digest
+//! ```
+
+use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 use daris::cluster::{
-    AutoscaleConfig, ClusterConfig, ClusterDispatcher, ClusterSpec, DeviceSpec, ElasticQuantum,
-    PlacementStrategy,
+    AutoscaleConfig, ClusterConfig, ClusterDispatcher, ClusterOutcome, ClusterSpec, DeviceSpec,
+    ElasticQuantum, PlacementStrategy,
 };
 use daris::core::{GpuPartition, RunSpec};
 use daris::gpu::{GpuSpec, SimDuration, SimTime};
 use daris::models::DnnKind;
-use daris::telemetry::{ChromeTraceSink, MemorySink, SinkHandle};
+use daris::telemetry::{
+    ChromeTraceSink, EventKind, MemorySink, SinkHandle, TelemetryEvent, TelemetrySink,
+};
 use daris::workload::{BurstyConfig, DiurnalConfig, GenSpec, LoadDetectorConfig, TaskSet};
 
 fn run_once(threads: usize) -> u64 {
@@ -89,7 +106,7 @@ fn hetero_bursty_digest_is_thread_count_invariant() {
 /// phase — rack-local retry on a scan of the home rack's loads, rack-local
 /// migration, and the cross-rack epoch exchange — moves work here, and the
 /// run asserts that each of them did.
-fn run_racked(threads: usize) -> u64 {
+fn run_racked(threads: usize, horizon: SimTime, sink: Option<SinkHandle>) -> ClusterOutcome {
     let taskset = TaskSet::table2_scaled(DnnKind::ResNet18, 10);
     let fleet = (0..16u64).fold(ClusterSpec::new(), |fleet, d| {
         let partition =
@@ -101,9 +118,9 @@ fn run_racked(threads: usize) -> u64 {
         strategy: PlacementStrategy::GreedyBalance,
         threads,
         racks: 4,
+        sink,
         ..Default::default()
     };
-    let horizon = SimTime::from_millis(daris_bench::horizon_capped_ms(150));
     let spec = GenSpec::Bursty(BurstyConfig { seed: 0xD16E57, ..Default::default() });
     let outcome = ClusterDispatcher::new(&taskset, fleet, config)
         .expect("valid 16-device 4-rack configuration")
@@ -115,7 +132,7 @@ fn run_racked(threads: usize) -> u64 {
     assert!(summary.cluster_admissions > 0, "rack-local retry must admit work: {summary:?}");
     assert!(summary.migrations > 0, "rack-local migration must move work: {summary:?}");
     assert!(summary.cross_rack_migrations > 0, "the epoch phase must move work: {summary:?}");
-    outcome.summary_hash()
+    outcome
 }
 
 #[test]
@@ -125,16 +142,18 @@ fn multi_rack_digest_is_thread_count_invariant() {
     // repeat at each count catches per-instance nondeterminism (hasher
     // state, allocation order); the cross-count comparison catches worker
     // timing leaking through the rack phases.
-    let baseline = run_racked(1);
+    let horizon = SimTime::from_millis(daris_bench::horizon_capped_ms(150));
+    let digest = |threads: usize| run_racked(threads, horizon, None).summary_hash();
+    let baseline = digest(1);
     for threads in [1usize, 2, 8] {
         assert_eq!(
             baseline,
-            run_racked(threads),
+            digest(threads),
             "multi-rack digest diverged at {threads} worker threads"
         );
         assert_eq!(
             baseline,
-            run_racked(threads),
+            digest(threads),
             "repeated multi-rack run diverged at {threads} worker threads"
         );
     }
@@ -145,7 +164,7 @@ fn multi_rack_digest_is_thread_count_invariant() {
 /// admission-mode flips, quantum changes, and device drains/joins all
 /// actually fire inside the digested run (the controllers acting, not just
 /// attached).
-fn run_adaptive(threads: usize) -> u64 {
+fn run_adaptive(threads: usize, horizon: SimTime, sink: Option<SinkHandle>) -> ClusterOutcome {
     let taskset = TaskSet::table2(DnnKind::ResNet18);
     let fleet = ClusterSpec::homogeneous(8, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
     let config = ClusterConfig {
@@ -158,9 +177,9 @@ fn run_adaptive(threads: usize) -> u64 {
             scale_down_ratio: 0.2,
             epoch: 4,
         }),
+        sink,
         ..Default::default()
     };
-    let horizon = SimTime::from_millis(daris_bench::horizon_capped_ms(300));
     let spec = GenSpec::Diurnal(DiurnalConfig {
         amplitude: 0.9,
         cycle: SimDuration::from_millis(100),
@@ -172,19 +191,99 @@ fn run_adaptive(threads: usize) -> u64 {
         .run(&RunSpec::generated(spec).until(horizon))
         .expect("spec runs");
     assert!(outcome.summary.total.completed > 0, "scenario must do real work");
-    outcome.summary_hash()
+    outcome
 }
 
 #[test]
 fn adaptive_control_plane_digest_is_thread_count_invariant() {
     let max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2);
-    let serial = run_adaptive(1);
+    let horizon = SimTime::from_millis(daris_bench::horizon_capped_ms(300));
+    let digest = |threads: usize| run_adaptive(threads, horizon, None).summary_hash();
+    let serial = digest(1);
     assert_eq!(
         serial,
-        run_adaptive(max_threads),
+        digest(max_threads),
         "adaptive-control-plane digest diverged between 1 and {max_threads} worker threads"
     );
-    assert_eq!(serial, run_adaptive(1), "two serial adaptive runs diverged in one process");
+    assert_eq!(serial, digest(1), "two serial adaptive runs diverged in one process");
+}
+
+/// Counts the fleet's cross-device hand-off events: retry consultations,
+/// rack-local and cross-rack migrations, drains and the jobs drains moved.
+#[derive(Debug, Clone, Default)]
+struct HandoffCounts(Arc<Mutex<[u64; 5]>>);
+
+impl TelemetrySink for HandoffCounts {
+    fn record(&mut self, event: &TelemetryEvent) {
+        let mut counts = self.0.lock().expect("counter lock");
+        match event.kind {
+            EventKind::RetryAttempt { .. } => counts[0] += 1,
+            EventKind::Migration { .. } => counts[1] += 1,
+            EventKind::RackMigration { .. } => counts[2] += 1,
+            EventKind::DeviceDrained { moved, .. } => {
+                counts[3] += 1;
+                counts[4] += moved;
+            }
+            _ => {}
+        }
+    }
+}
+
+/// One scenario's section of the hand-off golden: per-device job
+/// accounting, the fleet's move counters and the hand-off event counts.
+fn handoff_section(
+    name: &str,
+    run: fn(usize, SimTime, Option<SinkHandle>) -> ClusterOutcome,
+    horizon_ms: u64,
+) -> String {
+    let counts = HandoffCounts::default();
+    let outcome = run(1, SimTime::from_millis(horizon_ms), Some(SinkHandle::new(counts.clone())));
+    let mut text = format!("## {name} ({horizon_ms} ms)\n");
+    text.push_str("device released accepted rejected completed\n");
+    for device in &outcome.devices {
+        let t = &device.outcome.summary.total;
+        let _ = writeln!(
+            text,
+            "{} {} {} {} {}",
+            device.name, t.released, t.accepted, t.rejected, t.completed
+        );
+    }
+    let s = &outcome.summary;
+    let _ = writeln!(
+        text,
+        "fleet cluster_admissions={} migrations={} cross_rack_migrations={}",
+        s.cluster_admissions, s.migrations, s.cross_rack_migrations
+    );
+    let [retry, migrate, rack_migrate, drained, drain_moved] =
+        *counts.0.lock().expect("counter lock");
+    let _ = writeln!(
+        text,
+        "events retry={retry} migrate={migrate} rack-migrate={rack_migrate} \
+         device-drain={drained} drain-moved={drain_moved}"
+    );
+    text
+}
+
+#[test]
+fn handoffs_match_the_committed_golden() {
+    // Fixed horizons: a golden must not depend on `DARIS_HORIZON_MS`.
+    let actual = [
+        handoff_section("multi-rack bursty, 16 devices in 4 racks", run_racked, 150),
+        handoff_section("adaptive control plane, 8 devices", run_adaptive, 300),
+    ]
+    .join("\n");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/handoffs.txt");
+    if std::env::var_os("DARIS_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).expect("write hand-off golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing hand-off golden {path:?} ({e}); regenerate with \
+             DARIS_REGEN_GOLDEN=1 cargo test --test determinism_digest"
+        )
+    });
+    assert_eq!(expected, actual, "retry, migration or drain decisions drifted from the golden");
 }
 
 #[test]
