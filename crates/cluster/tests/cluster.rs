@@ -9,24 +9,29 @@
 //!   devices on a fixed oversized task set while high-priority deadline
 //!   protection holds fleet-wide;
 //! * every released job is accounted exactly once, no matter how often it
-//!   is retried or migrated across devices;
+//!   is retried, migrated, drained or handed back to its source device;
 //! * parallel device stepping is byte-identical to serial stepping: the same
 //!   run at any `threads` count produces the same `ClusterOutcome` (a
 //!   property test over random task sets and fleets, plus a repeated-run
 //!   hash check on an 8-device heterogeneous scenario).
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use daris_cluster::{
-    place, utilization_estimates, ClusterConfig, ClusterDispatcher, ClusterSpec, DeviceSpec,
-    PlacementStrategy,
+    place, utilization_estimates, AutoscaleConfig, ClusterConfig, ClusterDispatcher,
+    ClusterOutcome, ClusterSpec, DeviceSpec, PlacementStrategy,
 };
-use daris_core::{DarisConfig, DarisScheduler, GpuPartition, RunSpec, Scheduler};
+use daris_core::{
+    DarisConfig, DarisScheduler, ExperimentOutcome, GpuPartition, RunSpec, Scheduler,
+};
 use daris_gpu::{GpuSpec, SimDuration, SimTime, XorShiftRng};
 use daris_models::DnnKind;
+use daris_telemetry::{EventKind, MemorySink, SinkHandle};
 use daris_workload::{
-    ArrivalPlan, ArrivalStream, BurstyConfig, CorrelatedConfig, GenSpec, Priority, ReleaseJitter,
-    TaskSet, TaskSetBuilder,
+    ArrivalPlan, ArrivalStream, BurstyConfig, CorrelatedConfig, GenSpec, Job, JobId, Priority,
+    ReleaseJitter, TaskId, TaskSet, TaskSetBuilder, TaskSpec,
 };
 use proptest::prelude::*;
 
@@ -378,31 +383,221 @@ fn aggregate_throughput_scales_monotonically_to_four_devices() {
     assert!(hp_dmr[2] < 0.05, "HP DMR at 4 balanced devices: {}", hp_dmr[2]);
 }
 
-#[test]
-fn every_job_is_accounted_exactly_once_across_the_fleet() {
-    // An asymmetric overloaded fleet exercises every cross-device path:
-    // home admission, cluster-wide retry, migration, and rejection.
-    let taskset = TaskSet::table2_scaled(DnnKind::ResNet18, 2);
-    let horizon = SimTime::from_millis(300);
-    let fleet = ClusterSpec::new()
+/// The tiny-plus-big fleet the hand-off tests share: a single-stream RTX
+/// 2080 Ti that backs up next to a 6-context MPS one with room to spare.
+fn starved_and_idle_pair() -> ClusterSpec {
+    ClusterSpec::new()
         .with_device(DeviceSpec::new("small", GpuSpec::rtx_2080_ti(), GpuPartition::str_streams(1)))
         .with_device(DeviceSpec::new(
             "big",
             GpuSpec::rtx_2080_ti().with_seed(0x5eed_da13),
             GpuPartition::mps(6, 6.0),
-        ));
-    let mut dispatcher = ClusterDispatcher::new(&taskset, fleet, ClusterConfig::default())
+        ))
+}
+
+/// Asserts exactly-once accounting of a periodic run: the fleet released
+/// every job of the arrival plan, each released job is completed, rejected
+/// or still outstanding, and the per-device counts sum to the fleet's.
+fn assert_conserved(label: &str, taskset: &TaskSet, horizon: SimTime, outcome: &ClusterOutcome) {
+    assert_eq!(outcome.summary.placement_rejected_tasks, 0, "{label}: the set must be placed");
+    let expected_releases = ArrivalPlan::generate(taskset, horizon, ReleaseJitter::None).len();
+    let total = &outcome.summary.total;
+    assert_eq!(total.released, expected_releases, "{label}: released jobs must be conserved");
+    let outstanding = total.accepted - total.completed;
+    assert_eq!(total.completed + total.rejected + outstanding, total.released, "{label}");
+    let sum = |field: fn(&daris_metrics::PrioritySummary) -> usize| -> usize {
+        outcome.devices.iter().map(|d| field(&d.outcome.summary.total)).sum()
+    };
+    assert_eq!(sum(|t| t.released), total.released, "{label}: no job on two devices");
+    assert_eq!(sum(|t| t.accepted), total.accepted, "{label}");
+    assert_eq!(sum(|t| t.rejected), total.rejected, "{label}");
+    assert_eq!(sum(|t| t.completed), total.completed, "{label}");
+}
+
+#[test]
+fn every_job_is_accounted_exactly_once_across_the_fleet() {
+    // One case per hand-off path. Each run returns how often its path
+    // fired, so a case that stops exercising its path fails instead of
+    // passing vacuously.
+    type Case = (&'static str, TaskSet, fn(&TaskSet, SimTime) -> (ClusterOutcome, usize));
+    let cases: [Case; 4] = [
+        ("retry and rack-local migration", TaskSet::table2(DnnKind::ResNet18), |t, h| {
+            let config =
+                ClusterConfig { strategy: PlacementStrategy::GreedyBalance, ..Default::default() };
+            let outcome = ClusterDispatcher::new(t, starved_and_idle_pair(), config)
+                .expect("dispatcher builds")
+                .run(&RunSpec::periodic().until(h))
+                .expect("spec runs");
+            let fired = outcome.summary.cluster_admissions.min(outcome.summary.migrations);
+            (outcome, fired)
+        }),
+        ("cross-rack migration", TaskSet::table2(DnnKind::ResNet18), |t, h| {
+            let config = ClusterConfig {
+                strategy: PlacementStrategy::FirstFitDecreasing,
+                racks: 2,
+                ..Default::default()
+            };
+            let outcome = ClusterDispatcher::new(t, starved_and_idle_pair(), config)
+                .expect("dispatcher builds")
+                .run(&RunSpec::periodic().until(h))
+                .expect("spec runs");
+            let fired = outcome.summary.cross_rack_migrations;
+            (outcome, fired)
+        }),
+        ("autoscale drain", TaskSet::table2_scaled(DnnKind::ResNet18, 2), |t, h| {
+            let sink = MemorySink::unbounded();
+            let fleet =
+                ClusterSpec::homogeneous(3, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0))
+                    .with_device(DeviceSpec::new(
+                        "small",
+                        GpuSpec::rtx_2080_ti(),
+                        GpuPartition::str_streams(1),
+                    ));
+            let config = ClusterConfig {
+                strategy: PlacementStrategy::GreedyBalance,
+                autoscale: Some(AutoscaleConfig {
+                    min_devices: 1,
+                    scale_up_ratio: 0.99,
+                    scale_down_ratio: 0.9,
+                    epoch: 1,
+                }),
+                sink: Some(SinkHandle::new(sink.clone())),
+                ..Default::default()
+            };
+            let outcome = ClusterDispatcher::new(t, fleet, config)
+                .expect("dispatcher builds")
+                .run(&RunSpec::periodic().until(h))
+                .expect("spec runs");
+            let moved = sink
+                .events()
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::DeviceDrained { moved, .. } => moved as usize,
+                    _ => 0,
+                })
+                .sum();
+            (outcome, moved)
+        }),
+        ("FIFO fleet migration", TaskSet::table2(DnnKind::ResNet18), |t, h| {
+            let config =
+                ClusterConfig { strategy: PlacementStrategy::GreedyBalance, ..Default::default() };
+            let fleet =
+                ClusterSpec::homogeneous(2, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
+            let outcome = ClusterDispatcher::with_factory(t, fleet, config, |slot| {
+                let streams = if slot.index == 0 { 1 } else { 4 };
+                daris_baselines::FifoMultiStreamServer::new(streams)
+                    .with_gpu(slot.spec.gpu.clone())
+                    .scheduler(slot.taskset)
+                    .map_err(daris_core::CoreError::from)
+            })
+            .expect("FIFO fleet builds")
+            .run(&RunSpec::periodic().until(h))
+            .expect("spec runs");
+            let fired = outcome.summary.migrations;
+            (outcome, fired)
+        }),
+    ];
+    let horizon = SimTime::from_millis(300);
+    for (label, taskset, run) in cases {
+        let (outcome, fired) = run(&taskset, horizon);
+        assert!(fired > 0, "{label}: the hand-off path never fired: {:?}", outcome.summary);
+        assert_conserved(label, &taskset, horizon, &outcome);
+    }
+}
+
+/// DARIS behind a double that answers every migration probe with yes but
+/// refuses every guest release, so each migration's hand-over is refused
+/// after the job was withdrawn from its source. Counts the withdrawals.
+#[derive(Debug)]
+struct RefusesGuests {
+    inner: DarisScheduler,
+    native_tasks: usize,
+    withdrawn: Arc<AtomicUsize>,
+}
+
+impl Scheduler for RefusesGuests {
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+    fn next_event_time(&self) -> Option<SimTime> {
+        self.inner.next_event_time()
+    }
+    fn advance_to(&mut self, target: SimTime) {
+        self.inner.advance_to(target);
+    }
+    fn dispatch_ready(&mut self) {
+        self.inner.dispatch_ready();
+    }
+    fn try_release_job(&mut self, job: Job) -> bool {
+        job.id.task.index() < self.native_tasks && self.inner.try_release_job(job)
+    }
+    fn reject_job(&mut self, job: &Job) {
+        self.inner.reject_job(job);
+    }
+    fn would_admit(&self, _task: TaskId, _priority: Priority) -> bool {
+        true
+    }
+    fn adopt_task(&mut self, task: &TaskSpec) -> daris_core::Result<TaskId> {
+        self.inner.adopt_task(task)
+    }
+    fn withdraw_queued_job(&mut self, job: JobId) -> Option<Job> {
+        let withdrawn = self.inner.withdraw_queued_job(job);
+        if withdrawn.is_some() {
+            self.withdrawn.fetch_add(1, Ordering::Relaxed);
+        }
+        withdrawn
+    }
+    fn migratable_jobs(&self) -> Vec<JobId> {
+        self.inner.migratable_jobs()
+    }
+    fn queue_backlog(&self) -> usize {
+        self.inner.queue_backlog()
+    }
+    fn idle_stream_count(&self) -> usize {
+        self.inner.idle_stream_count()
+    }
+    fn active_load_fraction(&self) -> f64 {
+        self.inner.active_load_fraction()
+    }
+    fn events_processed(&self) -> u64 {
+        self.inner.events_processed()
+    }
+    fn taskset(&self) -> &TaskSet {
+        self.inner.taskset()
+    }
+    fn finish(&mut self, horizon: SimTime) -> ExperimentOutcome {
+        self.inner.finish(horizon)
+    }
+}
+
+#[test]
+fn a_refused_migration_returns_the_job_to_its_source() {
+    // The receiver passes the migration probe and then refuses the job, so
+    // every withdrawn job must be re-admitted on its source or charged
+    // there — never lost, never counted twice, never counted as a move.
+    let taskset = TaskSet::table2(DnnKind::ResNet18);
+    let horizon = SimTime::from_millis(300);
+    let withdrawn = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&withdrawn);
+    let config =
+        ClusterConfig { strategy: PlacementStrategy::FirstFitDecreasing, ..Default::default() };
+    let mut dispatcher =
+        ClusterDispatcher::with_factory(&taskset, starved_and_idle_pair(), config, move |slot| {
+            let device_config = DarisConfig::new(slot.spec.partition)
+                .with_gpu(slot.spec.gpu.clone())
+                .with_reference_calibration(slot.reference.clone());
+            Ok(RefusesGuests {
+                inner: DarisScheduler::new(slot.taskset, device_config)?,
+                native_tasks: slot.taskset.len(),
+                withdrawn: Arc::clone(&counter),
+            })
+        })
         .expect("dispatcher builds");
     let outcome = dispatcher.run(&RunSpec::periodic().until(horizon)).expect("spec runs");
-
-    let expected_releases = ArrivalPlan::generate(&taskset, horizon, ReleaseJitter::None).len();
-    assert_eq!(
-        outcome.summary.total.released, expected_releases,
-        "released jobs must be conserved across admission retries and migrations"
-    );
-    let per_device: usize = outcome.devices.iter().map(|d| d.outcome.summary.total.released).sum();
-    assert!(per_device <= expected_releases, "no job may be counted on two devices");
-    assert_eq!(outcome.summary.total.accepted + outcome.summary.total.rejected, expected_releases);
+    assert!(withdrawn.load(Ordering::Relaxed) > 0, "no migration withdrew a job");
+    assert_eq!(outcome.summary.migrations, 0, "a refused hand-over is not a migration");
+    assert_eq!(outcome.summary.cluster_admissions, 0, "every guest release is refused");
+    assert_conserved("refused migration", &taskset, horizon, &outcome);
 }
 
 #[test]
