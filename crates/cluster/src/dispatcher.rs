@@ -36,10 +36,8 @@
 //! * **rack-local admission** — a job whose home device's admission test
 //!   (Eq. 11–12) rejected it mid-round is retried at the boundary on the
 //!   four (`RETRY_FANOUT`) least-loaded other devices *of its home rack*,
-//!   adopting the task as a *guest* on first contact; only when every
-//!   consulted device refuses is the rejection charged to the home
-//!   device. Candidates come from one scan of the home rack's
-//!   [fresh loads](crate::rack) — O(rack) per rejection;
+//!   picked by one scan of the rack's [fresh loads](crate::rack) — O(rack)
+//!   per rejection;
 //! * **stage-boundary migration** — queued jobs that have not started their
 //!   first stage are pulled from devices with a backlog and no idle streams
 //!   onto devices of the same rack that are sitting idle;
@@ -51,6 +49,13 @@
 //! With `racks = 1` (the default) the retry and migration domains span the
 //! whole fleet and the epoch phase never runs: the hierarchy degenerates to
 //! flat dispatch exactly.
+//!
+//! Each of these moves, and an autoscale drain's re-placement, hands the
+//! job over through one path (`offer`): adopt the task as a *guest* on
+//! first contact, catch the device up, run its admission test, dispatch on
+//! accept, and charge the rejection to the job's home device once when no
+//! candidate accepts. A migration lists its source as the last candidate,
+//! so a refused hand-over returns the job home.
 //!
 //! # Parallel stepping, deterministic join
 //!
@@ -652,7 +657,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
                 let before = self.migrations + self.cross_rack_migrations;
                 if self.config.migration {
                     for span in &racks {
-                        self.rebalance(&fleet, span.clone(), &online, t1);
+                        self.migrate(&fleet, span.clone(), &online, t1, None);
                     }
                     if racks.len() > 1 && (round + 1) % REBALANCE_EPOCH == 0 {
                         self.cross_rack_rebalance(&fleet, &racks, &rack_of, &online, t1, round);
@@ -794,15 +799,13 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     }
 
     /// Retries the round's home-rejected releases rack-locally (in device
-    /// order, then release order): each job is offered to the
-    /// [`RETRY_FANOUT`] least-loaded other devices of its home rack, adopting
-    /// the task as a guest on first contact; if every consulted device
-    /// refuses, the rejection is charged to the home device — each job is
-    /// accounted exactly once. Candidates come from one scan of the home
-    /// rack's fresh loads ([`retry_candidates`]), O(rack) per rejection.
-    /// Returns `(retry offers made, jobs charged as rejections)` — the first
-    /// feeds the round's telemetry phase mark, the second the autoscaler's
-    /// shed-work pressure signal.
+    /// order, then release order): each job is [offered](Self::offer) to the
+    /// [`RETRY_FANOUT`] least-loaded other devices of its home rack, and
+    /// charged to the home device if all of them refuse. Candidates come
+    /// from one scan of the home rack's fresh loads ([`retry_candidates`]),
+    /// O(rack) per rejection. Returns `(retry offers made, jobs charged as
+    /// rejections)` — the first feeds the round's telemetry phase mark, the
+    /// second the autoscaler's shed-work pressure signal.
     fn retry_rejections<S: ArrivalSource>(
         &mut self,
         fleet: &FleetCells<Sch, S>,
@@ -818,56 +821,74 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
         for (home, jobs) in rejected {
             let span = &racks[rack_of[home]];
             for job in jobs {
-                let global = self.devices[home].global_of_local[job.id.task.index()];
-                let mut admitted = false;
-                if retrying {
-                    // Offline devices never show up as candidates (they
-                    // receive no new work); they can still be the charged
-                    // home of a rejection.
-                    let candidates =
-                        retry_candidates(span.clone(), home, RETRY_FANOUT, online, |d| {
-                            fleet.cell(d).scheduler.as_ref().map(Sch::active_load_fraction)
-                        });
-                    for device in candidates {
-                        let Some(local) = self.local_id_on(fleet, device, global) else { continue };
-                        self.catch_up(fleet, device, now);
-                        let accepted = {
-                            let mut cell = fleet.cell(device);
-                            let scheduler =
-                                cell.scheduler.as_mut().expect("candidate has a scheduler");
-                            let accepted = scheduler.try_release_job(localize(job, local));
-                            if accepted {
-                                scheduler.dispatch_ready();
-                            }
-                            accepted
-                        };
-                        attempts += 1;
-                        self.emit(CLUSTER_DEVICE, now, || EventKind::RetryAttempt {
-                            task: TaskId(global as u32),
-                            release_index: job.id.release_index,
-                            home: home as u32,
-                            target: device as u32,
-                            admitted: accepted,
-                        });
-                        if accepted {
-                            self.cluster_admissions += 1;
-                            admitted = true;
-                            break;
-                        }
-                    }
-                }
-                if !admitted {
-                    charged += 1;
-                    fleet
-                        .cell(home)
-                        .scheduler
-                        .as_mut()
-                        .expect("home device has a scheduler")
-                        .reject_job(&job);
+                // Offline devices never show up as candidates (they receive
+                // no new work); they can still be the charged home.
+                let candidates = if retrying {
+                    retry_candidates(span.clone(), home, RETRY_FANOUT, online, |d| {
+                        fleet.cell(d).scheduler.as_ref().map(Sch::active_load_fraction)
+                    })
+                } else {
+                    Vec::new()
+                };
+                let task = TaskId(self.global_of(home, job.id.task) as u32);
+                let release_index = job.id.release_index;
+                let record_attempt = |this: &Self, target: usize, admitted: bool| {
+                    attempts += 1;
+                    this.emit(CLUSTER_DEVICE, now, || EventKind::RetryAttempt {
+                        task,
+                        release_index,
+                        home: home as u32,
+                        target: target as u32,
+                        admitted,
+                    });
+                };
+                match self.offer(fleet, job, home, candidates, now, record_attempt) {
+                    Some(_) => self.cluster_admissions += 1,
+                    None => charged += 1,
                 }
             }
         }
         (attempts, charged)
+    }
+
+    /// The one job hand-off between devices. Offers `job` — released on
+    /// `home`, carrying `home`'s local task id — to each of `candidates` in
+    /// order until one admits it: the task is adopted as a guest on first
+    /// contact (a device that cannot host it is skipped), the device is
+    /// caught up to `now`, its admission test runs, and an accepting device
+    /// dispatches at once. `consulted` sees every admission test as
+    /// `(device, admitted)`. Returns the accepting device; when none
+    /// accepts, the rejection is charged to `home`, so each job is accounted
+    /// exactly once.
+    fn offer<S: ArrivalSource>(
+        &mut self,
+        fleet: &FleetCells<Sch, S>,
+        job: Job,
+        home: usize,
+        candidates: impl IntoIterator<Item = usize>,
+        now: SimTime,
+        mut consulted: impl FnMut(&Self, usize, bool),
+    ) -> Option<usize> {
+        let global = self.global_of(home, job.id.task);
+        for device in candidates {
+            let Some(local) = self.local_id_on(fleet, device, global) else { continue };
+            self.catch_up(fleet, device, now);
+            let admitted = {
+                let mut cell = fleet.cell(device);
+                let scheduler = cell.scheduler.as_mut().expect("candidate has a scheduler");
+                let admitted = scheduler.try_release_job(localize(job, local));
+                if admitted {
+                    scheduler.dispatch_ready();
+                }
+                admitted
+            };
+            consulted(self, device, admitted);
+            if admitted {
+                return Some(device);
+            }
+        }
+        fleet.cell(home).scheduler.as_mut().expect("home device has a scheduler").reject_job(&job);
+        None
     }
 
     /// Fast-forwards a trailing device's clock to `to` (a no-op for devices
@@ -930,77 +951,83 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
         .collect()
     }
 
-    /// Offers `src`'s migratable queued jobs to `dst` (least urgent first,
-    /// admission-tested on the receiver) and moves the first one `dst`
-    /// takes; both devices are caught up to `now` around the hand-over.
-    /// Returns the moved job's `(global task index, release index)`, or
-    /// `None` if `dst` took nothing.
-    fn transfer_queued_job<S: ArrivalSource>(
+    /// Moves the first of `src`'s migratable queued jobs (least urgent
+    /// first) that `dst` takes, then counts the move and records its event:
+    /// a cross-rack migration when `across_racks` carries the rack map, a
+    /// rack-local one otherwise. Returns whether a job moved.
+    fn move_queued_job<S: ArrivalSource>(
         &mut self,
         fleet: &FleetCells<Sch, S>,
         src: usize,
         dst: usize,
         now: SimTime,
-    ) -> Option<(usize, u64)> {
-        let candidates: Vec<JobId> =
+        across_racks: Option<&[usize]>,
+    ) -> bool {
+        let queued: Vec<JobId> =
             fleet.cell(src).scheduler.as_ref().map(Sch::migratable_jobs).unwrap_or_default();
-        for local_job in candidates {
-            let global = self.global_of(src, local_job.task);
+        for queued_job in queued {
+            let global = self.global_of(src, queued_job.task);
             let Some(dst_local) = self.local_id_on(fleet, dst, global) else { continue };
+            // `would_admit` is the only pre-check, because it is a pure
+            // probe: a refused `try_release_job` feeds the receiver's
+            // adaptive-HPA burst detector, retunes the task's charge and
+            // records an `AdmissionRejected` event, so probing with it would
+            // change the receiver's state for a job it may never take.
             let priority = self.taskset.tasks()[global].priority;
             let dst_admits = fleet
                 .cell(dst)
                 .scheduler
                 .as_ref()
-                .map(|s| s.would_admit(dst_local, priority))
-                .unwrap_or(false);
+                .is_some_and(|s| s.would_admit(dst_local, priority));
             if !dst_admits {
                 continue;
             }
-            let Some(withdrawn) =
-                fleet.cell(src).scheduler.as_mut().and_then(|s| s.withdraw_queued_job(local_job))
+            let Some(job) =
+                fleet.cell(src).scheduler.as_mut().and_then(|s| s.withdraw_queued_job(queued_job))
             else {
                 continue;
             };
             self.catch_up(fleet, src, now);
-            self.catch_up(fleet, dst, now);
-            let release_index = withdrawn.id.release_index;
-            {
-                let mut cell = fleet.cell(dst);
-                let dst_scheduler = cell.scheduler.as_mut().expect("dst has a scheduler");
-                if dst_scheduler.try_release_job(localize(withdrawn, dst_local)) {
-                    dst_scheduler.dispatch_ready();
-                    return Some((global, release_index));
+            // The source is the last candidate: should the receiver refuse
+            // after all, the job goes back home (or is charged there).
+            if self.offer(fleet, job, src, [dst, src], now, |_, _, _| {}) != Some(dst) {
+                continue;
+            }
+            let (task, release_index) = (TaskId(global as u32), job.id.release_index);
+            let (from, to) = (src as u32, dst as u32);
+            let kind = match across_racks {
+                Some(rack_of) => {
+                    self.cross_rack_migrations += 1;
+                    let (from_rack, to_rack) = (rack_of[src] as u32, rack_of[dst] as u32);
+                    EventKind::RackMigration { task, release_index, from, to, from_rack, to_rack }
                 }
-            }
-            // The receiver changed its mind (should not happen — the
-            // admission test was just consulted); restore the job home.
-            let mut cell = fleet.cell(src);
-            let src_scheduler = cell.scheduler.as_mut().expect("src has a scheduler");
-            if !src_scheduler.try_release_job(withdrawn) {
-                src_scheduler.reject_job(&withdrawn);
-            }
+                None => {
+                    self.migrations += 1;
+                    EventKind::Migration { task, release_index, from, to }
+                }
+            };
+            self.emit(CLUSTER_DEVICE, now, || kind);
+            return true;
         }
-        None
+        false
     }
 
-    /// The selection loop both migration phases share. While some device of
-    /// `domain` has a backlog it cannot serve (no idle stream), the most
-    /// backlogged one hands a queued not-yet-started job (least urgent
-    /// first, admission-tested on the receiver) to the idlest online device
-    /// of `domain` that has no backlog and passes `may_receive(src, dst)`;
-    /// at most [`MAX_MIGRATIONS_PER_STEP`] moves. Devices a migration lands
-    /// on are caught up to `now` first. Returns the moves in order as
-    /// `(src, dst, global task index, release index)`.
+    /// The source/target selection both migration phases share: the
+    /// rack-local one every round over one rack's span, and the cross-rack
+    /// epoch over the whole fleet with `across_racks` set. While some
+    /// device of `domain` has a backlog it cannot serve (no idle stream),
+    /// the most backlogged one [moves](Self::move_queued_job) a queued
+    /// not-yet-started job to the idlest online device of `domain` that has
+    /// no backlog (and, with `across_racks`, sits in another rack); at most
+    /// [`MAX_MIGRATIONS_PER_STEP`] moves.
     fn migrate<S: ArrivalSource>(
         &mut self,
         fleet: &FleetCells<Sch, S>,
         domain: Range<usize>,
         online: &[bool],
         now: SimTime,
-        may_receive: impl Fn(usize, usize) -> bool,
-    ) -> Vec<(usize, usize, usize, u64)> {
-        let mut moves = Vec::new();
+        across_racks: Option<&[usize]>,
+    ) {
         for _ in 0..MAX_MIGRATIONS_PER_STEP {
             let stats = Self::pressure_stats(fleet, domain.clone());
             let Some(src) = stats
@@ -1016,39 +1043,20 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
             let Some(dst) = stats
                 .iter()
                 .filter(|&&(d, backlog, idle)| {
-                    d != src && online[d] && backlog == 0 && idle > 0 && may_receive(src, d)
+                    d != src
+                        && online[d]
+                        && backlog == 0
+                        && idle > 0
+                        && across_racks.map_or(true, |rack_of| rack_of[src] != rack_of[d])
                 })
                 .max_by_key(|&&(d, _, idle)| (idle, usize::MAX - d))
                 .map(|&(d, ..)| d)
             else {
                 break;
             };
-            let Some((global, release_index)) = self.transfer_queued_job(fleet, src, dst, now)
-            else {
+            if !self.move_queued_job(fleet, src, dst, now, across_racks) {
                 break;
-            };
-            moves.push((src, dst, global, release_index));
-        }
-        moves
-    }
-
-    /// Stage-boundary migration within one rack's device span.
-    fn rebalance<S: ArrivalSource>(
-        &mut self,
-        fleet: &FleetCells<Sch, S>,
-        span: Range<usize>,
-        online: &[bool],
-        now: SimTime,
-    ) {
-        for (src, dst, global, release_index) in self.migrate(fleet, span, online, now, |_, _| true)
-        {
-            self.migrations += 1;
-            self.emit(CLUSTER_DEVICE, now, || EventKind::Migration {
-                task: TaskId(global as u32),
-                release_index,
-                from: src as u32,
-                to: dst as u32,
-            });
+            }
         }
     }
 
@@ -1119,10 +1127,11 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     }
 
     /// Re-places a drained device's queued-unstarted jobs onto online
-    /// devices with idle streams through the regular migration hand-over
-    /// (admission-tested on each receiver, most-idle receiver first). Jobs
-    /// no consulted receiver admits stay queued at home and run as the
-    /// drained device's own streams free up. Returns the number of jobs
+    /// devices with idle streams, most-idle receiver first, each through
+    /// the rack-local [migration move](Self::move_queued_job) — receivers
+    /// in any rack count, and every move is recorded as a rack-local
+    /// migration. Jobs no receiver admits stay queued at home and run as
+    /// the drained device's own streams free up. Returns the number of jobs
     /// moved.
     fn drain_device<S: ArrivalSource>(
         &mut self,
@@ -1141,17 +1150,8 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
                 .collect();
             candidates.sort_by_key(|&(d, idle)| (usize::MAX - idle, d));
             for (dst, _) in candidates {
-                if let Some((global, release_index)) =
-                    self.transfer_queued_job(fleet, src, dst, now)
-                {
-                    self.migrations += 1;
+                if self.move_queued_job(fleet, src, dst, now, None) {
                     moved += 1;
-                    self.emit(CLUSTER_DEVICE, now, || EventKind::Migration {
-                        task: TaskId(global as u32),
-                        release_index,
-                        from: src as u32,
-                        to: dst as u32,
-                    });
                     continue 'drain;
                 }
             }
@@ -1205,20 +1205,6 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
         if !any_backlog || !any_idle {
             return;
         }
-        let across_racks = |src: usize, dst: usize| rack_of[src] != rack_of[dst];
-        for (src, dst, global, release_index) in
-            self.migrate(fleet, 0..fleet.len(), online, now, across_racks)
-        {
-            self.cross_rack_migrations += 1;
-            let (from_rack, to_rack) = (rack_of[src] as u32, rack_of[dst] as u32);
-            self.emit(CLUSTER_DEVICE, now, || EventKind::RackMigration {
-                task: TaskId(global as u32),
-                release_index,
-                from: src as u32,
-                to: dst as u32,
-                from_rack,
-                to_rack,
-            });
-        }
+        self.migrate(fleet, 0..fleet.len(), online, now, Some(rack_of));
     }
 }
