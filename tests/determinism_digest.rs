@@ -23,7 +23,6 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 
 use daris::cluster::{
     AutoscaleConfig, ClusterConfig, ClusterDispatcher, ClusterOutcome, ClusterSpec, DeviceSpec,
@@ -32,9 +31,7 @@ use daris::cluster::{
 use daris::core::{GpuPartition, RunSpec};
 use daris::gpu::{GpuSpec, SimDuration, SimTime};
 use daris::models::DnnKind;
-use daris::telemetry::{
-    ChromeTraceSink, EventKind, MemorySink, SinkHandle, TelemetryEvent, TelemetrySink,
-};
+use daris::telemetry::{ChromeTraceSink, EventKind, MemorySink, SinkHandle};
 use daris::workload::{BurstyConfig, DiurnalConfig, GenSpec, LoadDetectorConfig, TaskSet};
 
 fn run_once(threads: usize) -> u64 {
@@ -208,27 +205,6 @@ fn adaptive_control_plane_digest_is_thread_count_invariant() {
     assert_eq!(serial, digest(1), "two serial adaptive runs diverged in one process");
 }
 
-/// Counts the fleet's cross-device hand-off events: retry consultations,
-/// rack-local and cross-rack migrations, drains and the jobs drains moved.
-#[derive(Debug, Clone, Default)]
-struct HandoffCounts(Arc<Mutex<[u64; 5]>>);
-
-impl TelemetrySink for HandoffCounts {
-    fn record(&mut self, event: &TelemetryEvent) {
-        let mut counts = self.0.lock().expect("counter lock");
-        match event.kind {
-            EventKind::RetryAttempt { .. } => counts[0] += 1,
-            EventKind::Migration { .. } => counts[1] += 1,
-            EventKind::RackMigration { .. } => counts[2] += 1,
-            EventKind::DeviceDrained { moved, .. } => {
-                counts[3] += 1;
-                counts[4] += moved;
-            }
-            _ => {}
-        }
-    }
-}
-
 /// One scenario's section of the hand-off golden: per-device job
 /// accounting, the fleet's move counters and the hand-off event counts.
 fn handoff_section(
@@ -236,8 +212,8 @@ fn handoff_section(
     run: fn(usize, SimTime, Option<SinkHandle>) -> ClusterOutcome,
     horizon_ms: u64,
 ) -> String {
-    let counts = HandoffCounts::default();
-    let outcome = run(1, SimTime::from_millis(horizon_ms), Some(SinkHandle::new(counts.clone())));
+    let sink = MemorySink::unbounded();
+    let outcome = run(1, SimTime::from_millis(horizon_ms), Some(SinkHandle::new(sink.clone())));
     let mut text = format!("## {name} ({horizon_ms} ms)\n");
     text.push_str("device released accepted rejected completed\n");
     for device in &outcome.devices {
@@ -254,8 +230,19 @@ fn handoff_section(
         "fleet cluster_admissions={} migrations={} cross_rack_migrations={}",
         s.cluster_admissions, s.migrations, s.cross_rack_migrations
     );
-    let [retry, migrate, rack_migrate, drained, drain_moved] =
-        *counts.0.lock().expect("counter lock");
+    let [mut retry, mut migrate, mut rack_migrate, mut drained, mut drain_moved] = [0u64; 5];
+    for event in sink.take_all() {
+        match event.kind {
+            EventKind::RetryAttempt { .. } => retry += 1,
+            EventKind::Migration { .. } => migrate += 1,
+            EventKind::RackMigration { .. } => rack_migrate += 1,
+            EventKind::DeviceDrained { moved, .. } => {
+                drained += 1;
+                drain_moved += moved;
+            }
+            _ => {}
+        }
+    }
     let _ = writeln!(
         text,
         "events retry={retry} migrate={migrate} rack-migrate={rack_migrate} \
