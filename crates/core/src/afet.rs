@@ -8,17 +8,92 @@
 //! kind present in the task set, it runs a few inferences of that model on
 //! one stream while every other stream of the partition continuously executes
 //! the other kinds, and averages the per-stage execution times.
+//!
+//! The pass is a pure function of the inputs [`AfetKey`] names, so it runs
+//! once per process for each distinct key: every later scheduler built on
+//! the same platform reuses the stored table.
 
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
-use daris_gpu::{Gpu, SimDuration, WorkItem};
+use daris_gpu::{Gpu, GpuSpec, InterferenceModel, SimDuration, WorkItem};
 use daris_models::{DnnKind, ModelProfile};
 use daris_workload::TaskSet;
 
-use crate::{CoreError, DarisConfig, Result};
+use crate::{CoreError, DarisConfig, GpuPartition, PartitionPolicy, Result};
 
 /// Number of measured repetitions per target model.
 const REPETITIONS: usize = 3;
+
+/// Every input the AFET pass reads, as exact bits, so a memo hit is the
+/// table a fresh pass would measure.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct AfetKey {
+    /// The task set's model kinds in order, each with the bits of its
+    /// profile's work and parallelism scales (which, with the kind, fix
+    /// every kernel the pass submits).
+    models: Vec<(DnnKind, u64, u64)>,
+    /// Every [`GpuPartition`] field, the oversubscription as bits.
+    partition: (PartitionPolicy, u32, u32, u64),
+    /// Every [`GpuSpec`] field, floats as bits: SM count, memory, copy
+    /// bandwidth, copy latency, launch overhead, the interference model
+    /// and the jitter seed.
+    gpu: (u32, u64, u64, SimDuration, SimDuration, [u64; 3], u64),
+}
+
+impl AfetKey {
+    /// The key of a pass, or `None` when a model lacks a profile (the pass
+    /// then fails, and failures are not memoized).
+    fn new(
+        taskset: &TaskSet,
+        config: &DarisConfig,
+        profiles: &BTreeMap<DnnKind, ModelProfile>,
+    ) -> Option<Self> {
+        let models = taskset
+            .model_kinds()
+            .into_iter()
+            .map(|k| {
+                let p = profiles.get(&k)?;
+                Some((k, p.work_scale().to_bits(), p.par_scale().to_bits()))
+            })
+            .collect::<Option<_>>()?;
+        // Exhaustive destructuring: a field added to either type fails to
+        // compile here until the key covers it.
+        let GpuPartition { policy, n_contexts, streams_per_context, oversubscription } =
+            config.partition;
+        let GpuSpec {
+            sm_count,
+            memory_bytes,
+            copy_bandwidth_bytes_per_us,
+            copy_latency,
+            default_launch_overhead,
+            interference,
+            jitter_seed,
+        } = config.gpu;
+        let InterferenceModel { per_context_penalty, oversubscription_penalty, work_jitter } =
+            interference;
+        Some(AfetKey {
+            models,
+            partition: (policy, n_contexts, streams_per_context, oversubscription.to_bits()),
+            gpu: (
+                sm_count,
+                memory_bytes,
+                copy_bandwidth_bytes_per_us.to_bits(),
+                copy_latency,
+                default_launch_overhead,
+                [
+                    per_context_penalty.to_bits(),
+                    oversubscription_penalty.to_bits(),
+                    work_jitter.to_bits(),
+                ],
+                jitter_seed,
+            ),
+        })
+    }
+}
+
+/// AFET tables of this process, one per [`AfetKey`].
+static PROFILED: Mutex<BTreeMap<AfetKey, AfetProfiler>> = Mutex::new(BTreeMap::new());
 
 /// Per-model-kind AFET estimates.
 #[derive(Debug, Clone, Default)]
@@ -34,10 +109,35 @@ impl AfetProfiler {
     /// kinds of the task set (the paper uses random co-runners; a fixed
     /// rotation keeps runs reproducible and is equally "full load").
     ///
+    /// The pass runs once per process for each distinct set of inputs it
+    /// reads (the task set's kinds and their profiles' scales, and every
+    /// partition and device field); later calls return a clone of that
+    /// table, equal bit for bit to a fresh pass.
+    ///
     /// # Errors
     ///
     /// Propagates simulator errors (which indicate a configuration bug).
     pub fn profile(
+        taskset: &TaskSet,
+        config: &DarisConfig,
+        profiles: &BTreeMap<DnnKind, ModelProfile>,
+    ) -> Result<Self> {
+        let Some(key) = AfetKey::new(taskset, config, profiles) else {
+            return Self::measure(taskset, config, profiles);
+        };
+        let memo = || PROFILED.lock().expect("no thread panics holding the AFET memo");
+        if let Some(hit) = memo().get(&key) {
+            return Ok(hit.clone());
+        }
+        // Measure without the lock, so devices built on other threads with
+        // other seeds do not wait; a racing fill of the same key measures
+        // the same table and the first one stored wins.
+        let fresh = Self::measure(taskset, config, profiles)?;
+        Ok(memo().entry(key).or_insert(fresh).clone())
+    }
+
+    /// The AFET pass itself, without the memo.
+    fn measure(
         taskset: &TaskSet,
         config: &DarisConfig,
         profiles: &BTreeMap<DnnKind, ModelProfile>,
@@ -171,9 +271,9 @@ fn measure_full_load(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use crate::GpuPartition;
-    use daris_workload::TaskSet;
 
     fn profiles_for(taskset: &TaskSet) -> BTreeMap<DnnKind, ModelProfile> {
         taskset.model_kinds().into_iter().map(|k| (k, ModelProfile::calibrated(k))).collect()
@@ -195,6 +295,62 @@ mod tests {
             assert_eq!(afet.stage_afets(kind).len(), profiles[&kind].stage_count());
         }
         assert_eq!(afet.kinds().len(), 3);
+    }
+
+    /// Bit equality of two AFET tables over `kinds`.
+    fn assert_same_afet(a: &AfetProfiler, b: &AfetProfiler, kinds: &[DnnKind], what: &str) {
+        assert_eq!(a.kinds(), b.kinds(), "{what}");
+        for &kind in kinds {
+            assert_eq!(a.stage_afets(kind), b.stage_afets(kind), "{what}: {kind}");
+        }
+    }
+
+    #[test]
+    fn an_afet_hit_equals_an_uncached_pass() {
+        let taskset = TaskSet::mixed();
+        let profiles = profiles_for(&taskset);
+        let config = DarisConfig::new(GpuPartition::mps(3, 2.0));
+        let first = AfetProfiler::profile(&taskset, &config, &profiles).unwrap();
+        let hit = AfetProfiler::profile(&taskset, &config, &profiles).unwrap();
+        let fresh = AfetProfiler::measure(&taskset, &config, &profiles).unwrap();
+        let kinds = taskset.model_kinds();
+        assert_same_afet(&first, &fresh, &kinds, "first call");
+        assert_same_afet(&hit, &fresh, &kinds, "hit");
+    }
+
+    #[test]
+    fn afet_memo_gives_each_key_input_its_own_entry() {
+        let taskset = TaskSet::table2(DnnKind::ResNet18);
+        let profiles = profiles_for(&taskset);
+        let base = DarisConfig::new(GpuPartition::mps(2, 2.0));
+        let mut seed = base.clone();
+        seed.gpu.jitter_seed ^= 1;
+        let mut interference = base.clone();
+        interference.gpu.interference.per_context_penalty *= 2.0;
+        let mut latency = base.clone();
+        latency.gpu.copy_latency += SimDuration::from_micros(1);
+        let mut oversubscription = base.clone();
+        oversubscription.partition.oversubscription = 1.5;
+        let variants = [
+            ("base", base),
+            ("jitter seed", seed),
+            ("interference", interference),
+            ("copy latency", latency),
+            ("oversubscription", oversubscription),
+        ];
+        let keys: BTreeSet<AfetKey> = variants
+            .iter()
+            .map(|(_, config)| AfetKey::new(&taskset, config, &profiles).unwrap())
+            .collect();
+        assert_eq!(keys.len(), variants.len(), "every variant differs in one key input");
+        let kinds = taskset.model_kinds();
+        for (name, config) in &variants {
+            let memoized = AfetProfiler::profile(&taskset, config, &profiles).unwrap();
+            let key = AfetKey::new(&taskset, config, &profiles).unwrap();
+            assert!(PROFILED.lock().unwrap().contains_key(&key), "{name}");
+            let fresh = AfetProfiler::measure(&taskset, config, &profiles).unwrap();
+            assert_same_afet(&memoized, &fresh, &kinds, name);
+        }
     }
 
     #[test]

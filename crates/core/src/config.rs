@@ -10,7 +10,7 @@ use daris_workload::LoadDetectorConfig;
 use crate::CoreError;
 
 /// How the GPU is partitioned across concurrent DNNs (Sec. V of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PartitionPolicy {
     /// `STR`: a single context, one stream per parallel DNN.
     Str,

@@ -16,10 +16,15 @@
 //! Like DARIS's offline profiling, a profile lowers its kernels once: every
 //! stage, and the whole job, at batch 1 when the profile is built. Run-time
 //! dispatch only clones those shared slices; only batched dispatches lower.
+//!
+//! Profiling is also done once per platform: calibrated profiles are
+//! memoized for the whole process by the device fields calibration reads, so
+//! every scheduler built for the same platform shares one profile.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
-use daris_gpu::{GpuSpec, KernelDesc};
+use daris_gpu::{GpuSpec, KernelDesc, SimDuration};
 
 use crate::lowering::{self, LAUNCH_OVERHEAD_US};
 use crate::{zoo, DnnKind, Layer, ModelGraph};
@@ -65,18 +70,27 @@ pub struct BatchSweepPoint {
     pub jps: f64,
 }
 
+/// The inputs [`ModelProfile::calibrated_for`] reads, as exact bits: the
+/// model kind and the device's SM count, copy latency and copy bandwidth.
+type CalibrationKey = (DnnKind, u32, SimDuration, u64);
+
+/// Calibrated profiles of this process, one per [`CalibrationKey`].
+static CALIBRATED: Mutex<BTreeMap<CalibrationKey, ModelProfile>> = Mutex::new(BTreeMap::new());
+
 /// A calibrated, executable profile of one DNN.
+///
+/// Clones share the graph and the lowered kernel slices.
 #[derive(Debug, Clone)]
 pub struct ModelProfile {
     kind: DnnKind,
-    graph: ModelGraph,
+    graph: Arc<ModelGraph>,
     sm_count: u32,
     copy_latency_us: f64,
     copy_bandwidth_bytes_per_us: f64,
     work_scale: f64,
     par_scale: f64,
     /// Kernels of each stage at batch 1, lowered when the profile is built.
-    stages: Vec<Arc<[KernelDesc]>>,
+    stages: Arc<[Arc<[KernelDesc]>]>,
     /// Kernels of the whole job at batch 1: the stage slices concatenated.
     job: Arc<[KernelDesc]>,
 }
@@ -89,8 +103,23 @@ impl ModelProfile {
     }
 
     /// Builds a profile calibrated against Table I for an arbitrary device.
+    ///
+    /// Calibration runs once per process for each model kind and each
+    /// distinct (SM count, copy latency, copy bandwidth) of `spec`, the only
+    /// device fields it reads; later calls return a clone of that profile,
+    /// equal bit for bit to a fresh calibration.
     pub fn calibrated_for(kind: DnnKind, spec: &GpuSpec) -> Self {
-        Self::build(kind, spec, true)
+        let key =
+            (kind, spec.sm_count, spec.copy_latency, spec.copy_bandwidth_bytes_per_us.to_bits());
+        let memo = || CALIBRATED.lock().expect("no thread panics holding the calibration memo");
+        if let Some(hit) = memo().get(&key) {
+            return hit.clone();
+        }
+        // Calibrate without the lock, so devices built on other threads for
+        // other platforms do not wait; a racing fill of the same key
+        // computes the same profile and the first one stored wins.
+        let fresh = Self::build(kind, spec, true);
+        memo().entry(key).or_insert(fresh).clone()
     }
 
     /// Builds an uncalibrated profile (`work_scale = par_scale = 1`), mostly
@@ -104,13 +133,13 @@ impl ModelProfile {
     fn build(kind: DnnKind, spec: &GpuSpec, calibrate: bool) -> Self {
         let mut profile = ModelProfile {
             kind,
-            graph: zoo::graph(kind),
+            graph: Arc::new(zoo::graph(kind)),
             sm_count: spec.sm_count,
             copy_latency_us: spec.copy_latency.as_micros_f64(),
             copy_bandwidth_bytes_per_us: spec.copy_bandwidth_bytes_per_us,
             work_scale: 1.0,
             par_scale: 1.0,
-            stages: Vec::new(),
+            stages: Arc::from([]),
             job: Arc::from([]),
         };
         if calibrate {
@@ -388,6 +417,62 @@ mod tests {
             }
             // A clone shares the slices with its original.
             assert!(Arc::ptr_eq(&p.clone().job_kernels(1), &p.job_kernels(1)), "{kind}");
+        }
+    }
+
+    /// Field-for-field bit equality of two profiles' scales and kernels.
+    fn assert_same_profile(a: &ModelProfile, b: &ModelProfile, what: &str) {
+        assert_eq!(a.work_scale().to_bits(), b.work_scale().to_bits(), "{what}");
+        assert_eq!(a.par_scale().to_bits(), b.par_scale().to_bits(), "{what}");
+        assert_eq!(a.stage_count(), b.stage_count(), "{what}");
+        for s in 0..a.stage_count() {
+            let (x, y) = (a.stage_kernels(s, 1), b.stage_kernels(s, 1));
+            assert_eq!(x.len(), y.len(), "{what} stage {s}");
+            for (k, l) in x.iter().zip(y.iter()) {
+                assert_eq!(k.work.to_bits(), l.work.to_bits(), "{what} stage {s}");
+                assert_eq!(k.parallelism, l.parallelism, "{what} stage {s}");
+                assert_eq!(k.label, l.label, "{what} stage {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_memoized_profile_equals_a_fresh_calibration_and_is_shared() {
+        for spec in [GpuSpec::rtx_2080_ti(), GpuSpec::a100(), GpuSpec::h100(), GpuSpec::orin()] {
+            for kind in DnnKind::all() {
+                let memoized = ModelProfile::calibrated_for(kind, &spec);
+                let fresh = ModelProfile::build(kind, &spec, true);
+                let what = format!("{kind} on {} SMs", spec.sm_count);
+                assert_same_profile(&memoized, &fresh, &what);
+                let again = ModelProfile::calibrated_for(kind, &spec);
+                assert!(Arc::ptr_eq(&memoized.graph, &again.graph), "{what}");
+                assert!(Arc::ptr_eq(&memoized.stages, &again.stages), "{what}");
+                assert!(Arc::ptr_eq(&memoized.job_kernels(1), &again.job_kernels(1)), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn calibration_memo_keys_on_exactly_the_fields_it_reads() {
+        let base = GpuSpec::rtx_2080_ti();
+        let shared = ModelProfile::calibrated_for(DnnKind::UNet, &base);
+        // Fields calibration never reads share the entry.
+        let mut unread = base.clone().with_seed(base.jitter_seed ^ 1);
+        unread.interference.work_jitter *= 2.0;
+        unread.memory_bytes /= 2;
+        let same = ModelProfile::calibrated_for(DnnKind::UNet, &unread);
+        assert!(Arc::ptr_eq(&shared.graph, &same.graph));
+        // Each field it reads gets its own entry, calibrated for that spec.
+        let mut latency = base.clone();
+        latency.copy_latency = SimDuration::from_micros(9);
+        let mut bandwidth = base.clone();
+        bandwidth.copy_bandwidth_bytes_per_us = 11_000.0;
+        let mut sms = base.clone();
+        sms.sm_count = 60;
+        for (name, spec) in [("copy latency", latency), ("bandwidth", bandwidth), ("SMs", sms)] {
+            let own = ModelProfile::calibrated_for(DnnKind::UNet, &spec);
+            assert!(!Arc::ptr_eq(&shared.graph, &own.graph), "{name}");
+            assert_same_profile(&own, &ModelProfile::build(DnnKind::UNet, &spec, true), name);
         }
     }
 
