@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use daris_core::AFET_INFLATION;
 use daris_gpu::GpuSpec;
 use daris_models::{DnnKind, ModelProfile};
-use daris_workload::{Priority, TaskId, TaskSet, TaskSpec};
+use daris_workload::{Priority, TaskId, TaskSet};
 
 use crate::ClusterSpec;
 
@@ -67,24 +67,38 @@ impl Placement {
     }
 }
 
-/// Estimated Eq. 10 utilization of one task: inflated isolated latency (on
-/// the reference device, at the task's batch size) over its period.
-fn task_utilization(task: &TaskSpec, profiles: &BTreeMap<DnnKind, ModelProfile>) -> f64 {
-    let profile = &profiles[&task.model];
-    let afet_us = profile.isolated_latency_us(task.batch_size) * AFET_INFLATION;
-    afet_us / task.period.as_micros_f64().max(1e-9)
+/// Model profiles calibrated against `reference`, and each task's estimated
+/// Eq. 10 utilization: inflated isolated latency (on the reference device,
+/// at the task's batch size) over its period. The isolated latency is
+/// computed once per (model, batch) and shared by every task that has it.
+fn profiles_and_utilizations(
+    taskset: &TaskSet,
+    reference: &GpuSpec,
+) -> (BTreeMap<DnnKind, ModelProfile>, Vec<f64>) {
+    let profiles: BTreeMap<DnnKind, ModelProfile> = taskset
+        .model_kinds()
+        .into_iter()
+        .map(|k| (k, ModelProfile::calibrated_for(k, reference)))
+        .collect();
+    let mut isolated_us = BTreeMap::new();
+    let utils = taskset
+        .tasks()
+        .iter()
+        .map(|task| {
+            let latency_us = *isolated_us
+                .entry((task.model, task.batch_size))
+                .or_insert_with(|| profiles[&task.model].isolated_latency_us(task.batch_size));
+            latency_us * AFET_INFLATION / task.period.as_micros_f64().max(1e-9)
+        })
+        .collect();
+    (profiles, utils)
 }
 
 /// The Eq. 10 utilization estimates the placement engine packs with, one per
 /// task, with model profiles calibrated against `reference`. Exposed so
 /// tests and capacity planners can audit a [`Placement`] independently.
 pub fn utilization_estimates(taskset: &TaskSet, reference: &GpuSpec) -> Vec<f64> {
-    let profiles: BTreeMap<DnnKind, ModelProfile> = taskset
-        .model_kinds()
-        .into_iter()
-        .map(|k| (k, ModelProfile::calibrated_for(k, reference)))
-        .collect();
-    taskset.tasks().iter().map(|t| task_utilization(t, &profiles)).collect()
+    profiles_and_utilizations(taskset, reference).1
 }
 
 /// Partitions `taskset` across `cluster` under `strategy`.
@@ -98,12 +112,7 @@ pub fn place(
     strategy: PlacementStrategy,
     reference: &GpuSpec,
 ) -> Placement {
-    let profiles: BTreeMap<DnnKind, ModelProfile> = taskset
-        .model_kinds()
-        .into_iter()
-        .map(|k| (k, ModelProfile::calibrated_for(k, reference)))
-        .collect();
-    let utils: Vec<f64> = taskset.tasks().iter().map(|t| task_utilization(t, &profiles)).collect();
+    let (profiles, utils) = profiles_and_utilizations(taskset, reference);
     debug_assert_eq!(utils.len(), taskset.len());
 
     let n_devices = cluster.len();
