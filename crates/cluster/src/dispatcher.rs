@@ -298,6 +298,9 @@ pub struct ClusterDispatcher<Sch = DarisScheduler> {
     devices: Vec<DeviceRuntime<Sch>>,
     /// Accounts releases of tasks no device could take at placement time.
     unplaced: MetricsCollector,
+    /// Reused buffer each device's telemetry passes through on its way to
+    /// the fleet sink.
+    merged: Vec<TelemetryEvent>,
     migrations: usize,
     cluster_admissions: usize,
     cross_rack_migrations: usize,
@@ -446,6 +449,7 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
             placement,
             devices,
             unplaced: MetricsCollector::new(),
+            merged: Vec::new(),
             migrations: 0,
             cluster_admissions: 0,
             cross_rack_migrations: 0,
@@ -777,23 +781,21 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     /// ascending device order, rewriting the schedulers' device-local id
     /// (always 0) to the fleet index. Returns the number of events merged.
     /// Runs on the single-threaded boundary path only, which is what makes
-    /// the merged stream independent of worker timing. Each buffer moves out
-    /// whole (no per-event draining) and lands in the sink as one batch —
-    /// one sink lock per device per round instead of one per event.
+    /// the merged stream independent of worker timing. Each buffer drains
+    /// into one reused `Vec` that lands in the sink as one batch — one sink
+    /// lock per device per round instead of one per event — and neither the
+    /// buffers nor the `Vec` give up their allocations between rounds.
     fn merge_device_buffers(&mut self) -> u64 {
         let Some(sink) = self.config.sink.clone() else { return 0 };
         let mut merged = 0u64;
         for (d, device) in self.devices.iter().enumerate() {
             let Some(buffer) = &device.buffer else { continue };
-            let mut events = buffer.take_all();
-            if events.is_empty() {
-                continue;
-            }
-            for event in &mut events {
+            buffer.take_all(&mut self.merged);
+            for event in &mut self.merged {
                 event.device = d as u32;
             }
-            merged += events.len() as u64;
-            sink.record_batch(&mut events);
+            merged += self.merged.len() as u64;
+            sink.record_batch(&mut self.merged);
         }
         merged
     }

@@ -207,7 +207,7 @@ fn diurnal_load_drives_drains_joins_and_quantum_changes() {
     let outcome = dispatcher.run(&RunSpec::generated(spec).until(horizon)).expect("spec runs");
     assert!(outcome.summary.total.completed > 0);
 
-    let events = sink.take_all();
+    let events = sink.events();
     let drains =
         events.iter().filter(|e| matches!(e.kind, EventKind::DeviceDrained { .. })).count();
     let joins = events.iter().filter(|e| matches!(e.kind, EventKind::DeviceJoined { .. })).count();

@@ -70,12 +70,12 @@ impl MemorySink {
         self.lock().events.iter().cloned().collect()
     }
 
-    /// Moves the whole buffer out in record order, leaving it empty. It
-    /// swaps the backing storage out wholesale instead of moving events one
-    /// by one — the cluster dispatcher's round merge uses this so per-round
-    /// cost is a pointer swap, not O(events).
-    pub fn take_all(&self) -> Vec<TelemetryEvent> {
-        std::mem::take(&mut self.lock().events).into()
+    /// Moves every buffered event, in record order, onto the end of `out`,
+    /// leaving the buffer empty. Both sides keep their allocations, so the
+    /// cluster dispatcher's round merge, which drains each device's buffer
+    /// into one reused `Vec`, regrows neither from empty every round.
+    pub fn take_all(&self, out: &mut Vec<TelemetryEvent>) {
+        out.extend(self.lock().events.drain(..));
     }
 }
 
@@ -163,10 +163,13 @@ mod tests {
         let mut sink = MemorySink::unbounded();
         sink.record(&event(1));
         sink.record(&event(2));
-        let taken = sink.take_all();
-        assert_eq!(taken.len(), 2);
-        assert_eq!(taken[0].at, SimTime::from_micros(1));
+        let mut taken = vec![event(0)];
+        sink.take_all(&mut taken);
+        assert_eq!(taken.len(), 3);
+        assert_eq!(taken[1].at, SimTime::from_micros(1));
         assert!(sink.is_empty());
         assert_eq!(sink.recorded(), 2);
+        // The ring keeps its allocation for the next round.
+        assert!(sink.lock().events.capacity() >= 2);
     }
 }

@@ -149,7 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut scheduler =
             DarisScheduler::new(&taskset, config.with_sink(SinkHandle::new(sink.clone())))?;
         scheduler.run(&spec)?;
-        Ok(sink.take_all())
+        Ok(sink.events())
     };
 
     let off_events = run(DarisConfig::new(partition))?;
@@ -230,7 +230,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut dispatcher = ClusterDispatcher::new(&fleet_taskset, fleet, config)?;
     let outcome = dispatcher.run(&RunSpec::generated(diurnal(0.9)).until(fleet_horizon))?;
 
-    let events = sink.take_all();
+    let events = sink.events();
     let (mut drains, mut joins, mut quantum_changes, mut mode_flips) = (0u64, 0u64, 0u64, 0u64);
     let mut quantum_span: Option<(SimDuration, SimDuration)> = None;
     for ev in &events {

@@ -231,7 +231,7 @@ fn handoff_section(
         s.cluster_admissions, s.migrations, s.cross_rack_migrations
     );
     let [mut retry, mut migrate, mut rack_migrate, mut drained, mut drain_moved] = [0u64; 5];
-    for event in sink.take_all() {
+    for event in sink.events() {
         match event.kind {
             EventKind::RetryAttempt { .. } => retry += 1,
             EventKind::Migration { .. } => migrate += 1,
