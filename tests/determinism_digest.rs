@@ -160,11 +160,13 @@ fn multi_rack_digest_is_thread_count_invariant() {
 /// quantum, and device autoscaling — under a *coherent* diurnal workload, so
 /// admission-mode flips, quantum changes, and device drains/joins all
 /// actually fire inside the digested run (the controllers acting, not just
-/// attached).
+/// attached). Greedy balance spreads the set over the fleet, so rejected
+/// releases retry on other devices instead of all landing on gpu0.
 fn run_adaptive(threads: usize, horizon: SimTime, sink: Option<SinkHandle>) -> ClusterOutcome {
     let taskset = TaskSet::table2(DnnKind::ResNet18);
     let fleet = ClusterSpec::homogeneous(8, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
     let config = ClusterConfig {
+        strategy: PlacementStrategy::GreedyBalance,
         threads,
         adaptive_hpa: Some(LoadDetectorConfig::default()),
         elastic_quantum: Some(ElasticQuantum::default()),
@@ -205,13 +207,14 @@ fn adaptive_control_plane_digest_is_thread_count_invariant() {
     assert_eq!(serial, digest(1), "two serial adaptive runs diverged in one process");
 }
 
-/// One scenario's section of the hand-off golden: per-device job
-/// accounting, the fleet's move counters and the hand-off event counts.
+/// One scenario's section of the hand-off golden (per-device job
+/// accounting, the fleet's move counters and the hand-off event counts),
+/// and its number of retry offers.
 fn handoff_section(
     name: &str,
     run: fn(usize, SimTime, Option<SinkHandle>) -> ClusterOutcome,
     horizon_ms: u64,
-) -> String {
+) -> (String, u64) {
     let sink = MemorySink::unbounded();
     let outcome = run(1, SimTime::from_millis(horizon_ms), Some(SinkHandle::new(sink.clone())));
     let mut text = format!("## {name} ({horizon_ms} ms)\n");
@@ -248,17 +251,17 @@ fn handoff_section(
         "events retry={retry} migrate={migrate} rack-migrate={rack_migrate} \
          device-drain={drained} drain-moved={drain_moved}"
     );
-    text
+    (text, retry)
 }
 
 #[test]
 fn handoffs_match_the_committed_golden() {
     // Fixed horizons: a golden must not depend on `DARIS_HORIZON_MS`.
-    let actual = [
-        handoff_section("multi-rack bursty, 16 devices in 4 racks", run_racked, 150),
-        handoff_section("adaptive control plane, 8 devices", run_adaptive, 300),
-    ]
-    .join("\n");
+    let (racked, _) = handoff_section("multi-rack bursty, 16 devices in 4 racks", run_racked, 150);
+    let (adaptive, adaptive_retries) =
+        handoff_section("adaptive control plane, 8 devices", run_adaptive, 300);
+    assert!(adaptive_retries > 0, "the adaptive scenario packed every task onto one device");
+    let actual = [racked, adaptive].join("\n");
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/handoffs.txt");
     if std::env::var_os("DARIS_REGEN_GOLDEN").is_some() {
         std::fs::write(&path, &actual).expect("write hand-off golden");
