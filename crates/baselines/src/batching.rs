@@ -6,7 +6,7 @@ use daris_gpu::{GpuError, GpuSpec};
 use daris_models::DnnKind;
 use daris_workload::TaskSet;
 
-use crate::harness::{BaselineScheduler, SlotLayout};
+use crate::harness::BaselineScheduler;
 use crate::policies::BatchingQueue;
 
 /// A pure batching inference server: released jobs are grouped per model into
@@ -62,7 +62,7 @@ impl BatchingServer {
             taskset,
             self.spec.clone(),
             self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            SlotLayout::SharedContext { streams: 1 },
+            (1, self.spec.sm_count, 1),
             Box::new(BatchingQueue::new(self.batch_size.clone(), taskset)),
         )
     }

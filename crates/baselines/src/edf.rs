@@ -3,7 +3,7 @@
 use daris_gpu::{GpuError, GpuSpec};
 use daris_workload::TaskSet;
 
-use crate::harness::{BaselineScheduler, SlotLayout};
+use crate::harness::BaselineScheduler;
 use crate::policies::EdfQueue;
 
 /// Global earliest-deadline-first over whole jobs: every release enters one
@@ -42,11 +42,6 @@ impl GlobalEdfServer {
         self
     }
 
-    /// Number of streams.
-    pub fn streams(&self) -> u32 {
-        self.streams
-    }
-
     /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`.
     ///
     /// # Errors
@@ -58,7 +53,7 @@ impl GlobalEdfServer {
             taskset,
             self.spec.clone(),
             self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            SlotLayout::SharedContext { streams: self.streams },
+            (1, self.spec.sm_count, self.streams),
             Box::new(EdfQueue::new()),
         )
     }

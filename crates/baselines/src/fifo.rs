@@ -4,7 +4,7 @@
 use daris_gpu::{GpuError, GpuSpec};
 use daris_workload::TaskSet;
 
-use crate::harness::{BaselineScheduler, SlotLayout};
+use crate::harness::BaselineScheduler;
 use crate::policies::FifoQueue;
 
 /// Serves jobs on `streams` CUDA streams of a single full-GPU context, in
@@ -42,11 +42,6 @@ impl FifoMultiStreamServer {
         self
     }
 
-    /// Number of streams.
-    pub fn streams(&self) -> u32 {
-        self.streams
-    }
-
     /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`.
     ///
     /// # Errors
@@ -58,7 +53,7 @@ impl FifoMultiStreamServer {
             taskset,
             self.spec.clone(),
             self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            SlotLayout::SharedContext { streams: self.streams },
+            (1, self.spec.sm_count, self.streams),
             Box::new(FifoQueue::new()),
         )
     }
@@ -68,6 +63,7 @@ impl FifoMultiStreamServer {
 mod tests {
     use super::*;
     use crate::harness::run_periodic;
+    use daris_core::Scheduler;
     use daris_gpu::SimTime;
     use daris_models::DnnKind;
     use daris_workload::Priority;
@@ -106,6 +102,8 @@ mod tests {
     #[test]
     fn streams_accessor_and_custom_gpu() {
         let server = FifoMultiStreamServer::new(0).with_gpu(GpuSpec::embedded_xavier_like());
-        assert_eq!(server.streams(), 1);
+        let scheduler = server.scheduler(&TaskSet::table2(DnnKind::ResNet18)).unwrap();
+        assert_eq!(scheduler.idle_stream_count(), 1, "zero streams clamp to one");
+        assert_eq!(scheduler.gpu().spec(), &GpuSpec::embedded_xavier_like());
     }
 }

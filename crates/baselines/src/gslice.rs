@@ -6,7 +6,7 @@ use daris_gpu::{GpuError, GpuSpec};
 use daris_models::DnnKind;
 use daris_workload::TaskSet;
 
-use crate::harness::{BaselineScheduler, SlotLayout};
+use crate::harness::BaselineScheduler;
 use crate::policies::GsliceQueue;
 
 /// A GSlice-style inference server: the GPU is carved into static,
@@ -22,19 +22,16 @@ pub struct GsliceServer {
     spec: GpuSpec,
     calibration: Option<GpuSpec>,
     partitions: u32,
-    batch_size: BTreeMap<DnnKind, u32>,
 }
 
 impl GsliceServer {
     /// Creates a server with `partitions` equal SM partitions on the paper's
     /// RTX 2080 Ti.
     pub fn new(partitions: u32) -> Self {
-        let batch_size = DnnKind::all().iter().map(|k| (*k, k.paper_batch_size())).collect();
         GsliceServer {
             spec: GpuSpec::rtx_2080_ti(),
             calibration: None,
             partitions: partitions.max(1),
-            batch_size,
         }
     }
 
@@ -51,33 +48,24 @@ impl GsliceServer {
         self
     }
 
-    /// Overrides a model's batch size.
-    pub fn with_batch_size(mut self, kind: DnnKind, batch: u32) -> Self {
-        self.batch_size.insert(kind, batch.max(1));
-        self
-    }
-
-    /// Number of partitions.
-    pub fn partitions(&self) -> u32 {
-        self.partitions
-    }
-
     /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`:
     /// tasks pin to partitions round-robin by task id (GSlice pins tenants
-    /// to slices); each partition batches its own pending jobs per model and
-    /// runs them FIFO.
+    /// to slices); each partition batches its own pending jobs per model, at
+    /// the paper's batch sizes, and runs them FIFO.
     ///
     /// # Errors
     ///
     /// Propagates simulator construction errors.
     pub fn scheduler(&self, taskset: &TaskSet) -> Result<BaselineScheduler, GpuError> {
+        let paper_batch_sizes: BTreeMap<DnnKind, u32> =
+            DnnKind::all().iter().map(|k| (*k, k.paper_batch_size())).collect();
         BaselineScheduler::build(
             format!("GSlice p={}", self.partitions),
             taskset,
             self.spec.clone(),
             self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            SlotLayout::Partitions { count: self.partitions },
-            Box::new(GsliceQueue::new(self.partitions as usize, self.batch_size.clone())),
+            (self.partitions, (self.spec.sm_count / self.partitions).max(2), 1),
+            Box::new(GsliceQueue::new(self.partitions as usize, paper_batch_sizes)),
         )
     }
 }
@@ -86,6 +74,7 @@ impl GsliceServer {
 mod tests {
     use super::*;
     use crate::harness::run_periodic;
+    use daris_core::Scheduler;
     use daris_gpu::SimTime;
     use daris_models::DnnKind;
 
@@ -105,8 +94,10 @@ mod tests {
     #[test]
     fn partitions_are_static_and_non_oversubscribed() {
         let server = GsliceServer::new(4);
-        assert_eq!(server.partitions(), 4);
         let taskset = TaskSet::table2(DnnKind::UNet);
+        let scheduler = server.scheduler(&taskset).unwrap();
+        assert_eq!(scheduler.idle_stream_count(), 4, "one stream per partition");
+        assert_eq!(scheduler.gpu().context_count(), 4, "one context per partition");
         let summary = run_periodic(server.scheduler(&taskset), SimTime::from_millis(200));
         assert!(summary.total.completed > 10);
         assert_eq!(summary.total.rejected, 0);

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use daris_core::{ExperimentOutcome, Result as CoreResult, Scheduler};
-use daris_gpu::{Completion, Gpu, GpuError, GpuSpec, SimTime, StreamId, WorkItem};
+use daris_gpu::{Completion, Gpu, GpuError, GpuSpec, SimTime, Slab, StreamId};
 use daris_metrics::MetricsCollector;
 use daris_models::{DnnKind, ModelProfile};
 use daris_workload::{Job, JobId, Priority, TaskId, TaskSet, TaskSpec};
@@ -30,23 +30,6 @@ pub(crate) fn run_periodic(
 ) -> daris_metrics::ExperimentSummary {
     let spec = daris_core::RunSpec::periodic().until(horizon);
     scheduler.expect("baseline builds").run(&spec).expect("periodic spec runs").summary
-}
-
-/// How the device is carved into dispatch slots.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SlotLayout {
-    /// One full-GPU context with `streams` CUDA streams (FIFO-family
-    /// baselines; `streams == 1` is the single-tenant/batching shape).
-    SharedContext {
-        /// Number of streams sharing the context.
-        streams: u32,
-    },
-    /// `count` static, non-oversubscribed SM partitions, one stream each
-    /// (the GSlice shape). Slot index == partition index.
-    Partitions {
-        /// Number of equal partitions.
-        count: u32,
-    },
 }
 
 /// A baseline scheduler: shared harness + one queueing policy.
@@ -68,13 +51,11 @@ pub struct BaselineScheduler {
     calibration: GpuSpec,
     profiles: BTreeMap<DnnKind, ModelProfile>,
     gpu: Gpu,
-    /// One stream per dispatch slot (partitioned layouts: one context per
-    /// slot too).
+    /// One stream per dispatch slot.
     slots: Vec<StreamId>,
     busy: Vec<bool>,
-    /// Submitted tag → (slot, fused jobs).
-    in_flight: BTreeMap<u64, (usize, Vec<Job>)>,
-    next_tag: u64,
+    /// (slot, fused jobs) of each submitted batch, by GPU tag.
+    in_flight: Slab<(usize, Vec<Job>)>,
     policy: Box<dyn DispatchQueue>,
     metrics: MetricsCollector,
     /// Reused buffer of the completions one advance reports.
@@ -82,16 +63,17 @@ pub struct BaselineScheduler {
 }
 
 impl BaselineScheduler {
-    /// Builds the harness: device, slot layout, per-model profiles
-    /// calibrated against `calibration` (the *reference* device in a
-    /// heterogeneous fleet, so deadlines mean the same thing on every
+    /// Builds the harness: the device carved into `(contexts, SM quota,
+    /// streams per context)` with one dispatch slot per stream, per-model
+    /// profiles calibrated against `calibration` (the *reference* device in
+    /// a heterogeneous fleet, so deadlines mean the same thing on every
     /// scheduler), and the policy.
     pub(crate) fn build(
         label: String,
         taskset: &TaskSet,
         device: GpuSpec,
         calibration: GpuSpec,
-        layout: SlotLayout,
+        (contexts, quota, streams): (u32, u32, u32),
         policy: Box<dyn DispatchQueue>,
     ) -> Result<Self, GpuError> {
         let profiles: BTreeMap<DnnKind, ModelProfile> = taskset
@@ -99,27 +81,8 @@ impl BaselineScheduler {
             .into_iter()
             .map(|k| (k, ModelProfile::calibrated_for(k, &calibration)))
             .collect();
-        let mut gpu = Gpu::new(device.clone());
-        let slots = match layout {
-            SlotLayout::SharedContext { streams } => {
-                let ctx = gpu.add_context(device.sm_count)?;
-                let mut slots = Vec::new();
-                for _ in 0..streams.max(1) {
-                    slots.push(gpu.add_stream(ctx)?);
-                }
-                slots
-            }
-            SlotLayout::Partitions { count } => {
-                let count = count.max(1);
-                let quota = (device.sm_count / count).max(2);
-                let mut slots = Vec::new();
-                for _ in 0..count {
-                    let ctx = gpu.add_context(quota)?;
-                    slots.push(gpu.add_stream(ctx)?);
-                }
-                slots
-            }
-        };
+        let mut gpu = Gpu::new(device);
+        let slots = gpu.add_contexts(contexts, quota, streams)?;
         let busy = vec![false; slots.len()];
         Ok(BaselineScheduler {
             label,
@@ -129,8 +92,7 @@ impl BaselineScheduler {
             gpu,
             slots,
             busy,
-            in_flight: BTreeMap::new(),
-            next_tag: 0,
+            in_flight: Slab::new(),
             policy,
             metrics: MetricsCollector::new(),
             completions: Vec::new(),
@@ -147,21 +109,17 @@ impl BaselineScheduler {
     /// `released == completed + rejected + outstanding` at any point of a
     /// run (with `rejected == 0` — baselines never refuse).
     pub fn outstanding_jobs(&self) -> usize {
-        self.policy.queued() + self.in_flight.values().map(|(_, jobs)| jobs.len()).sum::<usize>()
+        self.policy.queued() + self.in_flight.iter().map(|(_, (_, jobs))| jobs.len()).sum::<usize>()
     }
 
     fn submit(&mut self, slot: usize, batch: DispatchBatch) {
         let model = batch.jobs.first().expect("a dispatch batch is never empty").model;
         let profile = &self.profiles[&model];
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        let item = WorkItem::new(tag, profile.job_kernels(batch.batch))
-            .with_h2d_bytes(profile.input_bytes(batch.batch))
-            .with_d2h_bytes(profile.output_bytes(batch.batch));
+        let item = profile.job_item(self.in_flight.next_key(), batch.batch);
         self.gpu
             .submit(self.slots[slot], item)
             .expect("submitting to an idle baseline stream cannot fail");
-        self.in_flight.insert(tag, (slot, batch.jobs));
+        self.in_flight.insert((slot, batch.jobs));
         self.busy[slot] = true;
     }
 }
@@ -178,7 +136,7 @@ impl Scheduler for BaselineScheduler {
     fn advance_to(&mut self, target: SimTime) {
         self.gpu.advance_into(target, &mut self.completions);
         for completion in self.completions.drain(..) {
-            if let Some((slot, jobs)) = self.in_flight.remove(&completion.tag) {
+            if let Some((slot, jobs)) = self.in_flight.remove(completion.tag) {
                 for job in jobs {
                     self.metrics.record_completion(&job, completion.finished_at);
                 }

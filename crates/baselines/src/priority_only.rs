@@ -3,7 +3,7 @@
 use daris_gpu::{GpuError, GpuSpec};
 use daris_workload::TaskSet;
 
-use crate::harness::{BaselineScheduler, SlotLayout};
+use crate::harness::BaselineScheduler;
 use crate::policies::PriorityOnlyQueue;
 
 /// Strict two-level priority scheduling over whole jobs: high-priority
@@ -45,11 +45,6 @@ impl PriorityOnlyServer {
         self
     }
 
-    /// Number of streams.
-    pub fn streams(&self) -> u32 {
-        self.streams
-    }
-
     /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`.
     ///
     /// # Errors
@@ -61,7 +56,7 @@ impl PriorityOnlyServer {
             taskset,
             self.spec.clone(),
             self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            SlotLayout::SharedContext { streams: self.streams },
+            (1, self.spec.sm_count, self.streams),
             Box::new(PriorityOnlyQueue::new()),
         )
     }

@@ -1,10 +1,10 @@
 //! The single-tenant (one DNN at a time) lower baseline.
 
-use daris_gpu::{Gpu, GpuError, GpuSpec, WorkItem};
+use daris_gpu::{Gpu, GpuError, GpuSpec};
 use daris_models::{DnnKind, ModelProfile};
 use daris_workload::TaskSet;
 
-use crate::harness::{BaselineScheduler, SlotLayout};
+use crate::harness::BaselineScheduler;
 use crate::policies::FifoQueue;
 
 /// Serves jobs strictly one at a time on the whole GPU, in release (FIFO)
@@ -49,13 +49,9 @@ impl SingleTenantServer {
         let spec = GpuSpec::rtx_2080_ti().without_interference();
         let profile = ModelProfile::calibrated_for(kind, &spec);
         let mut gpu = Gpu::new(spec);
-        let ctx = gpu.add_context(gpu.spec().sm_count).expect("valid context");
-        let stream = gpu.add_stream(ctx).expect("valid stream");
+        let stream = gpu.add_contexts(1, gpu.spec().sm_count, 1).expect("valid context")[0];
         for j in 0..jobs {
-            let item = WorkItem::new(u64::from(j), profile.job_kernels(1))
-                .with_h2d_bytes(profile.input_bytes(1))
-                .with_d2h_bytes(profile.output_bytes(1));
-            gpu.submit(stream, item).expect("valid item");
+            gpu.submit(stream, profile.job_item(u64::from(j), 1)).expect("valid item");
         }
         gpu.run_to_idle();
         f64::from(jobs) / gpu.now().as_secs_f64()
@@ -73,7 +69,7 @@ impl SingleTenantServer {
             taskset,
             self.spec.clone(),
             self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            SlotLayout::SharedContext { streams: 1 },
+            (1, self.spec.sm_count, 1),
             Box::new(FifoQueue::new()),
         )
     }

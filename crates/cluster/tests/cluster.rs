@@ -20,11 +20,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use daris_cluster::{
-    place, utilization_estimates, AutoscaleConfig, ClusterConfig, ClusterDispatcher,
+    place, utilization_estimates, AutoscaleConfig, ClusterConfig, ClusterDispatcher, ClusterError,
     ClusterOutcome, ClusterSpec, DeviceSpec, PlacementStrategy,
 };
 use daris_core::{
-    DarisConfig, DarisScheduler, ExperimentOutcome, GpuPartition, RunSpec, Scheduler,
+    CoreError, DarisConfig, DarisScheduler, ExperimentOutcome, GpuPartition, RunSpec, Scheduler,
 };
 use daris_gpu::{GpuSpec, SimDuration, SimTime, XorShiftRng};
 use daris_models::DnnKind;
@@ -262,6 +262,25 @@ fn repeated_hetero_runs_hash_identically_across_thread_counts() {
             );
         }
     }
+}
+
+#[test]
+fn a_zero_mret_window_is_a_scheduler_error_in_a_fleet() {
+    let taskset = TaskSet::table2(DnnKind::ResNet18);
+    let fleet = ClusterSpec::homogeneous(2, GpuSpec::rtx_2080_ti(), GpuPartition::mps(6, 6.0));
+    let config = ClusterConfig { window_size: 0, ..ClusterConfig::default() };
+    let err = match ClusterDispatcher::new(&taskset, fleet, config) {
+        Ok(_) => panic!("a zero MRET window must be rejected"),
+        Err(err) => err,
+    };
+    assert!(
+        matches!(
+            &err,
+            ClusterError::Scheduler { source: CoreError::InvalidConfig(reason), .. }
+                if reason.contains("window size")
+        ),
+        "wrong error: {err}"
+    );
 }
 
 #[test]

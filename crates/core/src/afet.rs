@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use daris_gpu::{Gpu, GpuSpec, InterferenceModel, SimDuration, WorkItem};
+use daris_gpu::{Gpu, GpuSpec, InterferenceModel, SimDuration};
 use daris_models::{DnnKind, ModelProfile};
 use daris_workload::TaskSet;
 
@@ -200,14 +200,11 @@ fn measure_full_load(
 ) -> Result<Vec<SimDuration>> {
     let partition = config.partition;
     let mut gpu = Gpu::new(config.gpu.clone());
-    let quota = partition.sm_quota(config.gpu.sm_count);
-    let mut streams = Vec::new();
-    for _ in 0..partition.n_contexts {
-        let ctx = gpu.add_context(quota)?;
-        for _ in 0..partition.streams_per_context {
-            streams.push(gpu.add_stream(ctx)?);
-        }
-    }
+    let streams = gpu.add_contexts(
+        partition.n_contexts,
+        partition.sm_quota(config.gpu.sm_count),
+        partition.streams_per_context,
+    )?;
     let target_stream = streams[0];
     let background: Vec<_> = streams.iter().skip(1).copied().collect();
 
@@ -224,10 +221,7 @@ fn measure_full_load(
         };
         let profile = profiles.get(&kind).unwrap_or(target_profile);
         for _ in 0..(REPETITIONS + 2) {
-            let item = WorkItem::new(tag, profile.job_kernels(1))
-                .with_h2d_bytes(profile.input_bytes(1))
-                .with_d2h_bytes(profile.output_bytes(1));
-            gpu.submit(*stream, item)?;
+            gpu.submit(*stream, profile.job_item(tag, 1))?;
             tag += 1;
         }
     }
@@ -239,14 +233,7 @@ fn measure_full_load(
     for rep in 0..REPETITIONS {
         for (stage, sum) in sums.iter_mut().enumerate() {
             let stage_tag = (rep * stage_count + stage) as u64;
-            let mut item = WorkItem::new(stage_tag, target_profile.stage_kernels(stage, 1));
-            if stage == 0 {
-                item = item.with_h2d_bytes(target_profile.input_bytes(1));
-            }
-            if stage + 1 == stage_count {
-                item = item.with_d2h_bytes(target_profile.output_bytes(1));
-            }
-            gpu.submit(target_stream, item)?;
+            gpu.submit(target_stream, target_profile.stage_item(stage_tag, stage, 1))?;
             // Run until this stage finishes (background work keeps flowing).
             while let Some(t) = gpu.next_event_time() {
                 gpu.advance_into(t, &mut completions);

@@ -255,9 +255,9 @@ impl DarisConfig {
         }
     }
 
-    /// Sets the MRET window size.
+    /// Sets the MRET window size ([`validate`](Self::validate) rejects 0).
     pub fn with_window_size(mut self, ws: usize) -> Self {
-        self.window_size = ws.max(1);
+        self.window_size = ws;
         self
     }
 
@@ -396,9 +396,10 @@ mod tests {
         assert_eq!(pinned.gpu.sm_count, 108);
         let bad = DarisConfig::new(GpuPartition::mps(6, 0.2));
         assert!(bad.validate().is_err());
-        assert_eq!(
-            DarisConfig::new(GpuPartition::str_streams(2)).with_window_size(0).window_size,
-            1
+        let zero_window = DarisConfig::new(GpuPartition::str_streams(2)).with_window_size(0);
+        assert!(
+            matches!(&zero_window.validate(), Err(CoreError::InvalidConfig(m)) if m.contains("window size")),
+            "a zero window is rejected by name"
         );
     }
 

@@ -8,9 +8,9 @@
 //! through the trait's one event loop
 //! ([`Scheduler::run`] for a [`RunSpec`](crate::RunSpec)).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-use daris_gpu::{Completion, Gpu, SimDuration, SimTime, StreamId, WorkItem};
+use daris_gpu::{Completion, Gpu, SimDuration, SimTime, Slab, StreamId};
 use daris_metrics::{ExperimentSummary, MetricsCollector};
 use daris_models::{DnnKind, ModelProfile};
 use daris_telemetry::{AdmissionTest, EventKind, SinkHandle, TelemetryEvent};
@@ -117,8 +117,9 @@ pub struct DarisScheduler {
     taskset: TaskSet,
     profiles: BTreeMap<DnnKind, ModelProfile>,
     gpu: Gpu,
-    /// Streams grouped by context index.
-    streams: Vec<Vec<StreamId>>,
+    /// Streams in context-major order: context `c` owns the `Ns` streams
+    /// from `c * Ns`.
+    streams: Vec<StreamId>,
     /// Busy flag per stream, indexed by [`StreamId::index`] (the scheduler
     /// creates every stream of its device, so the ids are dense).
     stream_busy: Vec<bool>,
@@ -132,7 +133,7 @@ pub struct DarisScheduler {
     /// admission path (`predicted_finish_us`) walks only one context's jobs.
     active: Vec<BTreeMap<JobId, ActiveJob>>,
     /// The stage behind each GPU work-item tag in flight.
-    tags: TagSlab,
+    tags: Slab<StageTag>,
     metrics: MetricsCollector,
     mret_trace: Vec<MretSample>,
     /// Telemetry sink (from [`DarisConfig::sink`]). `None` keeps the hot
@@ -177,17 +178,13 @@ impl DarisScheduler {
             // listening; they are drained into the sink on every advance.
             gpu.record_events();
         }
-        let quota = config.partition.sm_quota(config.gpu.sm_count);
-        let mut streams = Vec::new();
-        for _ in 0..config.partition.n_contexts {
-            let ctx = gpu.add_context(quota)?;
-            let mut ctx_streams = Vec::new();
-            for _ in 0..config.partition.streams_per_context {
-                ctx_streams.push(gpu.add_stream(ctx)?);
-            }
-            streams.push(ctx_streams);
-        }
-        let stream_busy = vec![false; gpu.stream_count()];
+        let partition = config.partition;
+        let streams = gpu.add_contexts(
+            partition.n_contexts,
+            partition.sm_quota(config.gpu.sm_count),
+            partition.streams_per_context,
+        )?;
+        let stream_busy = vec![false; streams.len()];
 
         // Every model stays resident on the device for the whole run.
         for (kind, profile) in &profiles {
@@ -235,7 +232,7 @@ impl DarisScheduler {
             mret,
             homes,
             active: (0..n_contexts).map(|_| BTreeMap::new()).collect(),
-            tags: TagSlab::default(),
+            tags: Slab::new(),
             metrics: MetricsCollector::new(),
             mret_trace: Vec::new(),
             sink,
@@ -410,7 +407,8 @@ impl DarisScheduler {
     }
 
     fn idle_stream(&self, ctx: usize) -> Option<StreamId> {
-        self.streams[ctx].iter().copied().find(|s| !self.stream_busy[s.index()])
+        let per = self.config.partition.streams_per_context as usize;
+        self.streams[ctx * per..][..per].iter().copied().find(|s| !self.stream_busy[s.index()])
     }
 
     fn submit_stage(&mut self, context: usize, stream: StreamId, ready: &ReadyStage) -> Result<()> {
@@ -419,25 +417,15 @@ impl DarisScheduler {
         let profile = self.profiles.get(&job.model).ok_or_else(|| {
             CoreError::InvalidConfig(format!("missing profile for {}", job.model))
         })?;
-        let staging = self.config.ablation.staging;
-        let kernels = if staging {
-            profile.stage_kernels(ready.stage, job.batch_size)
+        let tag = self.tags.next_key();
+        let item = if self.config.ablation.staging {
+            profile.stage_item(tag, ready.stage, job.batch_size)
         } else {
-            profile.job_kernels(job.batch_size)
+            profile.job_item(tag, job.batch_size)
         };
-        let is_first = ready.stage == 0;
-        let is_last = ready.stage + 1 == stage_count;
-        let tag = self.tags.next_tag();
-        let mut item = WorkItem::new(tag, kernels);
-        if is_first {
-            item = item.with_h2d_bytes(profile.input_bytes(job.batch_size));
-        }
-        if is_last {
-            item = item.with_d2h_bytes(profile.output_bytes(job.batch_size));
-        }
         self.gpu.submit(stream, item)?;
         self.stream_busy[stream.index()] = true;
-        self.tags.push(StageTag { context, job: ready.job, stage: ready.stage });
+        self.tags.insert(StageTag { context, job: ready.job, stage: ready.stage });
         self.emit(|| EventKind::StageDispatched {
             task: ready.job.task,
             release_index: ready.job.release_index,
@@ -448,39 +436,6 @@ impl DarisScheduler {
             tag,
         });
         Ok(())
-    }
-}
-
-/// The stage of each in-flight GPU work item, by tag. Tags are
-/// handed out densely and in increasing order, so a deque of slots offset by
-/// the oldest live tag replaces a map, as the engine's item slab does for
-/// item ids: lookups are an index, and completed stages leave holes that are
-/// trimmed once they reach the front.
-#[derive(Debug, Default)]
-struct TagSlab {
-    /// Tag of `slots[0]`; `base + slots.len()` is the next tag.
-    base: u64,
-    slots: VecDeque<Option<StageTag>>,
-}
-
-impl TagSlab {
-    /// The tag the next [`push`](Self::push) files its stage under.
-    fn next_tag(&self) -> u64 {
-        self.base + self.slots.len() as u64
-    }
-
-    fn push(&mut self, stage: StageTag) {
-        self.slots.push_back(Some(stage));
-    }
-
-    fn remove(&mut self, tag: u64) -> Option<StageTag> {
-        let slot = usize::try_from(tag.checked_sub(self.base)?).ok()?;
-        let stage = self.slots.get_mut(slot)?.take();
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        stage
     }
 }
 

@@ -47,7 +47,7 @@
 //! advances, and the initial idle allocation is never recorded.
 //!
 //! Bookkeeping that used to scan every pending item is incremental: in-flight
-//! items sit in a slab indexed by their dense, increasing ids; a `running`
+//! items sit in a [`Slab`] keyed by their dense, increasing ids; a `running`
 //! set (at most one item per stream) bounds transition checks; per-context
 //! *computing* sets with dirty flags let a rate pass reuse cached
 //! water-filling for contexts whose membership did not change; and every
@@ -65,8 +65,8 @@ use crate::context::Context;
 use crate::kernel::{KernelDesc, KernelPhase, WorkItem, WorkItemId};
 use crate::stream::Stream;
 use crate::{
-    ContextId, DeviceEvent, GpuError, GpuSpec, MemoryPool, Result, SimDuration, SimTime, StreamId,
-    XorShiftRng,
+    ContextId, DeviceEvent, GpuError, GpuSpec, MemoryPool, Result, SimDuration, SimTime, Slab,
+    StreamId, XorShiftRng,
 };
 
 /// Completion notification for a submitted [`WorkItem`].
@@ -145,49 +145,6 @@ impl ItemInstance {
     }
 }
 
-/// The in-flight items, indexed by id. The slab hands out ids densely and in
-/// increasing order, so a deque of slots offset by the oldest live id
-/// replaces a map: lookups are an index, and finished items leave holes that
-/// are trimmed once they reach the front.
-#[derive(Debug, Default)]
-struct ItemSlab {
-    /// Id of the item in `slots[0]`; `base + slots.len()` is the next id.
-    base: u64,
-    slots: VecDeque<Option<ItemInstance>>,
-}
-
-impl ItemSlab {
-    fn slot(&self, id: WorkItemId) -> Option<usize> {
-        id.0.checked_sub(self.base).map(|i| i as usize)
-    }
-
-    fn get(&self, id: WorkItemId) -> Option<&ItemInstance> {
-        self.slots.get(self.slot(id)?)?.as_ref()
-    }
-
-    fn get_mut(&mut self, id: WorkItemId) -> Option<&mut ItemInstance> {
-        let slot = self.slot(id)?;
-        self.slots.get_mut(slot)?.as_mut()
-    }
-
-    /// Adds an item under the next id and returns that id.
-    fn insert(&mut self, item: ItemInstance) -> WorkItemId {
-        let id = WorkItemId(self.base + self.slots.len() as u64);
-        self.slots.push_back(Some(item));
-        id
-    }
-
-    fn remove(&mut self, id: WorkItemId) {
-        if let Some(slot) = self.slot(id).and_then(|i| self.slots.get_mut(i)) {
-            *slot = None;
-        }
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-    }
-}
-
 /// A set of in-flight item ids kept as a sorted `Vec`: a binary-search
 /// insert or remove over at most one id per stream, and iteration in
 /// increasing id order.
@@ -258,7 +215,7 @@ pub struct Gpu {
     now: SimTime,
     contexts: Vec<Context>,
     streams: Vec<Stream>,
-    items: ItemSlab,
+    items: Slab<ItemInstance>,
     copy_queue: VecDeque<(WorkItemId, CopyDirection)>,
     active_copy: Option<ActiveCopy>,
     /// Earliest `next_at` of a running item or the active copy's finish,
@@ -303,7 +260,7 @@ impl Gpu {
             now: SimTime::ZERO,
             contexts: Vec::new(),
             streams: Vec::new(),
-            items: ItemSlab::default(),
+            items: Slab::new(),
             copy_queue: VecDeque::new(),
             active_copy: None,
             next_at: None,
@@ -365,6 +322,29 @@ impl Gpu {
         let id = StreamId(self.streams.len() as u32);
         self.streams.push(Stream::new(context));
         Ok(id)
+    }
+
+    /// Carves the device: creates `contexts` contexts at `sm_quota` (clamped
+    /// to the device width), each with `streams_per_context` streams, and
+    /// returns the stream ids in context-major order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpuError::ZeroQuota`] for a zero quota.
+    pub fn add_contexts(
+        &mut self,
+        contexts: u32,
+        sm_quota: u32,
+        streams_per_context: u32,
+    ) -> Result<Vec<StreamId>> {
+        let mut streams = Vec::new();
+        for _ in 0..contexts {
+            let context = self.add_context(sm_quota)?;
+            for _ in 0..streams_per_context {
+                streams.push(self.add_stream(context)?);
+            }
+        }
+        Ok(streams)
     }
 
     /// Number of contexts created so far.
@@ -430,7 +410,7 @@ impl Gpu {
             rate: 0.0,
             next_at: None,
         };
-        let id = self.items.insert(instance);
+        let id = WorkItemId(self.items.insert(instance));
         self.streams[stream.index()].queue.push_back(id);
         self.pending_count += 1;
         // If the stream was idle, the new item starts immediately. Starting a
@@ -438,7 +418,7 @@ impl Gpu {
         // instants only fold into the cached minimum.
         if self.streams[stream.index()].queue.len() == 1 {
             self.activate_front(stream);
-            let launch = self.items.get(id).and_then(|item| item.next_at);
+            let launch = self.items.get(id.0).and_then(|item| item.next_at);
             let copy = self.active_copy.as_ref().map(|c| c.finish);
             self.next_at = self.next_at.into_iter().chain(launch).chain(copy).min();
         }
@@ -458,7 +438,7 @@ impl Gpu {
     /// Total compute work completed so far, in SM-microseconds, including
     /// the progress of kernels still computing.
     pub fn completed_work(&self) -> f64 {
-        let running = self.running.ids().iter().filter_map(|&id| self.items.get(id));
+        let running = self.running.ids().iter().filter_map(|&id| self.items.get(id.0));
         let computing =
             running.filter(|item| item.state == ItemState::Running(KernelPhase::Computing));
         self.completed_work + computing.map(|item| item.progress(self.now)).sum::<f64>()
@@ -547,7 +527,7 @@ impl Gpu {
     /// Starts the item at the front of `stream` if it is still `Queued`.
     fn activate_front(&mut self, stream: StreamId) {
         let Some(item_id) = self.streams[stream.index()].active_item() else { return };
-        let Some(item) = self.items.get_mut(item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id.0) else { return };
         if item.state != ItemState::Queued {
             return;
         }
@@ -571,7 +551,7 @@ impl Gpu {
         };
         let default_launch = self.spec.default_launch_overhead;
         let now = self.now;
-        let Some(item) = self.items.get_mut(item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id.0) else { return };
         // A back-to-back kernel of the same item leaves the computing set.
         let was_computing = matches!(item.state, ItemState::Running(KernelPhase::Computing));
         let ctx = item.context.index();
@@ -597,7 +577,7 @@ impl Gpu {
             return;
         }
         let Some((item_id, direction)) = self.copy_queue.pop_front() else { return };
-        let Some(item) = self.items.get_mut(item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id.0) else { return };
         let bytes = match direction {
             CopyDirection::HostToDevice => item.spec.h2d_bytes,
             CopyDirection::DeviceToHost => item.spec.d2h_bytes,
@@ -647,7 +627,7 @@ impl Gpu {
             ids.extend_from_slice(self.running.ids());
             for &id in &ids {
                 let (state, kernel_index, kernel_count) = {
-                    let Some(item) = self.items.get(id) else { continue };
+                    let Some(item) = self.items.get(id.0) else { continue };
                     if !item.next_at.is_some_and(|t| t <= self.now) {
                         continue;
                     }
@@ -655,7 +635,7 @@ impl Gpu {
                 };
                 match state {
                     ItemState::Running(KernelPhase::Launching) => {
-                        if let Some(item) = self.items.get_mut(id) {
+                        if let Some(item) = self.items.get_mut(id.0) {
                             // At rate 0 the kernel has made no progress, and
                             // the rate pass that ends this pass sees its rate
                             // move, so it anchors the kernel at `now` and sets
@@ -673,7 +653,7 @@ impl Gpu {
                     ItemState::Running(KernelPhase::Computing) => {
                         changed = true;
                         self.counters.transitions += 1;
-                        let item = self.items.get(id).expect("running items are in flight");
+                        let item = self.items.get(id.0).expect("running items are in flight");
                         self.completed_work += item.work;
                         if self.recording {
                             let event = DeviceEvent::KernelFinished {
@@ -687,9 +667,9 @@ impl Gpu {
                         if kernel_index + 1 < kernel_count {
                             self.start_kernel(id, kernel_index + 1);
                         } else {
-                            let d2h = self.items.get(id).map(|i| i.spec.d2h_bytes).unwrap_or(0);
+                            let d2h = self.items.get(id.0).map(|i| i.spec.d2h_bytes).unwrap_or(0);
                             if d2h > 0 {
-                                if let Some(item) = self.items.get_mut(id) {
+                                if let Some(item) = self.items.get_mut(id.0) {
                                     item.state = ItemState::PendingCopyOut;
                                     item.next_at = None;
                                     let ctx = item.context.index();
@@ -715,7 +695,7 @@ impl Gpu {
     /// Marks an item complete, emits its completion, and activates the next
     /// item in its stream.
     fn finish_item(&mut self, item_id: WorkItemId, completions: &mut Vec<Completion>) {
-        let Some(item) = self.items.get_mut(item_id) else { return };
+        let Some(item) = self.items.get_mut(item_id.0) else { return };
         item.state = ItemState::Done;
         let completion = Completion {
             tag: item.tag,
@@ -730,7 +710,7 @@ impl Gpu {
         self.record(DeviceEvent::ItemFinished { tag, stream: stream.0, context: context.0 });
         completions.push(completion);
         let context = context.index();
-        self.items.remove(item_id);
+        self.items.remove(item_id.0);
         self.running.remove(item_id);
         if self.computing[context].remove(item_id) {
             self.ctx_dirty[context] = true;
@@ -758,7 +738,7 @@ impl Gpu {
         let copy = self.active_copy.as_ref().map(|c| c.finish);
         let items = &self.items;
         self.next_at =
-            self.running.ids().iter().filter_map(|&id| items.get(id)?.next_at).chain(copy).min();
+            self.running.ids().iter().filter_map(|&id| items.get(id.0)?.next_at).chain(copy).min();
         #[cfg(debug_assertions)]
         self.check_next_at();
     }
@@ -782,7 +762,7 @@ impl Gpu {
             let kernels = &mut self.water_fill.kernels;
             kernels.clear();
             for &id in self.computing[ctx].ids() {
-                let item = self.items.get(id).expect("computing items are in flight");
+                let item = self.items.get(id.0).expect("computing items are in flight");
                 kernels.push((id, item.spec.kernels[item.kernel_index].parallelism));
             }
             let quota = f64::from(self.contexts[ctx].sm_quota);
@@ -811,7 +791,7 @@ impl Gpu {
         let now = self.now;
         for ctx in 0..self.contexts.len() {
             for &(id, alloc) in &self.ctx_alloc[ctx] {
-                let Some(item) = self.items.get_mut(id) else { continue };
+                let Some(item) = self.items.get_mut(id.0) else { continue };
                 let rate = alloc * factor;
                 if rate.to_bits() == item.rate.to_bits() {
                     continue;
@@ -856,7 +836,7 @@ impl Gpu {
             busy += 1;
             fill.kernels.clear();
             for &id in self.computing[ctx].ids() {
-                let item = self.items.get(id).expect("computing items are in flight");
+                let item = self.items.get(id.0).expect("computing items are in flight");
                 fill.kernels.push((id, item.spec.kernels[item.kernel_index].parallelism));
             }
             let mut alloc = Vec::new();
@@ -874,7 +854,7 @@ impl Gpu {
             "skipped rate pass: utilization moved"
         );
         for (id, alloc) in allocs {
-            let rate = self.items.get(id).expect("computing items are in flight").rate;
+            let rate = self.items.get(id.0).expect("computing items are in flight").rate;
             assert_eq!(rate.to_bits(), (alloc * factor).to_bits(), "skipped rate pass: {id} moved");
         }
     }
@@ -897,9 +877,7 @@ impl Gpu {
         let copy = self.active_copy.as_ref().map(|c| c.finish);
         assert!(copy.map_or(true, |t| t >= self.now), "copy finish passed");
         let mut earliest = copy;
-        for (slot, item) in self.items.slots.iter().enumerate() {
-            let Some(item) = item else { continue };
-            let id = self.items.base + slot as u64;
+        for (id, item) in self.items.iter() {
             let expected = match item.state {
                 ItemState::Running(KernelPhase::Launching) => {
                     assert!(
@@ -1001,6 +979,22 @@ mod tests {
 
     fn quiet_spec() -> GpuSpec {
         GpuSpec::rtx_2080_ti().without_interference()
+    }
+
+    #[test]
+    fn add_contexts_carves_context_major_streams_at_a_clamped_quota() {
+        let mut gpu = Gpu::new(quiet_spec());
+        let streams = gpu.add_contexts(3, 90, 2).unwrap();
+        assert_eq!(streams.iter().map(|s| s.index()).collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5]);
+        let owners: Vec<usize> =
+            streams.iter().map(|s| gpu.streams[s.index()].context.index()).collect();
+        assert_eq!(owners, [0, 0, 1, 1, 2, 2], "streams are numbered context-major");
+        assert!(gpu.contexts.iter().all(|c| c.sm_quota == 68), "quota clamps to the device width");
+        // A second carving continues the numbering.
+        assert_eq!(gpu.add_contexts(1, 12, 1).unwrap()[0].index(), 6);
+        assert_eq!((gpu.context_count(), gpu.contexts[3].sm_quota), (4, 12));
+        assert_eq!(gpu.add_contexts(2, 0, 1), Err(GpuError::ZeroQuota));
+        assert_eq!((gpu.context_count(), gpu.stream_count()), (4, 7), "a zero quota adds nothing");
     }
 
     #[test]

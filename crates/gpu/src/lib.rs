@@ -25,8 +25,8 @@
 //!
 //! # fn main() -> Result<(), daris_gpu::GpuError> {
 //! let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
-//! let ctx = gpu.add_context(68)?;
-//! let stream = gpu.add_stream(ctx)?;
+//! // One context at the full 68-SM quota, with one stream.
+//! let stream = gpu.add_contexts(1, 68, 1)?[0];
 //! let item = WorkItem::new(42, vec![KernelDesc::new(6800.0, 68)]);
 //! gpu.submit(stream, item)?;
 //! let completions = gpu.run_to_idle();
@@ -45,6 +45,7 @@ mod error;
 mod kernel;
 mod memory;
 mod rng;
+mod slab;
 mod spec;
 mod stream;
 mod time;
@@ -56,6 +57,7 @@ pub use error::GpuError;
 pub use kernel::{KernelDesc, KernelId, KernelPhase, WorkItem, WorkItemId};
 pub use memory::{MemoryPool, MemoryStats};
 pub use rng::XorShiftRng;
+pub use slab::Slab;
 pub use spec::{GpuSpec, InterferenceModel};
 pub use stream::StreamId;
 pub use time::{SimDuration, SimTime};

@@ -1,8 +1,10 @@
 //! Property-based tests of the GPU simulator's core invariants.
 
+use std::collections::BTreeMap;
+
 use daris_gpu::{
     ceil_even, sm_quota, Completion, DeviceEvent, Gpu, GpuSpec, KernelDesc, SimDuration, SimTime,
-    StreamId, WorkItem, XorShiftRng,
+    Slab, StreamId, WorkItem, XorShiftRng,
 };
 use proptest::prelude::*;
 
@@ -91,6 +93,32 @@ proptest! {
         prop_assert_eq!(c % 2, 0);
         prop_assert!(f64::from(c) + 1e-9 >= v);
         prop_assert!(f64::from(c) < v + 2.0);
+    }
+
+    /// A `Slab` agrees with a `BTreeMap` oracle over random inserts and
+    /// removes: lookups, removals, iteration order and the next key. Each op
+    /// inserts (one in three) or removes a key that may be live, already
+    /// removed or never handed out.
+    #[test]
+    fn slab_agrees_with_a_btreemap(ops in prop::collection::vec(0u64..1_000, 0..300)) {
+        let mut slab = Slab::new();
+        let mut oracle = BTreeMap::new();
+        let mut next = 0u64;
+        for &op in &ops {
+            if op % 3 == 0 {
+                prop_assert_eq!(slab.insert(op), next);
+                oracle.insert(next, op);
+                next += 1;
+            } else {
+                let key = op % (next + 2);
+                prop_assert_eq!(slab.get(key), oracle.get(&key));
+                prop_assert_eq!(slab.get_mut(key).copied(), oracle.get(&key).copied());
+                prop_assert_eq!(slab.remove(key), oracle.remove(&key));
+            }
+            prop_assert_eq!(slab.next_key(), next);
+            let live: Vec<(u64, &u64)> = slab.iter().collect();
+            prop_assert_eq!(live, oracle.iter().map(|(k, v)| (*k, v)).collect::<Vec<_>>());
+        }
     }
 
     /// Eq. 9 quotas are positive, never exceed the device, and are even

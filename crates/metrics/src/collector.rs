@@ -95,15 +95,17 @@ impl MetricsCollector {
 
     /// Produces the experiment summary for a run that lasted until `horizon`.
     pub fn summarize(&self, horizon: SimTime) -> ExperimentSummary {
-        let mut per_priority: BTreeMap<Priority, Accumulator> = BTreeMap::new();
-        per_priority.insert(Priority::High, Accumulator::default());
-        per_priority.insert(Priority::Low, Accumulator::default());
+        let (mut high, mut low, mut total) =
+            (Accumulator::default(), Accumulator::default(), Accumulator::default());
         for record in self.jobs.values() {
-            per_priority.entry(record.priority).or_default().add(record, horizon);
+            let class = match record.priority {
+                Priority::High => &mut high,
+                Priority::Low => &mut low,
+            };
+            class.add(record, horizon);
+            total.add(record, horizon);
         }
-        let high = per_priority.remove(&Priority::High).unwrap_or_default().finish();
-        let low = per_priority.remove(&Priority::Low).unwrap_or_default().finish();
-        let total = Accumulator::merged(&self.jobs, horizon).finish();
+        let (high, low, total) = (high.finish(), low.finish(), total.finish());
         let duration = horizon.duration_since(SimTime::ZERO);
         let throughput_jps = if duration.is_zero() {
             0.0
@@ -148,14 +150,6 @@ impl Accumulator {
                 }
             }
         }
-    }
-
-    fn merged(jobs: &BTreeMap<JobId, JobRecord>, horizon: SimTime) -> Accumulator {
-        let mut acc = Accumulator::default();
-        for record in jobs.values() {
-            acc.add(record, horizon);
-        }
-        acc
     }
 
     fn finish(self) -> PrioritySummary {

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use daris_gpu::{GpuSpec, KernelDesc, SimDuration};
+use daris_gpu::{GpuSpec, KernelDesc, SimDuration, WorkItem};
 
 use crate::lowering::{self, LAUNCH_OVERHEAD_US};
 use crate::{zoo, DnnKind, Layer, ModelGraph};
@@ -224,6 +224,32 @@ impl ModelProfile {
         }
     }
 
+    /// Stage `stage` of one job of `batch` samples as a GPU work item tagged
+    /// `tag`: the input copy rides on the first stage and the output copy
+    /// on the last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage >= stage_count()`.
+    pub fn stage_item(&self, tag: u64, stage: usize, batch: u32) -> WorkItem {
+        let mut item = WorkItem::new(tag, self.stage_kernels(stage, batch));
+        if stage == 0 {
+            item = item.with_h2d_bytes(self.input_bytes(batch));
+        }
+        if stage + 1 == self.stage_count() {
+            item = item.with_d2h_bytes(self.output_bytes(batch));
+        }
+        item
+    }
+
+    /// A whole job of `batch` samples as one GPU work item tagged `tag`,
+    /// carrying both copies.
+    pub fn job_item(&self, tag: u64, batch: u32) -> WorkItem {
+        WorkItem::new(tag, self.job_kernels(batch))
+            .with_h2d_bytes(self.input_bytes(batch))
+            .with_d2h_bytes(self.output_bytes(batch))
+    }
+
     /// Lowers `layers` at `batch` with the current scales: the one lowering
     /// path, at build time for batch 1 and per dispatch for larger batches.
     fn lower<'a>(
@@ -417,6 +443,35 @@ mod tests {
             }
             // A clone shares the slices with its original.
             assert!(Arc::ptr_eq(&p.clone().job_kernels(1), &p.job_kernels(1)), "{kind}");
+        }
+    }
+
+    #[test]
+    fn work_items_carry_copies_on_the_first_and_last_stage_only() {
+        for kind in DnnKind::all() {
+            let p = ModelProfile::calibrated(kind);
+            let last = p.stage_count() - 1;
+            assert!(last > 0, "{kind} has several stages");
+            for batch in [1, 4] {
+                let (input, output) = (p.input_bytes(batch), p.output_bytes(batch));
+                for s in 0..=last {
+                    let item = p.stage_item(7, s, batch);
+                    assert_eq!(item.tag, 7);
+                    assert_eq!(item.h2d_bytes, if s == 0 { input } else { 0 }, "{kind} stage {s}");
+                    assert_eq!(
+                        item.d2h_bytes,
+                        if s == last { output } else { 0 },
+                        "{kind} stage {s}"
+                    );
+                    assert_eq!(*item.kernels, *p.stage_kernels(s, batch), "{kind} stage {s}");
+                    let shared = Arc::ptr_eq(&item.kernels, &p.stage_kernels(s, 1));
+                    assert_eq!(shared, batch == 1, "{kind} stage {s} batch {batch}");
+                }
+                let job = p.job_item(9, batch);
+                assert_eq!((job.tag, job.h2d_bytes, job.d2h_bytes), (9, input, output), "{kind}");
+                assert_eq!(*job.kernels, *p.job_kernels(batch), "{kind}");
+                assert_eq!(Arc::ptr_eq(&job.kernels, &p.job_kernels(1)), batch == 1, "{kind}");
+            }
         }
     }
 
