@@ -9,6 +9,23 @@ use crate::{TelemetryEvent, TelemetrySink};
 /// bounding memory on long ones.
 const DEFAULT_CAPACITY: usize = 1 << 16;
 
+/// Events per storage chunk: 32 KiB of events, well under glibc's initial
+/// 128 KiB mmap threshold. The buffer grows and shrinks a chunk at a time, so
+/// it never reallocates and copies a large block, and never maps and frees
+/// one. Freeing a mapped block raises glibc's mmap threshold, after which
+/// large buffers are carved from the heap and regrown by copying, and how
+/// much of that memory stays resident then depends on how the worker
+/// threads' allocations interleave: an unbounded fleet sink's peak RSS moved
+/// by 18 MiB between runs of one binary at one seed.
+const CHUNK: usize = {
+    let events = (32 << 10) / std::mem::size_of::<TelemetryEvent>();
+    if events == 0 {
+        1
+    } else {
+        events
+    }
+};
+
 /// A bounded in-memory ring buffer of telemetry events.
 ///
 /// Cloning shares the buffer: keep one clone, hand another to
@@ -22,9 +39,46 @@ pub struct MemorySink {
 
 #[derive(Debug)]
 struct MemoryState {
-    events: VecDeque<TelemetryEvent>,
+    /// The buffered events in record order, [`CHUNK`] to a chunk. Only the
+    /// last chunk may be partly filled from the back and only the first
+    /// partly drained from the front; only a sole chunk may be empty.
+    chunks: VecDeque<VecDeque<TelemetryEvent>>,
+    len: usize,
     capacity: usize,
     recorded: u64,
+}
+
+impl MemoryState {
+    /// The last chunk, after starting a new one if it is full.
+    fn back_with_room(&mut self) -> &mut VecDeque<TelemetryEvent> {
+        if !matches!(self.chunks.back(), Some(chunk) if chunk.len() < CHUNK) {
+            self.chunks.push_back(VecDeque::with_capacity(CHUNK));
+        }
+        self.chunks.back_mut().expect("a chunk with room is at the back")
+    }
+
+    /// Moves `events` onto the back, a chunk at a time.
+    fn append(&mut self, events: &mut Vec<TelemetryEvent>) {
+        self.len += events.len();
+        let mut incoming = events.drain(..);
+        while incoming.len() > 0 {
+            let back = self.back_with_room();
+            let room = CHUNK - back.len();
+            back.extend(incoming.by_ref().take(room));
+        }
+    }
+
+    /// Drops the oldest event; a chunk it empties is freed unless it is
+    /// the last one.
+    fn pop_front(&mut self) {
+        let Some(front) = self.chunks.front_mut() else { return };
+        if front.pop_front().is_some() {
+            self.len -= 1;
+        }
+        if front.is_empty() && self.chunks.len() > 1 {
+            self.chunks.pop_front();
+        }
+    }
 }
 
 impl MemorySink {
@@ -32,7 +86,8 @@ impl MemorySink {
     pub fn with_capacity(capacity: usize) -> Self {
         MemorySink {
             state: Arc::new(Mutex::new(MemoryState {
-                events: VecDeque::new(),
+                chunks: VecDeque::new(),
+                len: 0,
                 capacity: capacity.max(1),
                 recorded: 0,
             })),
@@ -51,12 +106,12 @@ impl MemorySink {
 
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.lock().events.len()
+        self.lock().len
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.lock().events.is_empty()
+        self.lock().len == 0
     }
 
     /// Total number of events ever recorded (including ones the ring has
@@ -67,15 +122,21 @@ impl MemorySink {
 
     /// Snapshot of the buffered events in record order.
     pub fn events(&self) -> Vec<TelemetryEvent> {
-        self.lock().events.iter().cloned().collect()
+        self.lock().chunks.iter().flatten().cloned().collect()
     }
 
     /// Moves every buffered event, in record order, onto the end of `out`,
-    /// leaving the buffer empty. Both sides keep their allocations, so the
-    /// cluster dispatcher's round merge, which drains each device's buffer
-    /// into one reused `Vec`, regrows neither from empty every round.
+    /// leaving the buffer empty. The buffer keeps its first chunk and `out`
+    /// its allocation, so the cluster dispatcher's round merge, which drains
+    /// each device's buffer into one reused `Vec`, regrows neither from
+    /// empty every round.
     pub fn take_all(&self, out: &mut Vec<TelemetryEvent>) {
-        out.extend(self.lock().events.drain(..));
+        let mut state = self.lock();
+        for chunk in &mut state.chunks {
+            out.extend(chunk.drain(..));
+        }
+        state.chunks.truncate(1);
+        state.len = 0;
     }
 }
 
@@ -89,10 +150,11 @@ impl TelemetrySink for MemorySink {
     fn record(&mut self, event: &TelemetryEvent) {
         let mut state = self.lock();
         state.recorded += 1;
-        if state.events.len() == state.capacity {
-            state.events.pop_front();
+        if state.len == state.capacity {
+            state.pop_front();
         }
-        state.events.push_back(event.clone());
+        state.len += 1;
+        state.back_with_room().push_back(event.clone());
     }
 
     fn record_batch(&mut self, events: &mut Vec<TelemetryEvent>) {
@@ -103,12 +165,11 @@ impl TelemetrySink for MemorySink {
             let incoming = events.len().min(state.capacity);
             events.drain(..events.len() - incoming);
             let keep = state.capacity - incoming;
-            while state.events.len() > keep {
-                state.events.pop_front();
+            while state.len > keep {
+                state.pop_front();
             }
         }
-        state.events.reserve(events.len());
-        state.events.extend(events.drain(..));
+        state.append(events);
     }
 }
 
@@ -159,6 +220,42 @@ mod tests {
     }
 
     #[test]
+    fn chunked_ring_matches_a_plain_deque_across_chunk_boundaries() {
+        for capacity in [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5, usize::MAX] {
+            let mut sink = MemorySink::with_capacity(capacity);
+            let mut oracle = VecDeque::new();
+            let mut next = 0u64;
+            // Single records and batches of every size class, with a drain
+            // in the middle, so chunks fill, spill, empty and are reused.
+            for (step, size) in
+                [1, CHUNK + 2, 3, 2 * CHUNK + 1, 0, 1, CHUNK].into_iter().enumerate()
+            {
+                if step == 4 {
+                    let mut taken = Vec::new();
+                    sink.take_all(&mut taken);
+                    assert_eq!(taken, oracle.drain(..).collect::<Vec<_>>(), "capacity {capacity}");
+                    continue;
+                }
+                let mut batch: Vec<TelemetryEvent> =
+                    (next..next + size as u64).map(event).collect();
+                next += size as u64;
+                oracle.extend(batch.iter().cloned());
+                while oracle.len() > capacity {
+                    oracle.pop_front();
+                }
+                if size == 1 {
+                    sink.record(&batch[0]);
+                } else {
+                    sink.record_batch(&mut batch);
+                }
+                assert_eq!(sink.len(), oracle.len(), "capacity {capacity}, step {step}");
+                assert_eq!(sink.events(), oracle.iter().cloned().collect::<Vec<_>>());
+            }
+            assert_eq!(sink.recorded(), next);
+        }
+    }
+
+    #[test]
     fn take_all_is_drain_by_buffer_move() {
         let mut sink = MemorySink::unbounded();
         sink.record(&event(1));
@@ -169,7 +266,9 @@ mod tests {
         assert_eq!(taken[1].at, SimTime::from_micros(1));
         assert!(sink.is_empty());
         assert_eq!(sink.recorded(), 2);
-        // The ring keeps its allocation for the next round.
-        assert!(sink.lock().events.capacity() >= 2);
+        // The buffer keeps its first chunk for the next round.
+        let state = sink.lock();
+        assert_eq!(state.chunks.len(), 1);
+        assert!(state.chunks[0].capacity() >= CHUNK);
     }
 }
