@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use daris_gpu::{Gpu, GpuSpec, InterferenceModel, SimDuration};
+use daris_gpu::{Gpu, GpuSpec, InterferenceModel, SimDuration, SimTime};
 use daris_models::{DnnKind, ModelProfile};
 use daris_workload::TaskSet;
 
@@ -235,8 +235,7 @@ fn measure_full_load(
             let stage_tag = (rep * stage_count + stage) as u64;
             gpu.submit(target_stream, target_profile.stage_item(stage_tag, stage, 1))?;
             // Run until this stage finishes (background work keeps flowing).
-            while let Some(t) = gpu.next_event_time() {
-                gpu.advance_into(t, &mut completions);
+            while gpu.advance_until_completion(SimTime::MAX, &mut completions) {
                 let mut done = false;
                 for c in completions.drain(..) {
                     if c.stream == target_stream && c.tag == stage_tag {

@@ -306,6 +306,24 @@ impl DarisScheduler {
         sink.record_batch(&mut self.device_events);
     }
 
+    /// Steps the device with `step`, forwards the device events it recorded
+    /// and handles the stage completions it reported, in completion order.
+    fn step_device<T>(&mut self, step: impl FnOnce(&mut Gpu, &mut Vec<Completion>) -> T) -> T {
+        let mut completions = std::mem::take(&mut self.completions);
+        let out = step(&mut self.gpu, &mut completions);
+        self.forward_device_events();
+        for completion in completions.drain(..) {
+            self.handle_completion(
+                completion.tag,
+                completion.finished_at,
+                completion.execution_time(),
+                completion.stream,
+            );
+        }
+        self.completions = completions;
+        out
+    }
+
     // ----- event handlers ---------------------------------------------------
 
     /// Admission test (Eq. 11–12) with migration: returns the context to run
@@ -456,18 +474,15 @@ impl Scheduler for DarisScheduler {
     /// completion on the way (without dispatching queued stages; call
     /// [`dispatch_ready`](Self::dispatch_ready) afterwards).
     fn advance_to(&mut self, target: SimTime) {
-        let mut completions = std::mem::take(&mut self.completions);
-        self.gpu.advance_into(target, &mut completions);
-        self.forward_device_events();
-        for completion in completions.drain(..) {
-            self.handle_completion(
-                completion.tag,
-                completion.finished_at,
-                completion.execution_time(),
-                completion.stream,
-            );
-        }
-        self.completions = completions;
+        self.step_device(|gpu, completions| gpu.advance_into(target, completions));
+    }
+
+    /// Runs the device's transitions up to the next stage completion due by
+    /// `bound` in one call. DARIS decides only at releases and stage
+    /// completions: between them no stream frees and no stage becomes
+    /// ready, so a wake-up at any other transition would dispatch nothing.
+    fn advance_toward(&mut self, bound: SimTime) -> bool {
+        self.step_device(|gpu, completions| gpu.advance_until_completion(bound, completions))
     }
 
     /// Dispatches ready stages onto idle streams, most urgent first.

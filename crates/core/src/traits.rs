@@ -37,6 +37,18 @@ use crate::{CoreError, ExperimentOutcome, Result};
 /// loop — releases and device events interleaved in exact time order —
 /// shared by every policy, DARIS included, so a comparison between two
 /// schedulers compares *policies*, never loop plumbing.
+///
+/// # Wake-ups
+///
+/// Between releases, `run_span` steps the device through
+/// [`advance_toward`](Scheduler::advance_toward), which decides how often
+/// the policy wakes. Its default wakes at every engine transition, as every
+/// baseline needs: Batching and GSlice evaluate their flush timeouts when
+/// they pop ready work, so fewer wake-ups would change their decisions.
+/// [`DarisScheduler`](crate::DarisScheduler) acts only at releases and stage
+/// completions (the synchronization points of its staging), so it overrides
+/// `advance_toward` to run the engine's transitions up to the next
+/// completion in one call.
 pub trait Scheduler {
     /// The scheduler's current simulated time.
     fn now(&self) -> SimTime;
@@ -107,6 +119,29 @@ pub trait Scheduler {
     /// Final accounting: advances to `horizon` and produces the outcome.
     fn finish(&mut self, horizon: SimTime) -> ExperimentOutcome;
 
+    /// Advances the device through its own events at instants up to `bound`
+    /// (processing completions as [`advance_to`](Self::advance_to) does),
+    /// stopping at the first instant at which the policy may need to act.
+    /// Returns `true` if it stopped at such an instant, with the clock
+    /// there; `false` if none came by `bound`, with the clock on the last
+    /// event it processed (or where it was): it never moves the clock to
+    /// `bound` for its own sake.
+    ///
+    /// The default wakes at every device event: it advances to the next
+    /// one if it is due by `bound` and returns `true`, or does nothing and
+    /// returns `false`. An override may skip instants at which its policy
+    /// provably does nothing, but must process every device event it
+    /// passes exactly as `advance_to` would.
+    fn advance_toward(&mut self, bound: SimTime) -> bool {
+        match self.next_event_time() {
+            Some(t) if t <= bound => {
+                self.advance_to(t);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Runs the device-local event loop — completions, releases from
     /// `arrivals`, dispatch, in exact time order — up to (but not
     /// including) `until`. Releases the admission test rejects are pushed
@@ -121,6 +156,13 @@ pub trait Scheduler {
     /// Every scheduler in the workspace, [`DarisScheduler`] included, runs
     /// this default body; an override must not change its semantics.
     ///
+    /// Each turn steps the device with
+    /// [`advance_toward`](Self::advance_toward), bounded by the next release
+    /// or, with none due before `until`, by the last instant before it. The
+    /// clock lands on the release with `advance_to` only when the step did
+    /// not stop early, and never lands on the last-instant bound: the clock
+    /// at the end of a span is the last instant something happened.
+    ///
     /// [`DarisScheduler`]: crate::DarisScheduler
     fn run_span(
         &mut self,
@@ -130,14 +172,17 @@ pub trait Scheduler {
     ) {
         loop {
             let next_release = arrivals.next_release().filter(|r| *r < until);
-            let device_next = self.next_event_time().filter(|t| *t < until);
-            let step_to = match (next_release, device_next) {
-                (Some(r), Some(g)) => r.min(g),
-                (Some(r), None) => r,
-                (None, Some(g)) => g,
-                (None, None) => break,
-            };
-            self.advance_to(step_to);
+            let device_due = self.next_event_time().is_some_and(|t| t < until);
+            if next_release.is_none() && !device_due {
+                break;
+            }
+            let bound = next_release.unwrap_or(SimTime::from_nanos(until.as_nanos() - 1));
+            if !self.advance_toward(bound) {
+                // Nothing to act on before the bound: land on the release,
+                // or, with none, the span has no more work.
+                let Some(release) = next_release else { break };
+                self.advance_to(release);
+            }
             while arrivals.next_release().map(|r| r <= self.now()).unwrap_or(false) {
                 let job = arrivals.next_job().expect("a pending release was peeked");
                 if !self.try_release_job(job) {

@@ -46,6 +46,21 @@
 //! changes, so the stream does not depend on how a caller splits its
 //! advances, and the initial idle allocation is never recorded.
 //!
+//! # Recorded events
+//!
+//! Item-level events and replans go into one buffer in the order they
+//! happen: a transition pass records its item events as it fires them and
+//! its replan, if any, last. [`Gpu::drain_events`] hands the buffer out in
+//! that order, so a drain after many passes reads like the drains after
+//! each pass, concatenated.
+//!
+//! # Stepping to the next completion
+//!
+//! [`Gpu::advance_into`] lands on its target. A caller that only acts on
+//! completions can instead call [`Gpu::advance_until_completion`], which
+//! runs the same passes at the device's own event instants and stops right
+//! after the first pass that completes an item, leaving `now` on that pass.
+//!
 //! Bookkeeping that used to scan every pending item is incremental: in-flight
 //! items sit in a [`Slab`] keyed by their dense, increasing ids; a `running`
 //! set (at most one item per stream) bounds transition checks; per-context
@@ -240,10 +255,8 @@ pub struct Gpu {
     /// Whether device events are being recorded (off until
     /// [`Gpu::record_events`]).
     recording: bool,
-    /// Recorded item-level events, in occurrence order.
+    /// Recorded item-level events and replans, in occurrence order.
     events: Vec<(SimTime, DeviceEvent)>,
-    /// Recorded replans, in occurrence order.
-    replans: Vec<(SimTime, DeviceEvent)>,
     rng: XorShiftRng,
     completed_work: f64,
     pending_count: usize,
@@ -274,7 +287,6 @@ impl Gpu {
             memory,
             recording: false,
             events: Vec::new(),
-            replans: Vec::new(),
             rng,
             completed_work: 0.0,
             pending_count: 0,
@@ -363,13 +375,13 @@ impl Gpu {
         self.recording = true;
     }
 
-    /// Drains the recorded events, each stamped with its simulated time: the
-    /// item-level events in occurrence order, then the replans in occurrence
-    /// order. Recording stays on, and both buffers keep their capacity, so
-    /// recording allocates only when a drain interval outgrows the last. An
-    /// iterator dropped early still empties both buffers.
+    /// Drains the recorded events, item-level events and replans alike, in
+    /// occurrence order, each stamped with its simulated time. Recording
+    /// stays on, and the buffer keeps its capacity, so recording allocates
+    /// only when a drain interval outgrows the last. An iterator dropped
+    /// early still empties the buffer.
     pub fn drain_events(&mut self) -> impl Iterator<Item = (SimTime, DeviceEvent)> + '_ {
-        self.events.drain(..).chain(self.replans.drain(..))
+        self.events.drain(..)
     }
 
     /// Shared device-memory pool.
@@ -511,6 +523,31 @@ impl Gpu {
                 break;
             }
         }
+    }
+
+    /// Runs transition passes at the device's own event instants up to
+    /// `bound`, appending completions to `completions`, and stops right
+    /// after the first pass that completes an item. Returns whether one did.
+    ///
+    /// Each pass is the one [`advance_into`](Gpu::advance_into) would run
+    /// at that instant, so the completions, recorded events and work
+    /// counters are exactly those of one `advance_into` per event instant.
+    /// Unlike `advance_into`, it never moves `now` past the last pass it ran:
+    /// with no event due by `bound`, it runs no pass and leaves `now` alone.
+    pub fn advance_until_completion(
+        &mut self,
+        bound: SimTime,
+        completions: &mut Vec<Completion>,
+    ) -> bool {
+        let before = completions.len();
+        while let Some(t) = self.next_at.filter(|&t| t <= bound) {
+            self.now = t;
+            self.apply_transitions(completions);
+            if completions.len() > before {
+                return true;
+            }
+        }
+        false
     }
 
     /// Runs until the device is fully idle and returns all completions.
@@ -781,9 +818,9 @@ impl Gpu {
         }
         let (factor, allocation) = self.contention(total, busy_contexts);
         let bits = |(computing, utilization): (u32, f64)| (computing, utilization.to_bits());
-        if self.recording && bits(allocation) != bits(self.allocation) {
+        if bits(allocation) != bits(self.allocation) {
             let (computing, utilization) = allocation;
-            self.replans.push((self.now, DeviceEvent::Replan { computing, utilization }));
+            self.record(DeviceEvent::Replan { computing, utilization });
         }
         self.allocation = allocation;
         // Apply the global factor; a kernel whose rate moved banks its
@@ -900,8 +937,7 @@ impl Gpu {
         assert_eq!(self.next_at, earliest, "cached next event differs from a full scan");
     }
 
-    /// Records an item-level event stamped with the current time, if
-    /// recording is on.
+    /// Records an event stamped with the current time, if recording is on.
     fn record(&mut self, event: DeviceEvent) {
         if self.recording {
             self.events.push((self.now, event));
@@ -1300,7 +1336,7 @@ mod tests {
     }
 
     #[test]
-    fn device_events_drain_items_then_replans_and_only_while_recording() {
+    fn device_events_drain_in_occurrence_order_and_only_while_recording() {
         let mut gpu = Gpu::new(quiet_spec());
         let ctx = gpu.add_context(68).unwrap();
         let s = gpu.add_stream(ctx).unwrap();
@@ -1314,32 +1350,35 @@ mod tests {
         assert_eq!(gpu.drain_events().count(), 0, "nothing is recorded before record_events()");
 
         gpu.record_events();
+        let t0 = gpu.now();
         gpu.submit(s, item(2)).unwrap();
         gpu.run_to_idle();
         let events: Vec<_> = gpu.drain_events().collect();
         let (stream, context) = (s.0, ctx.0);
-        let items: Vec<&DeviceEvent> = events.iter().map(|(_, e)| e).take(4).collect();
+        let at = |us| t0 + SimDuration::from_micros(us);
+        // A 9 µs copy in, a 5 µs launch, 1 µs of compute, a 9 µs copy out:
+        // each replan sits after the item events of its own pass, and one
+        // drain of many passes keeps the order in which they happened.
         assert_eq!(
-            items,
+            events,
             [
-                &DeviceEvent::CopyInStarted { tag: 2, stream, context },
-                &DeviceEvent::ItemStarted { tag: 2, stream, context },
-                &DeviceEvent::KernelFinished {
-                    tag: 2,
-                    stream,
-                    context,
-                    label: Some("conv1".into()),
-                },
-                &DeviceEvent::CopyOutStarted { tag: 2, stream, context },
+                (at(0), DeviceEvent::CopyInStarted { tag: 2, stream, context }),
+                (at(9), DeviceEvent::ItemStarted { tag: 2, stream, context }),
+                (at(14), DeviceEvent::Replan { computing: 1, utilization: 1.0 }),
+                (
+                    at(15),
+                    DeviceEvent::KernelFinished {
+                        tag: 2,
+                        stream,
+                        context,
+                        label: Some("conv1".into()),
+                    }
+                ),
+                (at(15), DeviceEvent::CopyOutStarted { tag: 2, stream, context }),
+                (at(15), DeviceEvent::Replan { computing: 0, utilization: 0.0 }),
+                (at(24), DeviceEvent::ItemFinished { tag: 2, stream, context }),
             ]
         );
-        assert_eq!(events[4].1, DeviceEvent::ItemFinished { tag: 2, stream, context });
-        let replans = &events[5..];
-        assert!(!replans.is_empty());
-        assert!(replans.iter().all(|(_, e)| matches!(e, DeviceEvent::Replan { .. })));
-        // Each half is in occurrence order on its own.
-        assert!(events[..5].windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(replans.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(gpu.drain_events().count(), 0, "a drain empties the buffer");
     }
 
@@ -1351,12 +1390,40 @@ mod tests {
         let s = gpu.add_stream(ctx).unwrap();
         gpu.submit(s, WorkItem::new(1, vec![KernelDesc::new(680.0, 68)])).unwrap();
         gpu.run_to_idle();
-        let capacity = (gpu.events.capacity(), gpu.replans.capacity());
-        assert!(capacity.0 > 0 && capacity.1 > 0);
-        // Dropping the drain unconsumed still empties both buffers.
+        let capacity = gpu.events.capacity();
+        assert!(gpu.events.iter().any(|(_, e)| matches!(e, DeviceEvent::Replan { .. })));
+        assert!(capacity > 0);
+        // Dropping the drain unconsumed still empties the one buffer, which
+        // holds the replans too.
         drop(gpu.drain_events());
-        assert!(gpu.events.is_empty() && gpu.replans.is_empty());
-        assert_eq!((gpu.events.capacity(), gpu.replans.capacity()), capacity);
+        assert!(gpu.events.is_empty());
+        assert_eq!(gpu.events.capacity(), capacity);
+    }
+
+    #[test]
+    fn advance_until_completion_stops_after_the_first_completing_pass() {
+        let mut gpu = Gpu::new(quiet_spec());
+        let ctx = gpu.add_context(68).unwrap();
+        let (s1, s2) = (gpu.add_stream(ctx).unwrap(), gpu.add_stream(ctx).unwrap());
+        let us = SimTime::from_micros;
+        let mut done = Vec::new();
+        // Nothing in flight: no pass, and the clock stays put.
+        assert!(!gpu.advance_until_completion(us(100), &mut done));
+        assert_eq!((gpu.now(), gpu.work_counters()), (SimTime::ZERO, WorkCounters::default()));
+        // Alone, item 1 finishes at 15 µs; item 2 (10 SMs of 68) later.
+        gpu.submit(s1, WorkItem::new(1, vec![KernelDesc::new(340.0, 34)])).unwrap();
+        gpu.submit(s2, WorkItem::new(2, vec![KernelDesc::new(680.0, 10)])).unwrap();
+        // The launch flips at 5 µs complete nothing: the clock stays on the
+        // last pass, not on the bound.
+        assert!(!gpu.advance_until_completion(us(8), &mut done));
+        assert_eq!((gpu.now(), gpu.events_processed()), (us(5), 2));
+        assert!(gpu.advance_until_completion(SimTime::MAX, &mut done));
+        assert_eq!(done.iter().map(|c| (c.tag, c.finished_at)).collect::<Vec<_>>(), [(1, us(15))]);
+        assert_eq!(gpu.now(), us(15), "it stops on the completing pass");
+        assert!(gpu.advance_until_completion(SimTime::MAX, &mut done));
+        assert_eq!(done.len(), 2);
+        assert_eq!(gpu.now(), done[1].finished_at);
+        assert_eq!(gpu.next_event_time(), None);
     }
 
     #[test]

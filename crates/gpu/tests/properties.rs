@@ -83,6 +83,51 @@ fn recorded_replans(gpu: &mut Gpu) -> Vec<(SimTime, u32, u64)> {
         .collect()
 }
 
+/// A device with jitter and interference on, and two streams in each of
+/// three contexts whose quotas together oversubscribe it.
+fn three_by_two() -> (Gpu, Vec<StreamId>) {
+    let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
+    let streams = [24u32, 34, 68]
+        .into_iter()
+        .flat_map(|quota| gpu.add_contexts(1, quota, 2).unwrap())
+        .collect();
+    (gpu, streams)
+}
+
+/// `n_items` submissions `(time, stream index, item)` in time order for
+/// [`three_by_two`]: one to three kernels per item, some launching with no
+/// overhead, and copies either way.
+fn multi_kernel_submissions(seed: u64, n_items: usize) -> Vec<(SimTime, usize, WorkItem)> {
+    let mut rng = XorShiftRng::new(seed);
+    let mut t = SimTime::ZERO;
+    (0..n_items as u64)
+        .map(|tag| {
+            t += SimDuration::from_micros_f64(rng.uniform(0.0, 80.0));
+            let kernels: Vec<_> = (0..1 + rng.next_u64() % 3)
+                .map(|_| {
+                    let kernel = KernelDesc::new(
+                        rng.uniform(40.0, 2_000.0),
+                        8 + (rng.next_u64() % 60) as u32,
+                    );
+                    if rng.next_u64() % 4 == 0 {
+                        kernel.with_launch_overhead(SimDuration::ZERO)
+                    } else {
+                        kernel
+                    }
+                })
+                .collect();
+            let mut item = WorkItem::new(tag, kernels);
+            if rng.next_u64() % 2 == 0 {
+                item = item.with_h2d_bytes(1 + rng.next_u64() % 100_000);
+            }
+            if rng.next_u64() % 2 == 0 {
+                item = item.with_d2h_bytes(1 + rng.next_u64() % 50_000);
+            }
+            (t, (rng.next_u64() % 6) as usize, item)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -341,6 +386,93 @@ proptest! {
             }
         }
         prop_assert_eq!(gpu.pending_items(), 0, "work left with no next event");
+    }
+
+    /// Stepping with `advance_until_completion` (bounded by each submission
+    /// instant, landing there with `advance_to` only when it stopped short
+    /// of a completion) is one-pass-per-call `advance_into` in fewer calls:
+    /// the same completions, the same event stream in one drain as in one
+    /// drain per pass, the same work counters, and after every call a clock
+    /// on the last pass it ran, never past it.
+    #[test]
+    fn stepping_to_completions_matches_one_pass_per_call(
+        seed in 0u64..1_000_000,
+        n_items in 1usize..24,
+    ) {
+        let submissions = multi_kernel_submissions(seed, n_items);
+
+        // The reference steps one pass per call and drains after each; it
+        // notes each pass's instant and whether it completed an item, one
+        // list per stretch between submissions (the last one up to idle).
+        let (mut reference, streams) = three_by_two();
+        reference.record_events();
+        let (mut expected, mut expected_events) = (Vec::new(), Vec::new());
+        let mut stretches: Vec<Vec<(SimTime, bool)>> = Vec::new();
+        let mut one_pass = |gpu: &mut Gpu, target: SimTime, done: &mut Vec<Completion>| {
+            let before = done.len();
+            gpu.advance_into(target, done);
+            expected_events.extend(gpu.drain_events());
+            done.len() > before
+        };
+        let mut stretch = |gpu: &mut Gpu, bound: SimTime, done: &mut Vec<Completion>| {
+            let mut passes = Vec::new();
+            while let Some(t) = gpu.next_event_time().filter(|&t| t <= bound) {
+                passes.push((t, one_pass(gpu, t, done)));
+            }
+            if bound < SimTime::MAX {
+                one_pass(gpu, bound, done);
+            }
+            stretches.push(passes);
+        };
+        for (at, s, item) in submissions.iter().cloned() {
+            stretch(&mut reference, at, &mut expected);
+            reference.submit(streams[s], item).unwrap();
+        }
+        stretch(&mut reference, SimTime::MAX, &mut expected);
+
+        let (mut gpu, streams) = three_by_two();
+        gpu.record_events();
+        let mut got = Vec::new();
+        let mut calls = 0usize;
+        // Runs one stretch's calls; each must run the reference's passes up
+        // to and including the next completing one, or all that are left,
+        // and leave the clock on the last of them.
+        let mut run_stretch = |gpu: &mut Gpu,
+                               bound: SimTime,
+                               passes: &[(SimTime, bool)],
+                               got: &mut Vec<Completion>| {
+            let mut left = passes;
+            loop {
+                let next_completing = left.iter().position(|&(_, completed)| completed);
+                let ran = next_completing.map_or(left.len(), |i| i + 1);
+                let expected_now = left[..ran].last().map_or(gpu.now(), |&(t, _)| t);
+                let completed = gpu.advance_until_completion(bound, got);
+                calls += 1;
+                prop_assert_eq!(completed, ran > 0 && left[ran - 1].1);
+                prop_assert_eq!(gpu.now(), expected_now, "the clock is not on the last pass run");
+                left = &left[ran..];
+                if !completed {
+                    prop_assert!(left.is_empty(), "stopped with passes left by {}", bound);
+                    return;
+                }
+            }
+        };
+        let mut stretches = stretches.iter();
+        for (at, s, item) in submissions {
+            run_stretch(&mut gpu, at, stretches.next().unwrap(), &mut got);
+            gpu.advance_into(at, &mut got);
+            gpu.submit(streams[s], item).unwrap();
+        }
+        run_stretch(&mut gpu, SimTime::MAX, stretches.next().unwrap(), &mut got);
+
+        prop_assert_eq!(gpu.pending_items(), 0, "work left with no completion to stop at");
+        prop_assert_eq!(&expected, &got);
+        let events: Vec<_> = gpu.drain_events().collect();
+        prop_assert_eq!(&expected_events, &events, "one drain differs from per-pass drains");
+        prop_assert_eq!(reference.work_counters(), gpu.work_counters());
+        prop_assert_eq!(reference.now(), gpu.now());
+        let most = got.len() + n_items + 1;
+        prop_assert!(calls <= most, "{} calls for {} completions", calls, got.len());
     }
 
     /// Completions are never reported before the submission time and the
