@@ -67,7 +67,8 @@ impl BaselineScheduler {
     /// streams per context)` with one dispatch slot per stream, per-model
     /// profiles calibrated against `calibration` (the *reference* device in
     /// a heterogeneous fleet, so deadlines mean the same thing on every
-    /// scheduler), and the policy.
+    /// scheduler), and the policy. A device whose interference parameters
+    /// fail [`GpuSpec::validate`] is rejected before anything is built.
     pub(crate) fn build(
         label: String,
         taskset: &TaskSet,
@@ -76,6 +77,7 @@ impl BaselineScheduler {
         (contexts, quota, streams): (u32, u32, u32),
         policy: Box<dyn DispatchQueue>,
     ) -> Result<Self, GpuError> {
+        device.validate()?;
         let profiles: BTreeMap<DnnKind, ModelProfile> = taskset
             .model_kinds()
             .into_iter()

@@ -313,7 +313,8 @@ impl DarisConfig {
         self
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration, the device's interference parameters
+    /// ([`GpuSpec::validate`]) included.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.window_size == 0 {
             return Err(CoreError::InvalidConfig("window size must be at least 1".into()));
@@ -323,6 +324,7 @@ impl DarisConfig {
                 CoreError::InvalidConfig(format!("adaptive HPA detector {reason}"))
             })?;
         }
+        self.gpu.validate()?;
         self.partition.validate(&self.gpu)
     }
 }

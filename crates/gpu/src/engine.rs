@@ -30,7 +30,17 @@
 //! *anchored*: an `anchor` instant, the work left at the anchor and its SM
 //! `rate`. Its finish is `anchor + work / rate`, rounded up to the next whole
 //! ns and at least 1 ns after the anchor, so the work is done when it fires.
-//! Time moving changes none of the three, so it moves no instant.
+//! The rounding is one ceiling step,
+//! [`SimDuration::from_nanos_f64_ceil`](crate::SimDuration::from_nanos_f64_ceil),
+//! which saturates: a finish past the end of time lands at
+//! [`SimTime::MAX`](crate::SimTime::MAX). Time moving changes none of the
+//! three, so it moves no instant.
+//!
+//! A transition pass scans `running` once and fires what is due. The scan
+//! leaves something due only if it created it: a launch with no overhead or
+//! a zero-length copy, which start at `now`. Only then does the pass scan
+//! again, so a pass that fires ordinary transitions scans once. In debug
+//! builds every pass ends by asserting that nothing is left due.
 //!
 //! # When the rates are replanned
 //!
@@ -40,7 +50,10 @@
 //! does: a new item only queues, starts a launch, or starts or queues a copy.
 //! The pass re-anchors only the kernels whose rate bits moved: it subtracts
 //! `rate × (now − anchor)` from their work and computes their new finish;
-//! every other kernel keeps its instant. While recording, a rate pass whose
+//! every other kernel keeps its instant. Under oversubscription every
+//! computing kernel moves at every pass, so they all share the anchor of the
+//! previous one: the pass converts `now − anchor` to µs once per run of
+//! equal anchors, not once per kernel. While recording, a rate pass whose
 //! `(busy contexts, utilization)` differs bit for bit from the last one
 //! records a [`DeviceEvent::Replan`]: the allocation is recorded when it
 //! changes, so the stream does not depend on how a caller splits its
@@ -154,9 +167,10 @@ struct ItemInstance {
 }
 
 impl ItemInstance {
-    /// Work the computing kernel has done since `anchor`, as of `now`.
-    fn progress(&self, now: SimTime) -> f64 {
-        (self.rate * (now - self.anchor).as_micros_f64()).min(self.work)
+    /// Work the computing kernel has done in the `elapsed_us` µs since
+    /// `anchor`.
+    fn progress(&self, elapsed_us: f64) -> f64 {
+        (self.rate * elapsed_us).min(self.work)
     }
 }
 
@@ -205,6 +219,10 @@ pub struct WorkCounters {
     /// Rate passes (SM re-allocations) that ran: transition passes at which
     /// a context's computing membership changed. A submit runs none.
     pub replans: u64,
+    /// Scans of the `running` set: one per transition pass, plus one each
+    /// time a scan created an instant due at its own `now` (a launch with
+    /// no overhead or a zero-length copy).
+    pub scans: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,6 +269,9 @@ pub struct Gpu {
     water_fill: WaterFill,
     /// Reused snapshot of `running` for a transition pass.
     transition_ids: Vec<WorkItemId>,
+    /// Whether the current scan created an instant at or before `now`, so
+    /// the transition pass must scan again.
+    rescan: bool,
     memory: MemoryPool,
     /// Whether device events are being recorded (off until
     /// [`Gpu::record_events`]).
@@ -284,6 +305,7 @@ impl Gpu {
             ctx_alloc: Vec::new(),
             water_fill: WaterFill::default(),
             transition_ids: Vec::new(),
+            rescan: false,
             memory,
             recording: false,
             events: Vec::new(),
@@ -453,7 +475,9 @@ impl Gpu {
         let running = self.running.ids().iter().filter_map(|&id| self.items.get(id.0));
         let computing =
             running.filter(|item| item.state == ItemState::Running(KernelPhase::Computing));
-        self.completed_work + computing.map(|item| item.progress(self.now)).sum::<f64>()
+        let progress =
+            |item: &ItemInstance| item.progress((self.now - item.anchor).as_micros_f64());
+        self.completed_work + computing.map(progress).sum::<f64>()
     }
 
     /// Number of discrete state transitions fired so far (copy completions,
@@ -594,7 +618,8 @@ impl Gpu {
         let ctx = item.context.index();
         let desc: &KernelDesc = &item.spec.kernels[index];
         item.kernel_index = index;
-        item.next_at = Some(now + desc.launch_overhead.unwrap_or(default_launch));
+        let launch_end = now + desc.launch_overhead.unwrap_or(default_launch);
+        item.next_at = Some(launch_end);
         item.work = desc.work * jitter;
         item.state = ItemState::Running(KernelPhase::Launching);
         let (tag, stream, context) = (item.tag, item.stream.0, item.context.0);
@@ -603,6 +628,7 @@ impl Gpu {
             self.ctx_dirty[ctx] = true;
         }
         self.running.insert(item_id);
+        self.rescan |= launch_end <= now;
         if index == 0 {
             self.record(DeviceEvent::ItemStarted { tag, stream, context });
         }
@@ -629,6 +655,7 @@ impl Gpu {
         };
         let (tag, stream, context) = (item.tag, item.stream.0, item.context.0);
         self.active_copy = Some(ActiveCopy { item: item_id, direction, finish });
+        self.rescan |= finish <= self.now;
         if direction == CopyDirection::DeviceToHost {
             self.record(DeviceEvent::CopyOutStarted { tag, stream, context });
         }
@@ -636,17 +663,21 @@ impl Gpu {
 
     /// Fires every transition that is due at the current time, then replans
     /// allocations.
+    ///
+    /// One scan of `running` fires everything that was due when it began.
+    /// It can leave something due only by creating it: a launch with no
+    /// overhead or a zero-length copy (a compute finish is set by the rate
+    /// pass, always in the future). Only then does the pass scan again.
     fn apply_transitions(&mut self, completions: &mut Vec<Completion>) {
         let mut ids = std::mem::take(&mut self.transition_ids);
-        let mut changed = true;
-        while changed {
-            changed = false;
+        loop {
+            self.counters.scans += 1;
+            self.rescan = false;
 
             // Copy completion.
             let copy_done = self.active_copy.as_ref().is_some_and(|c| c.finish <= self.now);
             if copy_done {
                 let copy = self.active_copy.take().expect("checked above");
-                changed = true;
                 self.counters.transitions += 1;
                 match copy.direction {
                     CopyDirection::HostToDevice => {
@@ -684,11 +715,9 @@ impl Gpu {
                             self.computing[ctx].insert(id);
                             self.ctx_dirty[ctx] = true;
                         }
-                        changed = true;
                         self.counters.transitions += 1;
                     }
                     ItemState::Running(KernelPhase::Computing) => {
-                        changed = true;
                         self.counters.transitions += 1;
                         let item = self.items.get(id.0).expect("running items are in flight");
                         self.completed_work += item.work;
@@ -724,8 +753,13 @@ impl Gpu {
                     _ => {}
                 }
             }
+            if !self.rescan {
+                break;
+            }
         }
         self.transition_ids = ids;
+        #[cfg(debug_assertions)]
+        self.check_nothing_due();
         self.replan();
     }
 
@@ -824,8 +858,11 @@ impl Gpu {
         }
         self.allocation = allocation;
         // Apply the global factor; a kernel whose rate moved banks its
-        // progress at the old rate and gets a new finish.
+        // progress at the old rate and gets a new finish. Kernels re-anchored
+        // by one pass share its anchor, so the elapsed time since an anchor
+        // is converted once per run of equal anchors.
         let now = self.now;
+        let mut elapsed: Option<(SimTime, f64)> = None;
         for ctx in 0..self.contexts.len() {
             for &(id, alloc) in &self.ctx_alloc[ctx] {
                 let Some(item) = self.items.get_mut(id.0) else { continue };
@@ -833,7 +870,15 @@ impl Gpu {
                 if rate.to_bits() == item.rate.to_bits() {
                     continue;
                 }
-                let done = item.progress(now);
+                let elapsed_us = match elapsed {
+                    Some((anchor, us)) if anchor == item.anchor => us,
+                    _ => {
+                        let us = (now - item.anchor).as_micros_f64();
+                        elapsed = Some((item.anchor, us));
+                        us
+                    }
+                };
+                let done = item.progress(elapsed_us);
                 self.completed_work += done;
                 item.work -= done;
                 item.anchor = now;
@@ -896,6 +941,25 @@ impl Gpu {
         }
     }
 
+    /// Debug oracle for the scan [`apply_transitions`](Self::apply_transitions)
+    /// skips: when a transition pass stops scanning, no running item and no
+    /// active copy is due at `now`.
+    #[cfg(debug_assertions)]
+    fn check_nothing_due(&self) {
+        let now = self.now;
+        assert!(
+            !self.active_copy.as_ref().is_some_and(|c| c.finish <= now),
+            "skipped scan: the active copy is due at {now}"
+        );
+        for &id in self.running.ids() {
+            let item = self.items.get(id.0).expect("running items are in flight");
+            assert!(
+                !item.next_at.is_some_and(|t| t <= now),
+                "skipped scan: item {id} is due at {now}"
+            );
+        }
+    }
+
     /// Debug oracle for [`replan`](Self::replan): every computing item is
     /// covered by the allocation cache; every in-flight item's instant is
     /// the one its state implies (a compute finish recomputed from its
@@ -948,13 +1012,11 @@ impl Gpu {
 /// When a kernel with `work` SM·µs left at `anchor` finishes at `rate` SMs:
 /// the exact instant rounded up to the next whole ns, so the work is done
 /// when it fires, and never sooner than 1 ns after `anchor`, so a compute
-/// finish always moves time forward.
+/// finish always moves time forward. A finish past the end of time (an
+/// overflowing or infinite `work / rate`) saturates at [`SimTime::MAX`].
 fn compute_finish(anchor: SimTime, work: f64, rate: f64) -> SimTime {
-    let us = work / rate;
-    // `from_micros_f64` rounds to the nearest ns; one more if that is early.
-    let nearest = SimDuration::from_micros_f64(us);
-    let up = u64::from((nearest.as_nanos() as f64) < us * 1e3);
-    anchor + (nearest + SimDuration::from_nanos(up)).max(SimDuration::from_nanos(1))
+    let span = SimDuration::from_nanos_f64_ceil(work / rate * 1e3);
+    anchor.saturating_add(span.max(SimDuration::from_nanos(1)))
 }
 
 /// Water-filling of a context's SM quota over its computing kernels, with
@@ -1222,14 +1284,19 @@ mod tests {
         let after = gpu.work_counters();
         assert_eq!(after.transitions, before.transitions + 1);
         assert_eq!(after.replans, before.replans + 1, "no trailing pass at the target");
-        // Nothing is due at `now`: neither rates nor instants can move.
+        // Nothing is due at `now`: neither rates nor instants can move. Each
+        // advance is one pass, and a pass that fires nothing scans once.
+        let moved = |gpu: &Gpu| {
+            let c = gpu.work_counters();
+            (c.transitions - after.transitions, c.replans - after.replans, c.scans - after.scans)
+        };
         assert!(gpu.advance_to(gpu.now()).is_empty());
-        assert_eq!(gpu.work_counters(), after);
+        assert_eq!(moved(&gpu), (0, 0, 1));
         assert_eq!(gpu.next_event_time(), Some(SimTime::from_micros(15)));
         // Moving time with no membership change runs no rate pass and keeps
         // the anchored finish.
         gpu.advance_to(SimTime::from_micros(8));
-        assert_eq!(gpu.work_counters(), after);
+        assert_eq!(moved(&gpu), (0, 0, 2));
         assert_eq!(gpu.next_event_time(), Some(SimTime::from_micros(15)));
     }
 
@@ -1424,6 +1491,86 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert_eq!(gpu.now(), done[1].finished_at);
         assert_eq!(gpu.next_event_time(), None);
+    }
+
+    #[test]
+    fn zero_length_launches_and_copies_fire_in_the_pass_that_starts_them() {
+        let spec = GpuSpec { copy_latency: SimDuration::ZERO, ..quiet_spec() };
+        let mut gpu = Gpu::new(spec);
+        gpu.record_events();
+        let ctx = gpu.add_context(68).unwrap();
+        let s = gpu.add_stream(ctx).unwrap();
+        let kernel = |label| {
+            KernelDesc::new(680.0, 68).with_launch_overhead(SimDuration::ZERO).with_label(label)
+        };
+        // One byte at 12,000 bytes/µs rounds to a zero-length copy. Item 1
+        // chains two 10 µs kernels and a copy out; item 2 queues behind it
+        // with a copy in and a 1 µs kernel.
+        let first = WorkItem::new(1, vec![kernel("a"), kernel("b")]).with_d2h_bytes(1);
+        let second = WorkItem::new(
+            2,
+            vec![KernelDesc::new(68.0, 68).with_launch_overhead(SimDuration::ZERO).with_label("c")],
+        )
+        .with_h2d_bytes(1);
+        gpu.submit(s, first).unwrap();
+        gpu.submit(s, second).unwrap();
+        let done = gpu.run_to_idle();
+        let us = |us| SimTime::from_micros(us);
+        let times: Vec<_> =
+            done.iter().map(|c| (c.tag, c.submitted_at, c.started_at, c.finished_at)).collect();
+        assert_eq!(times, [(1, us(0), us(0), us(20)), (2, us(0), us(20), us(21))]);
+        let (stream, context) = (s.0, ctx.0);
+        let finished = |tag, label: &str| DeviceEvent::KernelFinished {
+            tag,
+            stream,
+            context,
+            label: Some(label.into()),
+        };
+        // At 20 µs one pass fires the kernel finish, the copy out it starts,
+        // the completion, the copy in of item 2 that starts, and the launch
+        // that starts: every step in the order it happens, and the
+        // allocation never moves, so no Replan is recorded there.
+        assert_eq!(
+            gpu.drain_events().collect::<Vec<_>>(),
+            [
+                (us(0), DeviceEvent::ItemStarted { tag: 1, stream, context }),
+                (us(0), DeviceEvent::Replan { computing: 1, utilization: 1.0 }),
+                (us(10), finished(1, "a")),
+                (us(20), finished(1, "b")),
+                (us(20), DeviceEvent::CopyOutStarted { tag: 1, stream, context }),
+                (us(20), DeviceEvent::ItemFinished { tag: 1, stream, context }),
+                (us(20), DeviceEvent::CopyInStarted { tag: 2, stream, context }),
+                (us(20), DeviceEvent::ItemStarted { tag: 2, stream, context }),
+                (us(21), finished(2, "c")),
+                (us(21), DeviceEvent::ItemFinished { tag: 2, stream, context }),
+                (us(21), DeviceEvent::Replan { computing: 0, utilization: 0.0 }),
+            ]
+        );
+        // Passes at 0, 10, 20 and 21 µs. The one at 10 µs scans again for
+        // the launch it starts; the one at 20 µs for the copy out, then the
+        // copy in, then item 2's launch.
+        let counters = gpu.work_counters();
+        assert_eq!((counters.transitions, counters.replans, counters.scans), (8, 4, 8));
+    }
+
+    #[test]
+    fn a_finish_past_the_end_of_time_saturates() {
+        // Two busy contexts at an absurd penalty: each kernel's rate is about
+        // 3.4e-299 SMs, so its 680 SM·µs take about 2e304 ns, far past
+        // `SimTime::MAX`.
+        let mut spec = quiet_spec();
+        spec.interference.per_context_penalty = 1e300;
+        let mut gpu = Gpu::new(spec);
+        let streams = gpu.add_contexts(2, 68, 1).unwrap();
+        for (tag, &s) in streams.iter().enumerate() {
+            gpu.submit(s, WorkItem::new(tag as u64, vec![KernelDesc::new(680.0, 68)])).unwrap();
+        }
+        // Both launches end at 5 µs; neither kernel finishes 1 ns later.
+        assert!(gpu.advance_to(SimTime::from_millis(1)).is_empty());
+        assert_eq!(gpu.next_event_time(), Some(SimTime::MAX));
+        let done = gpu.run_to_idle();
+        assert_eq!(done.len(), 2);
+        assert!(done.iter().all(|c| c.finished_at == SimTime::MAX), "{done:?}");
     }
 
     #[test]

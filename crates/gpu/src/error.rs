@@ -35,6 +35,16 @@ pub enum GpuError {
     },
     /// An allocation handle was freed twice or never existed.
     UnknownAllocation(u64),
+    /// An [`InterferenceModel`](crate::InterferenceModel) parameter lies
+    /// outside the range the rate model is defined on.
+    InvalidInterference {
+        /// The parameter's field name.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The range it must lie in.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for GpuError {
@@ -54,6 +64,9 @@ impl fmt::Display for GpuError {
             ),
             GpuError::UnknownAllocation(handle) => {
                 write!(f, "unknown device memory allocation handle {handle}")
+            }
+            GpuError::InvalidInterference { field, value, expected } => {
+                write!(f, "interference parameter {field} is {value}; it must be {expected}")
             }
         }
     }
@@ -76,6 +89,11 @@ mod tests {
             GpuError::InvalidKernel("work is NaN".to_owned()),
             GpuError::OutOfMemory { requested: 10, available: 5 },
             GpuError::UnknownAllocation(1),
+            GpuError::InvalidInterference {
+                field: "work_jitter",
+                value: 1.0,
+                expected: "in [0, 1)",
+            },
         ];
         for e in errors {
             let msg = e.to_string();

@@ -1,6 +1,6 @@
 //! Device specification and interference model.
 
-use crate::SimDuration;
+use crate::{GpuError, SimDuration};
 
 /// Describes how colocated kernels degrade each other beyond simple SM
 /// sharing.
@@ -173,6 +173,46 @@ impl GpuSpec {
         }
     }
 
+    /// Checks that every interference parameter lies where the engine's rate
+    /// model is defined: both penalties finite and non-negative (a NaN
+    /// penalty makes every rate NaN, so a kernel never finishes), and the
+    /// jitter half-width in `[0, 1)` (at 1 or more a kernel's work can reach
+    /// zero or go negative).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpuError::InvalidInterference`] naming the first parameter
+    /// out of range.
+    ///
+    /// ```
+    /// use daris_gpu::{GpuError, GpuSpec};
+    /// let mut spec = GpuSpec::rtx_2080_ti();
+    /// assert!(spec.validate().is_ok());
+    /// spec.interference.work_jitter = 1.0;
+    /// assert!(matches!(
+    ///     spec.validate(),
+    ///     Err(GpuError::InvalidInterference { field: "work_jitter", .. })
+    /// ));
+    /// ```
+    pub fn validate(&self) -> Result<(), GpuError> {
+        let model = &self.interference;
+        let penalties = [
+            ("per_context_penalty", model.per_context_penalty),
+            ("oversubscription_penalty", model.oversubscription_penalty),
+        ];
+        for (field, value) in penalties {
+            if !(value.is_finite() && value >= 0.0) {
+                let expected = "finite and non-negative";
+                return Err(GpuError::InvalidInterference { field, value, expected });
+            }
+        }
+        if !(0.0..1.0).contains(&model.work_jitter) {
+            let (field, value) = ("work_jitter", model.work_jitter);
+            return Err(GpuError::InvalidInterference { field, value, expected: "in [0, 1)" });
+        }
+        Ok(())
+    }
+
     /// Returns a copy of the spec with interference and jitter disabled,
     /// which makes execution times fully deterministic. Used by calibration
     /// and by tests that assert exact timing.
@@ -238,6 +278,44 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), seeds.len());
+    }
+
+    #[test]
+    fn validation_rejects_each_parameter_out_of_range() {
+        for spec in [
+            GpuSpec::rtx_2080_ti(),
+            GpuSpec::a100(),
+            GpuSpec::h100(),
+            GpuSpec::orin(),
+            GpuSpec::embedded_xavier_like(),
+            GpuSpec::rtx_2080_ti().without_interference(),
+        ] {
+            assert_eq!(spec.validate(), Ok(()));
+        }
+        let field_of = |interference| {
+            let spec = GpuSpec { interference, ..GpuSpec::rtx_2080_ti() };
+            match spec.validate() {
+                Err(GpuError::InvalidInterference { field, .. }) => field,
+                other => panic!("{interference:?} validated as {other:?}"),
+            }
+        };
+        let base = InterferenceModel::default();
+        for bad in [f64::NAN, f64::INFINITY, -0.01] {
+            let m = InterferenceModel { per_context_penalty: bad, ..base };
+            assert_eq!(field_of(m), "per_context_penalty");
+            let m = InterferenceModel { oversubscription_penalty: bad, ..base };
+            assert_eq!(field_of(m), "oversubscription_penalty");
+        }
+        for bad in [f64::NAN, -0.01, 1.0, 2.5] {
+            assert_eq!(field_of(InterferenceModel { work_jitter: bad, ..base }), "work_jitter");
+        }
+        // Large but finite penalties and a jitter just below 1 are allowed.
+        let interference = InterferenceModel {
+            per_context_penalty: 1e300,
+            oversubscription_penalty: 0.0,
+            work_jitter: 0.999,
+        };
+        assert_eq!(GpuSpec { interference, ..GpuSpec::rtx_2080_ti() }.validate(), Ok(()));
     }
 
     #[test]

@@ -104,12 +104,34 @@ impl SimDuration {
     /// Creates a duration from a floating-point number of microseconds.
     ///
     /// Negative or non-finite inputs clamp to zero.
-    #[allow(clippy::cast_sign_loss)] // the float->time entry point; casts only finite `us > 0`
+    #[allow(clippy::cast_sign_loss)] // a float->time entry point; casts only finite `us > 0`
     pub fn from_micros_f64(us: f64) -> Self {
         if !us.is_finite() || us <= 0.0 {
             return SimDuration::ZERO;
         }
         SimDuration((us * 1e3).round() as u64)
+    }
+
+    /// Creates a duration from a floating-point number of nanoseconds,
+    /// rounded *up* to the next whole ns and saturating at
+    /// [`SimDuration::MAX`].
+    ///
+    /// NaN, zero and negative inputs give zero; `+∞` and anything at or
+    /// above 2⁶⁴ give [`SimDuration::MAX`]. For a finite `ns` in
+    /// `[0, 2⁶⁴)` the result is exactly `ceil(ns)`.
+    ///
+    /// ```
+    /// use daris_gpu::SimDuration;
+    /// assert_eq!(SimDuration::from_nanos_f64_ceil(2.25).as_nanos(), 3);
+    /// assert_eq!(SimDuration::from_nanos_f64_ceil(7.0).as_nanos(), 7);
+    /// assert_eq!(SimDuration::from_nanos_f64_ceil(f64::INFINITY), SimDuration::MAX);
+    /// ```
+    // `as` truncates toward zero and saturates (NaN and negatives to 0, +inf
+    // to u64::MAX); the comparison adds back a dropped fraction.
+    #[allow(clippy::cast_sign_loss)] // a float->time entry point; the saturating cast is intended
+    pub fn from_nanos_f64_ceil(ns: f64) -> Self {
+        let whole = ns as u64;
+        SimDuration(whole.saturating_add(u64::from((whole as f64) < ns)))
     }
 
     /// Creates a duration from a floating-point number of milliseconds.
@@ -256,6 +278,18 @@ mod tests {
         assert_eq!(SimDuration::from_micros_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_micros_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_micros_f64(f64::INFINITY), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn nanos_ceiling_rounds_up_and_saturates() {
+        let ceil = |ns: f64| SimDuration::from_nanos_f64_ceil(ns).as_nanos();
+        assert_eq!((ceil(0.0), ceil(-0.0), ceil(-3.5), ceil(f64::NAN)), (0, 0, 0, 0));
+        assert_eq!((ceil(f64::MIN_POSITIVE), ceil(0.5), ceil(1.0), ceil(1.5)), (1, 1, 1, 2));
+        // Above 2^53 every f64 is a whole number: it converts unchanged.
+        assert_eq!(ceil(2f64.powi(60)), 1 << 60);
+        assert_eq!(ceil(2f64.powi(64)), u64::MAX);
+        assert_eq!(ceil(1e300), u64::MAX);
+        assert_eq!(ceil(f64::INFINITY), u64::MAX);
     }
 
     #[test]

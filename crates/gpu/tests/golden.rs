@@ -209,14 +209,14 @@ fn golden_oversubscribed_small_steps() {
 #[test]
 fn golden_work_counters() {
     let mut out = String::new();
-    out.push_str("# workload transitions replans\n");
+    out.push_str("# workload transitions replans scans\n");
     let rows = [
         ("burst_multi_context", burst_multi_context().1),
         ("staggered_arrivals", staggered_arrivals().1),
         ("oversubscribed_small_steps", oversubscribed_small_steps().1),
     ];
     for (name, c) in rows {
-        writeln!(out, "{name} {} {}", c.transitions, c.replans)
+        writeln!(out, "{name} {} {} {}", c.transitions, c.replans, c.scans)
             .expect("writing to a String cannot fail");
     }
     check_or_regen_file("work_counters.txt", &out);

@@ -128,8 +128,134 @@ fn multi_kernel_submissions(seed: u64, n_items: usize) -> Vec<(SimTime, usize, W
         .collect()
 }
 
+/// The compute-finish formula the engine used before
+/// [`SimDuration::from_nanos_f64_ceil`]: round `work / rate` µs to the
+/// nearest ns, add 1 ns if that is early, and finish at least 1 ns after
+/// `anchor`. It is kept as the oracle, with its overflows made explicit:
+/// it returns `None` for an infinite quotient (which it finished 1 ns after
+/// `anchor`) and where either of its additions overflows (a debug build
+/// panicked there, and a release build wrapped to 1 ns after `anchor`).
+fn parent_finish(anchor: SimTime, work: f64, rate: f64) -> Option<SimTime> {
+    let us = work / rate;
+    if us * 1e3 == f64::INFINITY {
+        return None;
+    }
+    let nearest = SimDuration::from_micros_f64(us);
+    let up = u64::from((nearest.as_nanos() as f64) < us * 1e3);
+    let span = nearest.as_nanos().checked_add(up)?.max(1);
+    anchor.as_nanos().checked_add(span).map(SimTime::from_nanos)
+}
+
+/// The engine's compute finish: one ceiling step, saturating.
+fn ceiling_finish(anchor: SimTime, work: f64, rate: f64) -> SimTime {
+    let span = SimDuration::from_nanos_f64_ceil(work / rate * 1e3);
+    anchor.saturating_add(span.max(SimDuration::from_nanos(1)))
+}
+
+/// The ceiling finish equals the oracle bit for bit, and lands at
+/// `SimTime::MAX` exactly where the oracle overflows.
+fn assert_finish_matches_parent(anchor: SimTime, work: f64, rate: f64) {
+    let expected = parent_finish(anchor, work, rate).unwrap_or(SimTime::MAX);
+    assert_eq!(
+        ceiling_finish(anchor, work, rate),
+        expected,
+        "anchor {anchor:?}, work {work:e}, rate {rate:e}, ns {:e}",
+        work / rate * 1e3
+    );
+}
+
+/// A `work` (at rate 1) whose finish is exactly `ns` ns: `ns / 1e3` or an
+/// adjacent float, whichever multiplies back to `ns`.
+fn work_for_nanos(ns: f64) -> f64 {
+    let us = ns / 1e3;
+    let bits = us.to_bits();
+    [bits, bits.wrapping_sub(1), bits + 1]
+        .into_iter()
+        .map(f64::from_bits)
+        .find(|&us| us * 1e3 == ns)
+        .unwrap_or_else(|| panic!("no µs value gives exactly {ns} ns"))
+}
+
+#[test]
+fn ceiling_finish_matches_the_parent_formula_on_edge_values() {
+    let two = |e: i32| 2f64.powi(e);
+    let exact_nanos = [
+        0.0,
+        1.0,
+        10_000.0,
+        123_456_789.0,
+        0.5,
+        2.5,
+        1_234.5,
+        1e6 + 0.5,
+        two(51) + 0.5,
+        two(53),
+        two(53) + 2.0,
+        two(60) + two(10),
+        two(63) + two(11),
+        two(64),
+    ];
+    let mut cases: Vec<(f64, f64)> =
+        exact_nanos.iter().map(|&ns| (work_for_nanos(ns), 1.0)).collect();
+    cases.extend([
+        // Exact integers and halves from a real division.
+        (680.0, 68.0),
+        (680.0, 34.0),
+        (1.0, 2_000.0),
+        (3.0, 6_000.0),
+        // Zero, negative zero, negative and NaN work or quotients.
+        (-0.0, 1.0),
+        (-1.0, 1.0),
+        (0.0, 0.0),
+        (f64::NAN, 1.0),
+        // Subnormal quotients and products.
+        (f64::from_bits(1), 1.0),
+        (f64::MIN_POSITIVE, 1e3),
+        (1.0, 1e308),
+        // At and past 2^64 ns, up to +inf.
+        (two(64) / 1e3 * 1.5, 1.0),
+        (1e297, 1.0),
+        (f64::MAX, 1.0),
+        (1.0, 0.0),
+        (1e308, 1e-10),
+        (680.0, 3.4e-299),
+    ]);
+    for anchor in [0, 1, 1_000_000_000_000, u64::MAX - 1_000_000, u64::MAX] {
+        for &(work, rate) in &cases {
+            assert_finish_matches_parent(SimTime::from_nanos(anchor), work, rate);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Over random anchors, work and rates spanning 40 decades, the
+    /// ceiling finish is the parent formula's, bit for bit.
+    #[test]
+    fn ceiling_finish_matches_the_parent_formula(
+        anchor in 0u64..u64::MAX,
+        work_exp in -20.0f64..20.0,
+        work_mantissa in 1.0f64..10.0,
+        rate in 1e-6f64..200.0,
+    ) {
+        let work = work_mantissa * 10f64.powf(work_exp);
+        for anchor in [anchor, anchor >> 24] {
+            assert_finish_matches_parent(SimTime::from_nanos(anchor), work, rate);
+        }
+    }
+
+    /// A whole number of µs at a whole-SM rate gives an exact integer ns,
+    /// where a ceiling off by one would first show.
+    #[test]
+    fn ceiling_finish_matches_the_parent_formula_on_whole_nanos(
+        anchor in 0u64..1 << 50,
+        us in 0u64..1 << 40,
+        sms in 1u32..137,
+    ) {
+        let rate = f64::from(sms);
+        assert_finish_matches_parent(SimTime::from_nanos(anchor), us as f64 * rate, rate);
+    }
 
     /// ceil_even always returns an even value that is >= the input.
     #[test]
