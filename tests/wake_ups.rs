@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use daris::baselines::{BaselineScheduler, BatchingServer};
+use daris::baselines::{BaselineScheduler, BatchingServer, GsliceServer};
 use daris::cluster::{
     ClusterConfig, ClusterDispatcher, ClusterOutcome, ClusterSpec, DeviceSlot, DeviceSpec,
     PlacementStrategy,
@@ -24,7 +24,8 @@ use daris::gpu::{DeviceEvent, GpuSpec, SimDuration, SimTime};
 use daris::models::DnnKind;
 use daris::telemetry::{EventKind, MemorySink, SinkHandle, TelemetryEvent};
 use daris::workload::{
-    BurstyConfig, GenSpec, Job, JobId, Priority, ReleaseJitter, TaskId, TaskSet, TaskSpec,
+    BurstyConfig, GenSpec, Job, JobId, Priority, ReleaseJitter, TaskId, TaskSet, TaskSetBuilder,
+    TaskSpec,
 };
 
 /// Forwards every required [`Scheduler`] method but `advance_to` to
@@ -246,13 +247,21 @@ fn racked_daris_fleet_results_do_not_depend_on_its_wake_ups() {
     assert!(wake_ups < per_transition, "{wake_ups} wake-ups, {per_transition} transitions");
 }
 
-/// A bursty Batching fleet of four devices, each scheduler passed through
-/// `wrap`.
-fn run_batching<S: Scheduler + Send>(
+/// A light two-device baseline fleet, each device's scheduler built by
+/// `build` and passed through `wrap`. Most batches never fill at this load:
+/// InceptionV3's batch of eight cannot fill from two tasks, so its jobs
+/// complete only through timeout flushes.
+fn run_light_fleet<S: Scheduler + Send>(
+    build: impl Fn(&DeviceSlot<'_>) -> Result<BaselineScheduler> + Sync,
     wrap: impl Fn(BaselineScheduler) -> S + Sync,
 ) -> (ClusterOutcome, Vec<TelemetryEvent>) {
-    let taskset = TaskSet::table2_scaled(DnnKind::ResNet18, 3);
-    let fleet = ClusterSpec::homogeneous(4, GpuSpec::rtx_2080_ti(), GpuPartition::mps(2, 2.0));
+    let taskset = TaskSetBuilder::new()
+        .add_tasks(DnnKind::ResNet18, 3, 30.0, Priority::High)
+        .add_tasks(DnnKind::UNet, 1, 24.0, Priority::Low)
+        .add_tasks(DnnKind::InceptionV3, 2, 20.0, Priority::Low)
+        .add_tasks(DnnKind::ResNet18, 2, 15.0, Priority::Low)
+        .build();
+    let fleet = ClusterSpec::homogeneous(2, GpuSpec::rtx_2080_ti(), GpuPartition::mps(2, 2.0));
     let sink = MemorySink::unbounded();
     let config = ClusterConfig {
         strategy: PlacementStrategy::GreedyBalance,
@@ -260,26 +269,37 @@ fn run_batching<S: Scheduler + Send>(
         sink: Some(SinkHandle::new(sink.clone())),
         ..Default::default()
     };
-    let horizon = SimTime::from_millis(daris_bench::horizon_capped_ms(150));
-    let spec = GenSpec::Bursty(BurstyConfig { seed: 0xD16E57, ..Default::default() });
-    let outcome = ClusterDispatcher::with_factory(&taskset, fleet, config, |slot| {
-        let server = BatchingServer::new().with_gpu(slot.spec.gpu.clone());
-        Ok(wrap(server.scheduler(slot.taskset)?))
-    })
-    .expect("valid baseline fleet")
-    .run(&RunSpec::generated(spec).until(horizon))
-    .expect("spec runs");
+    let horizon = SimTime::from_millis(daris_bench::horizon_capped_ms(300));
+    let jitter = ReleaseJitter::Uniform { max: SimDuration::from_millis(3), seed: 11 };
+    let outcome =
+        ClusterDispatcher::with_factory(&taskset, fleet, config, |slot| Ok(wrap(build(&slot)?)))
+            .expect("valid baseline fleet")
+            .run(&RunSpec::jittered(jitter).until(horizon))
+            .expect("spec runs");
     assert!(outcome.summary.total.completed > 0, "the fleet did no work");
     (outcome, sink.events())
 }
 
 #[test]
 fn baseline_fleet_keeps_its_per_transition_wake_ups() {
-    // Batching evaluates its flush timeouts when it pops ready work, so it
-    // must keep waking at every transition: the provided default, which a
-    // wrapper forwarding only the required methods runs too.
-    let expected = run_batching(|scheduler| scheduler);
+    // Batching and GSlice evaluate their flush timeouts when they pop ready
+    // work, so they must keep waking at every transition: the provided
+    // default, which a wrapper forwarding only the required methods runs
+    // too. GSlice's partitions make it matter: a stale batch on an idle
+    // partition flushes at a transition of a busy one, which need not be a
+    // completion. Batching's single stream is idle only while the device
+    // has no events, so its case guards the default alone.
+    let batching = |slot: &DeviceSlot<'_>| {
+        Ok(BatchingServer::new().with_gpu(slot.spec.gpu.clone()).scheduler(slot.taskset)?)
+    };
+    let gslice = |slot: &DeviceSlot<'_>| {
+        Ok(GsliceServer::new(2).with_gpu(slot.spec.gpu.clone()).scheduler(slot.taskset)?)
+    };
     let advances = Arc::new(AtomicU64::new(0));
-    let run = run_batching(|scheduler| per_transition(scheduler, &advances));
+    let expected = run_light_fleet(batching, |scheduler| scheduler);
+    let run = run_light_fleet(batching, |scheduler| per_transition(scheduler, &advances));
     assert_same_run("per-transition Batching fleet", &run, &expected);
+    let expected = run_light_fleet(gslice, |scheduler| scheduler);
+    let run = run_light_fleet(gslice, |scheduler| per_transition(scheduler, &advances));
+    assert_same_run("per-transition GSlice fleet", &run, &expected);
 }
