@@ -2,12 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use daris_gpu::{GpuError, GpuSpec};
 use daris_models::DnnKind;
-use daris_workload::TaskSet;
 
-use crate::harness::BaselineScheduler;
-use crate::policies::BatchingQueue;
+use crate::policies::{paper_batch_sizes, BatchQueue, DispatchQueue, Staleness};
+use crate::server::{Policy, Server};
 
 /// A pure batching inference server: released jobs are grouped per model into
 /// fixed-size batches and the batches execute back to back on the whole GPU,
@@ -16,10 +14,11 @@ use crate::policies::BatchingQueue;
 /// Its best-case throughput (`Table I max JPS`) is the *upper baseline* the
 /// paper compares DARIS against; its deadline behaviour shows why batching
 /// alone is not a real-time scheduler (jobs wait for their batch to fill).
+pub type BatchingServer = Server<Batching>;
+
+/// One stream on the whole device; per-model batches flushed full-or-stale.
 #[derive(Debug, Clone)]
-pub struct BatchingServer {
-    spec: GpuSpec,
-    calibration: Option<GpuSpec>,
+pub struct Batching {
     batch_size: BTreeMap<DnnKind, u32>,
 }
 
@@ -27,44 +26,13 @@ impl BatchingServer {
     /// Creates a server using the paper's per-model batch sizes
     /// (4 / 2 / 8, Sec. VI-H).
     pub fn new() -> Self {
-        let batch_size = DnnKind::all().iter().map(|k| (*k, k.paper_batch_size())).collect();
-        BatchingServer { spec: GpuSpec::rtx_2080_ti(), calibration: None, batch_size }
+        Server::of(Batching { batch_size: paper_batch_sizes() })
     }
 
     /// Overrides the batch size for one model.
     pub fn with_batch_size(mut self, kind: DnnKind, batch: u32) -> Self {
-        self.batch_size.insert(kind, batch.max(1));
+        self.policy.batch_size.insert(kind, batch.max(1));
         self
-    }
-
-    /// Overrides the device.
-    pub fn with_gpu(mut self, spec: GpuSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Calibrates model profiles against a *reference* device instead of
-    /// the server's own (heterogeneous-fleet fairness).
-    pub fn with_calibration(mut self, reference: GpuSpec) -> Self {
-        self.calibration = Some(reference);
-        self
-    }
-
-    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`:
-    /// one stream, per-model batches flushed full-or-stale.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction errors.
-    pub fn scheduler(&self, taskset: &TaskSet) -> Result<BaselineScheduler, GpuError> {
-        BaselineScheduler::build(
-            "Batching".to_string(),
-            taskset,
-            self.spec.clone(),
-            self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            (1, self.spec.sm_count, 1),
-            Box::new(BatchingQueue::new(self.batch_size.clone(), taskset)),
-        )
     }
 }
 
@@ -74,13 +42,24 @@ impl Default for BatchingServer {
     }
 }
 
+impl Policy for Batching {
+    fn label(&self) -> String {
+        "Batching".to_string()
+    }
+
+    fn queue(&self) -> Box<dyn DispatchQueue> {
+        let staleness = Staleness::ShortestPeriod(BTreeMap::new());
+        Box::new(BatchQueue::new(1, self.batch_size.clone(), staleness))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_periodic;
+    use crate::harness::tests::run_periodic;
     use daris_gpu::SimTime;
     use daris_models::ModelProfile;
-    use daris_workload::Priority;
+    use daris_workload::{Priority, TaskSet};
 
     #[test]
     fn upper_baseline_matches_table1_max_jps() {

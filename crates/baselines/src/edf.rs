@@ -1,10 +1,7 @@
 //! Global EDF without stage preemption: deadline-aware, but whole-job.
 
-use daris_gpu::{GpuError, GpuSpec};
-use daris_workload::TaskSet;
-
-use crate::harness::BaselineScheduler;
 use crate::policies::EdfQueue;
+use crate::server::{Server, StreamQueue, Streams};
 
 /// Global earliest-deadline-first over whole jobs: every release enters one
 /// deadline-ordered queue and the most urgent job takes the next idle
@@ -16,55 +13,19 @@ use crate::policies::EdfQueue;
 /// Comparing this against DARIS isolates the value of stage-boundary
 /// preemption from the value of deadline ordering. No admission control, no
 /// priorities beyond the deadline itself, no batching.
-#[derive(Debug, Clone)]
-pub struct GlobalEdfServer {
-    spec: GpuSpec,
-    calibration: Option<GpuSpec>,
-    streams: u32,
-}
+pub type GlobalEdfServer = Server<Streams<EdfQueue>>;
 
-impl GlobalEdfServer {
-    /// Creates a server with `streams` parallel streams on the paper's GPU.
-    pub fn new(streams: u32) -> Self {
-        GlobalEdfServer { spec: GpuSpec::rtx_2080_ti(), calibration: None, streams: streams.max(1) }
-    }
-
-    /// Overrides the device.
-    pub fn with_gpu(mut self, spec: GpuSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Calibrates model profiles against a *reference* device instead of
-    /// the server's own (heterogeneous-fleet fairness).
-    pub fn with_calibration(mut self, reference: GpuSpec) -> Self {
-        self.calibration = Some(reference);
-        self
-    }
-
-    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction errors.
-    pub fn scheduler(&self, taskset: &TaskSet) -> Result<BaselineScheduler, GpuError> {
-        BaselineScheduler::build(
-            format!("GlobalEDF k={}", self.streams),
-            taskset,
-            self.spec.clone(),
-            self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            (1, self.spec.sm_count, self.streams),
-            Box::new(EdfQueue::new()),
-        )
-    }
+impl StreamQueue for EdfQueue {
+    const LABEL: &'static str = "GlobalEDF";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_periodic;
+    use crate::harness::tests::run_periodic;
     use daris_gpu::SimTime;
     use daris_models::DnnKind;
+    use daris_workload::TaskSet;
 
     #[test]
     fn edf_beats_fifo_on_deadline_misses_under_mixed_urgency() {

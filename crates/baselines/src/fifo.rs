@@ -1,72 +1,27 @@
 //! An RTGPU-style multi-stream FIFO baseline: concurrency without priorities,
 //! staging or admission control.
 
-use daris_gpu::{GpuError, GpuSpec};
-use daris_workload::TaskSet;
-
-use crate::harness::BaselineScheduler;
 use crate::policies::FifoQueue;
+use crate::server::{Server, StreamQueue, Streams};
 
 /// Serves jobs on `streams` CUDA streams of a single full-GPU context, in
 /// strict release order, one whole job per stream, with no priorities and no
 /// admission test — the behaviour the paper attributes to schedulers such as
 /// RTGPU that "lack task prioritization".
-#[derive(Debug, Clone)]
-pub struct FifoMultiStreamServer {
-    spec: GpuSpec,
-    calibration: Option<GpuSpec>,
-    streams: u32,
-}
+pub type FifoMultiStreamServer = Server<Streams<FifoQueue>>;
 
-impl FifoMultiStreamServer {
-    /// Creates a server with `streams` parallel streams on the paper's GPU.
-    pub fn new(streams: u32) -> Self {
-        FifoMultiStreamServer {
-            spec: GpuSpec::rtx_2080_ti(),
-            calibration: None,
-            streams: streams.max(1),
-        }
-    }
-
-    /// Overrides the device.
-    pub fn with_gpu(mut self, spec: GpuSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Calibrates model profiles (and thus deadlines' meaning) against a
-    /// *reference* device instead of the server's own — what a heterogeneous
-    /// fleet comparison needs so every device prices work identically.
-    pub fn with_calibration(mut self, reference: GpuSpec) -> Self {
-        self.calibration = Some(reference);
-        self
-    }
-
-    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction errors.
-    pub fn scheduler(&self, taskset: &TaskSet) -> Result<BaselineScheduler, GpuError> {
-        BaselineScheduler::build(
-            format!("FIFO k={}", self.streams),
-            taskset,
-            self.spec.clone(),
-            self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            (1, self.spec.sm_count, self.streams),
-            Box::new(FifoQueue::new()),
-        )
-    }
+impl StreamQueue for FifoQueue {
+    const LABEL: &'static str = "FIFO";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_periodic;
+    use crate::harness::tests::run_periodic;
     use daris_core::Scheduler;
-    use daris_gpu::SimTime;
+    use daris_gpu::{GpuSpec, SimTime};
     use daris_models::DnnKind;
-    use daris_workload::Priority;
+    use daris_workload::{Priority, TaskSet};
 
     #[test]
     fn more_streams_increase_throughput_on_the_overloaded_set() {

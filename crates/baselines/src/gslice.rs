@@ -1,13 +1,7 @@
 //! A GSlice-like controlled spatial-sharing baseline (Sec. VI-B).
 
-use std::collections::BTreeMap;
-
-use daris_gpu::{GpuError, GpuSpec};
-use daris_models::DnnKind;
-use daris_workload::TaskSet;
-
-use crate::harness::BaselineScheduler;
-use crate::policies::GsliceQueue;
+use crate::policies::{paper_batch_sizes, BatchQueue, DispatchQueue, Staleness};
+use crate::server::{Policy, Server};
 
 /// A GSlice-style inference server: the GPU is carved into static,
 /// non-overlapping SM partitions (no oversubscription), each partition serves
@@ -17,10 +11,12 @@ use crate::policies::GsliceQueue;
 /// This is the state-of-the-art spatial-sharing point the paper compares
 /// against in Sec. VI-B (GSlice improves ~3.5 % over pure batching; DARIS
 /// improves ~15 %).
+pub type GsliceServer = Server<Gslice>;
+
+/// `partitions` equal contexts of one stream each; tasks pin to them
+/// round-robin by task id (GSlice pins tenants to slices).
 #[derive(Debug, Clone)]
-pub struct GsliceServer {
-    spec: GpuSpec,
-    calibration: Option<GpuSpec>,
+pub struct Gslice {
     partitions: u32,
 }
 
@@ -28,55 +24,33 @@ impl GsliceServer {
     /// Creates a server with `partitions` equal SM partitions on the paper's
     /// RTX 2080 Ti.
     pub fn new(partitions: u32) -> Self {
-        GsliceServer {
-            spec: GpuSpec::rtx_2080_ti(),
-            calibration: None,
-            partitions: partitions.max(1),
-        }
+        Server::of(Gslice { partitions: partitions.max(1) })
+    }
+}
+
+impl Policy for Gslice {
+    fn label(&self) -> String {
+        format!("GSlice p={}", self.partitions)
     }
 
-    /// Overrides the device.
-    pub fn with_gpu(mut self, spec: GpuSpec) -> Self {
-        self.spec = spec;
-        self
+    fn layout(&self, sm_count: u32) -> (u32, u32, u32) {
+        (self.partitions, (sm_count / self.partitions).max(2), 1)
     }
 
-    /// Calibrates model profiles against a *reference* device instead of
-    /// the server's own (heterogeneous-fleet fairness).
-    pub fn with_calibration(mut self, reference: GpuSpec) -> Self {
-        self.calibration = Some(reference);
-        self
-    }
-
-    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`:
-    /// tasks pin to partitions round-robin by task id (GSlice pins tenants
-    /// to slices); each partition batches its own pending jobs per model, at
-    /// the paper's batch sizes, and runs them FIFO.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction errors.
-    pub fn scheduler(&self, taskset: &TaskSet) -> Result<BaselineScheduler, GpuError> {
-        let paper_batch_sizes: BTreeMap<DnnKind, u32> =
-            DnnKind::all().iter().map(|k| (*k, k.paper_batch_size())).collect();
-        BaselineScheduler::build(
-            format!("GSlice p={}", self.partitions),
-            taskset,
-            self.spec.clone(),
-            self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            (self.partitions, (self.spec.sm_count / self.partitions).max(2), 1),
-            Box::new(GsliceQueue::new(self.partitions as usize, paper_batch_sizes)),
-        )
+    fn queue(&self) -> Box<dyn DispatchQueue> {
+        let partitions = self.partitions as usize;
+        Box::new(BatchQueue::new(partitions, paper_batch_sizes(), Staleness::HalfDeadline))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_periodic;
+    use crate::harness::tests::run_periodic;
     use daris_core::Scheduler;
     use daris_gpu::SimTime;
     use daris_models::DnnKind;
+    use daris_workload::TaskSet;
 
     #[test]
     fn gslice_improves_modestly_over_pure_batching_for_resnet50() {

@@ -7,9 +7,8 @@
 //! replayed from traces, or fanned out across a fleet by the cluster
 //! dispatcher — exactly like [`DarisScheduler`](daris_core::DarisScheduler).
 //!
-//! This retires the old per-baseline `run_fifo_loop` plumbing: the event
-//! loop is now the [`Scheduler`] trait's canonical `run_span` default,
-//! shared with DARIS itself.
+//! The event loop is the [`Scheduler`] trait's canonical `run_span`
+//! default, shared with DARIS itself.
 
 use std::collections::BTreeMap;
 
@@ -20,23 +19,14 @@ use daris_models::{DnnKind, ModelProfile};
 use daris_workload::{Job, JobId, Priority, TaskId, TaskSet, TaskSpec};
 
 use crate::policies::{DispatchBatch, DispatchQueue};
-
-/// Runs a freshly built baseline on strictly periodic releases until
-/// `horizon` and returns its summary (unit-test shorthand).
-#[cfg(test)]
-pub(crate) fn run_periodic(
-    scheduler: std::result::Result<BaselineScheduler, GpuError>,
-    horizon: SimTime,
-) -> daris_metrics::ExperimentSummary {
-    let spec = daris_core::RunSpec::periodic().until(horizon);
-    scheduler.expect("baseline builds").run(&spec).expect("periodic spec runs").summary
-}
+use crate::server::Policy;
 
 /// A baseline scheduler: shared harness + one queueing policy.
 ///
-/// Build one through a server type's `scheduler(..)` method
-/// ([`FifoMultiStreamServer::scheduler`](crate::FifoMultiStreamServer::scheduler)
-/// and friends), then drive it through the [`Scheduler`] trait.
+/// Build one through a server's `scheduler(..)` method
+/// ([`Server::scheduler`](crate::Server::scheduler) or
+/// [`SingleTenantServer::scheduler`](crate::SingleTenantServer::scheduler)),
+/// then drive it through the [`Scheduler`] trait.
 ///
 /// Baselines deliberately implement the "may not" list of the trait
 /// contract's fairness rules: no admission control
@@ -63,21 +53,25 @@ pub struct BaselineScheduler {
 }
 
 impl BaselineScheduler {
-    /// Builds the harness: the device carved into `(contexts, SM quota,
-    /// streams per context)` with one dispatch slot per stream, per-model
-    /// profiles calibrated against `calibration` (the *reference* device in
-    /// a heterogeneous fleet, so deadlines mean the same thing on every
-    /// scheduler), and the policy. A device whose interference parameters
-    /// fail [`GpuSpec::validate`] is rejected before anything is built.
+    /// Builds the harness: the device carved into `policy`'s layout with one
+    /// dispatch slot per stream, per-model profiles calibrated against
+    /// `calibration` (the *reference* device in a heterogeneous fleet, so
+    /// deadlines mean the same thing on every scheduler), and `policy`'s
+    /// queue, which observes every task of the set. A device whose
+    /// interference parameters fail [`GpuSpec::validate`] is rejected before
+    /// anything is built.
     pub(crate) fn build(
-        label: String,
         taskset: &TaskSet,
         device: GpuSpec,
         calibration: GpuSpec,
-        (contexts, quota, streams): (u32, u32, u32),
-        policy: Box<dyn DispatchQueue>,
+        policy: &impl Policy,
     ) -> Result<Self, GpuError> {
         device.validate()?;
+        let (contexts, quota, streams) = policy.layout(device.sm_count);
+        let mut queue = policy.queue();
+        for task in taskset.tasks() {
+            queue.on_task_added(task);
+        }
         let profiles: BTreeMap<DnnKind, ModelProfile> = taskset
             .model_kinds()
             .into_iter()
@@ -87,7 +81,7 @@ impl BaselineScheduler {
         let slots = gpu.add_contexts(contexts, quota, streams)?;
         let busy = vec![false; slots.len()];
         Ok(BaselineScheduler {
-            label,
+            label: policy.label(),
             taskset: taskset.clone(),
             calibration,
             profiles,
@@ -95,7 +89,7 @@ impl BaselineScheduler {
             slots,
             busy,
             in_flight: Slab::new(),
-            policy,
+            policy: queue,
             metrics: MetricsCollector::new(),
             completions: Vec::new(),
         })
@@ -159,7 +153,7 @@ impl Scheduler for BaselineScheduler {
     fn try_release_job(&mut self, job: Job) -> bool {
         // No admission control: every release of a known task is accepted.
         self.metrics.record_release(&job);
-        self.policy.push(job, self.slots.len());
+        self.policy.push(job);
         true
     }
 
@@ -231,11 +225,21 @@ impl Scheduler for BaselineScheduler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use daris_models::DnnKind;
 
     use super::*;
     use crate::FifoMultiStreamServer;
+
+    /// Runs a freshly built baseline on strictly periodic releases until
+    /// `horizon` and returns its summary (unit-test shorthand).
+    pub(crate) fn run_periodic(
+        scheduler: std::result::Result<BaselineScheduler, GpuError>,
+        horizon: SimTime,
+    ) -> daris_metrics::ExperimentSummary {
+        let spec = daris_core::RunSpec::periodic().until(horizon);
+        scheduler.expect("baseline builds").run(&spec).expect("periodic spec runs").summary
+    }
 
     #[test]
     fn advancing_to_a_past_target_keeps_the_clock_on_the_device() {

@@ -23,11 +23,12 @@
 //! * [`PriorityOnlyServer`] — strict class priority without batching,
 //!   staging, deadlines or admission control.
 //!
-//! Each server is a thin builder over one shared [`BaselineScheduler`]
-//! harness plus a private queueing policy — the only part that differs
-//! between baselines — so comparisons compare *policies*, not loop plumbing.
-//! Every baseline returns the same [`daris_metrics::ExperimentSummary`] the
-//! DARIS runtime produces, so experiment runners can compare them directly.
+//! Each server is one generic builder, [`Server`], under an alias with its
+//! own `new` (`SingleTenantServer` wraps it). It builds the one shared
+//! [`BaselineScheduler`] harness plus a private queueing policy — the only
+//! part that differs between baselines — so comparisons compare *policies*,
+//! not loop plumbing. Every baseline returns the same
+//! [`daris_metrics::ExperimentSummary`] the DARIS runtime produces.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -39,6 +40,7 @@ mod gslice;
 mod harness;
 mod policies;
 mod priority_only;
+mod server;
 mod single_tenant;
 
 pub use batching::BatchingServer;
@@ -47,4 +49,5 @@ pub use fifo::FifoMultiStreamServer;
 pub use gslice::GsliceServer;
 pub use harness::BaselineScheduler;
 pub use priority_only::PriorityOnlyServer;
+pub use server::Server;
 pub use single_tenant::SingleTenantServer;

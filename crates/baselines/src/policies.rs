@@ -1,24 +1,23 @@
-//! Dispatch policies: the *only* part that differs between baselines.
+//! Dispatch queues: the part of a policy that decides what runs next.
 //!
 //! Each baseline scheduler is [`BaselineScheduler`](crate::BaselineScheduler)
 //! — the shared device harness — plus one [`DispatchQueue`] implementation
 //! deciding which queued jobs run next on an idle slot. Everything else
 //! (event loop, metrics, completion handling) is common, so a comparison
-//! between two baselines compares queueing policies, nothing else.
+//! between two baselines compares queueing policies, nothing else. Batching
+//! and GSlice share [`BatchQueue`] and differ only in partitions and
+//! [`Staleness`]. Items are `pub` only where a public alias or bound names
+//! them; the module is private.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use daris_gpu::SimTime;
 use daris_models::DnnKind;
-use daris_workload::{Job, JobId, Priority, TaskSet, TaskSpec};
-
-/// How long a partially filled batch may wait before it is flushed anyway.
-/// Without a timeout an underloaded model would starve forever.
-pub(crate) const BATCH_TIMEOUT_PERIODS: f64 = 0.5;
+use daris_workload::{Job, JobId, Priority, TaskSpec};
 
 /// A set of jobs submitted to the device as one work item.
 #[derive(Debug)]
-pub(crate) struct DispatchBatch {
+pub struct DispatchBatch {
     /// The jobs fused into the item (all of one model for batched policies).
     pub jobs: Vec<Job>,
     /// The inference count submitted to the device. Whole-job policies pass
@@ -36,15 +35,14 @@ impl DispatchBatch {
     }
 }
 
-/// The pluggable queueing policy of a [`BaselineScheduler`]
-/// (`crate::BaselineScheduler`).
+/// The pluggable queueing policy of a `BaselineScheduler`.
 ///
 /// `slot` indexes the harness's dispatch slots (one CUDA stream each;
 /// partitioned layouts give every slot its own context). Policies with one
 /// global queue ignore it; partition-pinned policies key their queues by it.
-pub(crate) trait DispatchQueue: std::fmt::Debug + Send {
-    /// Queues a released (always-admitted) job. `slots` is the slot count.
-    fn push(&mut self, job: Job, slots: usize);
+pub trait DispatchQueue: std::fmt::Debug + Send {
+    /// Queues a released (always-admitted) job.
+    fn push(&mut self, job: Job);
 
     /// The next batch to run on idle `slot` at `now`, or `None` to leave it
     /// idle.
@@ -59,8 +57,14 @@ pub(crate) trait DispatchQueue: std::fmt::Debug + Send {
     /// Queued jobs as `(EDF deadline, id)` pairs, in no particular order.
     fn queued_jobs(&self) -> Vec<(SimTime, JobId)>;
 
-    /// Observes a newly adopted guest task (timeout bookkeeping).
+    /// Observes a task of the set, placed at build or adopted as a guest
+    /// (timeout bookkeeping).
     fn on_task_added(&mut self, _spec: &TaskSpec) {}
+}
+
+/// The paper's per-model batch sizes (4 / 2 / 8, Sec. VI-H).
+pub(crate) fn paper_batch_sizes() -> BTreeMap<DnnKind, u32> {
+    DnnKind::all().iter().map(|k| (*k, k.paper_batch_size())).collect()
 }
 
 fn withdraw_from(queue: &mut VecDeque<Job>, id: JobId) -> Option<Job> {
@@ -71,19 +75,13 @@ fn withdraw_from(queue: &mut VecDeque<Job>, id: JobId) -> Option<Job> {
 /// Strict release-order FIFO over one global queue, one whole job per slot —
 /// the RTGPU-style multi-stream baseline (and, with one slot, the
 /// single-tenant lower baseline).
-#[derive(Debug, Default)]
-pub(crate) struct FifoQueue {
+#[derive(Debug, Default, Clone)]
+pub struct FifoQueue {
     queue: VecDeque<Job>,
 }
 
-impl FifoQueue {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl DispatchQueue for FifoQueue {
-    fn push(&mut self, job: Job, _slots: usize) {
+    fn push(&mut self, job: Job) {
         self.queue.push_back(job);
     }
 
@@ -108,25 +106,18 @@ impl DispatchQueue for FifoQueue {
 /// deadline, ties broken by job id. Deadline-aware but commits a stream to
 /// the entire inference, so an urgent release cannot preempt a long-running
 /// low-urgency job — the design point DARIS's staging improves on.
-#[derive(Debug, Default)]
-pub(crate) struct EdfQueue {
+#[derive(Debug, Default, Clone)]
+pub struct EdfQueue {
     queue: BTreeMap<(SimTime, JobId), Job>,
 }
 
-impl EdfQueue {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl DispatchQueue for EdfQueue {
-    fn push(&mut self, job: Job, _slots: usize) {
+    fn push(&mut self, job: Job) {
         self.queue.insert((job.absolute_deadline, job.id), job);
     }
 
     fn pop(&mut self, _slot: usize, _now: SimTime) -> Option<DispatchBatch> {
-        let key = *self.queue.keys().next()?;
-        self.queue.remove(&key).map(DispatchBatch::single)
+        self.queue.pop_first().map(|(_, job)| DispatchBatch::single(job))
     }
 
     fn withdraw(&mut self, id: JobId) -> Option<Job> {
@@ -147,20 +138,14 @@ impl DispatchQueue for EdfQueue {
 /// within each class, whole jobs, no batching and no deadline awareness —
 /// what priority scheduling buys *without* DARIS's admission test, staging
 /// or virtual deadlines.
-#[derive(Debug, Default)]
-pub(crate) struct PriorityOnlyQueue {
+#[derive(Debug, Default, Clone)]
+pub struct PriorityOnlyQueue {
     high: VecDeque<Job>,
     low: VecDeque<Job>,
 }
 
-impl PriorityOnlyQueue {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl DispatchQueue for PriorityOnlyQueue {
-    fn push(&mut self, job: Job, _slots: usize) {
+    fn push(&mut self, job: Job) {
         match job.priority {
             Priority::High => self.high.push_back(job),
             Priority::Low => self.low.push_back(job),
@@ -184,113 +169,66 @@ impl DispatchQueue for PriorityOnlyQueue {
     }
 }
 
-/// Pure batching: per-model queues, flushed full or on timeout, most urgent
-/// head first — the paper's upper baseline (best throughput, no real-time
-/// behaviour).
+/// When a partial batch flushes anyway, so an underloaded model cannot
+/// starve.
 #[derive(Debug)]
-pub(crate) struct BatchingQueue {
-    pending: BTreeMap<DnnKind, VecDeque<Job>>,
-    batch_size: BTreeMap<DnnKind, u32>,
-    /// Shortest period among tasks of each model; scales the flush timeout.
-    min_period_us: BTreeMap<DnnKind, f64>,
+pub(crate) enum Staleness {
+    /// Pure batching: once the head has waited half the shortest period of
+    /// its model's tasks (µs per model, kept by `on_task_added`).
+    ShortestPeriod(BTreeMap<DnnKind, f64>),
+    /// GSlice: once the head has waited over half its relative deadline.
+    HalfDeadline,
 }
 
-impl BatchingQueue {
-    pub fn new(batch_size: BTreeMap<DnnKind, u32>, taskset: &TaskSet) -> Self {
-        let mut queue =
-            BatchingQueue { pending: BTreeMap::new(), batch_size, min_period_us: BTreeMap::new() };
-        for task in taskset.tasks() {
-            queue.on_task_added(task);
-        }
-        queue
-    }
-}
-
-impl DispatchQueue for BatchingQueue {
-    fn push(&mut self, job: Job, _slots: usize) {
-        self.pending.entry(job.model).or_default().push_back(job);
-    }
-
-    fn pop(&mut self, _slot: usize, now: SimTime) -> Option<DispatchBatch> {
-        // Pick the model with the most urgent head-of-line job among those
-        // with a full batch, or with a timed-out partial batch.
-        let now_us = now.as_micros_f64();
-        let mut best: Option<(DnnKind, f64)> = None;
-        for (kind, queue) in self.pending.iter() {
-            let Some(head) = queue.front() else { continue };
-            let target = self.batch_size.get(kind).copied().unwrap_or(1) as usize;
-            let full = queue.len() >= target;
-            let waited = now_us - head.release.as_micros_f64();
-            let timeout =
-                BATCH_TIMEOUT_PERIODS * self.min_period_us.get(kind).copied().unwrap_or(f64::MAX);
-            if full || waited >= timeout {
-                let urgency = head.absolute_deadline.as_micros_f64();
-                if best.map(|(_, u)| urgency < u).unwrap_or(true) {
-                    best = Some((*kind, urgency));
-                }
+impl Staleness {
+    fn stale(&self, kind: DnnKind, head: &Job, waited_us: f64) -> bool {
+        match self {
+            Staleness::ShortestPeriod(min_period_us) => {
+                waited_us >= 0.5 * min_period_us.get(&kind).copied().unwrap_or(f64::MAX)
+            }
+            Staleness::HalfDeadline => {
+                waited_us > 0.5 * (head.absolute_deadline - head.release).as_micros_f64()
             }
         }
-        let (kind, _) = best?;
-        let target = self.batch_size.get(&kind).copied().unwrap_or(1) as usize;
-        let queue = self.pending.get_mut(&kind).expect("selected kind has a queue");
-        let take = queue.len().min(target);
-        Some(DispatchBatch::fused(queue.drain(..take).collect()))
-    }
-
-    fn withdraw(&mut self, id: JobId) -> Option<Job> {
-        self.pending.values_mut().find_map(|q| withdraw_from(q, id))
-    }
-
-    fn queued(&self) -> usize {
-        self.pending.values().map(VecDeque::len).sum()
-    }
-
-    fn queued_jobs(&self) -> Vec<(SimTime, JobId)> {
-        self.pending.values().flat_map(|q| q.iter().map(|j| (j.absolute_deadline, j.id))).collect()
-    }
-
-    fn on_task_added(&mut self, spec: &TaskSpec) {
-        let period = spec.period.as_micros_f64();
-        self.min_period_us.entry(spec.model).and_modify(|p| *p = p.min(period)).or_insert(period);
     }
 }
 
-/// GSlice-style partition-pinned batching: tasks pin to a slot (partition)
-/// round-robin by task id; each partition batches its own per-model queues
-/// and flushes the most urgent full-or-stale one.
+/// Per-model batching on partitions, one per slot: tasks pin to a partition
+/// round-robin by task id, and each partition flushes the most urgent
+/// full-or-stale model queue. Pure batching (the paper's upper baseline) is
+/// one partition; GSlice has one per SM partition.
 #[derive(Debug)]
-pub(crate) struct GsliceQueue {
+pub(crate) struct BatchQueue {
     partitions: Vec<BTreeMap<DnnKind, VecDeque<Job>>>,
     batch_size: BTreeMap<DnnKind, u32>,
+    staleness: Staleness,
 }
 
-impl GsliceQueue {
-    pub fn new(partitions: usize, batch_size: BTreeMap<DnnKind, u32>) -> Self {
-        GsliceQueue {
-            partitions: (0..partitions.max(1)).map(|_| BTreeMap::new()).collect(),
-            batch_size,
-        }
+impl BatchQueue {
+    pub fn new(partitions: usize, batch_size: BTreeMap<DnnKind, u32>, stale: Staleness) -> Self {
+        let partitions = (0..partitions.max(1)).map(|_| BTreeMap::new()).collect();
+        BatchQueue { partitions, batch_size, staleness: stale }
     }
 }
 
-impl DispatchQueue for GsliceQueue {
-    fn push(&mut self, job: Job, _slots: usize) {
+impl DispatchQueue for BatchQueue {
+    fn push(&mut self, job: Job) {
         let partition = job.id.task.index() % self.partitions.len();
         self.partitions[partition].entry(job.model).or_default().push_back(job);
     }
 
+    /// Among the partition's models whose batch is full or whose head job is
+    /// stale, flushes the one whose head has the earliest deadline, drained
+    /// up to its batch size (1 for a model `batch_size` does not list).
     fn pop(&mut self, slot: usize, now: SimTime) -> Option<DispatchBatch> {
         let pending = self.partitions.get_mut(slot)?;
-        // Flush the model whose head job has the earliest deadline; wait for
-        // a full batch only if the queue is still short.
+        let target = |kind: &DnnKind| self.batch_size.get(kind).copied().unwrap_or(1) as usize;
         let now_us = now.as_micros_f64();
         let mut best: Option<(DnnKind, f64)> = None;
         for (kind, queue) in pending.iter() {
             let Some(head) = queue.front() else { continue };
-            let target = self.batch_size.get(kind).copied().unwrap_or(1) as usize;
-            let waited_long = now_us - head.release.as_micros_f64()
-                > 0.5 * (head.absolute_deadline - head.release).as_micros_f64();
-            if queue.len() >= target || waited_long {
+            let waited = now_us - head.release.as_micros_f64();
+            if queue.len() >= target(kind) || self.staleness.stale(*kind, head, waited) {
                 let urgency = head.absolute_deadline.as_micros_f64();
                 if best.map(|(_, u)| urgency < u).unwrap_or(true) {
                     best = Some((*kind, urgency));
@@ -298,9 +236,8 @@ impl DispatchQueue for GsliceQueue {
             }
         }
         let (kind, _) = best?;
-        let target = self.batch_size.get(&kind).copied().unwrap_or(1) as usize;
         let queue = pending.get_mut(&kind).expect("selected kind has a queue");
-        let take = queue.len().min(target);
+        let take = queue.len().min(target(&kind));
         Some(DispatchBatch::fused(queue.drain(..take).collect()))
     }
 
@@ -318,5 +255,12 @@ impl DispatchQueue for GsliceQueue {
             .flat_map(|p| p.values())
             .flat_map(|q| q.iter().map(|j| (j.absolute_deadline, j.id)))
             .collect()
+    }
+
+    fn on_task_added(&mut self, spec: &TaskSpec) {
+        if let Staleness::ShortestPeriod(min_period_us) = &mut self.staleness {
+            let period = spec.period.as_micros_f64();
+            min_period_us.entry(spec.model).and_modify(|p| *p = p.min(period)).or_insert(period);
+        }
     }
 }

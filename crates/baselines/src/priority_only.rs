@@ -1,10 +1,7 @@
 //! Priority-only scheduling: classes, but no batching, staging or admission.
 
-use daris_gpu::{GpuError, GpuSpec};
-use daris_workload::TaskSet;
-
-use crate::harness::BaselineScheduler;
 use crate::policies::PriorityOnlyQueue;
+use crate::server::{Server, StreamQueue, Streams};
 
 /// Strict two-level priority scheduling over whole jobs: high-priority
 /// releases always dispatch before low-priority ones, FIFO within each
@@ -15,60 +12,19 @@ use crate::policies::PriorityOnlyQueue;
 /// no deadline ordering within a class. Comparing it against DARIS isolates
 /// the value of the admission + virtual-deadline machinery from the value of
 /// mere class separation.
-#[derive(Debug, Clone)]
-pub struct PriorityOnlyServer {
-    spec: GpuSpec,
-    calibration: Option<GpuSpec>,
-    streams: u32,
-}
+pub type PriorityOnlyServer = Server<Streams<PriorityOnlyQueue>>;
 
-impl PriorityOnlyServer {
-    /// Creates a server with `streams` parallel streams on the paper's GPU.
-    pub fn new(streams: u32) -> Self {
-        PriorityOnlyServer {
-            spec: GpuSpec::rtx_2080_ti(),
-            calibration: None,
-            streams: streams.max(1),
-        }
-    }
-
-    /// Overrides the device.
-    pub fn with_gpu(mut self, spec: GpuSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Calibrates model profiles against a *reference* device instead of
-    /// the server's own (heterogeneous-fleet fairness).
-    pub fn with_calibration(mut self, reference: GpuSpec) -> Self {
-        self.calibration = Some(reference);
-        self
-    }
-
-    /// Builds the [`Scheduler`](daris_core::Scheduler)-trait form of this baseline over `taskset`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction errors.
-    pub fn scheduler(&self, taskset: &TaskSet) -> Result<BaselineScheduler, GpuError> {
-        BaselineScheduler::build(
-            format!("PriorityOnly k={}", self.streams),
-            taskset,
-            self.spec.clone(),
-            self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            (1, self.spec.sm_count, self.streams),
-            Box::new(PriorityOnlyQueue::new()),
-        )
-    }
+impl StreamQueue for PriorityOnlyQueue {
+    const LABEL: &'static str = "PriorityOnly";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_periodic;
+    use crate::harness::tests::run_periodic;
     use daris_gpu::SimTime;
     use daris_models::DnnKind;
-    use daris_workload::Priority;
+    use daris_workload::{Priority, TaskSet};
 
     #[test]
     fn priority_only_protects_hp_relative_to_fifo() {

@@ -5,7 +5,8 @@ use daris_models::{DnnKind, ModelProfile};
 use daris_workload::TaskSet;
 
 use crate::harness::BaselineScheduler;
-use crate::policies::FifoQueue;
+use crate::policies::{DispatchQueue, FifoQueue};
+use crate::server::{Policy, Server};
 
 /// Serves jobs strictly one at a time on the whole GPU, in release (FIFO)
 /// order — the paper's "single DNN" lower baseline and the design point of
@@ -20,27 +21,23 @@ use crate::policies::FifoQueue;
 /// assert!((jps - 627.0).abs() / 627.0 < 0.1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct SingleTenantServer {
-    spec: GpuSpec,
-    calibration: Option<GpuSpec>,
-}
+pub struct SingleTenantServer(Server<SingleTenant>);
 
 impl SingleTenantServer {
     /// Creates a server on the paper's RTX 2080 Ti.
     pub fn new() -> Self {
-        SingleTenantServer { spec: GpuSpec::rtx_2080_ti(), calibration: None }
+        SingleTenantServer(Server::of(SingleTenant))
     }
 
     /// Creates a server on a custom device.
     pub fn with_gpu(spec: GpuSpec) -> Self {
-        SingleTenantServer { spec, calibration: None }
+        SingleTenantServer(Server::of(SingleTenant).with_gpu(spec))
     }
 
     /// Calibrates model profiles against a *reference* device instead of
     /// the server's own (heterogeneous-fleet fairness).
-    pub fn with_calibration(mut self, reference: GpuSpec) -> Self {
-        self.calibration = Some(reference);
-        self
+    pub fn with_calibration(self, reference: GpuSpec) -> Self {
+        SingleTenantServer(self.0.with_calibration(reference))
     }
 
     /// Measures the isolated (unbatched, single-stream) throughput of one
@@ -64,14 +61,21 @@ impl SingleTenantServer {
     ///
     /// Propagates simulator construction errors.
     pub fn scheduler(&self, taskset: &TaskSet) -> Result<BaselineScheduler, GpuError> {
-        BaselineScheduler::build(
-            "SingleTenant".to_string(),
-            taskset,
-            self.spec.clone(),
-            self.calibration.clone().unwrap_or_else(|| self.spec.clone()),
-            (1, self.spec.sm_count, 1),
-            Box::new(FifoQueue::new()),
-        )
+        self.0.scheduler(taskset)
+    }
+}
+
+/// One stream on the whole device, one whole job at a time, FIFO.
+#[derive(Debug, Clone)]
+pub struct SingleTenant;
+
+impl Policy for SingleTenant {
+    fn label(&self) -> String {
+        "SingleTenant".to_string()
+    }
+
+    fn queue(&self) -> Box<dyn DispatchQueue> {
+        Box::<FifoQueue>::default()
     }
 }
 
@@ -84,7 +88,7 @@ impl Default for SingleTenantServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_periodic;
+    use crate::harness::tests::run_periodic;
     use daris_gpu::SimTime;
     use daris_workload::Priority;
 
