@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use daris_models::DnnKind;
 
-use crate::policies::{paper_batch_sizes, BatchQueue, DispatchQueue, Staleness};
+use crate::policies::{BatchQueue, DispatchQueue, Staleness};
 use crate::server::{Policy, Server};
 
 /// A pure batching inference server: released jobs are grouped per model into
@@ -19,6 +19,7 @@ pub type BatchingServer = Server<Batching>;
 /// One stream on the whole device; per-model batches flushed full-or-stale.
 #[derive(Debug, Clone)]
 pub struct Batching {
+    /// Overrides of the paper's per-model batch sizes.
     batch_size: BTreeMap<DnnKind, u32>,
 }
 
@@ -26,7 +27,7 @@ impl BatchingServer {
     /// Creates a server using the paper's per-model batch sizes
     /// (4 / 2 / 8, Sec. VI-H).
     pub fn new() -> Self {
-        Server::of(Batching { batch_size: paper_batch_sizes() })
+        Server::of(Batching { batch_size: BTreeMap::new() })
     }
 
     /// Overrides the batch size for one model.

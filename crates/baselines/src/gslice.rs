@@ -1,6 +1,8 @@
 //! A GSlice-like controlled spatial-sharing baseline (Sec. VI-B).
 
-use crate::policies::{paper_batch_sizes, BatchQueue, DispatchQueue, Staleness};
+use std::collections::BTreeMap;
+
+use crate::policies::{BatchQueue, DispatchQueue, Staleness};
 use crate::server::{Policy, Server};
 
 /// A GSlice-style inference server: the GPU is carved into static,
@@ -39,7 +41,7 @@ impl Policy for Gslice {
 
     fn queue(&self) -> Box<dyn DispatchQueue> {
         let partitions = self.partitions as usize;
-        Box::new(BatchQueue::new(partitions, paper_batch_sizes(), Staleness::HalfDeadline))
+        Box::new(BatchQueue::new(partitions, BTreeMap::new(), Staleness::HalfDeadline))
     }
 }
 

@@ -1,7 +1,7 @@
 //! [`BaselineScheduler`]: the shared device harness behind every baseline.
 //!
 //! One struct owns the simulated GPU, its dispatch slots (streams), metrics
-//! and in-flight bookkeeping; a [`DispatchQueue`] policy supplies the only
+//! and in-flight bookkeeping; a policy's [`DispatchQueue`] supplies the only
 //! behaviour that differs between baselines. The struct implements
 //! [`daris_core::Scheduler`], so every baseline can be driven standalone,
 //! replayed from traces, or fanned out across a fleet by the cluster
@@ -46,7 +46,7 @@ pub struct BaselineScheduler {
     busy: Vec<bool>,
     /// (slot, fused jobs) of each submitted batch, by GPU tag.
     in_flight: Slab<(usize, Vec<Job>)>,
-    policy: Box<dyn DispatchQueue>,
+    queue: Box<dyn DispatchQueue>,
     metrics: MetricsCollector,
     /// Reused buffer of the completions one advance reports.
     completions: Vec<Completion>,
@@ -89,7 +89,7 @@ impl BaselineScheduler {
             slots,
             busy,
             in_flight: Slab::new(),
-            policy: queue,
+            queue,
             metrics: MetricsCollector::new(),
             completions: Vec::new(),
         })
@@ -105,7 +105,7 @@ impl BaselineScheduler {
     /// `released == completed + rejected + outstanding` at any point of a
     /// run (with `rejected == 0` — baselines never refuse).
     pub fn outstanding_jobs(&self) -> usize {
-        self.policy.queued() + self.in_flight.iter().map(|(_, (_, jobs))| jobs.len()).sum::<usize>()
+        self.queue.queued() + self.in_flight.iter().map(|(_, (_, jobs))| jobs.len()).sum::<usize>()
     }
 
     fn submit(&mut self, slot: usize, batch: DispatchBatch) {
@@ -144,7 +144,7 @@ impl Scheduler for BaselineScheduler {
     fn dispatch_ready(&mut self) {
         for slot in 0..self.slots.len() {
             while !self.busy[slot] {
-                let Some(batch) = self.policy.pop(slot, self.gpu.now()) else { break };
+                let Some(batch) = self.queue.pop(slot, self.gpu.now()) else { break };
                 self.submit(slot, batch);
             }
         }
@@ -153,7 +153,7 @@ impl Scheduler for BaselineScheduler {
     fn try_release_job(&mut self, job: Job) -> bool {
         // No admission control: every release of a known task is accepted.
         self.metrics.record_release(&job);
-        self.policy.push(job);
+        self.queue.push(job);
         true
     }
 
@@ -172,12 +172,12 @@ impl Scheduler for BaselineScheduler {
         }
         let local = self.taskset.adopt(task.clone());
         let spec = self.taskset.task(local).expect("just adopted").clone();
-        self.policy.on_task_added(&spec);
+        self.queue.on_task_added(&spec);
         Ok(local)
     }
 
     fn withdraw_queued_job(&mut self, job: JobId) -> Option<Job> {
-        let withdrawn = self.policy.withdraw(job)?;
+        let withdrawn = self.queue.withdraw(job)?;
         self.metrics.forget(job);
         Some(withdrawn)
     }
@@ -186,13 +186,13 @@ impl Scheduler for BaselineScheduler {
         // Least urgent (latest deadline) first, ties by id — the same
         // ordering DARIS reports, so the dispatcher treats all schedulers
         // alike.
-        let mut jobs = self.policy.queued_jobs();
+        let mut jobs = self.queue.queued_jobs();
         jobs.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         jobs.into_iter().map(|(_, job)| job).collect()
     }
 
     fn queue_backlog(&self) -> usize {
-        self.policy.queued()
+        self.queue.queued()
     }
 
     fn idle_stream_count(&self) -> usize {
@@ -204,7 +204,7 @@ impl Scheduler for BaselineScheduler {
         // slot (busy slots plus backlog), which ranks retry candidates
         // sensibly without claiming Eq. 11 semantics.
         let slots = self.slots.len().max(1) as u32;
-        let active = (self.busy.iter().filter(|b| **b).count() + self.policy.queued()) as u32;
+        let active = (self.busy.iter().filter(|b| **b).count() + self.queue.queued()) as u32;
         f64::from(active) / f64::from(slots)
     }
 

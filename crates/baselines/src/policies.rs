@@ -62,11 +62,6 @@ pub trait DispatchQueue: std::fmt::Debug + Send {
     fn on_task_added(&mut self, _spec: &TaskSpec) {}
 }
 
-/// The paper's per-model batch sizes (4 / 2 / 8, Sec. VI-H).
-pub(crate) fn paper_batch_sizes() -> BTreeMap<DnnKind, u32> {
-    DnnKind::all().iter().map(|k| (*k, k.paper_batch_size())).collect()
-}
-
 fn withdraw_from(queue: &mut VecDeque<Job>, id: JobId) -> Option<Job> {
     let at = queue.iter().position(|j| j.id == id)?;
     queue.remove(at)
@@ -200,6 +195,8 @@ impl Staleness {
 #[derive(Debug)]
 pub(crate) struct BatchQueue {
     partitions: Vec<BTreeMap<DnnKind, VecDeque<Job>>>,
+    /// Overrides of the paper's per-model batch sizes
+    /// ([`DnnKind::paper_batch_size`]).
     batch_size: BTreeMap<DnnKind, u32>,
     staleness: Staleness,
 }
@@ -219,10 +216,12 @@ impl DispatchQueue for BatchQueue {
 
     /// Among the partition's models whose batch is full or whose head job is
     /// stale, flushes the one whose head has the earliest deadline, drained
-    /// up to its batch size (1 for a model `batch_size` does not list).
+    /// up to its batch size.
     fn pop(&mut self, slot: usize, now: SimTime) -> Option<DispatchBatch> {
         let pending = self.partitions.get_mut(slot)?;
-        let target = |kind: &DnnKind| self.batch_size.get(kind).copied().unwrap_or(1) as usize;
+        let target = |kind: &DnnKind| {
+            self.batch_size.get(kind).copied().unwrap_or_else(|| kind.paper_batch_size()) as usize
+        };
         let now_us = now.as_micros_f64();
         let mut best: Option<(DnnKind, f64)> = None;
         for (kind, queue) in pending.iter() {
