@@ -80,6 +80,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use daris_core::{
     AblationFlags, CoreError, DarisConfig, DarisScheduler, ExperimentOutcome, RunSpec, Scheduler,
@@ -88,7 +89,7 @@ use daris_core::{
 use daris_gpu::{GpuSpec, SimDuration, SimTime};
 use daris_metrics::MetricsCollector;
 use daris_telemetry::{
-    EventKind, MemorySink, RoundPhase, SinkHandle, TelemetryEvent, WallClockProfiler,
+    EventKind, RoundPhase, SinkHandle, TelemetryEvent, TelemetrySink, WallClockProfiler,
     CLUSTER_DEVICE, RACK_DEVICE_BASE,
 };
 use daris_workload::{ArrivalSource, Job, JobId, LoadDetectorConfig, TaskId, TaskSet};
@@ -261,7 +262,39 @@ struct DeviceRuntime<Sch> {
     /// its span (only when [`ClusterConfig::sink`] is set). Merged into the
     /// fleet sink at round boundaries in device order, so worker threads
     /// never contend on — or reorder — the user's sink.
-    buffer: Option<MemorySink>,
+    buffer: Option<DeviceBuffer>,
+}
+
+/// A device's private telemetry buffer: a plain event `Vec` that stamps the
+/// device's fleet index on each event as it is recorded, over the
+/// schedulers' device-local id (always 0). Stamping happens on whichever
+/// thread records, during the parallel span or a boundary phase, so the
+/// round merge only hands the `Vec` on. Cloning shares the `Vec`.
+#[derive(Debug, Clone)]
+struct DeviceBuffer {
+    device: u32,
+    events: Arc<Mutex<Vec<TelemetryEvent>>>,
+}
+
+impl DeviceBuffer {
+    fn new(device: usize) -> Self {
+        DeviceBuffer { device: device as u32, events: Arc::default() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<TelemetryEvent>> {
+        self.events.lock().expect("device telemetry buffer lock poisoned")
+    }
+}
+
+impl TelemetrySink for DeviceBuffer {
+    fn record(&mut self, event: &TelemetryEvent) {
+        self.lock().push(TelemetryEvent { device: self.device, ..event.clone() });
+    }
+
+    fn record_batch(&mut self, events: &mut Vec<TelemetryEvent>) {
+        let device = self.device;
+        self.lock().extend(events.drain(..).map(|event| TelemetryEvent { device, ..event }));
+    }
 }
 
 /// One device's construction context, handed to the scheduler factory of
@@ -298,9 +331,6 @@ pub struct ClusterDispatcher<Sch = DarisScheduler> {
     devices: Vec<DeviceRuntime<Sch>>,
     /// Accounts releases of tasks no device could take at placement time.
     unplaced: MetricsCollector,
-    /// Reused buffer each device's telemetry passes through on its way to
-    /// the fleet sink.
-    merged: Vec<TelemetryEvent>,
     migrations: usize,
     cluster_admissions: usize,
     cross_rack_migrations: usize,
@@ -400,8 +430,8 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
 
         // One private buffer per device when a fleet sink is attached; the
         // user's sink itself is never handed to a device scheduler.
-        let buffers: Vec<Option<MemorySink>> = (0..cluster.len())
-            .map(|_| config.sink.as_ref().map(|_| MemorySink::unbounded()))
+        let buffers: Vec<Option<DeviceBuffer>> = (0..cluster.len())
+            .map(|device| config.sink.as_ref().map(|_| DeviceBuffer::new(device)))
             .collect();
 
         let build_one = |device: usize| -> Result<Option<Sch>> {
@@ -449,7 +479,6 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
             placement,
             devices,
             unplaced: MetricsCollector::new(),
-            merged: Vec::new(),
             migrations: 0,
             cluster_admissions: 0,
             cross_rack_migrations: 0,
@@ -778,24 +807,18 @@ impl<Sch: Scheduler + Send> ClusterDispatcher<Sch> {
     }
 
     /// Merges every device's private telemetry buffer into the fleet sink in
-    /// ascending device order, rewriting the schedulers' device-local id
-    /// (always 0) to the fleet index. Returns the number of events merged.
-    /// Runs on the single-threaded boundary path only, which is what makes
-    /// the merged stream independent of worker timing. Each buffer drains
-    /// into one reused `Vec` that lands in the sink as one batch — one sink
-    /// lock per device per round instead of one per event — and neither the
-    /// buffers nor the `Vec` give up their allocations between rounds.
-    fn merge_device_buffers(&mut self) -> u64 {
-        let Some(sink) = self.config.sink.clone() else { return 0 };
+    /// ascending device order. Returns the number of events merged. Runs on
+    /// the single-threaded boundary path only, which is what makes the
+    /// merged stream independent of worker timing. The events already carry
+    /// their fleet index, so each buffer moves into the sink as one batch
+    /// under one sink lock, and keeps its allocation for the next round.
+    fn merge_device_buffers(&self) -> u64 {
+        let Some(sink) = &self.config.sink else { return 0 };
         let mut merged = 0u64;
-        for (d, device) in self.devices.iter().enumerate() {
-            let Some(buffer) = &device.buffer else { continue };
-            buffer.take_all(&mut self.merged);
-            for event in &mut self.merged {
-                event.device = d as u32;
-            }
-            merged += self.merged.len() as u64;
-            sink.record_batch(&mut self.merged);
+        for buffer in self.devices.iter().filter_map(|device| device.buffer.as_ref()) {
+            let mut events = buffer.lock();
+            merged += events.len() as u64;
+            sink.record_batch(&mut events);
         }
         merged
     }

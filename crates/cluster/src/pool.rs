@@ -7,8 +7,8 @@
 //! calling thread is worker 0 beside `workers − 1` spawned helpers (one
 //! worker is the same code with no helpers): [`build_striped`], a one-shot
 //! fan-out for scheduler construction, and [`drive_rounds`], the
-//! **persistent spin/park pool** the round loop runs on, whose helpers are
-//! spawned once per run and parked between rounds.
+//! **persistent pool** the round loop runs on, whose helpers are spawned
+//! once per run and wait between rounds.
 //!
 //! # Affinity and determinism
 //!
@@ -18,19 +18,21 @@
 //! device built on one thread and spanned on another raises peak RSS).
 //! Each device's state lives in its own [`Mutex`]-guarded [`DeviceCell`];
 //! during a round the owning worker holds the only claim on its cells, and
-//! between rounds — while every helper is parked — the dispatcher's
-//! boundary phases (retry, migration, merge) lock cells from the calling
-//! thread, uncontended. Since every span simulates a disjoint device over a
-//! fixed `[t0, t1)` window, wall-clock interleaving of workers cannot
-//! reorder any simulated outcome: results are collected in device-index
-//! order, so the output is byte-identical at any worker count.
+//! between rounds — while every helper waits for the next one — the
+//! dispatcher's boundary phases (retry, migration, merge) lock cells from
+//! the calling thread, uncontended. Since every span simulates a disjoint
+//! device over a fixed `[t0, t1)` window, wall-clock interleaving of
+//! workers cannot reorder any simulated outcome: results are collected in
+//! device-index order, so the output is byte-identical at any worker count.
 //!
 //! # Round protocol
 //!
 //! The caller publishes a round by bumping `round` (with the span end in
 //! `until_ns`) and unparking every helper, spans its own stripe, then waits
 //! for each helper to span its stripe and increment `done`; the last one
-//! unparks the caller. Both sides spin briefly before parking. A span panic
+//! unparks the caller. Both sides wait actively before parking: through a
+//! short round's boundary work when each worker has a core of its own, and
+//! only briefly in an oversubscribed pool (see [`wait_limit`]). A span panic
 //! on any worker is re-raised from the round with its own payload once the
 //! helpers are done, and every exit, unwinding included, stops and wakes
 //! the helpers, so the scope's join never waits on a parked one.
@@ -45,10 +47,31 @@ use daris_core::Scheduler;
 use daris_gpu::SimTime;
 use daris_workload::{ArrivalSource, Job};
 
-/// Iterations to spin before parking, on both sides of the protocol. Spans
-/// in a loaded round take far longer than this, so the limit only matters
-/// for near-empty rounds, where parking is the right call anyway.
-const SPIN_LIMIT: u32 = 128;
+/// `spin_loop` iterations a waiter runs before it yields or parks, on both
+/// sides of the protocol. In an oversubscribed pool (more workers than
+/// cores) it parks right after them: a busy waiter there would take the
+/// core from the thread it waits for.
+const SPINS: u32 = 128;
+
+/// Wait iterations, spins then `yield_now`s, before parking when every
+/// worker has a core of its own. A short round's boundary work (retry,
+/// migration, telemetry merge) fits in this budget, so a helper waiting for
+/// the next round and the caller waiting for `done` are not woken by a
+/// futex every round; a longer wait still parks. Yielding instead of
+/// spinning hands the core to any other runnable thread, such as another
+/// pool in the same process.
+const ACTIVE_WAIT_BUDGET: u32 = 1 << 10;
+
+/// The wait limit of a pool of `workers`: the active budget only when the
+/// machine has a core for each worker.
+fn wait_limit(workers: usize) -> u32 {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if workers <= cores {
+        ACTIVE_WAIT_BUDGET
+    } else {
+        SPINS
+    }
+}
 
 /// One device's run state, shared between the owning worker (span phase)
 /// and the calling thread (boundary phases). Generic over the per-device
@@ -83,7 +106,7 @@ impl<Sch, S> FleetCells<Sch, S> {
 
     /// Locks one device's cell. Uncontended on every path: workers only
     /// lock their own stripe during a round, the caller only locks boundary
-    /// cells while every helper is parked.
+    /// cells while every helper waits for the next round.
     pub fn cell(&self, device: usize) -> MutexGuard<'_, DeviceCell<Sch, S>> {
         self.cells[device].lock().expect("device cell lock poisoned")
     }
@@ -135,6 +158,8 @@ struct PoolCtl {
     stop: AtomicBool,
     /// The calling thread, unparked by the last helper to finish a round.
     caller: Thread,
+    /// Iterations every waiter runs before parking ([`wait_limit`]).
+    wait_limit: u32,
 }
 
 /// The caller's handle on the spawned helpers. Dropping it, unwinding
@@ -161,15 +186,18 @@ impl Drop for Helpers<'_> {
     }
 }
 
-/// Spin-then-park until `ready` holds. The counterpart `unpark` may arrive
-/// before the `park` call; `park` consumes the stashed token immediately,
-/// and spurious wake-ups just re-check.
-fn wait_until(ready: impl Fn() -> bool) {
-    let mut spins = 0u32;
+/// Waits until `ready` holds: [`SPINS`] spins, then yields, then parks once
+/// `limit` checks have failed. The counterpart `unpark` may arrive before
+/// the `park` call; `park` consumes the stashed token immediately, and
+/// spurious wake-ups just re-check.
+fn wait_until(limit: u32, ready: impl Fn() -> bool) {
+    let mut waits = 0u32;
     while !ready() {
-        spins += 1;
-        if spins < SPIN_LIMIT {
+        waits += 1;
+        if waits < SPINS {
             std::hint::spin_loop();
+        } else if waits < limit {
+            std::thread::yield_now();
         } else {
             std::thread::park();
         }
@@ -205,7 +233,7 @@ fn helper_loop<Sch: Scheduler, S: ArrivalSource>(
 ) {
     let mut seen = 0u64;
     loop {
-        wait_until(|| ctl.round.load(Ordering::Acquire) != seen);
+        wait_until(ctl.wait_limit, || ctl.round.load(Ordering::Acquire) != seen);
         seen = ctl.round.load(Ordering::Acquire);
         if ctl.stop.load(Ordering::Acquire) {
             return;
@@ -244,6 +272,7 @@ pub(crate) fn drive_rounds<Sch: Scheduler + Send, S: ArrivalSource + Send, R>(
         panic: Mutex::new(None),
         stop: AtomicBool::new(false),
         caller: std::thread::current(),
+        wait_limit: wait_limit(workers),
     };
     std::thread::scope(|scope| {
         // The guard exists before the first spawn, so a failed spawn also
@@ -258,7 +287,7 @@ pub(crate) fn drive_rounds<Sch: Scheduler + Send, S: ArrivalSource + Send, R>(
             ctl.until_ns.store(until.as_nanos(), Ordering::Release);
             helpers.wake();
             let own = catch_unwind(AssertUnwindSafe(|| span_stripe(fleet, 0, workers, until)));
-            wait_until(|| ctl.done.load(Ordering::Acquire) == workers - 1);
+            wait_until(ctl.wait_limit, || ctl.done.load(Ordering::Acquire) == workers - 1);
             let theirs = ctl.panic.lock().expect("panic slot lock poisoned").take();
             if let Some(payload) = own.err().or(theirs) {
                 resume_unwind(payload);
@@ -303,10 +332,14 @@ mod tests {
     #[test]
     fn drive_rounds_runs_many_rounds_on_one_pool() {
         // No device is ever due, so rounds are pure protocol: this pins the
-        // publish/park handshake over many rounds and both worker counts.
+        // publish/wait handshake over many rounds. Two workers fit any
+        // multi-core machine, so they wait actively through the boundary;
+        // one more worker than cores oversubscribes the pool, so it parks.
         let tasks = TaskSetBuilder::new().build();
-        for workers in [1usize, 4] {
-            let fleet = idle_fleet(&tasks, 6);
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(wait_limit(cores + 1), SPINS);
+        for workers in [1usize, 2, 4, cores + 1] {
+            let fleet = idle_fleet(&tasks, workers.max(6));
             let rounds = drive_rounds(&fleet, workers, |run_round| {
                 for r in 0..100u64 {
                     run_round(SimTime::from_micros(r + 1));

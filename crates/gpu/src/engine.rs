@@ -36,6 +36,12 @@
 //! [`SimTime::MAX`](crate::SimTime::MAX). Time moving changes none of the
 //! three, so it moves no instant.
 //!
+//! Launch ends and copy finishes saturate the same way, so time never wraps.
+//! Once `now` is `SimTime::MAX`, every instant set from then on is `now`
+//! itself: the pass at that instant repeats until nothing is due, so every
+//! remaining transition fires there and every item completes at
+//! `SimTime::MAX`. Only then may a compute finish equal `now`.
+//!
 //! A transition pass scans `running` once and fires what is due. The scan
 //! leaves something due only if it created it: a launch with no overhead or
 //! a zero-length copy, which start at `now`. Only then does the pass scan
@@ -618,7 +624,7 @@ impl Gpu {
         let ctx = item.context.index();
         let desc: &KernelDesc = &item.spec.kernels[index];
         item.kernel_index = index;
-        let launch_end = now + desc.launch_overhead.unwrap_or(default_launch);
+        let launch_end = now.saturating_add(desc.launch_overhead.unwrap_or(default_launch));
         item.next_at = Some(launch_end);
         item.work = desc.work * jitter;
         item.state = ItemState::Running(KernelPhase::Launching);
@@ -648,7 +654,7 @@ impl Gpu {
         let transfer = SimDuration::from_micros_f64(
             bytes as f64 / self.spec.copy_bandwidth_bytes_per_us.max(1e-9),
         );
-        let finish = self.now + self.spec.copy_latency + transfer;
+        let finish = self.now.saturating_add(self.spec.copy_latency).saturating_add(transfer);
         item.state = match direction {
             CopyDirection::HostToDevice => ItemState::CopyingIn,
             CopyDirection::DeviceToHost => ItemState::CopyingOut,
@@ -668,7 +674,21 @@ impl Gpu {
     /// It can leave something due only by creating it: a launch with no
     /// overhead or a zero-length copy (a compute finish is set by the rate
     /// pass, always in the future). Only then does the pass scan again.
+    ///
+    /// At the end of time the rate pass can leave work due: a finish at
+    /// `now == SimTime::MAX` saturates to `now`. The pass then repeats until
+    /// nothing is due, so every remaining transition fires at that instant.
     fn apply_transitions(&mut self, completions: &mut Vec<Completion>) {
+        self.fire_due(completions);
+        self.replan();
+        while self.now == SimTime::MAX && self.next_at == Some(self.now) {
+            self.fire_due(completions);
+            self.replan();
+        }
+    }
+
+    /// The scans of one transition pass, without its rate pass.
+    fn fire_due(&mut self, completions: &mut Vec<Completion>) {
         let mut ids = std::mem::take(&mut self.transition_ids);
         loop {
             self.counters.scans += 1;
@@ -760,7 +780,6 @@ impl Gpu {
         self.transition_ids = ids;
         #[cfg(debug_assertions)]
         self.check_nothing_due();
-        self.replan();
     }
 
     /// Marks an item complete, emits its completion, and activates the next
@@ -963,9 +982,9 @@ impl Gpu {
     /// Debug oracle for [`replan`](Self::replan): every computing item is
     /// covered by the allocation cache; every in-flight item's instant is
     /// the one its state implies (a compute finish recomputed from its
-    /// anchor, work and rate, strictly in the future; a launch end not yet
-    /// passed); and the cached minimum equals a scan of the whole slab and
-    /// the active copy.
+    /// anchor, work and rate, strictly in the future unless `now` is the end
+    /// of time; a launch end not yet passed); and the cached minimum equals
+    /// a scan of the whole slab and the active copy.
     #[cfg(debug_assertions)]
     fn check_next_at(&self) {
         for ctx in 0..self.contexts.len() {
@@ -990,7 +1009,10 @@ impl Gpu {
                 ItemState::Running(KernelPhase::Computing) if item.rate > 0.0 => {
                     assert!(item.anchor <= self.now, "item {id}: anchored in the future");
                     let at = compute_finish(item.anchor, item.work, item.rate);
-                    assert!(at > self.now, "item {id}: compute finish not in the future");
+                    assert!(
+                        at > self.now || self.now == SimTime::MAX,
+                        "item {id}: compute finish not in the future"
+                    );
                     Some(at)
                 }
                 _ => None,
@@ -1557,20 +1579,30 @@ mod tests {
     fn a_finish_past_the_end_of_time_saturates() {
         // Two busy contexts at an absurd penalty: each kernel's rate is about
         // 3.4e-299 SMs, so its 680 SM·µs take about 2e304 ns, far past
-        // `SimTime::MAX`.
+        // `SimTime::MAX`. Each item has two kernels and one copies out, so a
+        // second launch and a copy start at `SimTime::MAX`, and so does the
+        // item queued behind each one: one advance to the end of time must
+        // fire all of them.
         let mut spec = quiet_spec();
         spec.interference.per_context_penalty = 1e300;
         let mut gpu = Gpu::new(spec);
         let streams = gpu.add_contexts(2, 68, 1).unwrap();
+        let kernels = || vec![KernelDesc::new(680.0, 68), KernelDesc::new(680.0, 68)];
         for (tag, &s) in streams.iter().enumerate() {
-            gpu.submit(s, WorkItem::new(tag as u64, vec![KernelDesc::new(680.0, 68)])).unwrap();
+            let tag = tag as u64;
+            gpu.submit(s, WorkItem::new(tag, kernels()).with_d2h_bytes(tag * 1_000)).unwrap();
+            gpu.submit(s, WorkItem::new(tag + 2, kernels()).with_h2d_bytes(1_000)).unwrap();
         }
         // Both launches end at 5 µs; neither kernel finishes 1 ns later.
         assert!(gpu.advance_to(SimTime::from_millis(1)).is_empty());
         assert_eq!(gpu.next_event_time(), Some(SimTime::MAX));
-        let done = gpu.run_to_idle();
-        assert_eq!(done.len(), 2);
+        let done = gpu.advance_to(SimTime::MAX);
+        let mut tags: Vec<u64> = done.iter().map(|c| c.tag).collect();
+        tags.sort_unstable();
+        assert_eq!(tags, [0, 1, 2, 3]);
         assert!(done.iter().all(|c| c.finished_at == SimTime::MAX), "{done:?}");
+        assert_eq!(gpu.pending_items(), 0);
+        assert_eq!(gpu.next_event_time(), None);
     }
 
     #[test]

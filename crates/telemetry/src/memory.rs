@@ -1,4 +1,4 @@
-//! Ring-buffer sink for tests and for the dispatcher's per-device buffers.
+//! Ring-buffer sink for tests, examples and short fleet runs.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -124,20 +124,6 @@ impl MemorySink {
     pub fn events(&self) -> Vec<TelemetryEvent> {
         self.lock().chunks.iter().flatten().cloned().collect()
     }
-
-    /// Moves every buffered event, in record order, onto the end of `out`,
-    /// leaving the buffer empty. The buffer keeps its first chunk and `out`
-    /// its allocation, so the cluster dispatcher's round merge, which drains
-    /// each device's buffer into one reused `Vec`, regrows neither from
-    /// empty every round.
-    pub fn take_all(&self, out: &mut Vec<TelemetryEvent>) {
-        let mut state = self.lock();
-        for chunk in &mut state.chunks {
-            out.extend(chunk.drain(..));
-        }
-        state.chunks.truncate(1);
-        state.len = 0;
-    }
 }
 
 impl Default for MemorySink {
@@ -225,17 +211,9 @@ mod tests {
             let mut sink = MemorySink::with_capacity(capacity);
             let mut oracle = VecDeque::new();
             let mut next = 0u64;
-            // Single records and batches of every size class, with a drain
-            // in the middle, so chunks fill, spill, empty and are reused.
-            for (step, size) in
-                [1, CHUNK + 2, 3, 2 * CHUNK + 1, 0, 1, CHUNK].into_iter().enumerate()
-            {
-                if step == 4 {
-                    let mut taken = Vec::new();
-                    sink.take_all(&mut taken);
-                    assert_eq!(taken, oracle.drain(..).collect::<Vec<_>>(), "capacity {capacity}");
-                    continue;
-                }
+            // Single records and batches of every size class, so chunks
+            // fill, spill, and empty under the ring bound.
+            for (step, size) in [1, CHUNK + 2, 3, 2 * CHUNK + 1, 1, CHUNK].into_iter().enumerate() {
                 let mut batch: Vec<TelemetryEvent> =
                     (next..next + size as u64).map(event).collect();
                 next += size as u64;
@@ -253,22 +231,5 @@ mod tests {
             }
             assert_eq!(sink.recorded(), next);
         }
-    }
-
-    #[test]
-    fn take_all_is_drain_by_buffer_move() {
-        let mut sink = MemorySink::unbounded();
-        sink.record(&event(1));
-        sink.record(&event(2));
-        let mut taken = vec![event(0)];
-        sink.take_all(&mut taken);
-        assert_eq!(taken.len(), 3);
-        assert_eq!(taken[1].at, SimTime::from_micros(1));
-        assert!(sink.is_empty());
-        assert_eq!(sink.recorded(), 2);
-        // The buffer keeps its first chunk for the next round.
-        let state = sink.lock();
-        assert_eq!(state.chunks.len(), 1);
-        assert!(state.chunks[0].capacity() >= CHUNK);
     }
 }

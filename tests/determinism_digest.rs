@@ -334,4 +334,30 @@ fn telemetry_event_stream_is_thread_count_invariant() {
         export(max_threads),
         "trace JSON diverged between 1 and {max_threads} worker threads"
     );
+
+    // That fleet hands no job to another device. The multi-rack one does, so
+    // its devices also record on the dispatcher's thread (retries and
+    // migrations), and each of those events must carry the same device index
+    // as at one worker: compare its whole stream, device ids included.
+    let horizon = SimTime::from_millis(daris_bench::horizon_capped_ms(150));
+    let stream = |threads: usize| {
+        let sink = MemorySink::unbounded();
+        run_racked(threads, horizon, Some(SinkHandle::new(sink.clone())));
+        sink.events()
+    };
+    let serial = stream(1);
+    for device in 0..16 {
+        assert!(serial.iter().any(|e| e.device == device), "gpu{device} recorded no event");
+    }
+    for threads in [2, 8] {
+        let parallel = stream(threads);
+        let first_diff = serial.iter().zip(&parallel).position(|(a, b)| a != b);
+        assert!(
+            first_diff.is_none() && serial.len() == parallel.len(),
+            "multi-rack event stream diverged at {threads} worker threads: first differing \
+             event {first_diff:?}, lengths {} and {}",
+            serial.len(),
+            parallel.len()
+        );
+    }
 }
