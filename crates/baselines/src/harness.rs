@@ -8,7 +8,10 @@
 //! dispatcher — exactly like [`DarisScheduler`](daris_core::DarisScheduler).
 //!
 //! The event loop is the [`Scheduler`] trait's canonical `run_span`
-//! default, shared with DARIS itself.
+//! default, shared with DARIS itself. Like DARIS, the harness wakes only at
+//! releases, completions and timers. A timer is the flush timeout of a
+//! partial batch queued for an idle slot; `next_event_time` reports it, so
+//! every caller that steps by `next_event_time` stops there too.
 
 use std::collections::BTreeMap;
 
@@ -108,6 +111,29 @@ impl BaselineScheduler {
         self.queue.queued() + self.in_flight.iter().map(|(_, (_, jobs))| jobs.len()).sum::<usize>()
     }
 
+    /// Runs `step` on the device and retires the batches it completes.
+    fn step_device<T>(&mut self, step: impl FnOnce(&mut Gpu, &mut Vec<Completion>) -> T) -> T {
+        let out = step(&mut self.gpu, &mut self.completions);
+        for completion in self.completions.drain(..) {
+            if let Some((slot, jobs)) = self.in_flight.remove(completion.tag) {
+                for job in jobs {
+                    self.metrics.record_completion(&job, completion.finished_at);
+                }
+                self.busy[slot] = false;
+            }
+        }
+        out
+    }
+
+    /// The earliest flush timeout of a partial batch queued for an idle
+    /// slot, never before `now`: a batch that went stale while its slot was
+    /// busy flushes as soon as the slot frees.
+    fn next_timer(&self) -> Option<SimTime> {
+        let idle = (0..self.slots.len()).filter(|&slot| !self.busy[slot]);
+        let timer = idle.filter_map(|slot| self.queue.next_flush(slot)).min()?;
+        Some(timer.max(self.gpu.now()))
+    }
+
     fn submit(&mut self, slot: usize, batch: DispatchBatch) {
         let model = batch.jobs.first().expect("a dispatch batch is never empty").model;
         let profile = &self.profiles[&model];
@@ -125,20 +151,28 @@ impl Scheduler for BaselineScheduler {
         self.gpu.now()
     }
 
+    /// The earlier of the device's next event and the next timer.
     fn next_event_time(&self) -> Option<SimTime> {
-        self.gpu.next_event_time()
+        [self.gpu.next_event_time(), self.next_timer()].into_iter().flatten().min()
     }
 
     fn advance_to(&mut self, target: SimTime) {
-        self.gpu.advance_into(target, &mut self.completions);
-        for completion in self.completions.drain(..) {
-            if let Some((slot, jobs)) = self.in_flight.remove(completion.tag) {
-                for job in jobs {
-                    self.metrics.record_completion(&job, completion.finished_at);
-                }
-                self.busy[slot] = false;
-            }
+        self.step_device(|gpu, completions| gpu.advance_into(target, completions));
+    }
+
+    /// Runs the device up to the next batch completion or timer due by
+    /// `bound`. Between them no slot frees and no partial batch goes stale,
+    /// so `pop` would return nothing. A completion frees a slot and may arm
+    /// its timer, but the step stops there.
+    fn advance_toward(&mut self, bound: SimTime) -> bool {
+        let timer = self.next_timer().filter(|t| *t <= bound);
+        let stop = timer.unwrap_or(bound);
+        if self.step_device(|gpu, completions| gpu.advance_until_completion(stop, completions)) {
+            return true;
         }
+        let Some(timer) = timer else { return false };
+        self.advance_to(timer);
+        true
     }
 
     fn dispatch_ready(&mut self) {

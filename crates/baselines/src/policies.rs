@@ -6,12 +6,15 @@
 //! (event loop, metrics, completion handling) is common, so a comparison
 //! between two baselines compares queueing policies, nothing else. Batching
 //! and GSlice share [`BatchQueue`] and differ only in partitions and
-//! [`Staleness`]. Items are `pub` only where a public alias or bound names
+//! [`Staleness`]. A partial batch's flush timeout is an integer instant
+//! (`Staleness::flush_at`) that `pop` compares against and
+//! [`DispatchQueue::next_flush`] reports, so the harness wakes exactly
+//! there. Items are `pub` only where a public alias or bound names
 //! them; the module is private.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use daris_gpu::SimTime;
+use daris_gpu::{SimDuration, SimTime};
 use daris_models::DnnKind;
 use daris_workload::{Job, JobId, Priority, TaskSpec};
 
@@ -47,6 +50,13 @@ pub trait DispatchQueue: std::fmt::Debug + Send {
     /// The next batch to run on idle `slot` at `now`, or `None` to leave it
     /// idle.
     fn pop(&mut self, slot: usize, now: SimTime) -> Option<DispatchBatch>;
+
+    /// The earliest instant at which `pop` would flush a partial batch to
+    /// idle `slot` by timeout, if any of its queues holds one. A policy
+    /// without timeouts reports none.
+    fn next_flush(&self, _slot: usize) -> Option<SimTime> {
+        None
+    }
 
     /// Removes a queued job by id (cross-device migration support).
     fn withdraw(&mut self, id: JobId) -> Option<Job>;
@@ -169,22 +179,27 @@ impl DispatchQueue for PriorityOnlyQueue {
 #[derive(Debug)]
 pub(crate) enum Staleness {
     /// Pure batching: once the head has waited half the shortest period of
-    /// its model's tasks (µs per model, kept by `on_task_added`).
-    ShortestPeriod(BTreeMap<DnnKind, f64>),
+    /// its model's tasks (per model, kept by `on_task_added`).
+    ShortestPeriod(BTreeMap<DnnKind, SimDuration>),
     /// GSlice: once the head has waited over half its relative deadline.
     HalfDeadline,
 }
 
 impl Staleness {
-    fn stale(&self, kind: DnnKind, head: &Job, waited_us: f64) -> bool {
-        match self {
-            Staleness::ShortestPeriod(min_period_us) => {
-                waited_us >= 0.5 * min_period_us.get(&kind).copied().unwrap_or(f64::MAX)
-            }
+    /// The first instant at which `head`, at the front of `kind`'s queue, is
+    /// stale: Batching's wait of at least `P / 2` is `⌈P / 2⌉` whole ns,
+    /// GSlice's wait of more than `D / 2` is `⌊D / 2⌋ + 1` ns.
+    fn flush_at(&self, kind: DnnKind, head: &Job) -> SimTime {
+        let wait = match self {
+            Staleness::ShortestPeriod(min_period) => match min_period.get(&kind) {
+                Some(period) => SimDuration::from_nanos(period.as_nanos().div_ceil(2)),
+                None => return SimTime::MAX,
+            },
             Staleness::HalfDeadline => {
-                waited_us > 0.5 * (head.absolute_deadline - head.release).as_micros_f64()
+                (head.absolute_deadline - head.release) / 2 + SimDuration::from_nanos(1)
             }
-        }
+        };
+        head.release.saturating_add(wait)
     }
 }
 
@@ -206,6 +221,11 @@ impl BatchQueue {
         let partitions = (0..partitions.max(1)).map(|_| BTreeMap::new()).collect();
         BatchQueue { partitions, batch_size, staleness: stale }
     }
+
+    /// The number of `kind`'s jobs that fill one batch.
+    fn target(&self, kind: DnnKind) -> usize {
+        self.batch_size.get(&kind).copied().unwrap_or_else(|| kind.paper_batch_size()) as usize
+    }
 }
 
 impl DispatchQueue for BatchQueue {
@@ -218,26 +238,32 @@ impl DispatchQueue for BatchQueue {
     /// stale, flushes the one whose head has the earliest deadline, drained
     /// up to its batch size.
     fn pop(&mut self, slot: usize, now: SimTime) -> Option<DispatchBatch> {
-        let pending = self.partitions.get_mut(slot)?;
-        let target = |kind: &DnnKind| {
-            self.batch_size.get(kind).copied().unwrap_or_else(|| kind.paper_batch_size()) as usize
-        };
-        let now_us = now.as_micros_f64();
-        let mut best: Option<(DnnKind, f64)> = None;
-        for (kind, queue) in pending.iter() {
+        let mut best: Option<(DnnKind, SimTime)> = None;
+        for (kind, queue) in self.partitions.get(slot)? {
             let Some(head) = queue.front() else { continue };
-            let waited = now_us - head.release.as_micros_f64();
-            if queue.len() >= target(kind) || self.staleness.stale(*kind, head, waited) {
-                let urgency = head.absolute_deadline.as_micros_f64();
+            if queue.len() >= self.target(*kind) || now >= self.staleness.flush_at(*kind, head) {
+                let urgency = head.absolute_deadline;
                 if best.map(|(_, u)| urgency < u).unwrap_or(true) {
                     best = Some((*kind, urgency));
                 }
             }
         }
         let (kind, _) = best?;
-        let queue = pending.get_mut(&kind).expect("selected kind has a queue");
-        let take = queue.len().min(target(&kind));
+        let target = self.target(kind);
+        let queue = self.partitions[slot].get_mut(&kind).expect("selected kind has a queue");
+        let take = queue.len().min(target);
         Some(DispatchBatch::fused(queue.drain(..take).collect()))
+    }
+
+    /// The earliest instant at which a partial batch of the partition goes
+    /// stale.
+    fn next_flush(&self, slot: usize) -> Option<SimTime> {
+        self.partitions
+            .get(slot)?
+            .iter()
+            .filter(|(kind, queue)| queue.len() < self.target(**kind))
+            .filter_map(|(kind, queue)| Some(self.staleness.flush_at(*kind, queue.front()?)))
+            .min()
     }
 
     fn withdraw(&mut self, id: JobId) -> Option<Job> {
@@ -257,9 +283,9 @@ impl DispatchQueue for BatchQueue {
     }
 
     fn on_task_added(&mut self, spec: &TaskSpec) {
-        if let Staleness::ShortestPeriod(min_period_us) = &mut self.staleness {
-            let period = spec.period.as_micros_f64();
-            min_period_us.entry(spec.model).and_modify(|p| *p = p.min(period)).or_insert(period);
+        if let Staleness::ShortestPeriod(min_period) = &mut self.staleness {
+            let period = spec.period;
+            min_period.entry(spec.model).and_modify(|p| *p = period.min(*p)).or_insert(period);
         }
     }
 }

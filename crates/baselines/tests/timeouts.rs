@@ -9,6 +9,10 @@
 //! through a timeout flush. Each run is pinned as text in
 //! `tests/golden/timeouts.txt`, standalone and on a two-device fleet.
 //!
+//! A timeout is an instant the scheduler reports as its next event, so a
+//! partial batch flushes exactly there, on an idle device too; the other
+//! tests here pin that instant.
+//!
 //! To regenerate (only legitimate after an *intentional* change to when a
 //! baseline flushes):
 //!
@@ -25,7 +29,7 @@ use daris_core::{GpuPartition, Result, RunSpec, Scheduler};
 use daris_gpu::{GpuSpec, SimDuration, SimTime};
 use daris_metrics::{ExperimentSummary, PrioritySummary};
 use daris_models::DnnKind;
-use daris_workload::{Priority, ReleaseJitter, TaskSet, TaskSetBuilder};
+use daris_workload::{Priority, ReleaseJitter, TaskId, TaskSet, TaskSetBuilder, TaskSpec};
 
 /// A light mixed set: no model's batch fills before its head job goes
 /// stale, except now and then ResNet18's.
@@ -147,4 +151,84 @@ fn timeout_flushes_match_the_committed_golden() {
         )
     });
     assert_eq!(expected, actual, "a baseline's batch flushes drifted from the golden");
+}
+
+/// One low-priority InceptionV3 task with a 40 ms period and deadline: its
+/// batch of eight never fills.
+fn lone_inception() -> TaskSet {
+    let period = SimDuration::from_millis(40);
+    let task = TaskSpec::new(TaskId(0), "inception", DnnKind::InceptionV3, period, Priority::Low);
+    TaskSetBuilder::new().add_task(task).build()
+}
+
+/// Releases the task's first job on idle `scheduler` and checks that the
+/// partial batch flushes at exactly `flush`: the scheduler reports it as
+/// its next event, stops there, and dispatches the batch there.
+fn assert_flushes_at(mut scheduler: BaselineScheduler, flush: SimTime) {
+    let job = scheduler.taskset().tasks()[0].job(0);
+    assert!(scheduler.try_release_job(job));
+    scheduler.dispatch_ready();
+    let idle = scheduler.idle_stream_count();
+    assert_eq!(scheduler.queue_backlog(), 1, "a batch of one is not flushed at its release");
+    assert_eq!(scheduler.next_event_time(), Some(flush), "the timeout is the next event");
+    assert!(scheduler.advance_toward(SimTime::from_millis(10_000)), "no stop at the timeout");
+    assert_eq!(scheduler.now(), flush);
+    scheduler.dispatch_ready();
+    assert_eq!(scheduler.idle_stream_count(), idle - 1, "the stale batch takes one stream");
+    assert_eq!(scheduler.queue_backlog(), 0);
+}
+
+#[test]
+fn a_batching_timeout_flushes_at_half_the_period() {
+    // At least half the shortest period: exactly 20 ms.
+    let scheduler = BatchingServer::new().scheduler(&lone_inception()).unwrap();
+    assert_flushes_at(scheduler, SimTime::from_millis(20));
+}
+
+#[test]
+fn a_gslice_timeout_flushes_just_past_half_the_deadline() {
+    // More than half the relative deadline: 20 ms and one nanosecond.
+    let scheduler = GsliceServer::new(2).scheduler(&lone_inception()).unwrap();
+    assert_flushes_at(scheduler, SimTime::from_nanos(20_000_001));
+}
+
+#[test]
+fn an_idle_fleet_device_flushes_its_partial_batch_at_the_timeout() {
+    // Greedy balance puts the busy ResNet18 task on one device and the
+    // slow InceptionV3 task alone on the other, whose only work is then a
+    // partial batch. Its timeout is 50 ms, its next release 100 ms away.
+    let taskset = TaskSetBuilder::new()
+        .without_stagger()
+        .add_tasks(DnnKind::ResNet18, 1, 100.0, Priority::High)
+        .add_tasks(DnnKind::InceptionV3, 1, 10.0, Priority::Low)
+        .build();
+    let cluster = ClusterSpec::homogeneous(2, GpuSpec::rtx_2080_ti(), GpuPartition::mps(2, 2.0));
+    let config = ClusterConfig {
+        strategy: PlacementStrategy::GreedyBalance,
+        threads: 1,
+        ..Default::default()
+    };
+    let factory = |slot: DeviceSlot<'_>| {
+        Ok(BatchingServer::new().with_gpu(slot.spec.gpu.clone()).scheduler(slot.taskset)?)
+    };
+    // Releases at 0, 100, …, 400 ms; the last flush falls well before the
+    // horizon.
+    let horizon = SimTime::from_millis(480);
+    let outcome = ClusterDispatcher::with_factory(&taskset, cluster, config, factory)
+        .expect("a valid two-device fleet")
+        .run(&RunSpec::periodic().until(horizon))
+        .expect("the spec runs");
+    let hosts: Vec<_> =
+        outcome.devices.iter().filter(|d| d.outcome.summary.low.released > 0).collect();
+    assert_eq!(hosts.len(), 1, "the InceptionV3 task has one device");
+    assert_eq!(hosts[0].outcome.summary.high.released, 0, "and that device has no other task");
+    let low = &outcome.summary.low;
+    assert_eq!((low.released, low.completed), (5, 5), "{low:?}");
+    // A batch of one InceptionV3 job runs in well under 10 ms on the
+    // 2080 Ti, so every job completes within the timeout plus that margin,
+    // and none before its timeout.
+    let (timeout, margin) = (50.0, 10.0);
+    let response = &low.response;
+    assert!(response.min_ms >= timeout, "flushed before its timeout: {response:?}");
+    assert!(response.max_ms <= timeout + margin, "flushed late: {response:?}");
 }

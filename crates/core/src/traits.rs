@@ -1,8 +1,9 @@
 //! The [`Scheduler`] trait: the stepping surface a driver needs to run any
 //! scheduling policy — DARIS or a baseline — against a simulated GPU.
 //!
-//! The trait is extracted verbatim from [`DarisScheduler`]'s public stepping
-//! API, which `daris-cluster`'s dispatcher already consumed method-for-method.
+//! The trait is extracted verbatim from
+//! [`DarisScheduler`](crate::DarisScheduler)'s public stepping API, which
+//! `daris-cluster`'s dispatcher already consumed method-for-method.
 //! Anything that can implement these methods can be:
 //!
 //! * driven standalone via the provided [`run`](Scheduler::run) (or
@@ -42,18 +43,22 @@ use crate::{CoreError, ExperimentOutcome, Result};
 ///
 /// Between releases, `run_span` steps the device through
 /// [`advance_toward`](Scheduler::advance_toward), which decides how often
-/// the policy wakes. Its default wakes at every engine transition, as every
-/// baseline needs: Batching and GSlice evaluate their flush timeouts when
-/// they pop ready work, so fewer wake-ups would change their decisions.
-/// [`DarisScheduler`](crate::DarisScheduler) acts only at releases and stage
-/// completions (the synchronization points of its staging), so it overrides
-/// `advance_toward` to run the engine's transitions up to the next
-/// completion in one call.
+/// the policy wakes. Every policy wakes at releases, completions and
+/// timers, and runs the engine's transitions between them in one call
+/// (`Gpu::advance_until_completion`):
+/// [`DarisScheduler`](crate::DarisScheduler) at stage completions, the
+/// synchronization points of its staging, and a baseline at batch
+/// completions and at the flush timeouts of its partial batches. A timer is
+/// part of [`next_event_time`](Scheduler::next_event_time), so the provided
+/// per-event default stops at it too and gives the same results; it remains
+/// for wrappers that forward only the required methods.
 pub trait Scheduler {
     /// The scheduler's current simulated time.
     fn now(&self) -> SimTime;
 
-    /// Earliest pending device event, if any.
+    /// Earliest instant at which the scheduler may act without a release:
+    /// its next device event, or an earlier timer of the policy's own (a
+    /// baseline's batch-flush timeout), never before [`now`](Self::now).
     fn next_event_time(&self) -> Option<SimTime>;
 
     /// Advances the simulated device to `target` (non-decreasing),
@@ -127,11 +132,12 @@ pub trait Scheduler {
     /// event it processed (or where it was): it never moves the clock to
     /// `bound` for its own sake.
     ///
-    /// The default wakes at every device event: it advances to the next
-    /// one if it is due by `bound` and returns `true`, or does nothing and
-    /// returns `false`. An override may skip instants at which its policy
-    /// provably does nothing, but must process every device event it
-    /// passes exactly as `advance_to` would.
+    /// The default stops at every instant
+    /// [`next_event_time`](Self::next_event_time) reports: it advances to
+    /// the next one if it is due by `bound` and returns `true`, or does
+    /// nothing and returns `false`. An override may skip instants at which
+    /// its policy provably does nothing, but must process every device event
+    /// it passes exactly as `advance_to` would.
     fn advance_toward(&mut self, bound: SimTime) -> bool {
         match self.next_event_time() {
             Some(t) if t <= bound => {

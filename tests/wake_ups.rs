@@ -1,13 +1,14 @@
 //! How often the run loop wakes a scheduler must never show in its results.
 //!
-//! `Scheduler::run_span` steps the device through `advance_toward`. Its
-//! provided default wakes the policy at every engine transition; DARIS
-//! overrides it to wake only at stage completions (and the loop adds the
-//! releases). A wrapper that forwards only the required methods runs the
-//! default, as a tracing wrapper does, so each run below is compared
+//! `Scheduler::run_span` steps the device through `advance_toward`. DARIS
+//! wakes at stage completions, the baselines at batch completions and at
+//! batch-flush timeouts, which they report as their next event; the loop
+//! adds the releases. The provided default wakes at every event the
+//! scheduler reports, and a wrapper that forwards only the required methods
+//! runs it, as a tracing wrapper does. So each run below is compared
 //! against the bare scheduler: summaries, digests and the full telemetry
 //! stream must be equal. A counting wrapper that forwards `advance_toward`
-//! shows how few wake-ups DARIS now takes.
+//! shows how few wake-ups each scheduler takes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,8 +82,8 @@ macro_rules! forward_required_but_advance_to {
 }
 
 /// Forwards only the required methods, so `run_span` takes the provided
-/// `advance_toward`: one wake-up per engine transition. Counts the
-/// `advance_to` calls it forwards.
+/// `advance_toward`: one wake-up per engine transition and per reported
+/// timer. Counts the `advance_to` calls it forwards.
 #[derive(Debug)]
 struct PerTransition<S> {
     inner: S,
@@ -98,12 +99,29 @@ impl<S: Scheduler> Scheduler for PerTransition<S> {
     }
 }
 
+/// What a [`Counted`] scheduler's own stepping did.
+#[derive(Debug, Default)]
+struct WakeUps {
+    /// `advance_toward` calls.
+    calls: AtomicU64,
+    /// Calls that stopped without freeing a stream: at a timer, since a
+    /// completion frees the stream it ran on and nothing dispatches during
+    /// the step.
+    timers: AtomicU64,
+}
+
+impl WakeUps {
+    fn get(&self) -> (u64, u64) {
+        (self.calls.load(Ordering::Relaxed), self.timers.load(Ordering::Relaxed))
+    }
+}
+
 /// Forwards `advance_toward` too, counting the calls: the wake-ups the
 /// wrapped scheduler's own stepping takes.
 #[derive(Debug)]
 struct Counted<S> {
     inner: S,
-    wake_ups: Arc<AtomicU64>,
+    wake_ups: Arc<WakeUps>,
 }
 
 impl<S: Scheduler> Scheduler for Counted<S> {
@@ -114,8 +132,13 @@ impl<S: Scheduler> Scheduler for Counted<S> {
     }
 
     fn advance_toward(&mut self, bound: SimTime) -> bool {
-        self.wake_ups.fetch_add(1, Ordering::Relaxed);
-        self.inner.advance_toward(bound)
+        self.wake_ups.calls.fetch_add(1, Ordering::Relaxed);
+        let idle = self.inner.idle_stream_count();
+        let stopped = self.inner.advance_toward(bound);
+        if stopped && self.inner.idle_stream_count() == idle {
+            self.wake_ups.timers.fetch_add(1, Ordering::Relaxed);
+        }
+        stopped
     }
 }
 
@@ -123,8 +146,13 @@ fn per_transition<S>(inner: S, advances: &Arc<AtomicU64>) -> PerTransition<S> {
     PerTransition { inner, advances: Arc::clone(advances) }
 }
 
-fn counted<S>(inner: S, wake_ups: &Arc<AtomicU64>) -> Counted<S> {
+fn counted<S>(inner: S, wake_ups: &Arc<WakeUps>) -> Counted<S> {
     Counted { inner, wake_ups: Arc::clone(wake_ups) }
+}
+
+/// `DeviceSpan` events in a telemetry stream.
+fn spans(events: &[TelemetryEvent]) -> u64 {
+    events.iter().filter(|e| matches!(e.kind, EventKind::DeviceSpan { .. })).count() as u64
 }
 
 /// Item completions recorded in a telemetry stream.
@@ -155,13 +183,14 @@ fn standalone_daris_results_do_not_depend_on_its_wake_ups() {
     assert_eq!(outcome.mret_trace, expected.mret_trace);
     assert_eq!(sink.events(), bare_sink.events(), "the telemetry stream moved");
 
-    let wake_ups = Arc::new(AtomicU64::new(0));
+    let counts = Arc::new(WakeUps::default());
     let (inner, sink) = observed();
-    let outcome = counted(inner, &wake_ups).run(&spec).expect("spec runs");
+    let outcome = counted(inner, &counts).run(&spec).expect("spec runs");
     assert_eq!(outcome.summary, expected.summary);
     let events = sink.events();
     assert_eq!(events, bare_sink.events());
-    let (wake_ups, releases) = (wake_ups.load(Ordering::Relaxed), expected.summary.total.released);
+    let ((wake_ups, timers), releases) = (counts.get(), expected.summary.total.released);
+    assert_eq!(timers, 0, "DARIS has no timers");
     let bound = completions(&events) + releases as u64 + 1;
     assert!(wake_ups <= bound, "{wake_ups} wake-ups past completions + releases + 1 span: {bound}");
     let per_transition = advances.load(Ordering::Relaxed);
@@ -235,13 +264,13 @@ fn racked_daris_fleet_results_do_not_depend_on_its_wake_ups() {
     let run = run_racked(|slot| daris(slot).map(|s| per_transition(s, &advances)));
     assert_same_run("per-transition DARIS fleet", &run, &expected);
 
-    let wake_ups = Arc::new(AtomicU64::new(0));
-    let run = run_racked(|slot| daris(slot).map(|s| counted(s, &wake_ups)));
+    let counts = Arc::new(WakeUps::default());
+    let run = run_racked(|slot| daris(slot).map(|s| counted(s, &counts)));
     assert_same_run("counted DARIS fleet", &run, &expected);
     let (outcome, events) = &run;
-    let spans = events.iter().filter(|e| matches!(e.kind, EventKind::DeviceSpan { .. })).count();
-    let bound = completions(events) + (outcome.summary.total.released + spans) as u64;
-    let wake_ups = wake_ups.load(Ordering::Relaxed);
+    let (wake_ups, timers) = counts.get();
+    assert_eq!(timers, 0, "DARIS has no timers");
+    let bound = completions(events) + outcome.summary.total.released as u64 + spans(events);
     assert!(wake_ups <= bound, "{wake_ups} wake-ups past completions + releases + spans: {bound}");
     let per_transition = advances.load(Ordering::Relaxed);
     assert!(wake_ups < per_transition, "{wake_ups} wake-ups, {per_transition} transitions");
@@ -280,26 +309,43 @@ fn run_light_fleet<S: Scheduler + Send>(
     (outcome, sink.events())
 }
 
-#[test]
-fn baseline_fleet_keeps_its_per_transition_wake_ups() {
-    // Batching and GSlice evaluate their flush timeouts when they pop ready
-    // work, so they must keep waking at every transition: the provided
-    // default, which a wrapper forwarding only the required methods runs
-    // too. GSlice's partitions make it matter: a stale batch on an idle
-    // partition flushes at a transition of a busy one, which need not be a
-    // completion. Batching's single stream is idle only while the device
-    // has no events, so its case guards the default alone.
-    let batching = |slot: &DeviceSlot<'_>| {
-        Ok(BatchingServer::new().with_gpu(slot.spec.gpu.clone()).scheduler(slot.taskset)?)
-    };
-    let gslice = |slot: &DeviceSlot<'_>| {
-        Ok(GsliceServer::new(2).with_gpu(slot.spec.gpu.clone()).scheduler(slot.taskset)?)
-    };
+/// Runs the light fleet of `build`'s baseline bare, per transition and
+/// counted: all three runs must be equal, and the counted one wakes at
+/// most once per release, batch completion, timer and span.
+fn assert_baseline_fleet_ignores_wake_ups(
+    label: &str,
+    build: impl Fn(&DeviceSlot<'_>) -> Result<BaselineScheduler> + Sync,
+) {
+    let expected = run_light_fleet(&build, |scheduler| scheduler);
     let advances = Arc::new(AtomicU64::new(0));
-    let expected = run_light_fleet(batching, |scheduler| scheduler);
-    let run = run_light_fleet(batching, |scheduler| per_transition(scheduler, &advances));
-    assert_same_run("per-transition Batching fleet", &run, &expected);
-    let expected = run_light_fleet(gslice, |scheduler| scheduler);
-    let run = run_light_fleet(gslice, |scheduler| per_transition(scheduler, &advances));
-    assert_same_run("per-transition GSlice fleet", &run, &expected);
+    let run = run_light_fleet(&build, |scheduler| per_transition(scheduler, &advances));
+    assert_same_run(&format!("per-transition {label} fleet"), &run, &expected);
+
+    let counts = Arc::new(WakeUps::default());
+    let run = run_light_fleet(&build, |scheduler| counted(scheduler, &counts));
+    assert_same_run(&format!("counted {label} fleet"), &run, &expected);
+    let (outcome, events) = &run;
+    let (wake_ups, timers) = counts.get();
+    assert!(timers > 0, "{label}: no batch flushed at a timer");
+    // Every completed batch holds at least one job, and baselines record no
+    // device events, so completed jobs bound the completions.
+    let total = &outcome.summary.total;
+    let bound = (total.completed + total.released) as u64 + timers + spans(events);
+    assert!(wake_ups <= bound, "{label}: {wake_ups} wake-ups past the bound {bound}");
+    let per_transition = advances.load(Ordering::Relaxed);
+    assert!(wake_ups < per_transition, "{label}: {wake_ups} wake-ups, {per_transition} steps");
+}
+
+#[test]
+fn baseline_fleet_results_do_not_depend_on_their_wake_ups() {
+    // GSlice's partitions make the timers matter mid-run: a stale batch on
+    // an idle partition flushes at its timeout while another partition is
+    // busy. Batching's one stream is idle only while the device has no
+    // events, so there the timer is the only event left.
+    assert_baseline_fleet_ignores_wake_ups("Batching", |slot| {
+        Ok(BatchingServer::new().with_gpu(slot.spec.gpu.clone()).scheduler(slot.taskset)?)
+    });
+    assert_baseline_fleet_ignores_wake_ups("GSlice", |slot| {
+        Ok(GsliceServer::new(2).with_gpu(slot.spec.gpu.clone()).scheduler(slot.taskset)?)
+    });
 }
