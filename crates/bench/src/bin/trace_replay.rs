@@ -120,20 +120,20 @@ fn main() -> ExitCode {
     let trace = match &replay {
         Some(path) => {
             let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read trace {path}: {e}"));
-            Trace::decode(&text).unwrap_or_else(|e| panic!("cannot decode trace {path}: {e}"))
+                .unwrap_or_else(|e| args.fail(format!("cannot read trace {path}: {e}")));
+            Trace::decode(&text)
+                .unwrap_or_else(|e| args.fail(format!("cannot decode trace {path}: {e}")))
         }
         None => spec.generate(&taskset, horizon),
     };
     eprintln!(
-        "trace_replay: trace carries {} releases ({:.0} offered JPS, lookahead {})",
+        "trace_replay: trace carries {} releases ({:.0} offered JPS)",
         trace.len(),
-        trace.offered_jps(),
-        trace.lookahead()
+        trace.offered_jps()
     );
     if let Some(path) = &record {
         std::fs::write(path, trace.encode())
-            .unwrap_or_else(|e| panic!("cannot write trace {path}: {e}"));
+            .unwrap_or_else(|e| args.fail(format!("cannot write trace {path}: {e}")));
         eprintln!("trace_replay: wrote {path}");
     }
 
@@ -160,7 +160,7 @@ fn main() -> ExitCode {
     for t in verify_threads {
         let outcome = dispatcher(&taskset, &fleet, t)
             .run(&replay_spec)
-            .unwrap_or_else(|e| panic!("replay failed: {e}"));
+            .unwrap_or_else(|e| args.fail(format!("cannot replay the trace: {e}")));
         let hash = outcome_hash(&outcome);
         eprintln!(
             "  trace replay @{t} thread{}: {:>7.0} JPS, {} completed jobs",

@@ -211,8 +211,7 @@ mod tests {
 
     #[test]
     fn replay_spec_defaults_to_trace_horizon() {
-        let trace = Trace::new(SimTime::from_millis(25), daris_gpu::SimDuration::ZERO, Vec::new())
-            .expect("empty trace is valid");
+        let trace = Trace::new(SimTime::from_millis(25), Vec::new()).expect("empty trace is valid");
         let spec = RunSpec::replay(trace);
         assert_eq!(spec.horizon(), Some(SimTime::from_millis(25)));
         let truncated = spec.clone().until(SimTime::from_millis(5));

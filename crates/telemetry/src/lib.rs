@@ -21,8 +21,8 @@
 //!
 //! Three sinks ship with the crate:
 //!
-//! * [`MemorySink`] — bounded ring buffer, for tests, examples and short
-//!   fleet runs;
+//! * [`MemorySink`] — an in-memory buffer of every event, for tests,
+//!   examples and short fleet runs;
 //! * [`ChromeTraceSink`] — Chrome trace-event JSON (loadable in Perfetto /
 //!   `chrome://tracing`), one process per device, one track per context plus
 //!   scheduler/copy-engine/round tracks;

@@ -33,16 +33,16 @@ impl ReleaseJitter {
     /// # Errors
     ///
     /// Returns the reason for a [`ReleaseJitter::Uniform`] whose `max` delay
-    /// reaches a non-zero horizon span: the in-order lookahead would then
-    /// buffer the entire plan and the stream would silently degenerate to
-    /// the eager path (materialize an [`ArrivalPlan`] instead).
+    /// reaches a non-zero horizon span: a jittered cursor would then buffer
+    /// every release of its task, so the max delay must stay below the
+    /// horizon span.
     pub fn validate(&self, horizon: SimTime) -> Result<(), String> {
         let span = horizon.duration_since(SimTime::ZERO);
         match *self {
             ReleaseJitter::Uniform { max, .. } if !span.is_zero() && max >= span => Err(format!(
                 "ArrivalStream cannot lazily reproduce ReleaseJitter::Uniform with a max delay \
-                 of {:.3} ms at a {:.3} ms horizon: the in-order lookahead would buffer every \
-                 release; materialize an ArrivalPlan instead",
+                 of {:.3} ms at a {:.3} ms horizon: the max delay must stay below the horizon \
+                 span",
                 max.as_millis_f64(),
                 span.as_millis_f64(),
             )),

@@ -19,25 +19,19 @@
 //!   a recorded trace yields the same [`Job`]s in the same order, hence the
 //!   same scheduler decisions, completions and metrics.
 //!
-//! # The lookahead contract
+//! # Ordering
 //!
-//! Sources emit jobs in time order, but a task's *release indices* may be
-//! reordered in time (client-side jitter can delay one release past its
-//! successor). A lazy merger replaying such a sequence must buffer every
-//! release that can still be overtaken, so the reorder window must be
-//! bounded: a [`Trace`] declares a `lookahead` — an upper bound on how far
-//! (in simulated time) a lower-index release of a task may trail behind a
-//! higher-index one — and validation rejects traces whose measured reorder
-//! width exceeds the declared bound, or whose bound reaches the horizon
-//! (the trace-path extension of [`ArrivalStream::with_jitter`]'s
-//! jitter-versus-horizon rejection: such a trace would force a replayer to
-//! buffer the entire sequence).
+//! A trace is a list of releases sorted by time. A task's *release indices*
+//! may still run out of time order (client-side jitter can delay one release
+//! past its successor); replay needs no bound on how far, because each
+//! replayed cursor holds its task's events in trace order.
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 
-use daris_gpu::{SimDuration, SimTime};
+use daris_gpu::SimTime;
 
 use crate::{ArrivalStream, Job, TaskId};
 
@@ -114,22 +108,6 @@ pub enum TraceError {
         /// Index of the offending event.
         position: usize,
     },
-    /// The measured reorder width exceeds the declared lookahead bound.
-    LookaheadExceeded {
-        /// Largest observed reorder width.
-        measured: SimDuration,
-        /// The declared bound.
-        declared: SimDuration,
-    },
-    /// The declared lookahead reaches the horizon: a replayer would have to
-    /// buffer the entire trace (the trace-path analogue of the
-    /// jitter-versus-horizon rejection).
-    LookaheadNotBelowHorizon {
-        /// The declared bound.
-        lookahead: SimDuration,
-        /// The trace horizon.
-        horizon: SimTime,
-    },
     /// An event refers to a task the bound task set does not contain.
     UnknownTask {
         /// The unresolvable task id.
@@ -161,16 +139,6 @@ impl fmt::Display for TraceError {
             TraceError::PastHorizon { position } => {
                 write!(f, "event {position} releases at or past the trace horizon")
             }
-            TraceError::LookaheadExceeded { measured, declared } => write!(
-                f,
-                "trace reorders releases by up to {measured}, beyond its declared lookahead \
-                 bound of {declared}"
-            ),
-            TraceError::LookaheadNotBelowHorizon { lookahead, horizon } => write!(
-                f,
-                "a lookahead bound of {lookahead} at a {horizon} horizon would force a replayer \
-                 to buffer the entire trace; re-record with a tighter bound"
-            ),
             TraceError::UnknownTask { task, tasks } => {
                 write!(f, "trace refers to {task} but the bound task set has {tasks} tasks")
             }
@@ -185,36 +153,28 @@ impl Error for TraceError {}
 
 /// A validated, fully materialized release sequence: the serializable unit of
 /// the trace-driven workload path. The module docs of `trace.rs` give the
-/// format and the lookahead contract.
+/// format and the ordering.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     horizon: SimTime,
-    lookahead: SimDuration,
     events: Vec<TraceEvent>,
 }
 
 /// The version tag the plain-text codec writes and accepts.
-const FORMAT_HEADER: &str = "daris-trace v1";
+const FORMAT_HEADER: &str = "daris-trace v2";
 
 impl Trace {
     /// Builds a trace from `events`, validating the full contract: events
-    /// strictly ordered by `(release, task, release_index)`, per-task indices
-    /// unique, releases strictly before `horizon`, the measured reorder
-    /// width within `lookahead`, and `lookahead` strictly below the horizon
-    /// span (unless the span is zero, in which case the trace must be empty
-    /// anyway). Deadlines are free-form — a jittered recording may
-    /// legitimately contain releases past their (nominal-anchored)
-    /// deadlines — and index gaps are legal (recordings drop releases
-    /// jittered past their horizon).
+    /// strictly ordered by `(release, task, release_index)`, releases
+    /// strictly before `horizon`, and per-task indices unique. Deadlines are
+    /// free-form — a jittered recording may legitimately contain releases
+    /// past their (nominal-anchored) deadlines — and index gaps are legal
+    /// (recordings drop releases jittered past their horizon).
     ///
     /// # Errors
     ///
     /// Returns the first violated rule as a [`TraceError`].
-    pub fn new(
-        horizon: SimTime,
-        lookahead: SimDuration,
-        events: Vec<TraceEvent>,
-    ) -> Result<Self, TraceError> {
+    pub fn new(horizon: SimTime, events: Vec<TraceEvent>) -> Result<Self, TraceError> {
         for (position, pair) in events.windows(2).enumerate() {
             if pair[0].key() >= pair[1].key() {
                 return Err(TraceError::Unsorted { position: position + 1 });
@@ -223,27 +183,21 @@ impl Trace {
         if let Some(position) = events.iter().position(|ev| ev.release >= horizon) {
             return Err(TraceError::PastHorizon { position });
         }
-        let measured = measured_lookahead(&events)?;
-        if measured > lookahead {
-            return Err(TraceError::LookaheadExceeded { measured, declared: lookahead });
+        if let Some(task) = duplicate_index(&events) {
+            return Err(TraceError::DuplicateIndex { task });
         }
-        let span = horizon.duration_since(SimTime::ZERO);
-        if !span.is_zero() && lookahead >= span {
-            return Err(TraceError::LookaheadNotBelowHorizon { lookahead, horizon });
-        }
-        Ok(Trace { horizon, lookahead, events })
+        Ok(Trace { horizon, events })
     }
 
     /// Drains `source` and records every release strictly before `horizon`
-    /// into a trace whose declared lookahead is the exact measured reorder
-    /// width. Releases at or past the horizon are discarded — a live run
-    /// bounded by `horizon` never consumes them, so dropping them is what
+    /// into a trace. Releases at or past the horizon are discarded — a live
+    /// run bounded by `horizon` never consumes them, so dropping them is what
     /// makes the recorded trace replay that run exactly.
     ///
     /// # Errors
     ///
     /// Returns an error if the drained sequence violates the trace contract
-    /// (e.g. the source's reorder width reaches the horizon).
+    /// (see [`Trace::new`]; e.g. the source repeats a release index).
     pub fn record(source: &mut impl ArrivalSource, horizon: SimTime) -> Result<Self, TraceError> {
         let mut recorder = TraceRecorder::new(source);
         while recorder.next_job().is_some() {}
@@ -271,12 +225,6 @@ impl Trace {
         self.horizon
     }
 
-    /// The declared out-of-order bound (the lookahead contract in the module
-    /// docs of `trace.rs`).
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
     /// Average offered load over the horizon, in jobs per second. A
     /// zero-length horizon offers no load (rather than dividing by zero).
     pub fn offered_jps(&self) -> f64 {
@@ -289,9 +237,8 @@ impl Trace {
     /// Serializes the trace in the versioned plain-text format:
     ///
     /// ```text
-    /// daris-trace v1
+    /// daris-trace v2
     /// horizon_ns <u64>
-    /// lookahead_ns <u64>
     /// events <count>
     /// <task> <release_index> <release_ns> <deadline_ns>   (one line per event)
     /// ```
@@ -300,7 +247,6 @@ impl Trace {
         out.push_str(FORMAT_HEADER);
         out.push('\n');
         let _ = writeln!(out, "horizon_ns {}", self.horizon.as_nanos());
-        let _ = writeln!(out, "lookahead_ns {}", self.lookahead.as_nanos());
         let _ = writeln!(out, "events {}", self.events.len());
         for ev in &self.events {
             let _ = writeln!(
@@ -345,7 +291,6 @@ impl Trace {
             value.parse().map_err(|_| parse_err(n + 1, &format!("`{key}` is not a u64")))
         };
         let horizon = SimTime::from_nanos(header_u64("horizon_ns")?);
-        let lookahead = SimDuration::from_nanos(header_u64("lookahead_ns")?);
         let count = header_u64("events")? as usize;
         // The declared count is untrusted input: cap the preallocation so a
         // corrupt header returns a Parse error (below) instead of aborting
@@ -381,37 +326,22 @@ impl Trace {
                 return Err(parse_err(n + 1, "trailing content after the declared event count"));
             }
         }
-        Trace::new(horizon, lookahead, events)
+        Trace::new(horizon, events)
     }
 }
 
-/// The measured reorder width of a sorted event sequence: the largest amount
-/// by which a lower-index release of a task trails behind a higher-index one
-/// (0 when every task's releases are in index order). Index gaps are legal —
-/// a recording of a jittered run drops releases jittered past its horizon —
-/// but a repeated index is not (two jobs would share an identity); the width
-/// scan catches that for free.
-fn measured_lookahead(events: &[TraceEvent]) -> Result<SimDuration, TraceError> {
-    use std::collections::BTreeMap;
-    let mut per_task: BTreeMap<TaskId, Vec<(u64, SimTime)>> = BTreeMap::new();
+/// The lowest task that releases one index twice (two jobs would share an
+/// identity). Index gaps are legal: a recording of a jittered run drops
+/// releases jittered past its horizon.
+fn duplicate_index(events: &[TraceEvent]) -> Option<TaskId> {
+    let mut per_task: BTreeMap<TaskId, Vec<u64>> = BTreeMap::new();
     for ev in events {
-        per_task.entry(ev.task).or_default().push((ev.release_index, ev.release));
+        per_task.entry(ev.task).or_default().push(ev.release_index);
     }
-    let mut widest = SimDuration::ZERO;
-    for (task, mut releases) in per_task {
-        releases.sort_unstable_by_key(|(index, _)| *index);
-        if releases.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(TraceError::DuplicateIndex { task });
-        }
-        let mut prefix_max = SimTime::ZERO;
-        for (i, (_, release)) in releases.iter().enumerate() {
-            if i > 0 && prefix_max > *release {
-                widest = widest.max(prefix_max.duration_since(*release));
-            }
-            prefix_max = prefix_max.max(*release);
-        }
-    }
-    Ok(widest)
+    per_task.into_iter().find_map(|(task, mut indices)| {
+        indices.sort_unstable();
+        indices.windows(2).any(|w| w[0] == w[1]).then_some(task)
+    })
 }
 
 /// Wraps any [`ArrivalSource`] and captures the releases a live run actually
@@ -435,20 +365,17 @@ impl<S: ArrivalSource> TraceRecorder<S> {
         self.events.len()
     }
 
-    /// Finishes recording: validates the captured sequence against `horizon`
-    /// and returns the trace, declaring the exact measured reorder width as
-    /// its lookahead. Releases at or past the horizon (which a run bounded by
-    /// `horizon` never consumes) are dropped.
+    /// Finishes recording: drops the releases at or past `horizon` (which a
+    /// run bounded by `horizon` never consumes) and validates the rest once,
+    /// through [`Trace::new`].
     ///
     /// # Errors
     ///
     /// Returns an error when the captured sequence violates the trace
     /// contract (see [`Trace::new`]).
     pub fn into_trace(self, horizon: SimTime) -> Result<Trace, TraceError> {
-        let events: Vec<TraceEvent> =
-            self.events.into_iter().filter(|ev| ev.release < horizon).collect();
-        let lookahead = measured_lookahead(&events)?;
-        Trace::new(horizon, lookahead, events)
+        let events = self.events.into_iter().filter(|ev| ev.release < horizon).collect();
+        Trace::new(horizon, events)
     }
 }
 
@@ -487,7 +414,19 @@ impl<S: ArrivalSource + ?Sized> ArrivalSource for &mut S {
 mod tests {
     use super::*;
     use crate::{ArrivalPlan, ReleaseJitter, TaskSet};
+    use daris_gpu::SimDuration;
     use daris_models::DnnKind;
+
+    /// Whether some task releases a lower index after a higher one.
+    fn reorders_indices(trace: &Trace) -> bool {
+        let mut highest = std::collections::BTreeMap::new();
+        trace.events().iter().any(|ev| {
+            let seen = highest.entry(ev.task).or_insert(ev.release_index);
+            let reordered = ev.release_index < *seen;
+            *seen = (*seen).max(ev.release_index);
+            reordered
+        })
+    }
 
     fn periodic_trace(horizon_ms: u64) -> (TaskSet, Trace) {
         let ts = TaskSet::table2(DnnKind::UNet);
@@ -502,7 +441,7 @@ mod tests {
         let (ts, trace) = periodic_trace(150);
         let expected: Vec<Job> = ArrivalStream::new(&ts, SimTime::from_millis(150)).collect();
         assert_eq!(trace.len(), expected.len());
-        assert_eq!(trace.lookahead(), SimDuration::ZERO, "periodic releases are in order");
+        assert!(!reorders_indices(&trace), "periodic releases are in index order");
         let replayed: Vec<Job> =
             ArrivalStream::replay(&ts, &trace).expect("trace binds to its own set").collect();
         assert_eq!(expected, replayed, "round trip must be byte-identical");
@@ -511,15 +450,14 @@ mod tests {
     #[test]
     fn recording_a_jittered_stream_replays_byte_identically() {
         // Jitter wider than the period forces within-task reordering, so the
-        // recorded trace carries a non-zero lookahead.
+        // replay must hand some task's release indices out of order.
         let ts = TaskSet::table2(DnnKind::UNet);
         let horizon = SimTime::from_millis(150);
         let jitter = ReleaseJitter::Uniform { max: SimDuration::from_millis(60), seed: 9 };
         let expected: Vec<Job> = ArrivalStream::with_jitter(&ts, horizon, jitter).collect();
         let trace =
             Trace::record(&mut ArrivalStream::with_jitter(&ts, horizon, jitter), horizon).unwrap();
-        assert!(trace.lookahead() > SimDuration::ZERO, "wide jitter must reorder releases");
-        assert!(trace.lookahead() < SimDuration::from_millis(60), "width is bounded by max");
+        assert!(reorders_indices(&trace), "wide jitter must reorder releases");
         let replayed: Vec<Job> = ArrivalStream::replay(&ts, &trace).unwrap().collect();
         // The eager drain includes jobs jittered past the horizon, which a
         // horizon-bounded run never consumes and a trace therefore drops.
@@ -553,7 +491,7 @@ mod tests {
         let trace =
             Trace::record(&mut ArrivalStream::with_jitter(&ts, horizon, jitter), horizon).unwrap();
         let text = trace.encode();
-        assert!(text.starts_with("daris-trace v1\n"));
+        assert!(text.starts_with("daris-trace v2\nhorizon_ns 120000000\nevents "));
         let decoded = Trace::decode(&text).expect("encoded traces decode");
         assert_eq!(trace, decoded);
         // Jobs replayed from the decoded trace match too.
@@ -567,8 +505,11 @@ mod tests {
         let (_, trace) = periodic_trace(60);
         let good = trace.encode();
         // Wrong version.
-        let bad = good.replacen("daris-trace v1", "daris-trace v9", 1);
+        let bad = good.replacen("daris-trace v2", "daris-trace v9", 1);
         assert!(matches!(Trace::decode(&bad), Err(TraceError::Parse { line: 1, .. })));
+        // The retired v1 format.
+        let v1 = good.replacen("daris-trace v2", "daris-trace v1", 1);
+        assert!(matches!(Trace::decode(&v1), Err(TraceError::Parse { line: 1, .. })));
         // Truncated event list.
         let truncated: String =
             good.lines().take(good.lines().count() - 1).collect::<Vec<_>>().join("\n");
@@ -585,10 +526,10 @@ mod tests {
         sneaky.push_str("\n\n1 2 3 4\n");
         assert!(matches!(Trace::decode(&sneaky), Err(TraceError::Parse { .. })));
         // Truncation errors report the 1-based first missing line, never 0.
-        let err = Trace::decode("daris-trace v1\nhorizon_ns 5");
+        let err = Trace::decode("daris-trace v2\nhorizon_ns 5");
         assert!(matches!(err, Err(TraceError::Parse { line: 3, .. })), "{err:?}");
         // Extra fields on an event line are as loud as extra lines.
-        let first_event = good.lines().nth(4).expect("trace has events");
+        let first_event = good.lines().nth(3).expect("trace has events");
         let five_fields = good.replacen(first_event, &format!("{first_event} 999"), 1);
         assert!(matches!(Trace::decode(&five_fields), Err(TraceError::Parse { .. })));
         // A hostile event count fails with a Parse error instead of aborting
@@ -610,32 +551,29 @@ mod tests {
         };
         let horizon = SimTime::from_millis(10);
         // Unsorted events.
-        let err = Trace::new(horizon, SimDuration::ZERO, vec![ev(0, 0, 500), ev(0, 1, 400)]);
+        let err = Trace::new(horizon, vec![ev(0, 0, 500), ev(0, 1, 400)]);
         assert!(matches!(err, Err(TraceError::Unsorted { position: 1 })), "{err:?}");
         // An index gap is legal (a jittered recording drops past-horizon
         // releases mid-sequence), but a repeated index is not.
-        assert!(Trace::new(horizon, SimDuration::ZERO, vec![ev(0, 0, 100), ev(0, 2, 200)]).is_ok());
-        let err = Trace::new(horizon, SimDuration::ZERO, vec![ev(0, 1, 100), ev(0, 1, 200)]);
+        assert!(Trace::new(horizon, vec![ev(0, 0, 100), ev(0, 2, 200)]).is_ok());
+        let err = Trace::new(horizon, vec![ev(0, 1, 100), ev(0, 1, 200)]);
         assert!(matches!(err, Err(TraceError::DuplicateIndex { task: TaskId(0) })));
         // Release past the horizon.
-        let err = Trace::new(horizon, SimDuration::ZERO, vec![ev(0, 0, 10_000)]);
+        let err = Trace::new(horizon, vec![ev(0, 0, 10_000)]);
         assert!(matches!(err, Err(TraceError::PastHorizon { position: 0 })));
         // A deadline before the release is *legal*: jitter can delay a
         // request past its nominal-anchored deadline.
         let mut late = ev(0, 0, 500);
         late.deadline = SimTime::from_micros(400);
-        assert!(Trace::new(horizon, SimDuration::ZERO, vec![late]).is_ok());
-        // Reordered beyond the declared bound: index 0 trails index 1 by
-        // 300 µs but only 100 µs is declared.
-        let reordered = vec![ev(0, 1, 200), ev(0, 0, 500)];
-        let err = Trace::new(horizon, SimDuration::from_micros(100), reordered.clone());
-        assert!(matches!(err, Err(TraceError::LookaheadExceeded { .. })), "{err:?}");
-        // The same events pass with an honest bound…
-        assert!(Trace::new(horizon, SimDuration::from_micros(300), reordered.clone()).is_ok());
-        // …but a bound at or past the horizon is rejected like jitter ≥
-        // horizon on the lazy stream.
-        let err = Trace::new(horizon, SimDuration::from_millis(10), reordered);
-        assert!(matches!(err, Err(TraceError::LookaheadNotBelowHorizon { .. })), "{err:?}");
+        assert!(Trace::new(horizon, vec![late]).is_ok());
+        // Indices out of time order are legal however far apart: index 0
+        // may trail index 1 by nearly the whole horizon.
+        let reordered = Trace::new(horizon, vec![ev(0, 1, 200), ev(0, 0, 9_900)]).unwrap();
+        assert!(reorders_indices(&reordered));
+        // A duplicate index is caught even when the pair sits apart in time
+        // with another task's release between them.
+        let err = Trace::new(horizon, vec![ev(1, 3, 100), ev(0, 0, 200), ev(1, 3, 300)]);
+        assert!(matches!(err, Err(TraceError::DuplicateIndex { task: TaskId(1) })), "{err:?}");
     }
 
     #[test]
@@ -648,10 +586,8 @@ mod tests {
             TraceError::Unsorted { position: 1 },
             TraceError::UnknownTask { task: TaskId(9), tasks: 3 },
             TraceError::Parse { line: 2, reason: "nope".into() },
-            TraceError::LookaheadNotBelowHorizon {
-                lookahead: SimDuration::from_millis(1),
-                horizon: SimTime::from_millis(1),
-            },
+            TraceError::DuplicateIndex { task: TaskId(2) },
+            TraceError::PastHorizon { position: 4 },
         ] {
             assert!(!e.to_string().is_empty());
         }
@@ -660,7 +596,7 @@ mod tests {
     #[test]
     fn offered_jps_handles_a_zero_horizon() {
         // The satellite bugfix contract: no NaN from a zero-length horizon.
-        let empty = Trace::new(SimTime::ZERO, SimDuration::ZERO, Vec::new()).unwrap();
+        let empty = Trace::new(SimTime::ZERO, Vec::new()).unwrap();
         assert_eq!(empty.offered_jps(), 0.0);
         assert!(empty.is_empty());
         let (_, trace) = periodic_trace(200);

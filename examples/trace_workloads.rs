@@ -43,12 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         live_outcome.summary.total.completed,
         100.0 * live_outcome.summary.high.deadline_miss_rate,
     );
-    println!(
-        "recorded trace     : {} events, {:.0} offered JPS, lookahead {}",
-        trace.len(),
-        trace.offered_jps(),
-        trace.lookahead()
-    );
+    println!("recorded trace     : {} events, {:.0} offered JPS", trace.len(), trace.offered_jps());
 
     // --- replay it (through the codec) on a fresh scheduler ---------------
     let decoded = Trace::decode(&trace.encode())?;

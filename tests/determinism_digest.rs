@@ -278,7 +278,7 @@ fn handoffs_match_the_committed_golden() {
 
 #[test]
 fn telemetry_observation_never_perturbs_the_digest() {
-    // Attaching any sink — the ring buffer or the Chrome exporter — must
+    // Attaching any sink — the memory sink or the Chrome exporter — must
     // leave the summary digest byte-identical to the unobserved run, at both
     // ends of the thread-count range. Telemetry reads the simulation; it may
     // never steer it.
