@@ -12,6 +12,13 @@
 //! does per event shows up as an exact diff. Re-bless that file whenever a
 //! performance change moves the counts (completion streams must not move).
 //!
+//! `tests/golden/random_workloads.txt` pins 32 seeded device workloads with
+//! one line each: the work counters and an FNV-1a digest of everything the
+//! engine reports (completions, drained events, `completed_work()` read
+//! mid-run and `average_utilization()`). They cover 1–10 contexts with
+//! oversubscribed quotas, zero and non-zero launch overheads and copies,
+//! and submits between `advance_into` and `advance_until_completion` steps.
+//!
 //! To regenerate (only legitimate after an *intentional* change):
 //!
 //! ```sh
@@ -22,7 +29,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use daris_gpu::{
-    Completion, Gpu, GpuSpec, KernelDesc, SimTime, WorkCounters, WorkItem, XorShiftRng,
+    Completion, Gpu, GpuSpec, KernelDesc, SimDuration, SimTime, WorkCounters, WorkItem, XorShiftRng,
 };
 
 fn golden_path(file: &str) -> PathBuf {
@@ -155,7 +162,7 @@ fn staggered_arrivals() -> GoldenRun {
     let mut tag = 0u64;
     let mut t = SimTime::ZERO;
     for _ in 0..24 {
-        t += daris_gpu::SimDuration::from_micros_f64(rng.uniform(3.0, 120.0));
+        t += SimDuration::from_micros_f64(rng.uniform(3.0, 120.0));
         all.extend(gpu.advance_to(t));
         let batch = 1 + rng.next_u64() % 4;
         for _ in 0..batch {
@@ -192,7 +199,7 @@ fn oversubscribed_small_steps() -> GoldenRun {
     let mut all = Vec::new();
     let mut t = SimTime::ZERO;
     while gpu.pending_items() > 0 {
-        t += daris_gpu::SimDuration::from_micros_f64(rng.uniform(0.5, 40.0));
+        t += SimDuration::from_micros_f64(rng.uniform(0.5, 40.0));
         all.extend(gpu.advance_to(t));
     }
     assert_eq!(all.len(), 40);
@@ -222,15 +229,33 @@ fn golden_work_counters() {
     check_or_regen_file("work_counters.txt", &out);
 }
 
+/// 64-bit FNV-1a, written out so a digest never depends on the standard
+/// library's hasher.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, value: u64) {
+        self.write(&value.to_le_bytes());
+    }
+}
+
 /// FNV-1a over the serialized completion stream: a stable digest for
 /// comparing whole runs without committing another fixture.
 fn trace_hash(completions: &[Completion]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in serialize(completions).bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(serialize(completions).as_bytes());
+    h.0
 }
 
 /// The engine's per-item state (the `running` and per-context `computing`
@@ -265,4 +290,126 @@ fn repeated_runs_hash_identically() {
     for rep in 1..5 {
         assert_eq!(run_once(), first, "run {rep} diverged from run 0");
     }
+}
+
+/// A work item for [`random_workload`]: 1–4 kernels, each with the device's
+/// default, a zero or an explicit launch overhead, and no, tiny or large
+/// copies. A tiny copy is zero-length on a device with no copy latency.
+/// `coarse` draws work and widths from a few values, launch overheads from
+/// the default and zero, and copies from none and tiny ones, and labels
+/// every kernel: equal kernels started together in different contexts then
+/// finish at the same instant.
+fn random_device_item(rng: &mut XorShiftRng, tag: u64, sm_count: u32, coarse: bool) -> WorkItem {
+    let count = 1 + rng.next_below(4);
+    let kernels: Vec<KernelDesc> = (0..count)
+        .map(|k| {
+            let kernel = if coarse {
+                let work = 68.0 * (1 + rng.next_below(3)) as f64;
+                let parallelism = [4, 8][rng.next_below(2) as usize];
+                KernelDesc::new(work, parallelism).with_label(format!("k{k}"))
+            } else {
+                let work = rng.uniform(1.0, 3_000.0);
+                KernelDesc::new(work, 1 + rng.next_below(u64::from(sm_count) + 16) as u32)
+            };
+            match rng.next_below(3) {
+                0 => kernel.with_launch_overhead(SimDuration::ZERO),
+                1 if !coarse => kernel
+                    .with_launch_overhead(SimDuration::from_micros_f64(rng.uniform(0.5, 12.0))),
+                _ => kernel,
+            }
+        })
+        .collect();
+    let copies = if coarse { 2 } else { 3 };
+    let mut copy_bytes = || match rng.next_below(copies) {
+        0 => 0,
+        1 => 1 + rng.next_below(8),
+        _ => 1_000 + rng.next_below(200_000),
+    };
+    let (h2d, d2h) = (copy_bytes(), copy_bytes());
+    WorkItem::new(tag, kernels).with_h2d_bytes(h2d).with_d2h_bytes(d2h)
+}
+
+/// One seeded device workload, recorded, as its `random_workloads.txt`
+/// line: the seed, the work counters and a digest of the completions, the
+/// drained events, `completed_work()` after every step and the final
+/// `average_utilization()`.
+fn random_workload(seed: u64) -> String {
+    let mut rng = XorShiftRng::new(0x5EED_6000 + seed);
+    let presets = [GpuSpec::rtx_2080_ti, GpuSpec::a100, GpuSpec::h100, GpuSpec::orin];
+    let mut spec = presets[rng.next_below(4) as usize]().with_seed(seed);
+    // Every fourth workload runs coarse kernels on an ideal device, where
+    // equal kernels finish at equal instants.
+    let coarse = seed % 4 == 0;
+    if coarse {
+        spec = spec.without_interference();
+    }
+    if coarse || rng.next_below(3) == 0 {
+        spec.copy_latency = SimDuration::ZERO;
+    }
+    let sm_count = spec.sm_count;
+    let mut gpu = Gpu::new(spec);
+    gpu.record_events();
+    let mut streams = Vec::new();
+    for _ in 0..1 + rng.next_below(10) {
+        // Quotas range over the whole device, so several busy contexts
+        // usually oversubscribe it. Coarse quotas are half or all of it.
+        let quota = match coarse {
+            true => sm_count / (1 + rng.next_below(2) as u32),
+            false => 1 + rng.next_below(u64::from(sm_count)) as u32,
+        };
+        let context = gpu.add_context(quota).unwrap();
+        for _ in 0..1 + rng.next_below(3) {
+            streams.push(gpu.add_stream(context).unwrap());
+        }
+    }
+    let mut digest = Fnv1a::new();
+    let mut done = Vec::new();
+    let mut tag = 0;
+    fn digest_step(gpu: &mut Gpu, digest: &mut Fnv1a) {
+        digest.u64(gpu.now().as_nanos());
+        digest.u64(gpu.completed_work().to_bits());
+        for (at, event) in gpu.drain_events() {
+            digest.u64(at.as_nanos());
+            digest.write(format!("{event:?}").as_bytes());
+        }
+    }
+    for _ in 0..48 {
+        for _ in 0..rng.next_below(if coarse { 6 } else { 4 }) {
+            let stream = streams[rng.next_below(streams.len() as u64) as usize];
+            gpu.submit(stream, random_device_item(&mut rng, tag, sm_count, coarse)).unwrap();
+            tag += 1;
+        }
+        let bound = gpu.now() + SimDuration::from_micros_f64(rng.uniform(0.0, 60.0));
+        match rng.next_below(3) {
+            0 => gpu.advance_into(bound, &mut done),
+            1 => _ = gpu.advance_until_completion(bound, &mut done),
+            _ => _ = gpu.advance_until_completion(SimTime::MAX, &mut done),
+        }
+        digest_step(&mut gpu, &mut digest);
+    }
+    while gpu.advance_until_completion(SimTime::MAX, &mut done) {}
+    digest_step(&mut gpu, &mut digest);
+    assert_eq!(done.len(), tag as usize, "seed {seed}: every item completes");
+    for c in &done {
+        digest.u64(c.tag);
+        digest.write(format!("{} {} {}", c.item, c.stream, c.context).as_bytes());
+        for at in [c.submitted_at, c.started_at, c.finished_at] {
+            digest.u64(at.as_nanos());
+        }
+    }
+    digest.u64(gpu.average_utilization().to_bits());
+    let c = gpu.work_counters();
+    format!("{seed} {} {} {} {:016x}\n", c.transitions, c.replans, c.scans, digest.0)
+}
+
+/// The 32 random workloads, pinned exactly: a change to the engine's
+/// bookkeeping must leave every line, and so every float operation's order,
+/// as it was.
+#[test]
+fn golden_random_workloads() {
+    let mut out = String::from("# seed transitions replans scans digest\n");
+    for seed in 0..32 {
+        out.push_str(&random_workload(seed));
+    }
+    check_or_regen_file("random_workloads.txt", &out);
 }
