@@ -60,9 +60,8 @@ impl BaselineScheduler {
     /// dispatch slot per stream, per-model profiles calibrated against
     /// `calibration` (the *reference* device in a heterogeneous fleet, so
     /// deadlines mean the same thing on every scheduler), and `policy`'s
-    /// queue, which observes every task of the set. A device whose
-    /// interference parameters fail [`GpuSpec::validate`] is rejected before
-    /// anything is built.
+    /// queue, which observes every task of the set. A device that fails
+    /// [`GpuSpec::validate`] is rejected before anything is built.
     pub(crate) fn build(
         taskset: &TaskSet,
         device: GpuSpec,

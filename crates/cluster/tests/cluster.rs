@@ -25,6 +25,7 @@ use daris_cluster::{
 };
 use daris_core::{
     CoreError, DarisConfig, DarisScheduler, ExperimentOutcome, GpuPartition, RunSpec, Scheduler,
+    Shard,
 };
 use daris_gpu::{GpuSpec, SimDuration, SimTime, XorShiftRng};
 use daris_models::DnnKind;
@@ -322,6 +323,64 @@ fn single_device_cluster_reproduces_the_single_gpu_path_exactly() {
         assert_eq!(outcome.summary.high, expected.summary.high, "{label}");
         assert_eq!(outcome.summary.migrations, 0, "{label}");
         assert_eq!(outcome.summary.cluster_admissions, 0, "{label}");
+    }
+}
+
+#[test]
+fn fleet_devices_without_interaction_equal_bare_runs_on_their_shards() {
+    // Independence: with no admission retry and no migration, a device
+    // sees only its own shard, so its summary is a bare DARIS run on that
+    // shard (global task indices) under the same per-device config, however
+    // the rounds cut its span and at any thread count. The mix puts 8- and
+    // 10-context MPS devices beside STR ones.
+    let horizon = SimTime::from_millis(300);
+    let periodic = RunSpec::periodic().until(horizon);
+    let bursty = RunSpec::generated(GenSpec::Bursty(BurstyConfig::default())).until(horizon);
+    for n in [2, 4] {
+        let taskset = TaskSet::table2_scaled(DnnKind::ResNet18, n as u32);
+        let rtx = ClusterSpec::homogeneous(n, reference(), GpuPartition::mps(6, 6.0));
+        let cases = [
+            ("periodic", rtx.clone(), &periodic),
+            ("bursty", rtx, &bursty),
+            ("bursty mix", ClusterSpec::heterogeneous_mix(n), &bursty),
+        ];
+        for (label, fleet, spec) in cases {
+            for threads in [1, 2] {
+                let label = format!("{label}, {n} devices, {threads} threads");
+                let config = ClusterConfig {
+                    strategy: PlacementStrategy::GreedyBalance,
+                    cluster_admission: false,
+                    migration: false,
+                    threads,
+                    ..ClusterConfig::default()
+                };
+                let (window_size, ablation) = (config.window_size, config.ablation);
+                let mut dispatcher = ClusterDispatcher::new(&taskset, fleet.clone(), config)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let placement = dispatcher.placement().clone();
+                let outcome = dispatcher.run(spec).unwrap_or_else(|e| panic!("{label}: {e}"));
+                for (plan, device) in placement.plans.iter().zip(&outcome.devices) {
+                    let spec_of = &fleet.devices()[plan.device];
+                    let device_config = DarisConfig::new(spec_of.partition)
+                        .with_gpu(spec_of.gpu.clone())
+                        .with_reference_calibration(reference())
+                        .with_window_size(window_size)
+                        .with_ablation(ablation);
+                    let mut bare = DarisScheduler::new(&plan.taskset, device_config)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let shard = Shard { taskset: &plan.taskset, global: &plan.task_indices };
+                    let mut sources = spec.workload().shard(horizon, &[shard]).expect("shards");
+                    let source = sources.pop().expect("one source per shard");
+                    let expected = bare.run_with_source(&mut { source }, horizon);
+                    assert!(expected.summary.total.completed > 0, "{label}: {} idles", device.name);
+                    assert_eq!(
+                        device.outcome.summary, expected.summary,
+                        "{label}: {} differs from a bare run on its shard",
+                        device.name
+                    );
+                }
+            }
+        }
     }
 }
 

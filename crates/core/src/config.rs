@@ -313,7 +313,7 @@ impl DarisConfig {
         self
     }
 
-    /// Validates the configuration, the device's interference parameters
+    /// Validates the configuration, the device's spec
     /// ([`GpuSpec::validate`]) included.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.window_size == 0 {

@@ -82,11 +82,6 @@ impl MretEstimator {
         (0..self.stage_count(task)).fold(SimDuration::ZERO, |acc, s| acc + self.stage_mret(task, s))
     }
 
-    /// Per-stage MRETs of a task.
-    pub fn stage_mrets(&self, task: TaskId) -> Vec<SimDuration> {
-        (0..self.stage_count(task)).map(|s| self.stage_mret(task, s)).collect()
-    }
-
     /// MRET of the stages from `first_stage` to the end of the task
     /// (remaining work estimate for a partially executed job).
     pub fn remaining_mret(&self, task: TaskId, first_stage: usize) -> SimDuration {
@@ -158,7 +153,8 @@ mod tests {
         let u = est.task_utilization(t, ms(20));
         assert!((u - 0.5).abs() < 1e-9);
         assert_eq!(est.task_utilization(t, SimDuration::ZERO), 0.0);
-        assert_eq!(est.stage_mrets(t), vec![ms(2), ms(3), ms(5)]);
+        let stages: Vec<_> = (0..est.stage_count(t)).map(|s| est.stage_mret(t, s)).collect();
+        assert_eq!(stages, [ms(2), ms(3), ms(5)]);
     }
 
     #[test]

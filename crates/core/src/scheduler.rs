@@ -17,9 +17,10 @@ use daris_telemetry::{AdmissionTest, EventKind, SinkHandle, TelemetryEvent};
 use daris_workload::{Job, JobId, LoadDetector, Priority, TaskId, TaskSet, TaskSpec};
 
 use crate::utilization::ContextLoad;
+use crate::vdeadline::each_virtual_deadline;
 use crate::{
-    populate_contexts, virtual_deadlines, AfetProfiler, CoreError, DarisConfig, MretEstimator,
-    ReadyStage, Result, Scheduler, StageQueue,
+    populate_contexts, AfetProfiler, CoreError, DarisConfig, MretEstimator, ReadyStage, Result,
+    Scheduler, StageQueue,
 };
 
 /// Inflation applied to isolated latencies to approximate the full-load AFET
@@ -573,10 +574,15 @@ impl Scheduler for DarisScheduler {
         }
         self.loads[context].active.add(job.priority, util);
 
-        let stage_mrets = self.mret.stage_mrets(task_id);
-        let relative = virtual_deadlines(&stage_mrets, relative_deadline);
-        let virtual_deadlines: Vec<SimTime> = relative.iter().map(|d| job.release + *d).collect();
-        let stage_count = stage_mrets.len().max(1);
+        // The absolute virtual deadlines, straight into the job's one `Vec`.
+        let stage_count = self.mret.stage_count(task_id);
+        let mut virtual_deadlines = Vec::with_capacity(stage_count);
+        let mret = |stage| self.mret.stage_mret(task_id, stage);
+        let release = job.release;
+        each_virtual_deadline(stage_count, mret, relative_deadline, |d| {
+            virtual_deadlines.push(release + d);
+        });
+        let stage_count = stage_count.max(1);
         let active = ActiveJob {
             job,
             util,

@@ -23,25 +23,34 @@ pub fn virtual_deadlines(
     stage_mrets: &[SimDuration],
     relative_deadline: SimDuration,
 ) -> Vec<SimDuration> {
-    let n = stage_mrets.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let total: f64 = stage_mrets.iter().map(|d| d.as_micros_f64()).sum();
+    let mut cumulative = Vec::with_capacity(stage_mrets.len());
+    let mret = |j: usize| stage_mrets[j];
+    each_virtual_deadline(stage_mrets.len(), mret, relative_deadline, |d| cumulative.push(d));
+    cumulative
+}
+
+/// [`virtual_deadlines`] without its `Vec`: hands each of the `stages`
+/// cumulative deadlines to `emit`, in stage order, and reads stage `j`'s
+/// MRET from `mret(j)` (twice: once for the total, once for its share).
+pub(crate) fn each_virtual_deadline(
+    stages: usize,
+    mret: impl Fn(usize) -> SimDuration,
+    relative_deadline: SimDuration,
+    mut emit: impl FnMut(SimDuration),
+) {
+    let total: f64 = (0..stages).map(|j| mret(j).as_micros_f64()).sum();
     let deadline_us = relative_deadline.as_micros_f64();
-    let mut cumulative = Vec::with_capacity(n);
     let mut acc = 0.0;
-    for (j, mret) in stage_mrets.iter().enumerate() {
-        let share = if total > 0.0 { mret.as_micros_f64() / total } else { 1.0 / n as f64 };
+    for j in 0..stages {
+        let share = if total > 0.0 { mret(j).as_micros_f64() / total } else { 1.0 / stages as f64 };
         acc += share * deadline_us;
-        if j + 1 == n {
+        if j + 1 == stages {
             // Avoid rounding drift on the last stage: it owns the full deadline.
-            cumulative.push(relative_deadline);
+            emit(relative_deadline);
         } else {
-            cumulative.push(SimDuration::from_micros_f64(acc));
+            emit(SimDuration::from_micros_f64(acc));
         }
     }
-    cumulative
 }
 
 #[cfg(test)]

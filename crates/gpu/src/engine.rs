@@ -17,20 +17,22 @@
 //!
 //! # Next event instant
 //!
-//! There is no event calendar. Every in-flight item carries `next_at`, the
-//! instant of its next transition, and the copy engine's active transfer
-//! carries its finish instant; at the end of every transition pass one pass
-//! over the `running` set (at most one item per stream) caches their minimum,
-//! and [`Gpu::submit`] folds the instants it starts into that minimum, so
+//! There is no event calendar. Two dense tables hold the instant of every
+//! kernel in flight: `launching`, one `(id, launch end)` pair per launching
+//! kernel, and `computing`, one row per computing kernel with its finish
+//! instant. The copy engine's active transfer carries its finish instant. At
+//! the end of every transition pass one pass over both tables (at most one
+//! row per stream) and the copy engine caches their minimum, and
+//! [`Gpu::submit`] folds the instants it starts into that minimum, so
 //! [`Gpu::next_event_time`] returns a field.
 //!
-//! Every item follows one rule: its transition fires once `now` reaches its
-//! instant. A launch ends at `start + launch overhead`, a copy at `start +
-//! latency + bytes / bandwidth`. A computing kernel keeps its progress
-//! *anchored*: an `anchor` instant, the work left at the anchor and its SM
-//! `rate`. Its finish is `anchor + work / rate`, rounded up to the next whole
-//! ns and at least 1 ns after the anchor, so the work is done when it fires.
-//! The rounding is one ceiling step,
+//! Every kernel and copy follows one rule: its transition fires once `now`
+//! reaches its instant. A launch ends at `start + launch overhead`, a copy at
+//! `start + latency + bytes / bandwidth`. A computing kernel keeps its
+//! progress *anchored*: an `anchor` instant, the work left at the anchor and
+//! its SM `rate`. Its finish is `anchor + work / rate`, rounded up to the next
+//! whole ns and at least 1 ns after the anchor, so the work is done when it
+//! fires. The rounding is one ceiling step,
 //! [`SimDuration::from_nanos_f64_ceil`](crate::SimDuration::from_nanos_f64_ceil),
 //! which saturates: a finish past the end of time lands at
 //! [`SimTime::MAX`](crate::SimTime::MAX). Time moving changes none of the
@@ -42,11 +44,12 @@
 //! remaining transition fires there and every item completes at
 //! `SimTime::MAX`. Only then may a compute finish equal `now`.
 //!
-//! A transition pass scans `running` once and fires what is due. The scan
-//! leaves something due only if it created it: a launch with no overhead or
-//! a zero-length copy, which start at `now`. Only then does the pass scan
-//! again, so a pass that fires ordinary transitions scans once. In debug
-//! builds every pass ends by asserting that nothing is left due.
+//! A transition pass scans both tables once, takes the ids that are due and
+//! fires them in increasing id order. The scan leaves something due only if
+//! it created it: a launch with no overhead or a zero-length copy, which
+//! start at `now`. Only then does the pass scan again, so a pass that fires
+//! ordinary transitions scans once. In debug builds every pass ends by
+//! asserting that nothing is left due.
 //!
 //! # When the rates are replanned
 //!
@@ -80,18 +83,25 @@
 //! runs the same passes at the device's own event instants and stops right
 //! after the first pass that completes an item, leaving `now` on that pass.
 //!
-//! Bookkeeping that used to scan every pending item is incremental: in-flight
-//! items sit in a [`Slab`] keyed by their dense, increasing ids; a `running`
-//! set (at most one item per stream) bounds transition checks; per-context
-//! *computing* sets with dirty flags let a rate pass reuse cached
-//! water-filling for contexts whose membership did not change; and every
+//! # Bookkeeping
+//!
+//! In-flight items sit in a [`Slab`] keyed by their dense, increasing ids,
+//! but only a firing transition reads it. A computing kernel's row copies
+//! its id, context and parallelism at the launch→compute flip and carries
+//! its water-fill share, anchor, work, rate and finish, so the rate pass
+//! water-fills each dirty context's contiguous run of rows, then sums and
+//! re-anchors in one pass over the table each, with no lookup. The water-fill
+//! shares of a context whose membership did not change are reused, and every
 //! pass reuses buffers the engine owns, so a steady-state event allocates
 //! nothing. [`Gpu::work_counters`] reports the work done.
 //!
-//! The `running` and per-context computing sets hold at most one item per
-//! stream, so they are sorted `Vec`s of ids with binary-search insert and
-//! remove rather than trees. They iterate in id order, as a `BTreeSet`
-//! would, so every float sum, water-fill and jitter draw keeps its order.
+//! The tables hold at most one row per stream, so they are sorted `Vec`s
+//! with binary-search insert and remove rather than trees: `launching` by
+//! id, `computing` by `(context, id)`. Their order keeps every float
+//! operation's order: due transitions fire in increasing id order (so jitter
+//! draws and recorded events keep theirs), each context is water-filled in
+//! id order, the total is summed and kernels re-anchored in `(context, id)`
+//! order, and [`Gpu::completed_work`] sums in-flight progress in id order.
 
 use std::collections::VecDeque;
 
@@ -131,7 +141,7 @@ impl Completion {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum ItemState {
     /// Behind other items in its stream.
     Queued,
@@ -159,59 +169,47 @@ struct ItemInstance {
     started_at: Option<SimTime>,
     state: ItemState,
     kernel_index: usize,
-    /// Instant the computing kernel's progress was last anchored at.
-    anchor: SimTime,
-    /// Work (SM·µs) the current kernel has left at `anchor`.
+    /// Work (SM·µs) of the current kernel, jitter applied, from its launch
+    /// until it starts computing; its computing row carries it from then on.
     work: f64,
-    /// SM rate (SMs × efficiency) since `anchor`; read only while the item
-    /// is computing.
-    rate: f64,
-    /// Instant of the item's next transition: the launch end while
-    /// launching, the anchored compute finish while computing at a positive
-    /// rate, `None` otherwise.
-    next_at: Option<SimTime>,
 }
 
-impl ItemInstance {
-    /// Work the computing kernel has done in the `elapsed_us` µs since
-    /// `anchor`.
+/// A computing kernel's row in the `computing` table.
+#[derive(Debug, Clone)]
+struct ComputingKernel {
+    id: WorkItemId,
+    context: usize,
+    parallelism: u32,
+    /// Water-filled share of the context's quota, before the contention
+    /// factor.
+    alloc: f64,
+    /// Instant the kernel's progress was last anchored at.
+    anchor: SimTime,
+    /// Work (SM·µs) the kernel has left at `anchor`.
+    work: f64,
+    /// SM rate (SMs × efficiency) since `anchor`.
+    rate: f64,
+    /// The anchored compute finish, `None` at rate 0.
+    finish: Option<SimTime>,
+}
+
+impl ComputingKernel {
+    /// A kernel starting to compute at `now`: anchored there at rate 0, so
+    /// the rate pass that ends the flip's transition pass sees its rate move
+    /// and sets its finish.
+    fn new(id: WorkItemId, context: usize, parallelism: u32, now: SimTime, work: f64) -> Self {
+        let (alloc, rate, finish) = (0.0, 0.0, None);
+        ComputingKernel { id, context, parallelism, alloc, anchor: now, work, rate, finish }
+    }
+
+    /// The table's sort key.
+    fn key(&self) -> (usize, WorkItemId) {
+        (self.context, self.id)
+    }
+
+    /// Work the kernel has done in the `elapsed_us` µs since `anchor`.
     fn progress(&self, elapsed_us: f64) -> f64 {
         (self.rate * elapsed_us).min(self.work)
-    }
-}
-
-/// A set of in-flight item ids kept as a sorted `Vec`: a binary-search
-/// insert or remove over at most one id per stream, and iteration in
-/// increasing id order.
-#[derive(Debug, Default)]
-struct IdSet(Vec<WorkItemId>);
-
-impl IdSet {
-    /// Adds `id`; returns whether it was absent.
-    fn insert(&mut self, id: WorkItemId) -> bool {
-        match self.0.binary_search(&id) {
-            Ok(_) => false,
-            Err(at) => {
-                self.0.insert(at, id);
-                true
-            }
-        }
-    }
-
-    /// Removes `id`; returns whether it was present.
-    fn remove(&mut self, id: WorkItemId) -> bool {
-        match self.0.binary_search(&id) {
-            Ok(at) => {
-                self.0.remove(at);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// The ids, in increasing order.
-    fn ids(&self) -> &[WorkItemId] {
-        &self.0
     }
 }
 
@@ -225,9 +223,10 @@ pub struct WorkCounters {
     /// Rate passes (SM re-allocations) that ran: transition passes at which
     /// a context's computing membership changed. A submit runs none.
     pub replans: u64,
-    /// Scans of the `running` set: one per transition pass, plus one each
-    /// time a scan created an instant due at its own `now` (a launch with
-    /// no overhead or a zero-length copy).
+    /// Scans of the launching and computing tables for due transitions: one
+    /// per transition pass, plus one each time a scan created an instant
+    /// due at its own `now` (a launch with no overhead or a zero-length
+    /// copy).
     pub scans: u64,
 }
 
@@ -257,24 +256,22 @@ pub struct Gpu {
     items: Slab<ItemInstance>,
     copy_queue: VecDeque<(WorkItemId, CopyDirection)>,
     active_copy: Option<ActiveCopy>,
-    /// Earliest `next_at` of a running item or the active copy's finish,
-    /// refreshed at the end of every transition pass and folded by submits.
+    /// Earliest launch end, compute finish or active copy finish, refreshed
+    /// at the end of every transition pass and folded by submits.
     next_at: Option<SimTime>,
     /// `(busy contexts, utilization)` of the last rate pass; a rate pass that
     /// moves it records a [`DeviceEvent::Replan`].
     allocation: (u32, f64),
-    /// Items currently launching or computing (at most one per stream).
-    running: IdSet,
-    /// Computing items per context (indexed by context), kept incrementally.
-    computing: Vec<IdSet>,
+    /// `(id, launch end)` of every launching kernel, sorted by id.
+    launching: Vec<(WorkItemId, SimTime)>,
+    /// Every computing kernel, sorted by `(context, id)`.
+    computing: Vec<ComputingKernel>,
     /// Contexts whose computing membership changed since the last rate pass.
     ctx_dirty: Vec<bool>,
-    /// Cached water-fill allocation per context (valid while not dirty).
-    ctx_alloc: Vec<Vec<(WorkItemId, f64)>>,
     /// Reused buffers of the water-filling pass.
     water_fill: WaterFill,
-    /// Reused snapshot of `running` for a transition pass.
-    transition_ids: Vec<WorkItemId>,
+    /// Reused buffer of the due transitions of one scan.
+    due: Vec<(WorkItemId, KernelPhase)>,
     /// Whether the current scan created an instant at or before `now`, so
     /// the transition pass must scan again.
     rescan: bool,
@@ -305,12 +302,11 @@ impl Gpu {
             active_copy: None,
             next_at: None,
             allocation: (0, 0.0),
-            running: IdSet::default(),
+            launching: Vec::new(),
             computing: Vec::new(),
             ctx_dirty: Vec::new(),
-            ctx_alloc: Vec::new(),
             water_fill: WaterFill::default(),
-            transition_ids: Vec::new(),
+            due: Vec::new(),
             rescan: false,
             memory,
             recording: false,
@@ -344,9 +340,7 @@ impl Gpu {
         let quota = sm_quota.min(self.spec.sm_count);
         let id = ContextId(self.contexts.len() as u32);
         self.contexts.push(Context::new(quota));
-        self.computing.push(IdSet::default());
         self.ctx_dirty.push(false);
-        self.ctx_alloc.push(Vec::new());
         Ok(id)
     }
 
@@ -445,10 +439,7 @@ impl Gpu {
             started_at: None,
             state: ItemState::Queued,
             kernel_index: 0,
-            anchor: SimTime::ZERO,
             work: 0.0,
-            rate: 0.0,
-            next_at: None,
         };
         let id = WorkItemId(self.items.insert(instance));
         self.streams[stream.index()].queue.push_back(id);
@@ -458,7 +449,9 @@ impl Gpu {
         // instants only fold into the cached minimum.
         if self.streams[stream.index()].queue.len() == 1 {
             self.activate_front(stream);
-            let launch = self.items.get(id.0).and_then(|item| item.next_at);
+            // The newest item's launch, if it started one, is the table's last.
+            let launch =
+                self.launching.last().filter(|&&(last, _)| last == id).map(|&(_, end)| end);
             let copy = self.active_copy.as_ref().map(|c| c.finish);
             self.next_at = self.next_at.into_iter().chain(launch).chain(copy).min();
         }
@@ -478,12 +471,12 @@ impl Gpu {
     /// Total compute work completed so far, in SM-microseconds, including
     /// the progress of kernels still computing.
     pub fn completed_work(&self) -> f64 {
-        let running = self.running.ids().iter().filter_map(|&id| self.items.get(id.0));
-        let computing =
-            running.filter(|item| item.state == ItemState::Running(KernelPhase::Computing));
         let progress =
-            |item: &ItemInstance| item.progress((self.now - item.anchor).as_micros_f64());
-        self.completed_work + computing.map(progress).sum::<f64>()
+            |k: &ComputingKernel| (k.id, k.progress((self.now - k.anchor).as_micros_f64()));
+        let mut in_flight: Vec<_> = self.computing.iter().map(progress).collect();
+        // Summed in id order, so the bits do not depend on the table's order.
+        in_flight.sort_unstable_by_key(|&(id, _)| id);
+        self.completed_work + in_flight.iter().map(|&(_, done)| done).sum::<f64>()
     }
 
     /// Number of discrete state transitions fired so far (copy completions,
@@ -619,21 +612,14 @@ impl Gpu {
         let default_launch = self.spec.default_launch_overhead;
         let now = self.now;
         let Some(item) = self.items.get_mut(item_id.0) else { return };
-        // A back-to-back kernel of the same item leaves the computing set.
-        let was_computing = matches!(item.state, ItemState::Running(KernelPhase::Computing));
-        let ctx = item.context.index();
         let desc: &KernelDesc = &item.spec.kernels[index];
         item.kernel_index = index;
         let launch_end = now.saturating_add(desc.launch_overhead.unwrap_or(default_launch));
-        item.next_at = Some(launch_end);
         item.work = desc.work * jitter;
         item.state = ItemState::Running(KernelPhase::Launching);
         let (tag, stream, context) = (item.tag, item.stream.0, item.context.0);
-        if was_computing {
-            self.computing[ctx].remove(item_id);
-            self.ctx_dirty[ctx] = true;
-        }
-        self.running.insert(item_id);
+        let at = self.launching.partition_point(|&(id, _)| id < item_id);
+        self.launching.insert(at, (item_id, launch_end));
         self.rescan |= launch_end <= now;
         if index == 0 {
             self.record(DeviceEvent::ItemStarted { tag, stream, context });
@@ -670,7 +656,7 @@ impl Gpu {
     /// Fires every transition that is due at the current time, then replans
     /// allocations.
     ///
-    /// One scan of `running` fires everything that was due when it began.
+    /// One scan of the tables fires everything that was due when it began.
     /// It can leave something due only by creating it: a launch with no
     /// overhead or a zero-length copy (a compute finish is set by the rate
     /// pass, always in the future). Only then does the pass scan again.
@@ -689,7 +675,7 @@ impl Gpu {
 
     /// The scans of one transition pass, without its rate pass.
     fn fire_due(&mut self, completions: &mut Vec<Completion>) {
-        let mut ids = std::mem::take(&mut self.transition_ids);
+        let mut due = std::mem::take(&mut self.due);
         loop {
             self.counters.scans += 1;
             self.rescan = false;
@@ -710,76 +696,74 @@ impl Gpu {
                 self.pump_copy_engine();
             }
 
-            // Kernel phase transitions: only running items can transition.
-            ids.clear();
-            ids.extend_from_slice(self.running.ids());
-            for &id in &ids {
-                let (state, kernel_index, kernel_count) = {
-                    let Some(item) = self.items.get(id.0) else { continue };
-                    if !item.next_at.is_some_and(|t| t <= self.now) {
-                        continue;
-                    }
-                    (item.state.clone(), item.kernel_index, item.spec.kernels.len())
-                };
-                match state {
-                    ItemState::Running(KernelPhase::Launching) => {
-                        if let Some(item) = self.items.get_mut(id.0) {
-                            // At rate 0 the kernel has made no progress, and
-                            // the rate pass that ends this pass sees its rate
-                            // move, so it anchors the kernel at `now` and sets
-                            // its compute finish.
-                            item.state = ItemState::Running(KernelPhase::Computing);
-                            item.rate = 0.0;
-                            item.next_at = None;
-                            let ctx = item.context.index();
-                            self.computing[ctx].insert(id);
-                            self.ctx_dirty[ctx] = true;
-                        }
-                        self.counters.transitions += 1;
-                    }
-                    ItemState::Running(KernelPhase::Computing) => {
-                        self.counters.transitions += 1;
-                        let item = self.items.get(id.0).expect("running items are in flight");
-                        self.completed_work += item.work;
-                        if self.recording {
-                            let event = DeviceEvent::KernelFinished {
-                                tag: item.tag,
-                                stream: item.stream.0,
-                                context: item.context.0,
-                                label: item.spec.kernels[kernel_index].label.clone(),
-                            };
-                            self.record(event);
-                        }
-                        if kernel_index + 1 < kernel_count {
-                            self.start_kernel(id, kernel_index + 1);
-                        } else {
-                            let d2h = self.items.get(id.0).map(|i| i.spec.d2h_bytes).unwrap_or(0);
-                            if d2h > 0 {
-                                if let Some(item) = self.items.get_mut(id.0) {
-                                    item.state = ItemState::PendingCopyOut;
-                                    item.next_at = None;
-                                    let ctx = item.context.index();
-                                    self.computing[ctx].remove(id);
-                                    self.ctx_dirty[ctx] = true;
-                                }
-                                self.running.remove(id);
-                                self.copy_queue.push_back((id, CopyDirection::DeviceToHost));
-                                self.pump_copy_engine();
-                            } else {
-                                self.finish_item(id, completions);
-                            }
-                        }
-                    }
-                    _ => {}
+            // Kernel transitions due when the scan began, in increasing id
+            // order. Firing one changes only its own item's rows; a launch
+            // or copy it starts at `now` waits for the next scan.
+            let now = self.now;
+            due.clear();
+            let launches = self.launching.iter().filter(|&&(_, end)| end <= now);
+            due.extend(launches.map(|&(id, _)| (id, KernelPhase::Launching)));
+            let finishes = self.computing.iter().filter(|k| k.finish.is_some_and(|t| t <= now));
+            due.extend(finishes.map(|k| (k.id, KernelPhase::Computing)));
+            due.sort_unstable_by_key(|&(id, _)| id);
+            for &(id, phase) in &due {
+                self.counters.transitions += 1;
+                match phase {
+                    KernelPhase::Launching => self.begin_compute(id),
+                    _ => self.finish_kernel(id, completions),
                 }
             }
             if !self.rescan {
                 break;
             }
         }
-        self.transition_ids = ids;
+        self.due = due;
         #[cfg(debug_assertions)]
         self.check_nothing_due();
+    }
+
+    /// Moves a kernel whose launch ended from `launching` to `computing`.
+    fn begin_compute(&mut self, id: WorkItemId) {
+        let at = self.launching.binary_search_by_key(&id, |&(id, _)| id);
+        self.launching.remove(at.expect("a due launch is in the table"));
+        let item = self.items.get_mut(id.0).expect("launching items are in flight");
+        item.state = ItemState::Running(KernelPhase::Computing);
+        let (context, parallelism) =
+            (item.context.index(), item.spec.kernels[item.kernel_index].parallelism);
+        let row = ComputingKernel::new(id, context, parallelism, self.now, item.work);
+        let at = self.computing.partition_point(|k| k.key() < row.key());
+        self.computing.insert(at, row);
+        self.ctx_dirty[context] = true;
+    }
+
+    /// Retires a computing kernel whose work is done, then launches the
+    /// item's next kernel, queues its copy out or finishes it.
+    fn finish_kernel(&mut self, id: WorkItemId, completions: &mut Vec<Completion>) {
+        let item = self.items.get_mut(id.0).expect("computing items are in flight");
+        let context = item.context.index();
+        let at = self.computing.binary_search_by_key(&(context, id), ComputingKernel::key);
+        let row = self.computing.remove(at.expect("a due kernel is in the table"));
+        self.ctx_dirty[context] = true;
+        self.completed_work += row.work;
+        let kernel_index = item.kernel_index;
+        if self.recording {
+            let event = DeviceEvent::KernelFinished {
+                tag: item.tag,
+                stream: item.stream.0,
+                context: item.context.0,
+                label: item.spec.kernels[kernel_index].label.clone(),
+            };
+            self.events.push((self.now, event));
+        }
+        if kernel_index + 1 < item.spec.kernels.len() {
+            self.start_kernel(id, kernel_index + 1);
+        } else if item.spec.d2h_bytes > 0 {
+            item.state = ItemState::PendingCopyOut;
+            self.copy_queue.push_back((id, CopyDirection::DeviceToHost));
+            self.pump_copy_engine();
+        } else {
+            self.finish_item(id, completions);
+        }
     }
 
     /// Marks an item complete, emits its completion, and activates the next
@@ -799,12 +783,7 @@ impl Gpu {
         let (tag, stream, context) = (item.tag, item.stream, item.context);
         self.record(DeviceEvent::ItemFinished { tag, stream: stream.0, context: context.0 });
         completions.push(completion);
-        let context = context.index();
         self.items.remove(item_id.0);
-        self.running.remove(item_id);
-        if self.computing[context].remove(item_id) {
-            self.ctx_dirty[context] = true;
-        }
         self.pending_count = self.pending_count.saturating_sub(1);
         // Only the item at the front of its stream can be in flight, so
         // finishing is an O(1) pop — never a scan of the backlog.
@@ -825,10 +804,10 @@ impl Gpu {
             #[cfg(debug_assertions)]
             self.check_cached_rates();
         }
+        let launches = self.launching.iter().map(|&(_, end)| end);
+        let finishes = self.computing.iter().filter_map(|k| k.finish);
         let copy = self.active_copy.as_ref().map(|c| c.finish);
-        let items = &self.items;
-        self.next_at =
-            self.running.ids().iter().filter_map(|&id| items.get(id.0)?.next_at).chain(copy).min();
+        self.next_at = launches.chain(finishes).chain(copy).min();
         #[cfg(debug_assertions)]
         self.check_next_at();
     }
@@ -837,38 +816,17 @@ impl Gpu {
     /// rate moved. While recording, a moved allocation is recorded as a
     /// [`DeviceEvent::Replan`].
     ///
-    /// Water-filling is cached per context and only recomputed for contexts
-    /// whose computing membership changed since the last replan (`ctx_dirty`).
-    /// The cross-context contention scale still applies globally, but that is
-    /// a single multiply per computing item.
+    /// Only the contexts whose computing membership changed since the last
+    /// replan (`ctx_dirty`) are water-filled again; the others keep their
+    /// rows' shares. The cross-context contention factor still applies
+    /// globally, but that is a single multiply per computing kernel.
     fn replan_rates(&mut self) {
         self.counters.replans += 1;
-        // Refresh the water-fill cache of dirty contexts.
-        for ctx in 0..self.contexts.len() {
-            if !self.ctx_dirty[ctx] {
-                continue;
-            }
-            self.ctx_dirty[ctx] = false;
-            let kernels = &mut self.water_fill.kernels;
-            kernels.clear();
-            for &id in self.computing[ctx].ids() {
-                let item = self.items.get(id.0).expect("computing items are in flight");
-                kernels.push((id, item.spec.kernels[item.kernel_index].parallelism));
-            }
-            let quota = f64::from(self.contexts[ctx].sm_quota);
-            self.water_fill.run(quota, &mut self.ctx_alloc[ctx]);
-        }
-        let mut total = 0.0;
-        let mut busy_contexts = 0usize;
-        for ctx in 0..self.contexts.len() {
-            if self.computing[ctx].ids().is_empty() {
-                continue;
-            }
-            busy_contexts += 1;
-            for (_, a) in &self.ctx_alloc[ctx] {
-                total += *a;
-            }
-        }
+        let dirty = &self.ctx_dirty;
+        let fill = &mut self.water_fill;
+        fill.contexts(&self.contexts, &mut self.computing, |ctx| dirty[ctx]);
+        self.ctx_dirty.fill(false);
+        let (total, busy_contexts) = demand(&self.computing);
         let (factor, allocation) = self.contention(total, busy_contexts);
         let bits = |(computing, utilization): (u32, f64)| (computing, utilization.to_bits());
         if bits(allocation) != bits(self.allocation) {
@@ -882,28 +840,25 @@ impl Gpu {
         // is converted once per run of equal anchors.
         let now = self.now;
         let mut elapsed: Option<(SimTime, f64)> = None;
-        for ctx in 0..self.contexts.len() {
-            for &(id, alloc) in &self.ctx_alloc[ctx] {
-                let Some(item) = self.items.get_mut(id.0) else { continue };
-                let rate = alloc * factor;
-                if rate.to_bits() == item.rate.to_bits() {
-                    continue;
-                }
-                let elapsed_us = match elapsed {
-                    Some((anchor, us)) if anchor == item.anchor => us,
-                    _ => {
-                        let us = (now - item.anchor).as_micros_f64();
-                        elapsed = Some((item.anchor, us));
-                        us
-                    }
-                };
-                let done = item.progress(elapsed_us);
-                self.completed_work += done;
-                item.work -= done;
-                item.anchor = now;
-                item.rate = rate;
-                item.next_at = (rate > 0.0).then(|| compute_finish(now, item.work, rate));
+        for kernel in &mut self.computing {
+            let rate = kernel.alloc * factor;
+            if rate.to_bits() == kernel.rate.to_bits() {
+                continue;
             }
+            let elapsed_us = match elapsed {
+                Some((anchor, us)) if anchor == kernel.anchor => us,
+                _ => {
+                    let us = (now - kernel.anchor).as_micros_f64();
+                    elapsed = Some((kernel.anchor, us));
+                    us
+                }
+            };
+            let done = kernel.progress(elapsed_us);
+            self.completed_work += done;
+            kernel.work -= done;
+            kernel.anchor = now;
+            kernel.rate = rate;
+            kernel.finish = (rate > 0.0).then(|| compute_finish(now, kernel.work, rate));
         }
     }
 
@@ -922,31 +877,32 @@ impl Gpu {
         (factor, (busy as u32, (total * factor / sm_count).min(1.0)))
     }
 
-    /// Debug oracle for a skipped rate pass: water-filling every context from
-    /// scratch reproduces each computing item's cached rate and the cached
-    /// allocation bit for bit.
+    /// Debug oracle for the rates: water-filling every context from scratch,
+    /// with the computing items and parallelism read from the slab, gives
+    /// the table's rows in order, each at its cached rate, and the cached
+    /// allocation, bit for bit.
     #[cfg(debug_assertions)]
     fn check_cached_rates(&self) {
-        let mut fill = WaterFill::default();
-        let mut allocs = Vec::new();
-        let (mut total, mut busy) = (0.0, 0);
-        for ctx in 0..self.contexts.len() {
-            if self.computing[ctx].ids().is_empty() {
-                continue;
-            }
-            busy += 1;
-            fill.kernels.clear();
-            for &id in self.computing[ctx].ids() {
-                let item = self.items.get(id.0).expect("computing items are in flight");
-                fill.kernels.push((id, item.spec.kernels[item.kernel_index].parallelism));
-            }
-            let mut alloc = Vec::new();
-            fill.run(f64::from(self.contexts[ctx].sm_quota), &mut alloc);
-            for (_, a) in &alloc {
-                total += *a;
-            }
-            allocs.extend(alloc);
-        }
+        let computing = self
+            .items
+            .iter()
+            .filter(|(_, item)| item.state == ItemState::Running(KernelPhase::Computing));
+        let mut rows: Vec<ComputingKernel> = computing
+            .map(|(key, item)| {
+                let parallelism = item.spec.kernels[item.kernel_index].parallelism;
+                ComputingKernel::new(
+                    WorkItemId(key),
+                    item.context.index(),
+                    parallelism,
+                    self.now,
+                    0.0,
+                )
+            })
+            .collect();
+        // The slab iterates in id order, and the sort is stable.
+        rows.sort_by_key(|k| k.context);
+        WaterFill::default().contexts(&self.contexts, &mut rows, |_| true);
+        let (total, busy) = demand(&rows);
         let (factor, (computing, utilization)) = self.contention(total, busy);
         assert_eq!(computing, self.allocation.0, "skipped rate pass: busy contexts moved");
         assert_eq!(
@@ -954,15 +910,20 @@ impl Gpu {
             self.allocation.1.to_bits(),
             "skipped rate pass: utilization moved"
         );
-        for (id, alloc) in allocs {
-            let rate = self.items.get(id.0).expect("computing items are in flight").rate;
-            assert_eq!(rate.to_bits(), (alloc * factor).to_bits(), "skipped rate pass: {id} moved");
+        let keys = |rows: &[ComputingKernel]| -> Vec<(usize, WorkItemId)> {
+            rows.iter().map(ComputingKernel::key).collect()
+        };
+        assert_eq!(keys(&self.computing), keys(&rows), "computing table differs from the slab");
+        for (row, cached) in rows.iter().zip(&self.computing) {
+            let id = row.id;
+            let rate = (row.alloc * factor).to_bits();
+            assert_eq!(cached.rate.to_bits(), rate, "skipped rate pass: {id} moved");
         }
     }
 
     /// Debug oracle for the scan [`apply_transitions`](Self::apply_transitions)
-    /// skips: when a transition pass stops scanning, no running item and no
-    /// active copy is due at `now`.
+    /// skips: when a transition pass stops scanning, no launch, compute
+    /// finish or active copy is due at `now`.
     #[cfg(debug_assertions)]
     fn check_nothing_due(&self) {
         let now = self.now;
@@ -970,54 +931,48 @@ impl Gpu {
             !self.active_copy.as_ref().is_some_and(|c| c.finish <= now),
             "skipped scan: the active copy is due at {now}"
         );
-        for &id in self.running.ids() {
-            let item = self.items.get(id.0).expect("running items are in flight");
-            assert!(
-                !item.next_at.is_some_and(|t| t <= now),
-                "skipped scan: item {id} is due at {now}"
-            );
+        for &(id, end) in &self.launching {
+            assert!(end > now, "skipped scan: the launch of {id} is due at {now}");
+        }
+        for k in &self.computing {
+            assert!(!k.finish.is_some_and(|t| t <= now), "skipped scan: {} is due at {now}", k.id);
         }
     }
 
-    /// Debug oracle for [`replan`](Self::replan): every computing item is
-    /// covered by the allocation cache; every in-flight item's instant is
-    /// the one its state implies (a compute finish recomputed from its
-    /// anchor, work and rate, strictly in the future unless `now` is the end
-    /// of time; a launch end not yet passed); and the cached minimum equals
-    /// a scan of the whole slab and the active copy.
+    /// Debug oracle for [`replan`](Self::replan): the launching table holds
+    /// exactly the launching items, in id order, none past its launch end;
+    /// every computing row's finish is the one its anchor, work and rate
+    /// imply, strictly in the future unless `now` is the end of time; and
+    /// the cached minimum equals a scan of both tables and the active copy.
+    /// [`check_cached_rates`](Self::check_cached_rates) pins the computing
+    /// table's membership and order.
     #[cfg(debug_assertions)]
     fn check_next_at(&self) {
-        for ctx in 0..self.contexts.len() {
-            assert_eq!(
-                self.ctx_alloc[ctx].len(),
-                self.computing[ctx].ids().len(),
-                "stale alloc cache"
-            );
-        }
+        let launching = self
+            .items
+            .iter()
+            .filter(|(_, item)| item.state == ItemState::Running(KernelPhase::Launching));
+        let ids: Vec<_> = self.launching.iter().map(|&(id, _)| id).collect();
+        let expected: Vec<_> = launching.map(|(key, _)| WorkItemId(key)).collect();
+        assert_eq!(ids, expected, "launching table differs from the launching items");
         let copy = self.active_copy.as_ref().map(|c| c.finish);
         assert!(copy.map_or(true, |t| t >= self.now), "copy finish passed");
-        let mut earliest = copy;
-        for (id, item) in self.items.iter() {
-            let expected = match item.state {
-                ItemState::Running(KernelPhase::Launching) => {
-                    assert!(
-                        item.next_at.is_some_and(|t| t >= self.now),
-                        "item {id}: launch end passed"
-                    );
-                    item.next_at
-                }
-                ItemState::Running(KernelPhase::Computing) if item.rate > 0.0 => {
-                    assert!(item.anchor <= self.now, "item {id}: anchored in the future");
-                    let at = compute_finish(item.anchor, item.work, item.rate);
-                    assert!(
-                        at > self.now || self.now == SimTime::MAX,
-                        "item {id}: compute finish not in the future"
-                    );
-                    Some(at)
-                }
-                _ => None,
-            };
-            assert_eq!(item.next_at, expected, "item {id}: instant differs from its state");
+        for &(id, end) in &self.launching {
+            assert!(end >= self.now, "item {id}: launch end passed");
+        }
+        let mut earliest = copy.into_iter().chain(self.launching.iter().map(|&(_, end)| end)).min();
+        for k in &self.computing {
+            let expected = (k.rate > 0.0).then(|| {
+                assert!(k.anchor <= self.now, "item {}: anchored in the future", k.id);
+                let at = compute_finish(k.anchor, k.work, k.rate);
+                assert!(
+                    at > self.now || self.now == SimTime::MAX,
+                    "item {}: compute finish not in the future",
+                    k.id
+                );
+                at
+            });
+            assert_eq!(k.finish, expected, "item {}: finish differs from its anchor", k.id);
             earliest = earliest.into_iter().chain(expected).min();
         }
         assert_eq!(self.next_at, earliest, "cached next event differs from a full scan");
@@ -1041,24 +996,53 @@ fn compute_finish(anchor: SimTime, work: f64, rate: f64) -> SimTime {
     anchor.saturating_add(span.max(SimDuration::from_nanos(1)))
 }
 
+/// The SMs the computing kernels demand (their water-filled shares summed in
+/// table order) and the number of contexts they span.
+fn demand(rows: &[ComputingKernel]) -> (f64, usize) {
+    let mut total = 0.0;
+    let mut busy = 0;
+    for (i, row) in rows.iter().enumerate() {
+        busy += usize::from(i == 0 || rows[i - 1].context != row.context);
+        total += row.alloc;
+    }
+    (total, busy)
+}
+
 /// Water-filling of a context's SM quota over its computing kernels, with
 /// buffers that persist across replans so a pass allocates nothing.
 #[derive(Debug, Default)]
 struct WaterFill {
-    /// Input: `(item, parallelism)` of each computing kernel.
-    kernels: Vec<(WorkItemId, u32)>,
     unsatisfied: Vec<usize>,
     next_unsatisfied: Vec<usize>,
 }
 
 impl WaterFill {
-    /// Distributes `quota` SMs across `self.kernels` into `alloc`, capping
+    /// Water-fills each context `dirty` selects over its contiguous run of
+    /// `rows` (sorted by context).
+    fn contexts(
+        &mut self,
+        contexts: &[Context],
+        rows: &mut [ComputingKernel],
+        dirty: impl Fn(usize) -> bool,
+    ) {
+        let mut start = 0;
+        while let Some(first) = rows.get(start) {
+            let ctx = first.context;
+            let end = start + rows[start..].partition_point(|k| k.context == ctx);
+            if dirty(ctx) {
+                self.run(f64::from(contexts[ctx].sm_quota), &mut rows[start..end]);
+            }
+            start = end;
+        }
+    }
+
+    /// Distributes `quota` SMs across `kernels` into their `alloc`, capping
     /// each kernel at its own parallelism and spreading leftover capacity
     /// over the kernels that can still absorb it (classic water-filling).
-    fn run(&mut self, quota: f64, alloc: &mut Vec<(WorkItemId, f64)>) {
-        let kernels = &self.kernels;
-        alloc.clear();
-        alloc.extend(kernels.iter().map(|&(id, _)| (id, 0.0)));
+    fn run(&mut self, quota: f64, kernels: &mut [ComputingKernel]) {
+        for kernel in kernels.iter_mut() {
+            kernel.alloc = 0.0;
+        }
         let mut remaining = quota;
         let unsatisfied = &mut self.unsatisfied;
         unsatisfied.clear();
@@ -1069,8 +1053,8 @@ impl WaterFill {
             next_unsatisfied.clear();
             let mut consumed = 0.0;
             for &i in unsatisfied.iter() {
-                let cap = f64::from(kernels[i].1);
-                let a = &mut alloc[i].1;
+                let cap = f64::from(kernels[i].parallelism);
+                let a = &mut kernels[i].alloc;
                 let want = cap - *a;
                 if want <= share + 1e-12 {
                     *a = cap;
@@ -1606,19 +1590,41 @@ mod tests {
     }
 
     #[test]
-    fn id_set_iterates_like_a_btree_set() {
+    fn tables_keep_launches_in_id_order_and_kernels_in_context_then_id_order() {
+        // Four contexts of three streams, fed in uneven steps: kernels flip
+        // and finish out of id order, so rows are inserted mid-table.
         let mut rng = XorShiftRng::new(7);
-        let mut set = IdSet::default();
-        let mut oracle = std::collections::BTreeSet::new();
-        for _ in 0..5_000 {
-            let id = WorkItemId(rng.next_u64() % 24);
-            if rng.next_u64() % 2 == 0 {
-                assert_eq!(set.insert(id), oracle.insert(id));
-            } else {
-                assert_eq!(set.remove(id), oracle.remove(&id));
-            }
-            assert!(set.ids().iter().eq(oracle.iter()), "{:?} vs {oracle:?}", set.ids());
+        let mut gpu = Gpu::new(GpuSpec::rtx_2080_ti());
+        let streams = gpu.add_contexts(4, 40, 3).unwrap();
+        let in_state = |gpu: &Gpu, phase| -> Vec<(usize, WorkItemId)> {
+            let items = gpu.items.iter();
+            let mut ids: Vec<_> = items
+                .filter(|(_, item)| item.state == ItemState::Running(phase))
+                .map(|(key, item)| (item.context.index(), WorkItemId(key)))
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let (mut launches, mut rows) = (0, 0);
+        for tag in 0..400 {
+            let stream = streams[rng.next_below(streams.len() as u64) as usize];
+            let kernels: Vec<_> = (0..1 + rng.next_below(3))
+                .map(|_| KernelDesc::new(rng.uniform(10.0, 900.0), 1 + rng.next_below(40) as u32))
+                .collect();
+            gpu.submit(stream, WorkItem::new(tag, kernels)).unwrap();
+            gpu.advance_to(gpu.now() + SimDuration::from_micros_f64(rng.uniform(0.0, 6.0)));
+            let mut launching = in_state(&gpu, KernelPhase::Launching);
+            launching.sort_unstable_by_key(|&(_, id)| id);
+            let ids: Vec<_> = launching.iter().map(|&(_, id)| id).collect();
+            assert_eq!(gpu.launching.iter().map(|&(id, _)| id).collect::<Vec<_>>(), ids);
+            let computing: Vec<_> = gpu.computing.iter().map(ComputingKernel::key).collect();
+            assert_eq!(computing, in_state(&gpu, KernelPhase::Computing));
+            launches = launches.max(ids.len());
+            rows = rows.max(computing.len());
         }
+        assert!(launches > 2 && rows > 4, "tables stayed small: {launches} {rows}");
+        gpu.run_to_idle();
+        assert!(gpu.launching.is_empty() && gpu.computing.is_empty());
     }
 
     #[test]
@@ -1638,10 +1644,12 @@ mod tests {
     }
 
     fn water_fill(quota: f64, kernels: &[(WorkItemId, u32)]) -> Vec<(WorkItemId, f64)> {
-        let mut fill = WaterFill { kernels: kernels.to_vec(), ..WaterFill::default() };
-        let mut alloc = Vec::new();
-        fill.run(quota, &mut alloc);
-        alloc
+        let mut rows: Vec<_> = kernels
+            .iter()
+            .map(|&(id, parallelism)| ComputingKernel::new(id, 0, parallelism, SimTime::ZERO, 1.0))
+            .collect();
+        WaterFill::default().run(quota, &mut rows);
+        rows.iter().map(|k| (k.id, k.alloc)).collect()
     }
 
     #[test]

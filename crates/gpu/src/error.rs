@@ -35,9 +35,10 @@ pub enum GpuError {
     },
     /// An allocation handle was freed twice or never existed.
     UnknownAllocation(u64),
-    /// An [`InterferenceModel`](crate::InterferenceModel) parameter lies
-    /// outside the range the rate model is defined on.
-    InvalidInterference {
+    /// A [`GpuSpec`](crate::GpuSpec) parameter, its
+    /// [`InterferenceModel`](crate::InterferenceModel) included, lies outside
+    /// the range the engine is defined on.
+    InvalidSpec {
         /// The parameter's field name.
         field: &'static str,
         /// Its value.
@@ -65,8 +66,8 @@ impl fmt::Display for GpuError {
             GpuError::UnknownAllocation(handle) => {
                 write!(f, "unknown device memory allocation handle {handle}")
             }
-            GpuError::InvalidInterference { field, value, expected } => {
-                write!(f, "interference parameter {field} is {value}; it must be {expected}")
+            GpuError::InvalidSpec { field, value, expected } => {
+                write!(f, "device parameter {field} is {value}; it must be {expected}")
             }
         }
     }
@@ -89,11 +90,7 @@ mod tests {
             GpuError::InvalidKernel("work is NaN".to_owned()),
             GpuError::OutOfMemory { requested: 10, available: 5 },
             GpuError::UnknownAllocation(1),
-            GpuError::InvalidInterference {
-                field: "work_jitter",
-                value: 1.0,
-                expected: "in [0, 1)",
-            },
+            GpuError::InvalidSpec { field: "work_jitter", value: 1.0, expected: "in [0, 1)" },
         ];
         for e in errors {
             let msg = e.to_string();

@@ -173,16 +173,19 @@ impl GpuSpec {
         }
     }
 
-    /// Checks that every interference parameter lies where the engine's rate
-    /// model is defined: both penalties finite and non-negative (a NaN
-    /// penalty makes every rate NaN, so a kernel never finishes), and the
-    /// jitter half-width in `[0, 1)` (at 1 or more a kernel's work can reach
-    /// zero or go negative).
+    /// Checks that the device can run work and that every interference
+    /// parameter lies where the engine's rate model is defined: at least one
+    /// SM (with none, no kernel ever gets a rate), a finite and positive copy
+    /// bandwidth (at zero, a negative value or NaN no copy ever finishes),
+    /// both penalties finite and non-negative (a NaN penalty makes every
+    /// rate NaN, so a kernel never finishes), and the jitter half-width in
+    /// `[0, 1)` (at 1 or more a kernel's work can reach zero or go
+    /// negative).
     ///
     /// # Errors
     ///
-    /// Returns [`GpuError::InvalidInterference`] naming the first parameter
-    /// out of range.
+    /// Returns [`GpuError::InvalidSpec`] naming the first parameter out of
+    /// range.
     ///
     /// ```
     /// use daris_gpu::{GpuError, GpuSpec};
@@ -191,10 +194,19 @@ impl GpuSpec {
     /// spec.interference.work_jitter = 1.0;
     /// assert!(matches!(
     ///     spec.validate(),
-    ///     Err(GpuError::InvalidInterference { field: "work_jitter", .. })
+    ///     Err(GpuError::InvalidSpec { field: "work_jitter", .. })
     /// ));
     /// ```
     pub fn validate(&self) -> Result<(), GpuError> {
+        if self.sm_count == 0 {
+            let (field, value) = ("sm_count", 0.0);
+            return Err(GpuError::InvalidSpec { field, value, expected: "at least 1" });
+        }
+        let bandwidth = self.copy_bandwidth_bytes_per_us;
+        if !(bandwidth.is_finite() && bandwidth > 0.0) {
+            let (field, expected) = ("copy_bandwidth_bytes_per_us", "finite and positive");
+            return Err(GpuError::InvalidSpec { field, value: bandwidth, expected });
+        }
         let model = &self.interference;
         let penalties = [
             ("per_context_penalty", model.per_context_penalty),
@@ -203,12 +215,12 @@ impl GpuSpec {
         for (field, value) in penalties {
             if !(value.is_finite() && value >= 0.0) {
                 let expected = "finite and non-negative";
-                return Err(GpuError::InvalidInterference { field, value, expected });
+                return Err(GpuError::InvalidSpec { field, value, expected });
             }
         }
         if !(0.0..1.0).contains(&model.work_jitter) {
             let (field, value) = ("work_jitter", model.work_jitter);
-            return Err(GpuError::InvalidInterference { field, value, expected: "in [0, 1)" });
+            return Err(GpuError::InvalidSpec { field, value, expected: "in [0, 1)" });
         }
         Ok(())
     }
@@ -295,7 +307,7 @@ mod tests {
         let field_of = |interference| {
             let spec = GpuSpec { interference, ..GpuSpec::rtx_2080_ti() };
             match spec.validate() {
-                Err(GpuError::InvalidInterference { field, .. }) => field,
+                Err(GpuError::InvalidSpec { field, .. }) => field,
                 other => panic!("{interference:?} validated as {other:?}"),
             }
         };
@@ -308,6 +320,15 @@ mod tests {
         }
         for bad in [f64::NAN, -0.01, 1.0, 2.5] {
             assert_eq!(field_of(InterferenceModel { work_jitter: bad, ..base }), "work_jitter");
+        }
+        let device_field = |spec: GpuSpec| match spec.validate() {
+            Err(GpuError::InvalidSpec { field, .. }) => field,
+            other => panic!("{spec:?} validated as {other:?}"),
+        };
+        assert_eq!(device_field(GpuSpec { sm_count: 0, ..GpuSpec::orin() }), "sm_count");
+        for bad in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let spec = GpuSpec { copy_bandwidth_bytes_per_us: bad, ..GpuSpec::a100() };
+            assert_eq!(device_field(spec), "copy_bandwidth_bytes_per_us");
         }
         // Large but finite penalties and a jitter just below 1 are allowed.
         let interference = InterferenceModel {

@@ -258,11 +258,11 @@ fn trace_hash(completions: &[Completion]) -> u64 {
     h.0
 }
 
-/// The engine's per-item state (the `running` and per-context `computing`
-/// sets) lives in ordered containers precisely so that two runs of the same
+/// The engine's per-kernel state (the `launching` and `computing` tables)
+/// lives in sorted containers precisely so that two runs of the same
 /// workload are byte-identical. Each fresh engine would get fresh
-/// (per-process-random) hasher state if those sets ever regressed to
-/// `HashSet` and iteration order leaked into the results — this repeated-run
+/// (per-process-random) hasher state if those tables ever regressed to a
+/// `HashMap` and iteration order leaked into the results — this repeated-run
 /// hash test is the dynamic pin for determinism rule D001 (the
 /// `disallowed-types` ban in `clippy.toml`).
 #[test]

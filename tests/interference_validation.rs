@@ -1,8 +1,10 @@
-//! An interference parameter outside the rate model's domain is rejected by
-//! name wherever a device is built: by DARIS, by every baseline server, and
-//! by a fleet of either. A NaN penalty would leave every kernel at rate NaN,
-//! so it never finishes; a jitter half-width of 1 or more can make a
-//! kernel's work zero or negative. Neither may reach the engine.
+//! A device parameter outside the engine's domain is rejected by name
+//! wherever a device is built: by DARIS, by every baseline server, and by a
+//! fleet of either. A NaN penalty would leave every kernel at rate NaN, so
+//! it never finishes; a jitter half-width of 1 or more can make a kernel's
+//! work zero or negative; a device with no SMs never runs a kernel, and one
+//! whose copy bandwidth is zero, negative or NaN never finishes a copy. None
+//! of them may reach the engine.
 
 use daris::baselines::{
     BaselineScheduler, BatchingServer, FifoMultiStreamServer, GlobalEdfServer, GsliceServer,
@@ -14,15 +16,15 @@ use daris::gpu::{GpuError, GpuSpec, InterferenceModel};
 use daris::models::DnnKind;
 use daris::workload::TaskSet;
 
-/// The field an error names, if it is an interference rejection.
+/// The field an error names, if it is a device spec rejection.
 fn rejected_field(error: &GpuError) -> Option<&'static str> {
     match error {
-        GpuError::InvalidInterference { field, .. } => Some(field),
+        GpuError::InvalidSpec { field, .. } => Some(field),
         _ => None,
     }
 }
 
-/// A fleet error's device and the interference field it names.
+/// A fleet error's device and the spec field it names.
 fn fleet_rejection(error: ClusterError) -> (String, Option<&'static str>) {
     match error {
         ClusterError::InvalidDevice { device, source: CoreError::Gpu(e) } => {
@@ -35,7 +37,12 @@ fn fleet_rejection(error: ClusterError) -> (String, Option<&'static str>) {
 /// Builds every kind of scheduler on a device with `interference` and
 /// requires each build to fail naming `field`.
 fn assert_rejected_everywhere(field: &str, interference: InterferenceModel) {
-    let bad = GpuSpec { interference, ..GpuSpec::rtx_2080_ti() };
+    assert_device_rejected_everywhere(field, GpuSpec { interference, ..GpuSpec::rtx_2080_ti() });
+}
+
+/// Builds every kind of scheduler on the `bad` device and requires each
+/// build to fail naming `field`.
+fn assert_device_rejected_everywhere(field: &str, bad: GpuSpec) {
     let taskset = TaskSet::table2(DnnKind::ResNet18);
     let partition = GpuPartition::mps(6, 6.0);
 
@@ -92,4 +99,20 @@ fn a_negative_oversubscription_penalty_is_rejected_by_name() {
 fn a_jitter_half_width_of_one_is_rejected_by_name() {
     let model = InterferenceModel { work_jitter: 1.0, ..InterferenceModel::default() };
     assert_rejected_everywhere("work_jitter", model);
+}
+
+#[test]
+fn a_device_with_no_sms_is_rejected_by_name() {
+    assert_device_rejected_everywhere(
+        "sm_count",
+        GpuSpec { sm_count: 0, ..GpuSpec::rtx_2080_ti() },
+    );
+}
+
+#[test]
+fn a_copy_bandwidth_that_is_not_finite_and_positive_is_rejected_by_name() {
+    for bandwidth in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+        let bad = GpuSpec { copy_bandwidth_bytes_per_us: bandwidth, ..GpuSpec::rtx_2080_ti() };
+        assert_device_rejected_everywhere("copy_bandwidth_bytes_per_us", bad);
+    }
 }
